@@ -37,8 +37,8 @@ from .evolution import evolve
 from .exact import build_profile, coefficient_closed_form, profile_residual
 from .experiments import (REGISTRY, ExperimentError, list_experiments,
                           run_experiment)
-from .geometry import balancedness, flat_set, john_ellipsoid, save_ellipsoid, \
-    save_section, section_at
+from .geometry import balancedness, flat_set, save_ellipsoid, save_section, \
+    section_at
 from .grid import fmt17, load_csv, save_csv
 
 __all__ = ["main"]
@@ -194,13 +194,15 @@ def _cmd_geometry(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     sec = section_at(u, point, args.height)
     save_section(os.path.join(out_dir, "section.csv"), sec)
-    ell = john_ellipsoid(sec.positions, point)
-    save_ellipsoid(os.path.join(out_dir, "ellipsoid.csv"), ell)
     cert = balancedness(sec.positions, point)
+    ell = cert.ellipsoid
+    save_ellipsoid(os.path.join(out_dir, "ellipsoid.csv"), ell)
     lines = [
         f"section nodes = {len(sec)}",
         f"touches_boundary = {sec.touches_boundary}",
         f"ellipsoid volume = {fmt17(ell.volume)}",
+        f"john iterations = {ell.iterations}",
+        f"john gap = {fmt17(ell.gap)}",
         str(cert),
     ]
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:

@@ -6,7 +6,8 @@ import pytest
 from pma_lab.cli import main
 from pma_lab.exact import flat_disk_data
 from pma_lab.experiments import REGISTRY, ExperimentSpec, Outcome
-from pma_lab.grid import build_domain, sample, save_csv
+from pma_lab.geometry import john_ellipsoid, save_ellipsoid, section_at
+from pma_lab.grid import build_domain, load_csv, sample, save_csv
 
 SOLVE_CFG = """\
 # harmless little disk run
@@ -115,6 +116,14 @@ def test_geometry_reports_section_and_ellipsoid(tmp_path, capsys):
         assert os.path.exists(os.path.join(base, name))
     stdout = capsys.readouterr().out
     assert "section nodes" in stdout and "ellipsoid volume" in stdout
+    assert "john iterations = " in stdout and "john gap = " in stdout
+    # the report solves the John problem once; its ellipsoid is the one a
+    # direct solve on the same section and centre gives
+    sec = section_at(load_csv(snap), [0.0, 0.0], 0.2)
+    save_ellipsoid(str(tmp_path / "direct.csv"),
+                   john_ellipsoid(sec.positions, [0.0, 0.0]))
+    with open(os.path.join(base, "ellipsoid.csv"), "rb") as f:
+        assert f.read() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_analyze_separation_over_solve_output(tmp_path, capsys):

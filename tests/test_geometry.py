@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from pma_lab import build_domain, discrete_convexity_check, sample
 from pma_lab.geometry import (
     BalancednessCertificate,
     Ellipsoid,
+    _hull_facets,
+    _max_volume_shape,
     balancedness,
     centered_section,
     flat_set,
@@ -209,6 +212,55 @@ def test_john_affine_equivariance():
                        atol=1e-9 * base.volume + 1e-9)
     assert np.isclose(mapped.volume, abs(np.linalg.det(lin)) * base.volume,
                       rtol=1e-9)
+
+
+def test_john_square_symmetric_lattice_gives_inscribed_disk():
+    # lattice nodes of the disk |x| <= 1 (h = 0.1): the hull has the
+    # symmetries of the square, so the John ellipsoid about the origin is the
+    # largest disk inside the hull, whose radius is the nearest facet distance
+    ax = np.arange(-10, 11) * 0.1
+    grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = grid[np.sum(grid ** 2, axis=1) <= 1.0 + 1e-12]
+    hull = ConvexHull(pts)
+    disk = np.pi * float(np.min(-hull.equations[:, -1])) ** 2
+    ell = john_ellipsoid(pts, [0.0, 0.0])
+    assert ell.volume >= disk * (1 - 1e-12)
+    assert ell.volume <= disk * (1 + 1e-12)
+    assert 0 < ell.iterations < 1000
+    assert -1e-15 <= ell.gap <= 2 * np.log1p(1e-10)
+
+
+def test_john_satisfies_kkt_on_seeded_hulls():
+    # optimality checked apart from the solver: on the facets recomputed by
+    # ConvexHull, M^{-1} must be a nonnegative combination of z z' over the
+    # constraints z' M z <= 1 that are active at the returned M
+    rng = np.random.default_rng(2024)
+    for n, count in ((2, 12), (3, 6)):
+        for _ in range(count):
+            pts = rng.normal(size=(int(rng.integers(n + 3, 40)), n))
+            pts = pts @ (rng.normal(size=(n, n)) + 1.5 * np.eye(n)).T
+            hull = ConvexHull(pts)
+            c = pts[hull.vertices].mean(axis=0)
+            ell = john_ellipsoid(pts, c)
+            a, b = hull.equations[:, :-1], -hull.equations[:, -1]
+            z = a / (b - a @ c)[:, None]
+            load = np.einsum("ij,jk,ik->i", z, ell.shape_matrix, z)
+            assert load.max() <= 1.0 + 1e-12
+            active = z[load >= 1.0 - 1e-8]
+            target = np.linalg.inv(ell.shape_matrix)
+            cols = np.stack([np.outer(v, v).ravel() for v in active], axis=1)
+            _, resid = nnls(cols, target.ravel())
+            assert resid <= 1e-8 * np.linalg.norm(target)
+            assert ell.gap <= n * np.log1p(1e-10)
+
+
+def test_john_solver_reports_when_it_stops_short():
+    pts = np.random.default_rng(3).normal(size=(30, 2))
+    normals, offsets = _hull_facets(pts)
+    slack = offsets - normals @ pts.mean(axis=0)
+    assert _max_volume_shape(normals, slack, 2)[1] > 3
+    with pytest.raises(RuntimeError, match=r"3 iterations: log-det gap \d"):
+        _max_volume_shape(normals, slack, 2, max_iter=3)
 
 
 def test_john_degenerate_and_exterior_center():
