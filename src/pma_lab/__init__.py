@@ -7,9 +7,9 @@ probes for the regularity and flat-side phenomena the flow exhibits.
 """
 
 from .grid import (BAND, EXTERIOR, INTERIOR, CoefficientField, ConvexityReport,
-                   Domain, GridFunction, build_domain, discrete_convexity_check,
-                   gradient_field, load_csv, sample, save_csv,
-                   second_difference)
+                   Domain, GridFunction, GridStack, build_domain,
+                   discrete_convexity_check, gradient_field, load_csv, sample,
+                   save_csv, second_difference)
 from .monge_ampere import (OperatorConfig, OperatorField, gcf_value, ma_field,
                            ma_value, orthogonal_frames, reduced_ma_field,
                            reduced_ma_value)

@@ -18,6 +18,12 @@ original step sequence bit for bit).  Monotone steps propagate ordering:
 two ordered states stepped with a SHARED dt stay ordered, which is what
 :func:`evolve_pair` provides.  Since F >= 0, interior values never
 decrease along the flow; that invariant is checked at every snapshot.
+
+One shared-dt loop serves both: :func:`evolve` runs it on one state and
+:func:`evolve_pair` on two.  Each step evaluates the operator once, on
+the stack of all states, so a paired step is one operator pass; it takes
+one :func:`stable_dt` per state and updates the interior values straight
+from the operator's interior arrays.
 """
 from __future__ import annotations
 
@@ -27,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Domain, GridFunction
+from .grid import Domain, GridFunction, GridStack
 from .monge_ampere import OperatorConfig, ma_field
 
 KAPPA_CFL = 0.4
@@ -64,38 +70,17 @@ class EvolutionResult:
 
 def stable_dt(state: EvolutionState, fld=None) -> float:
     """kappa h^2 / max slope, the largest monotonicity-preserving step."""
-    if fld is None or fld.slope is None:
+    if fld is None or fld.interior_slope is None:
         fld = ma_field(state.u, state.cfg, with_slope=True)
-    dom = state.u.domain
-    sig = float(np.nanmax(fld.slope)) if np.any(np.isfinite(fld.slope)) else 0.0
+    slope = fld.interior_slope
+    sig = float(np.nanmax(slope)) if np.any(np.isfinite(slope)) else 0.0
     if sig <= 0.0:
         return state.dt_max
-    dt = state.kappa * dom.h_grid ** 2 / sig
+    dt = state.kappa * state.u.domain.h_grid ** 2 / sig
     if not math.isfinite(dt) or dt < DT_FLOOR:
         raise ValueError(f"stiff state: stable step {dt:.3e} underflows "
                          f"(slope bound {sig:.3e})")
     return min(dt, state.dt_max)
-
-
-def _apply_step(state: EvolutionState, fld, dt: float, t_new: float,
-                band_pts: np.ndarray | None, band_mask) -> None:
-    dom = state.u.domain
-    inner = dom.interior_mask()
-    vals = state.u.values
-    rate = fld.values[inner]
-    finite = np.isfinite(rate)
-    if not finite.all():
-        where = dom.interior_positions[~finite][0]
-        raise ValueError(f"non-finite operator value at node {tuple(where)}")
-    rate *= dt
-    vals[inner] += rate
-    if state.boundary is not None:
-        bvals = np.asarray(state.boundary(band_pts, t_new), dtype=float)
-        if not np.all(np.isfinite(bvals)):
-            raise ValueError("non-finite boundary data at t = %r" % t_new)
-        vals[band_mask] = bvals
-    state.u.t = t_new
-    state.steps += 1
 
 
 def _prepare_band(state: EvolutionState):
@@ -114,6 +99,61 @@ def _check_nondecreasing(prev: np.ndarray, cur: np.ndarray, t: float) -> None:
             "the flow must be nondecreasing in time")
 
 
+def _same_lattice(a: Domain, b: Domain) -> bool:
+    return a is b or (a.h_grid == b.h_grid
+                      and np.array_equal(a.classes, b.classes)
+                      and np.array_equal(a.interior_positions,
+                                         b.interior_positions))
+
+
+def _shared_steps(states: list[EvolutionState], stops: list[float]):
+    """Step N states on one lattice, under one config, with one shared dt.
+
+    A step is one operator pass over the stack of all N members and one
+    :func:`stable_dt` per member; dt is the smallest of those, so every
+    member's update stays monotone.  Each state re-binds to a private copy
+    of its values (a view into the stack).  Yields on landing at each stop.
+    """
+    dom = states[0].u.domain
+    stack = GridStack(dom, np.stack([s.u.values for s in states]),
+                      states[0].t)
+    for s, v in zip(states, stack.values):
+        s.u = GridFunction(s.u.domain, v, s.u.t)
+    flat = stack.values.reshape(-1)
+    # the interior nodes of every member, as offsets into the flat stack
+    inner = (dom.interior_index + dom.classes.size
+             * np.arange(len(states))[:, None]).reshape(-1)
+    bands = [_prepare_band(s) for s in states]
+    for stop in stops:
+        while stack.t < stop:
+            fld = ma_field(stack, states[0].cfg, with_slope=True)
+            dt = min(stable_dt(s, fld.member(k)) for k, s in enumerate(states))
+            rem = stop - stack.t
+            if dt >= rem * (1.0 - 1e-12):
+                dt, t_new = rem, stop
+            else:
+                t_new = stack.t + dt
+            rate = fld.interior_values
+            finite = np.isfinite(rate)
+            if not finite.all():
+                where = dom.interior_positions[np.argwhere(~finite)[0][-1]]
+                raise ValueError(
+                    f"non-finite operator value at node {tuple(where)}")
+            rate *= dt
+            flat[inner] += rate.reshape(-1)
+            for s, (pts, band) in zip(states, bands):
+                if s.boundary is not None:
+                    bvals = np.asarray(s.boundary(pts, t_new), dtype=float)
+                    if not np.all(np.isfinite(bvals)):
+                        raise ValueError(
+                            "non-finite boundary data at t = %r" % t_new)
+                    s.u.values[band] = bvals
+                s.u.t = t_new
+                s.steps += 1
+            stack.t = t_new
+        yield stop
+
+
 def evolve(state: EvolutionState, t_end: float,
            snapshot_times=()) -> EvolutionResult:
     """Advance to t_end, recording copies at the requested times.
@@ -128,23 +168,13 @@ def evolve(state: EvolutionState, t_end: float,
     stops = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
     if stops[0] <= t0 or stops[-1] > t_end + 1e-12:
         raise ValueError("snapshot times must lie in (t, t_end]")
-    state.u = state.u.copy()
-    band_pts, band_mask = _prepare_band(state)
+    inner = state.u.domain.interior_mask()
+    prev = state.u.values[inner]
     snaps: list[GridFunction] = []
-    prev_inner = state.u.interior_values().copy()
-    inner_mask = state.u.domain.interior_mask()
-    for stop in stops:
-        while state.t < stop:
-            fld = ma_field(state.u, state.cfg, with_slope=True)
-            dt = stable_dt(state, fld)
-            rem = stop - state.t
-            if dt >= rem * (1.0 - 1e-12):
-                _apply_step(state, fld, rem, stop, band_pts, band_mask)
-            else:
-                _apply_step(state, fld, dt, state.t + dt, band_pts, band_mask)
-        cur = state.u.values[inner_mask]
-        _check_nondecreasing(prev_inner, cur, state.t)
-        prev_inner = cur.copy()
+    for _ in _shared_steps([state], stops):
+        cur = state.u.values[inner]
+        _check_nondecreasing(prev, cur, state.t)
+        prev = cur
         snaps.append(state.u.copy())
     return EvolutionResult(snapshots=snaps, state=state, n_steps=state.steps,
                            t_final=state.t)
@@ -155,26 +185,17 @@ def evolve_pair(state_a: EvolutionState, state_b: EvolutionState,
     """Advance two states to t_end with a shared step size.
 
     The shared dt is the smaller of the two stable steps, so both updates
-    stay monotone and discrete comparison applies to the pair.
+    stay monotone and discrete comparison applies to the pair.  Both states
+    must share one lattice and one operator config: each step evaluates
+    the pair in one operator pass.
     """
-    if state_a.u.domain.shape != state_b.u.domain.shape or \
+    if not _same_lattice(state_a.u.domain, state_b.u.domain) or \
             abs(state_a.u.t - state_b.u.t) > 1e-15:
         raise ValueError("paired evolution needs matching lattices and times")
-    state_a.u = state_a.u.copy()
-    state_b.u = state_b.u.copy()
-    band_a = _prepare_band(state_a)
-    band_b = _prepare_band(state_b)
-    while state_a.t < t_end:
-        fld_a = ma_field(state_a.u, state_a.cfg, with_slope=True)
-        fld_b = ma_field(state_b.u, state_b.cfg, with_slope=True)
-        dt = min(stable_dt(state_a, fld_a), stable_dt(state_b, fld_b))
-        rem = t_end - state_a.t
-        if dt >= rem * (1.0 - 1e-12):
-            dt, t_new = rem, t_end
-        else:
-            t_new = state_a.t + dt
-        _apply_step(state_a, fld_a, dt, t_new, *band_a)
-        _apply_step(state_b, fld_b, dt, t_new, *band_b)
+    if state_a.cfg != state_b.cfg:
+        raise ValueError("paired evolution needs one operator config")
+    for _ in _shared_steps([state_a, state_b], [t_end]):
+        pass
     return state_a.u, state_b.u
 
 

@@ -176,9 +176,9 @@ class Domain:
         return [self.origin[i] + self.h_grid * np.arange(self.shape[i])
                 for i in range(self.n)]
 
-    # The class masks, interior positions and core box are cached per domain
-    # (it is frozen) and handed out read-only, so the time-stepping loop never
-    # rebuilds them; copy before modifying.
+    # The class masks, interior positions and offsets, and core box are
+    # cached per domain (it is frozen) and handed out read-only, so the
+    # time-stepping loop never rebuilds them; copy before modifying.
 
     @cached_property
     def _interior(self) -> np.ndarray:
@@ -212,6 +212,12 @@ class Domain:
         first = sum(r * st for st in strides)
         stop = sum((s - r - 1) * st for s, st in zip(self.shape, strides)) + 1
         return slice(first, max(first, stop))
+
+    @cached_property
+    def interior_index(self) -> np.ndarray:
+        """Offsets of the interior nodes in the flattened lattice, in the
+        row-major order of ``interior_positions``."""
+        return _read_only(np.flatnonzero(self._interior))
 
     @cached_property
     def work(self) -> dict:
@@ -409,9 +415,6 @@ class GridFunction:
                             self.values.copy() if values is None else values,
                             self.t if t is None else t)
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.domain.interior_mask()]
-
     def value_at(self, point) -> float:
         return float(self.interpolate(np.asarray(point, dtype=float)[None, :])[0])
 
@@ -450,6 +453,25 @@ class GridFunction:
         return float(np.nanmax(np.abs(self.values)))
 
 
+@dataclass
+class GridStack:
+    """B grid functions on one domain at one time: ``values`` has shape
+    ``(B, *domain.shape)``.
+
+    The operator kernel takes a stack wherever it takes a GridFunction and
+    evaluates every member in the same array pass.
+    """
+
+    domain: Domain
+    values: np.ndarray
+    t: float = 0.0
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape[1:] != self.domain.shape:
+            raise ValueError("stack values do not match the lattice")
+
+
 def sample(domain: Domain, f: Callable, t: float = 0.0) -> GridFunction:
     """Evaluate ``f(points, t)`` at all non-exterior nodes."""
     vals = np.full(domain.shape, np.nan)
@@ -461,19 +483,19 @@ def sample(domain: Domain, f: Callable, t: float = 0.0) -> GridFunction:
     return gf
 
 
-def gradient_field(u: GridFunction) -> np.ndarray:
-    """Central-difference gradient at interior nodes, shape lattice + (n,).
+def gradient_field(u: GridFunction | GridStack) -> np.ndarray:
+    """Central-difference gradient at interior nodes, shape values + (n,).
 
     NaN away from the interior.
     """
     dom = u.domain
-    out = np.full(dom.shape + (dom.n,), np.nan)
+    out = np.full(u.values.shape + (dom.n,), np.nan)
     inner = dom.interior_mask()
     for ax in range(dom.n):
-        plus = np.roll(u.values, -1, axis=ax)
-        minus = np.roll(u.values, 1, axis=ax)
+        plus = np.roll(u.values, -1, axis=ax - dom.n)
+        minus = np.roll(u.values, 1, axis=ax - dom.n)
         g = (plus - minus) / (2.0 * dom.h_grid)
-        out[..., ax][inner] = g[inner]
+        out[..., ax][..., inner] = g[..., inner]
     return out
 
 
@@ -608,10 +630,28 @@ class CoefficientField:
         if np.any(vals < self.lam - slack) or np.any(vals > self.Lam + slack):
             raise ValueError(f"coefficient leaves [lam, Lam] {where}".rstrip())
 
+    @property
+    def constant_value(self) -> float | None:
+        """The value of a field made by :meth:`constant`, else None."""
+        ev = self.evaluator
+        return ev.c if isinstance(ev, _Constant) else None
+
     @staticmethod
     def constant(c: float) -> "CoefficientField":
-        return CoefficientField(evaluator=lambda pts, t: np.full(pts.shape[:-1], float(c)),
+        """b == c; its bounds are [c, c], so it never needs a bounds check."""
+        return CoefficientField(evaluator=_Constant(float(c)),
                                 lam=float(c), Lam=float(c))
+
+
+@dataclass(frozen=True)
+class _Constant:
+    """Evaluator of a constant coefficient; equal constants compare equal,
+    so two configs built with the same constant ``b`` are equal too."""
+
+    c: float
+
+    def __call__(self, points: np.ndarray, t: float) -> np.ndarray:
+        return np.full(points.shape[:-1], self.c)
 
 
 # ---------------------------------------------------------------------------
@@ -623,17 +663,18 @@ def save_csv(u: GridFunction, path) -> None:
     non-exterior node with columns x_1..x_n, class, value."""
     dom = u.domain
     mask = dom.active_mask()
-    pts = dom.positions(mask)
-    cls = dom.classes[mask]
-    vals = u.values[mask]
+    # each lattice coordinate is formatted once and shared by its rows
+    axes = [[fmt17(x) for x in ax] for ax in dom.axes()]
+    cols = [[axes[d][i] for i in col]
+            for d, col in enumerate(np.argwhere(mask).T.tolist())]
+    cols.append([_CLASS_NAMES[c] for c in dom.classes[mask].tolist()])
+    cols.append([fmt17(v) for v in u.values[mask].tolist()])
     with open(path, "w") as fh:
         fh.write("n,h_grid,t\n")
         fh.write(f"{dom.n},{fmt17(dom.h_grid)},{fmt17(u.t)}\n")
-        cols = [f"x_{i+1}" for i in range(dom.n)]
-        fh.write(",".join(cols + ["class", "value"]) + "\n")
-        for p, c, v in zip(pts, cls, vals):
-            coords = ",".join(fmt17(x) for x in p)
-            fh.write(f"{coords},{_CLASS_NAMES[int(c)]},{fmt17(v)}\n")
+        names = [f"x_{i+1}" for i in range(dom.n)] + ["class", "value"]
+        fh.write(",".join(names) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def load_csv(path) -> GridFunction:

@@ -27,16 +27,26 @@ Variants:
 Alongside the value the evaluator can return a slope field: an upper
 bound, in curvature units (multiply by 1/h^2), for |dF/du(x)|, used to
 pick time steps that keep the explicit update monotone.
+
+Evaluation.  :func:`ma_field` takes one grid function or a
+:class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
+laid end to end and differenced on one contiguous span: a stack costs the
+array operations of one grid function, and each member's output is bit for
+bit that of its own call.  An :class:`OperatorField` stores interior
+arrays (behind the batch axis for a stack) and builds the lattice-shaped
+fields only when they are first read.  b(x, t) is evaluated and
+bound-checked once per call; a constant b is one scalar.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import INTERIOR, CoefficientField, GridFunction, gradient_field
+from .grid import (INTERIOR, CoefficientField, Domain, GridFunction,
+                   GridStack, gradient_field)
 
 VARIANTS = ("plain", "gcf", "reduced")
 
@@ -128,15 +138,46 @@ class OperatorConfig:
 
 @dataclass
 class OperatorField:
-    """Operator values (and optional diagnostics) on the lattice.
+    """Operator values (and optional diagnostics) at the interior nodes.
 
-    ``values`` and ``slope`` are lattice-shaped with NaN away from the
-    interior; ``slope`` is in curvature units (divide by h^2 for 1/time).
+    ``interior_values``, ``interior_slope`` and ``interior_frames`` hold one
+    entry per interior node, in the order of ``domain.interior_positions``,
+    behind a leading batch axis when the operator ran on a
+    :class:`GridStack`.  ``values``, ``slope`` and ``argmin_frame`` are the
+    same numbers on the lattice, NaN (frame index 255) off the interior,
+    built on first access.  The slope is in curvature units (divide by h^2
+    for 1/time).
     """
 
-    values: np.ndarray
-    slope: np.ndarray | None = None
-    argmin_frame: np.ndarray | None = None
+    domain: Domain
+    interior_values: np.ndarray
+    interior_slope: np.ndarray | None = None
+    interior_frames: np.ndarray | None = None
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self._on_lattice(self.interior_values, np.nan)
+
+    @cached_property
+    def slope(self) -> np.ndarray | None:
+        return self._on_lattice(self.interior_slope, np.nan)
+
+    @cached_property
+    def argmin_frame(self) -> np.ndarray | None:
+        return self._on_lattice(self.interior_frames, 255)
+
+    def _on_lattice(self, a: np.ndarray | None, fill) -> np.ndarray | None:
+        if a is None:
+            return None
+        out = np.full(a.shape[:-1] + self.domain.shape, fill, dtype=a.dtype)
+        out[..., self.domain.interior_mask()] = a
+        return out
+
+    def member(self, k: int) -> "OperatorField":
+        """The field of member k of a stack."""
+        return OperatorField(self.domain, *(
+            None if a is None else a[k] for a in
+            (self.interior_values, self.interior_slope, self.interior_frames)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +214,25 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
         e2=tuple(sum(c * c for c in e) for e in dirs))
 
 
-def _core_values(u: GridFunction) -> tuple[np.ndarray, int, int]:
-    """The flattened lattice values and the bounds of the core span."""
-    core = u.domain.core
-    return np.ascontiguousarray(u.values).reshape(-1), core.start, core.stop
+def _core_values(u: GridFunction | GridStack) -> tuple[np.ndarray, int, int]:
+    """The values of every member in one flat array, and the bounds of the
+    one span that covers the core of each member (and the rims between)."""
+    dom = u.domain
+    flat = np.ascontiguousarray(u.values).reshape(-1)
+    return flat, dom.core.start, dom.core.stop + flat.size - dom.classes.size
 
 
-def _work(u: GridFunction, name: str, shape) -> np.ndarray:
+def _interior_offsets(u: GridFunction | GridStack) -> np.ndarray:
+    """Offsets into the span of the interior nodes, shape (node,) for a
+    grid function and (member, node) for a stack."""
+    dom = u.domain
+    inner = dom.interior_index - dom.core.start
+    if isinstance(u, GridStack):
+        inner = inner + dom.classes.size * np.arange(len(u.values))[:, None]
+    return inner
+
+
+def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
     """A float work array kept on the domain and reused by later calls.
 
     Reuse keeps the time-stepping loop from allocating (and page-faulting)
@@ -192,12 +245,13 @@ def _work(u: GridFunction, name: str, shape) -> np.ndarray:
     return a
 
 
-def _clamped_second_differences(u: GridFunction, st: _Stencil) -> np.ndarray:
+def _clamped_second_differences(u: GridFunction | GridStack,
+                                st: _Stencil) -> np.ndarray:
     """Clamped second differences per unit |e|^2 h^2, one row per direction.
 
-    Each row runs over the core span ``u.domain.core``, read from the
-    flattened lattice at the shifts +-offset; off-core entries of the span
-    are computed from wrapped-around neighbours and never used.
+    Each row runs over the span of :func:`_core_values`, read from the
+    flattened values at the shifts +-offset; entries off the cores are
+    computed from wrapped-around neighbours and never used.
     """
     flat, a, b = _core_values(u)
     h = u.domain.h_grid
@@ -218,7 +272,8 @@ def _product(factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_terms(u: GridFunction, cfg: OperatorConfig, with_slope: bool):
+def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
+                 with_slope: bool):
     """Yield (k, product, floored product, leave-one-out sum) per frame k.
 
     The sensitivity pieces (but never the product itself) are computed from
@@ -274,37 +329,43 @@ def _power_slope(p: float, prod: np.ndarray, prod_f: np.ndarray,
     return out
 
 
-def _interior_fields(dom, cfg: OperatorConfig, t: float, core_value,
-                     core_slope):
-    """Lattice-shaped ``b * value^p`` and ``b * slope``, NaN off the interior.
+def _interior_fields(u: GridFunction | GridStack, cfg: OperatorConfig,
+                     core_value: np.ndarray, core_slope: np.ndarray | None):
+    """``b * value^p`` and ``b * slope`` at the interior nodes, from arrays
+    over the span.
 
-    ``core_value`` and ``core_slope`` are arrays over the core span.
+    ``b`` is evaluated and bound-checked once per call, for every member
+    at once; a constant ``b`` is a scalar whose bounds hold by
+    construction.
     """
-    inner = dom.interior_mask().reshape(-1)[dom.core]
-    bvals = cfg.b(dom.interior_positions, t)
-    cfg.b.check_bounds(bvals, f"at t={t}")
-    values = np.full(dom.shape, np.nan)
-    values.reshape(-1)[dom.core][inner] = bvals * np.power(core_value[inner],
-                                                           cfg.p)
+    dom = u.domain
+    b = cfg.b.constant_value
+    if b is None:
+        b = cfg.b(dom.interior_positions, u.t)
+        cfg.b.check_bounds(b, f"at t={u.t}")
+    inner = _interior_offsets(u)
+    values = np.power(np.take(core_value, inner), cfg.p)
+    values *= b
     slope = None
     if core_slope is not None:
-        slope = np.full(dom.shape, np.nan)
-        slope.reshape(-1)[dom.core][inner] = bvals * core_slope[inner]
+        slope = np.take(core_slope, inner)
+        slope *= b
     return values, slope
 
 
-def ma_field(u: GridFunction, cfg: OperatorConfig,
+def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
              with_slope: bool = False,
              with_frames: bool = False) -> OperatorField:
-    """Evaluate the configured operator at every interior node."""
+    """Evaluate the configured operator at every interior node of one grid
+    function, or of every member of a :class:`GridStack` in one pass."""
     if cfg.variant == "reduced":
         return reduced_ma_field(u, cfg, with_slope=with_slope)
-    dom = u.domain
-    L = dom.core.stop - dom.core.start
-    best = _work(u, "best", (L,))
-    best_slope = _work(u, "best_slope", (L,)) if with_slope else None
-    power = _work(u, "power", (L,))
-    arg = np.zeros(L, dtype=np.uint8) if with_frames else None
+    _, a, b = _core_values(u)
+    size = (b - a,)
+    best = _work(u, "best", size)
+    best_slope = _work(u, "best_slope", size) if with_slope else None
+    power = _work(u, "power", size)
+    arg = np.zeros(size, dtype=np.uint8) if with_frames else None
     for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, with_slope):
         if k == 0:
             np.copyto(best, prod)
@@ -321,54 +382,28 @@ def ma_field(u: GridFunction, cfg: OperatorConfig,
                        _power_slope(cfg.p, prod, prod_f, sum_loo, power),
                        out=best_slope)
         np.minimum(best, prod, out=best)
-    values, slope = _interior_fields(dom, cfg, u.t, best, best_slope)
-    inner = dom.interior_mask()
+    values, slope = _interior_fields(u, cfg, best, best_slope)
     if cfg.variant == "gcf":
-        grad = gradient_field(u)
+        grad = gradient_field(u)[..., u.domain.interior_mask(), :]
         g2 = np.einsum("...i,...i->...", grad, grad)
-        expo = ((dom.n + 2) * cfg.p - 1.0) / 2.0
-        factor = np.power(1.0 + g2[inner], -expo)
-        values[inner] *= factor
+        expo = ((u.domain.n + 2) * cfg.p - 1.0) / 2.0
+        factor = np.power(1.0 + g2, -expo)
+        values *= factor
         if with_slope:
-            slope[inner] *= factor
+            slope *= factor
     if with_frames:
-        frames = np.full(dom.shape, 255, dtype=np.uint8)
-        core_inner = inner.reshape(-1)[dom.core]
-        frames.reshape(-1)[dom.core][core_inner] = arg[core_inner]
-        arg = frames
-    return OperatorField(values=values, slope=slope, argmin_frame=arg)
+        arg = np.take(arg, _interior_offsets(u))
+    return OperatorField(u.domain, values, slope, arg)
 
 
 def ma_value(u: GridFunction, point, cfg: OperatorConfig) -> float:
-    """Operator value at the interior node nearest to ``point``."""
+    """Operator value at the interior node nearest to ``point``, looked up
+    in :func:`ma_field` (every variant, the reduced one included)."""
     dom = u.domain
     idx = dom.index_of(point)
     if dom.classes[idx] != INTERIOR:
         raise ValueError(f"node {dom.node_position(idx)} is not interior")
-    if cfg.variant == "reduced":
-        return float(reduced_ma_field(u, cfg).values[idx])
-    h = dom.h_grid
-    V = u.values
-    best = math.inf
-    for frame in orthogonal_frames(dom.n, cfg.width):
-        prod = 1.0
-        for e in frame:
-            e2 = sum(c * c for c in e)
-            ip = tuple(i + c for i, c in zip(idx, e))
-            im = tuple(i - c for i, c in zip(idx, e))
-            D = (V[ip] + V[im] - 2.0 * V[idx]) / (e2 * h * h)
-            prod *= max(D, 0.0)
-        best = min(best, prod)
-    x = dom.node_position(idx)[None, :]
-    val = float(cfg.b(x, u.t)[0]) * best ** cfg.p
-    if cfg.variant == "gcf":
-        g2 = 0.0
-        for ax in range(dom.n):
-            ip = tuple(i + (1 if k == ax else 0) for k, i in enumerate(idx))
-            im = tuple(i - (1 if k == ax else 0) for k, i in enumerate(idx))
-            g2 += ((V[ip] - V[im]) / (2 * h)) ** 2
-        val *= (1.0 + g2) ** (-((dom.n + 2) * cfg.p - 1.0) / 2.0)
-    return val
+    return float(ma_field(u, cfg).values[idx])
 
 
 def gcf_value(u: GridFunction, point, cfg: OperatorConfig | None = None,
@@ -385,12 +420,13 @@ def gcf_value(u: GridFunction, point, cfg: OperatorConfig | None = None,
 # reduced (axisymmetric) operator
 # ---------------------------------------------------------------------------
 
-def _radial_ratio(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
+def _radial_ratio(u: GridFunction | GridStack
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """u_r / r by central differences, with the u_rr limit on the axis.
 
-    Returns the ratio and the on-axis mask as arrays over the core span
-    ``u.domain.core``, like the second differences.  Data must be even in r
-    (the first coordinate) so the axis column has mirror neighbors.
+    Returns the ratio and the on-axis mask as arrays over the span of
+    :func:`_core_values`, like the second differences.  Data must be even
+    in r (the first coordinate) so the axis column has mirror neighbors.
     """
     dom = u.domain
     h = dom.h_grid
@@ -398,7 +434,8 @@ def _radial_ratio(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     k = dom.shape[1]                  # flat offset of the first axis
     up = flat[a + k:b + k]
     um = flat[a - k:b - k]
-    r = np.repeat(dom.axes()[0], k)[dom.core]
+    r = np.tile(np.repeat(dom.axes()[0], k), len(flat) // dom.classes.size)
+    r = r[a:b]
     on_axis = np.abs(r) < 0.5 * h
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (up - um) / (2.0 * h * r)
@@ -408,14 +445,14 @@ def _radial_ratio(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
     return np.where(on_axis, d2, ratio), on_axis
 
 
-def reduced_ma_field(u: GridFunction, cfg: OperatorConfig,
+def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
                      with_slope: bool = False) -> OperatorField:
     """Axisymmetric operator on a 2-D (r, x_n) lattice.
 
-    The grid function lives on a 2-D domain whose first coordinate is the
-    radius (the lattice must be symmetric about r = 0 with even data, so
-    the axis column can difference across itself); `cfg.n_full` is the
-    dimension of the ambient space.
+    The grid function (or stack) lives on a 2-D domain whose first
+    coordinate is the radius (the lattice must be symmetric about r = 0
+    with even data, so the axis column can difference across itself);
+    `cfg.n_full` is the dimension of the ambient space.
     """
     dom = u.domain
     if dom.n != 2:
@@ -459,14 +496,7 @@ def reduced_ma_field(u: GridFunction, cfg: OperatorConfig,
             pos = bracket > 0
             bracket_f = radial_f * best_f
             s[pos] = cfg.p * np.power(bracket_f[pos], cfg.p - 1.0) * total[pos]
-    values, slope = _interior_fields(dom, cfg, u.t, bracket, s)
-    return OperatorField(values=values, slope=slope)
+    return OperatorField(dom, *_interior_fields(u, cfg, bracket, s))
 
 
-def reduced_ma_value(u: GridFunction, point, cfg: OperatorConfig) -> float:
-    """Reduced operator value at the interior node nearest to ``point``."""
-    dom = u.domain
-    idx = dom.index_of(point)
-    if dom.classes[idx] != INTERIOR:
-        raise ValueError(f"node {dom.node_position(idx)} is not interior")
-    return float(reduced_ma_field(u, cfg).values[idx])
+reduced_ma_value = ma_value     # ma_field dispatches on cfg.variant

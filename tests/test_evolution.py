@@ -6,7 +6,8 @@ import pytest
 from pma_lab.evolution import (EvolutionState, ScalingMap, comparison_check,
                                evolve, evolve_pair, rescale, stable_dt)
 from pma_lab.exact import quadratic_solution, cone_data
-from pma_lab.grid import build_domain, load_csv, sample, save_csv
+from pma_lab.grid import (CoefficientField, build_domain, load_csv, sample,
+                          save_csv)
 from pma_lab.monge_ampere import OperatorConfig
 
 
@@ -125,10 +126,57 @@ def test_pair_stays_ordered():
 
 def test_pair_requires_matching_lattice():
     cfg = OperatorConfig(p=1.0)
-    sa = make_state(ball(r=1.0, h=0.1), quadratic_solution(np.eye(2), p=1.0), cfg)
-    sb = make_state(ball(r=1.0, h=0.2), quadratic_solution(np.eye(2), p=1.0), cfg)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    sa = make_state(ball(r=1.0, h=0.1), sol, cfg)
+    sb = make_state(ball(r=1.0, h=0.2), sol, cfg)
     with pytest.raises(ValueError, match="matching lattices"):
         evolve_pair(sa, sb, t_end=0.01)
+    # same shape, different node classes: the disk and its bounding square
+    square = build_domain({"kind": "box", "lower": [-1.0, -1.0],
+                           "upper": [1.0, 1.0]}, h_grid=0.1, stencil_radius=2)
+    sc = make_state(square, sol, cfg)
+    assert sc.u.domain.shape == sa.u.domain.shape
+    with pytest.raises(ValueError, match="matching lattices"):
+        evolve_pair(sa, sc, t_end=0.01)
+    # one lattice, two operators
+    sd = make_state(ball(r=1.0, h=0.1), sol, OperatorConfig(p=2.0))
+    with pytest.raises(ValueError, match="one operator config"):
+        evolve_pair(sa, sd, t_end=0.01)
+
+
+def test_coefficient_leaving_its_bounds_mid_run_names_the_time():
+    # b = 1 + 100 t leaves [1, 2] just after t = 0.01
+    b = CoefficientField(lambda pts, t: np.full(len(pts), 1.0 + 100.0 * t),
+                         lam=1.0, Lam=2.0)
+    cfg = OperatorConfig(p=1.0, b=b)
+    dom = ball(r=1.0, h=0.1)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    leaves = r"coefficient leaves \[lam, Lam\] at t=0\.01"
+    with pytest.raises(ValueError, match=leaves):
+        evolve(make_state(dom, sol, cfg, frozen=True), t_end=0.05)
+    with pytest.raises(ValueError, match=leaves):
+        evolve_pair(make_state(dom, sol, cfg, frozen=True),
+                    make_state(dom, sol, cfg, frozen=True), t_end=0.05)
+
+
+def test_constant_coefficient_steps_like_an_evaluated_one():
+    # CoefficientField.constant is applied as a scalar, an evaluator as an
+    # array over the interior; both must give the same bytes
+    dom = ball(r=1.0, h=0.1)
+    M = np.array([[1.4, 0.3], [0.3, 0.9]])
+    lo = quadratic_solution(M, p=0.7, b0=1.7)
+    hi = quadratic_solution(M, p=0.7, b0=1.7, const=0.1)
+    runs = []
+    for b in (CoefficientField.constant(1.7),
+              CoefficientField(lambda pts, t: np.full(len(pts), 1.7),
+                               lam=1.7, Lam=1.7)):
+        cfg = OperatorConfig(p=0.7, b=b)
+        res = evolve(make_state(dom, lo, cfg), t_end=0.02,
+                     snapshot_times=[0.01])
+        pair = evolve_pair(make_state(dom, lo, cfg), make_state(dom, hi, cfg),
+                           t_end=0.02)
+        runs.append([u.values.tobytes() for u in res.snapshots + list(pair)])
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

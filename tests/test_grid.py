@@ -5,7 +5,7 @@ import pytest
 
 from pma_lab.grid import (BAND, EXTERIOR, INTERIOR, CoefficientField,
                           GridFunction, build_domain, discrete_convexity_check,
-                          load_csv, sample, save_csv, second_difference,
+                          fmt17, load_csv, sample, save_csv, second_difference,
                           primitive_directions)
 
 
@@ -127,13 +127,29 @@ def test_convexity_check_passes_and_fails():
     assert "NOT convex" in str(rep2)
 
 
+def rowwise_csv(u) -> str:
+    """The node table formatted row by row, every coordinate through fmt17:
+    the reference for save_csv, which formats each axis coordinate once."""
+    dom = u.domain
+    mask = dom.active_mask()
+    names = {EXTERIOR: "exterior", BAND: "band", INTERIOR: "interior"}
+    lines = ["n,h_grid,t", f"{dom.n},{fmt17(dom.h_grid)},{fmt17(u.t)}",
+             ",".join([f"x_{i+1}" for i in range(dom.n)] + ["class", "value"])]
+    for p, c, v in zip(dom.positions(mask), dom.classes[mask], u.values[mask]):
+        lines.append(",".join(fmt17(x) for x in p)
+                     + f",{names[int(c)]},{fmt17(v)}")
+    return "\n".join(lines) + "\n"
+
+
 def test_csv_roundtrip_bitexact(tmp_path):
     dom = ball2(r=0.6, h=0.07)
+    assert (dom.classes == EXTERIOR).any()
     rng = np.random.default_rng(42)
     u = sample(dom, lambda pts, t: rng.standard_normal(len(pts)), t=0.1 + 1e-16)
     p1 = tmp_path / "u.csv"
     p2 = tmp_path / "u2.csv"
     save_csv(u, p1)
+    assert p1.read_text() == rowwise_csv(u)
     v = load_csv(p1)
     assert v.t == u.t
     assert v.domain.h_grid == dom.h_grid

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
-                          GridFunction, build_domain, sample)
-from pma_lab.monge_ampere import (OperatorConfig, gcf_value, ma_field,
-                                  ma_value, orthogonal_frames,
+                          GridFunction, GridStack, build_domain, sample)
+from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, gcf_value,
+                                  ma_field, ma_value, orthogonal_frames,
                                   reduced_ma_field, reduced_ma_value)
 
 
@@ -18,6 +19,34 @@ def box(n=2, half=1.5, h=0.25, w=2):
 def quad(M):
     M = np.asarray(M, dtype=float)
     return lambda pts, t: 0.5 * np.einsum("...i,ij,...j->...", pts, M, pts)
+
+
+def pointwise_value(u, idx, cfg):
+    """The plain or gcf operator at one node, frame by frame in scalar
+    arithmetic: the reference the array kernel is checked against."""
+    dom = u.domain
+    h = dom.h_grid
+    V = u.values
+    best = math.inf
+    for frame in orthogonal_frames(dom.n, cfg.width):
+        prod = 1.0
+        for e in frame:
+            e2 = sum(c * c for c in e)
+            ip = tuple(i + c for i, c in zip(idx, e))
+            im = tuple(i - c for i, c in zip(idx, e))
+            D = (V[ip] + V[im] - 2.0 * V[idx]) / (e2 * h * h)
+            prod *= max(D, 0.0)
+        best = min(best, prod)
+    x = dom.node_position(idx)[None, :]
+    val = float(cfg.b(x, u.t)[0]) * best ** cfg.p
+    if cfg.variant == "gcf":
+        g2 = 0.0
+        for ax in range(dom.n):
+            ip = tuple(i + (1 if k == ax else 0) for k, i in enumerate(idx))
+            im = tuple(i - (1 if k == ax else 0) for k, i in enumerate(idx))
+            g2 += ((V[ip] - V[im]) / (2 * h)) ** 2
+        val *= (1.0 + g2) ** (-((dom.n + 2) * cfg.p - 1.0) / 2.0)
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -129,24 +158,30 @@ def test_field_matches_pointwise_and_nan_pattern():
     for point in ([0, 0], [0.45, -0.3], [-0.6, 0.6]):
         idx = dom.index_of(point)
         assert fld.values[idx] == pytest.approx(
-            ma_value(base, point, cfg), rel=1e-12)
+            pointwise_value(base, idx, cfg), rel=1e-12)
+        assert ma_value(base, point, cfg) == fld.values[idx]
 
 
-@pytest.mark.parametrize("desc,h,p", [
-    ({"kind": "ball", "center": [0.1, -0.05], "radius": 1.0}, 0.1, 0.4),
-    ({"kind": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3}, 0.25, 1.0),
-], ids=["ball2d-p0.4", "box3d-p1"])
-def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p):
+@pytest.mark.parametrize("desc,h,p,variant", [
+    ({"kind": "ball", "center": [0.1, -0.05], "radius": 1.0}, 0.1, 0.4,
+     "plain"),
+    ({"kind": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3}, 0.25, 1.0,
+     "plain"),
+    ({"kind": "ball", "center": [0.1, -0.05], "radius": 1.0}, 0.1, 0.7,
+     "gcf"),
+], ids=["ball2d-p0.4", "box3d-p1", "ball2d-gcf-p0.7"])
+def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
+                                                              variant):
     # the field is computed on shifted slices of the lattice; an off-by-one
     # in a slice moves a stencil to the wrong node, which the node-by-node
-    # evaluation of ma_value exposes
+    # scalar evaluation exposes
     dom = build_domain(desc, h_grid=h, stencil_radius=2)
     n = dom.n
     rng = np.random.default_rng(17)
     A = rng.standard_normal((n, n))
     u = sample(dom, quad(A @ A.T + 0.3 * np.eye(n)))
     u.values += 0.01 * rng.standard_normal(u.values.shape)
-    cfg = OperatorConfig(p=p)
+    cfg = OperatorConfig(p=p, variant=variant)
     fld = ma_field(u, cfg, with_slope=True, with_frames=True)
     inner = dom.interior_mask()
     assert np.isnan(fld.values[~inner]).all()
@@ -155,9 +190,69 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p):
     assert np.isfinite(fld.values[inner]).all()
     assert np.isfinite(fld.slope[inner]).all()
     assert (fld.argmin_frame[inner] < len(orthogonal_frames(n, 2))).all()
-    pointwise = [ma_value(u, x, cfg) for x in dom.positions(inner)]
+    pointwise = [pointwise_value(u, tuple(i), cfg) for i in np.argwhere(inner)]
     np.testing.assert_allclose(fld.values[inner], pointwise, rtol=1e-13,
                                atol=0.0)
+
+
+_LATTICES: dict = {}
+
+
+def _lattice(n: int, width: int, axisymmetric: bool) -> Domain:
+    """Built once per shape: a ball in n dimensions, or the (r, x_n) box
+    of the reduced operator."""
+    key = (n, width, axisymmetric)
+    if key not in _LATTICES:
+        desc = ({"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+                if axisymmetric else
+                {"kind": "ball", "center": [0.03] * n, "radius": 1.0})
+        _LATTICES[key] = build_domain(desc, h_grid=0.1 if n == 2 else 0.25,
+                                      stencil_radius=width)
+    return _LATTICES[key]
+
+
+_VARYING_B = CoefficientField(
+    lambda pts, t: 1.0 + 0.3 * np.sin(2.0 * pts[:, 0] + t), lam=0.7, Lam=1.3)
+
+
+@given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
+       p=st.sampled_from([0.4, 1.0, 2.0]), variant=st.sampled_from(VARIANTS),
+       varying_b=st.booleans(), with_slope=st.booleans(),
+       members=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
+                                                  varying_b, with_slope,
+                                                  members, seed):
+    reduced = variant == "reduced"
+    if reduced:
+        n = 2
+    b = (_VARYING_B if varying_b and variant != "gcf"
+         else CoefficientField.constant(1.0))
+    cfg = OperatorConfig(p=p, width=width, variant=variant, b=b,
+                         n_full=4 if reduced else None)
+    dom = _lattice(n, width, reduced)
+    rng = np.random.default_rng(seed)
+    us = []
+    for _ in range(members):
+        A = rng.standard_normal((n, n))
+        u = sample(dom, quad(A @ A.T + 0.3 * np.eye(n)), t=0.25)
+        u.values += 1e-3 * rng.standard_normal(u.values.shape)
+        us.append(u)
+    stack = GridStack(dom, np.stack([u.values for u in us]), t=0.25)
+    got = ma_field(stack, cfg, with_slope=with_slope, with_frames=True)
+    inner = dom.interior_mask()
+    for k, u in enumerate(us):
+        want = ma_field(u, cfg, with_slope=with_slope, with_frames=True)
+        for name in ("values", "slope", "argmin_frame"):
+            a, w = getattr(got, name), getattr(want, name)
+            assert (a is None) == (w is None), name
+            if w is not None:
+                assert a[k].tobytes() == w.tobytes(), name
+        assert np.isnan(want.values[~inner]).all()
+        assert np.isfinite(want.values[inner]).all()
+        if with_slope:
+            assert np.isnan(want.slope[~inner]).all()
+        if not reduced:
+            assert (want.argmin_frame[~inner] == 255).all()
 
 
 def test_field_rejects_interior_on_the_lattice_edge():
