@@ -38,7 +38,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import FlatSet, LegendreTransform, _gradient_box, flat_set, legendre
-from .grid import Domain, GridFunction, boundary_distance, build_domain, fmt17
+from .grid import Domain, GridFunction, build_domain, write_table
 from .monge_ampere import OperatorConfig, ma_field
 
 __all__ = [
@@ -320,13 +320,10 @@ class SeparationReport:
         n = self.positions.shape[1]
         head = ",".join([f"x_{d + 1}" for d in range(n)]
                         + ["first_time", "status"])
-        lines = [head]
-        for pos, ft, st in zip(self.positions, self.first_time, self.status):
-            lines.append(",".join([fmt17(c) for c in pos]
-                                  + [fmt17(ft) if np.isfinite(ft) else "never",
-                                     str(st)]))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_table(path, head, (
+            [*map(float, pos), float(ft) if np.isfinite(ft) else "never", st]
+            for pos, ft, st in zip(self.positions, self.first_time,
+                                   self.status)))
 
 
 def separation_probe(snapshots, region=None, eps: float | None = None,
@@ -366,10 +363,10 @@ class DichotomyReport:
     """Classification of a final-time contact set.
 
     ``classification`` is one of ``"vacuous"`` (no segment, nothing to
-    check), ``"boundary"`` (every extremal point within ``2 h`` of the domain
-    boundary), ``"stationary"`` (the set did not move since the first
-    snapshot), or ``"violation"`` (neither — flagged for inspection, never
-    auto-resolved).
+    check), ``"boundary"`` (every extremal point within ``2 h`` of a band
+    node, that is of the domain boundary), ``"stationary"`` (the set did not
+    move since the first snapshot), or ``"violation"`` (neither — flagged
+    for inspection, never auto-resolved).
     """
 
     classification: str
@@ -391,9 +388,10 @@ def flat_dichotomy_probe(snapshots, slope=None, offset: float = 0.0,
     """Test the persist-or-attach dichotomy for one supporting plane.
 
     The contact set is extracted at the final snapshot; motion is measured
-    against the first snapshot.  The boundary test uses the signed distance
-    of the region description, so extremal points in the band count as
-    attached.
+    against the first snapshot.  An extremal point is attached when it lies
+    within ``2 h`` of the nearest band node of the lattice, so the test reads
+    only the node classes and works on a lattice read back from a snapshot
+    file; extremal points in the band count as attached.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least 2 snapshots for the dichotomy probe")
@@ -408,7 +406,7 @@ def flat_dichotomy_probe(snapshots, slope=None, offset: float = 0.0,
                                offenders=np.empty((0, dom.n)))
     nodes = tuple(fs.indices.T)
     motion = float(np.max(np.abs(last.values[nodes] - first.values[nodes])))
-    dist = boundary_distance(dom.description, fs.extremal_points)
+    dist, _ = cKDTree(dom.positions(dom.band_mask())).query(fs.extremal_points)
     attached = bool(np.all(dist <= 2.0 * dom.h_grid))
     if attached:
         cls = "boundary"
@@ -438,11 +436,9 @@ class InterfaceReport:
     bin_counts: np.ndarray
 
     def to_csv(self, path) -> None:
-        lines = ["distance,value,count"]
-        for c, v, k in zip(self.bin_centers, self.bin_values, self.bin_counts):
-            lines.append(f"{fmt17(c)},{fmt17(v)},{int(k)}")
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_table(path, "distance,value,count",
+                    ((float(c), float(v), int(k)) for c, v, k in
+                     zip(self.bin_centers, self.bin_values, self.bin_counts)))
 
 
 def interface_exponent(u: GridFunction, flat: FlatSet,

@@ -39,7 +39,7 @@ from .experiments import (REGISTRY, ExperimentError, list_experiments,
                           run_experiment)
 from .geometry import balancedness, flat_set, save_ellipsoid, save_section, \
     section_at
-from .grid import fmt17, load_csv, save_csv
+from .grid import fmt17, load_csv, save_csv, write_table
 
 __all__ = ["main"]
 
@@ -163,10 +163,8 @@ def _cmd_selfsimilar(args) -> int:
     os.makedirs(plots, exist_ok=True)
     s = np.linspace(0.0, profile.s_flat, 401)
     g = profile.g_eval(s)
-    with open(os.path.join(probes, "profile_curve.csv"), "w") as f:
-        f.write("s,g\n")
-        f.write("\n".join(f"{fmt17(float(a))},{fmt17(float(b))}"
-                          for a, b in zip(s, g)) + "\n")
+    write_table(os.path.join(probes, "profile_curve.csv"), "s,g",
+                zip(map(float, s), map(float, g)))
     write_plot_script(os.path.join(plots, "profile_curve.gp"),
                       "../probes/profile_curve.csv",
                       "cross-section profile g", "s", "g")

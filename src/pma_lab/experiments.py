@@ -37,7 +37,7 @@ from .exact import (build_profile, coefficient_closed_form, profile_residual,
                     quadratic_solution, subsolution_barrier,
                     supersolution_barrier)
 from .geometry import flat_set
-from .grid import build_domain, fmt17, sample, save_csv
+from .grid import build_domain, fmt17, sample, save_csv, write_table
 from .monge_ampere import ma_field
 
 __all__ = [
@@ -179,12 +179,7 @@ class RunContext:
 
     def write_table(self, name: str, header: str, rows) -> str:
         path = os.path.join(self.probes_dir, name + ".csv")
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(fmt17(c) if isinstance(c, float)
-                                  else str(c) for c in row))
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_table(path, header, rows)
         return path
 
     def write_plot(self, name: str, title: str, xlabel: str, ylabel: str,

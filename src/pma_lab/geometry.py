@@ -54,7 +54,8 @@ from math import gamma, nan, pi
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .grid import Domain, GridFunction, build_domain, fmt17, gradient_field
+from .grid import Domain, GridFunction, build_domain, gradient_field, \
+    write_table
 
 __all__ = [
     "BalancednessCertificate",
@@ -600,24 +601,20 @@ def flat_set(u: GridFunction, slope=None, offset: float = 0.0,
 
 def save_section(path, sec: Section) -> None:
     """Write a section as CSV: scalar header, base/slope rows, index rows."""
-    lines = ["n,h_grid,t,height,touches_boundary",
-             ",".join([str(sec.domain.n), fmt17(sec.domain.h_grid),
-                       fmt17(sec.t), fmt17(sec.height),
-                       str(int(sec.touches_boundary))]),
-             "base," + ",".join(fmt17(v) for v in sec.base_point),
-             "slope," + ",".join(fmt17(v) for v in sec.slope),
-             ",".join(f"i_{d + 1}" for d in range(sec.domain.n))]
-    for row in sec.indices:
-        lines.append(",".join(str(int(i)) for i in row))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    n = sec.domain.n
+    write_table(path, "n,h_grid,t,height,touches_boundary", [
+        (n, float(sec.domain.h_grid), float(sec.t), float(sec.height),
+         int(sec.touches_boundary)),
+        ("base", *map(float, sec.base_point)),
+        ("slope", *map(float, sec.slope)),
+        [f"i_{d + 1}" for d in range(n)],
+        *(map(int, row) for row in sec.indices)])
 
 
 def save_ellipsoid(path, ell: Ellipsoid) -> None:
     """Write an ellipsoid as CSV: center, shape matrix rows, volume."""
-    lines = ["center," + ",".join(fmt17(v) for v in ell.center)]
-    for row in np.atleast_2d(ell.shape_matrix):
-        lines.append("shape_row," + ",".join(fmt17(v) for v in row))
-    lines.append("volume," + fmt17(ell.volume))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    write_table(path, None, [
+        ("center", *map(float, ell.center)),
+        *(("shape_row", *map(float, row))
+          for row in np.atleast_2d(ell.shape_matrix)),
+        ("volume", float(ell.volume))])

@@ -1,9 +1,12 @@
 """Lattice domains and grid functions.
 
 Everything downstream works on a uniform lattice of spacing ``h_grid``
-covering the bounding box of a convex region, extended by the stencil
+covering the bounding box of a ball or a box, extended by the stencil
 radius so that every stencil read from an interior node stays on the
-lattice.  Nodes are classified as
+lattice.  :func:`build_domain` is the only reader of a region description;
+the :class:`Domain` it returns keeps the node classes, not the region, and
+every later question about the domain (interior, band, distance to the
+boundary) is answered from them.  Nodes are classified as
 
 * ``INTERIOR`` -- lattice nodes strictly inside the region (the open set);
   the unknowns live here,
@@ -37,6 +40,17 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_table(path, header: str | None, rows) -> None:
+    """Write a comma-separated table: the ``header`` line (none when None),
+    then one line per row; floats go through :func:`fmt17`, everything else
+    through ``str``."""
+    lines = [] if header is None else [header]
+    lines += [",".join(fmt17(c) if isinstance(c, float) else str(c)
+                       for c in row) for row in rows]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # region descriptions
 # ---------------------------------------------------------------------------
@@ -48,42 +62,15 @@ def _as_vec(v, n: int) -> np.ndarray:
     return a
 
 
-def _region_dim(desc: dict) -> int:
+def _region_bbox(desc: dict) -> tuple[np.ndarray, np.ndarray]:
     kind = desc.get("kind")
     if kind == "ball":
-        return np.asarray(desc["center"], dtype=float).size
-    if kind == "box":
-        return np.asarray(desc["lower"], dtype=float).size
-    if kind == "ellipsoid":
-        return np.asarray(desc["center"], dtype=float).size
-    if kind == "halfspaces":
-        return np.asarray(desc["normals"], dtype=float).shape[1]
-    if kind == "union":
-        return _region_dim(desc["parts"][0])
-    raise ValueError(f"unknown region kind {kind!r}")
-
-
-def _region_bbox(desc: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
-    kind = desc["kind"]
-    if kind == "ball":
-        c = _as_vec(desc["center"], n)
+        c = np.asarray(desc["center"], dtype=float).reshape(-1)
         r = float(desc["radius"])
         return c - r, c + r
     if kind == "box":
-        return _as_vec(desc["lower"], n), _as_vec(desc["upper"], n)
-    if kind == "ellipsoid":
-        c = _as_vec(desc["center"], n)
-        M = np.asarray(desc["shape"], dtype=float)
-        half = np.sqrt(np.maximum(np.diag(M), 0.0))
-        return c - half, c + half
-    if kind == "halfspaces":
-        if "bbox" not in desc:
-            raise ValueError("halfspace region needs an explicit 'bbox': (lower, upper)")
-        lo, hi = desc["bbox"]
-        return _as_vec(lo, n), _as_vec(hi, n)
-    if kind == "union":
-        los, his = zip(*(_region_bbox(p, n) for p in desc["parts"]))
-        return np.min(los, axis=0), np.max(his, axis=0)
+        lo = np.asarray(desc["lower"], dtype=float).reshape(-1)
+        return lo, _as_vec(desc["upper"], lo.size)
     raise ValueError(f"unknown region kind {kind!r}")
 
 
@@ -100,55 +87,7 @@ def region_membership(desc: dict, points: np.ndarray) -> np.ndarray:
         lo = _as_vec(desc["lower"], n)
         hi = _as_vec(desc["upper"], n)
         return np.all((pts > lo) & (pts < hi), axis=-1)
-    if kind == "ellipsoid":
-        c = _as_vec(desc["center"], n)
-        Minv = np.linalg.inv(np.asarray(desc["shape"], dtype=float))
-        d = pts - c
-        return np.einsum("...i,ij,...j->...", d, Minv, d) < 1.0
-    if kind == "halfspaces":
-        A = np.asarray(desc["normals"], dtype=float)
-        b = np.asarray(desc["offsets"], dtype=float).reshape(-1)
-        return np.all(pts @ A.T < b, axis=-1)
-    if kind == "union":
-        out = np.zeros(pts.shape[:-1], dtype=bool)
-        for part in desc["parts"]:
-            out |= region_membership(part, pts)
-        return out
     raise ValueError(f"unknown region kind {kind!r}")
-
-
-def boundary_distance(desc: dict, points: np.ndarray) -> np.ndarray:
-    """Distance from inside points to the region boundary.
-
-    Exact for balls, boxes and halfspace intersections; for ellipsoids a
-    lower bound based on the shortest semi-axis is returned, which is all
-    the flat-set probes need.  Union regions are not supported (they are
-    rejected as nonconvex before any probe runs).
-    """
-    kind = desc["kind"]
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[-1]
-    if kind == "ball":
-        c = _as_vec(desc["center"], n)
-        return float(desc["radius"]) - np.linalg.norm(pts - c, axis=-1)
-    if kind == "box":
-        lo = _as_vec(desc["lower"], n)
-        hi = _as_vec(desc["upper"], n)
-        return np.minimum((pts - lo).min(axis=-1), (hi - pts).min(axis=-1))
-    if kind == "halfspaces":
-        A = np.asarray(desc["normals"], dtype=float)
-        b = np.asarray(desc["offsets"], dtype=float).reshape(-1)
-        margins = (b - pts @ A.T) / np.linalg.norm(A, axis=1)
-        return margins.min(axis=-1)
-    if kind == "ellipsoid":
-        c = _as_vec(desc["center"], n)
-        M = np.asarray(desc["shape"], dtype=float)
-        Minv = np.linalg.inv(M)
-        d = pts - c
-        q = np.sqrt(np.maximum(np.einsum("...i,ij,...j->...", d, Minv, d), 0.0))
-        rmin = math.sqrt(min(np.linalg.eigvalsh(M)))
-        return (1.0 - q) * rmin
-    raise ValueError(f"no boundary distance for region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +103,6 @@ class Domain:
     origin: np.ndarray            # physical position of lattice index (0,..,0)
     shape: tuple[int, ...]
     classes: np.ndarray           # uint8 lattice array of EXTERIOR/BAND/INTERIOR
-    description: dict
     stencil_radius: int
     # restored domains carry their axis coordinates verbatim so that node
     # positions survive a save/load cycle bit for bit
@@ -276,88 +214,33 @@ def _chebyshev_dilate(mask: np.ndarray, radius: int) -> np.ndarray:
     for axis in range(mask.ndim):
         acc = out.copy()
         for step in range(1, radius + 1):
-            shifted = np.zeros_like(out)
-            src = [slice(None)] * mask.ndim
-            dst = [slice(None)] * mask.ndim
-            src[axis] = slice(step, None)
-            dst[axis] = slice(None, -step)
-            shifted[tuple(dst)] = out[tuple(src)]
-            acc |= shifted
-            shifted = np.zeros_like(out)
-            src[axis] = slice(None, -step)
-            dst[axis] = slice(step, None)
-            shifted[tuple(dst)] = out[tuple(src)]
-            acc |= shifted
+            lo = [slice(None)] * mask.ndim
+            hi = [slice(None)] * mask.ndim
+            lo[axis] = slice(None, -step)
+            hi[axis] = slice(step, None)
+            acc[tuple(lo)] |= out[tuple(hi)]
+            acc[tuple(hi)] |= out[tuple(lo)]
         out = acc
     return out
 
 
-def _check_segment_convexity(domain: Domain, n_pairs: int = 200) -> None:
-    """Sampled check that the member set is convex.
+def build_domain(description: dict, h_grid: float,
+                 stencil_radius: int = 2) -> Domain:
+    """Build a classified lattice for a ball or box region description.
 
-    For random pairs of interior nodes, every lattice node within h of the
-    connecting segment must be interior or band.  (Band is allowed: near the
-    boundary the h-neighbourhood of a chord legitimately pokes just outside
-    the region.)  Disconnected or genuinely nonconvex unions leave exterior
-    nodes near such segments and are rejected.
-    """
-    interior_idx = np.argwhere(domain.interior_mask())
-    if len(interior_idx) < 2:
-        return
-    h = domain.h_grid
-    rng = np.random.default_rng(2470)
-    shape = np.array(domain.shape)
-    for _ in range(n_pairs):
-        i, j = rng.integers(0, len(interior_idx), size=2)
-        a = domain.origin + h * interior_idx[i]
-        b = domain.origin + h * interior_idx[j]
-        seg = b - a
-        length = np.linalg.norm(seg)
-        if length < h:
-            continue
-        m = int(length / (0.5 * h)) + 2
-        ts = np.linspace(0.0, 1.0, m)
-        samples = a + ts[:, None] * seg
-        base = np.floor((samples - domain.origin) / h).astype(int)
-        for off in product((0, 1), repeat=domain.n):
-            corners = base + np.array(off)
-            ok = np.all((corners >= 0) & (corners < shape), axis=1)
-            corners = corners[ok]
-            if corners.size == 0:
-                continue
-            pts = domain.origin + h * corners
-            # distance from each candidate node to the segment [a, b]
-            w = pts - a
-            t = np.clip(w @ seg / (length * length), 0.0, 1.0)
-            d = np.linalg.norm(w - t[:, None] * seg, axis=1)
-            near = d <= h
-            if not near.any():
-                continue
-            cls = domain.classes[tuple(corners[near].T)]
-            bad = cls == EXTERIOR
-            if bad.any():
-                where = pts[near][bad][0]
-                raise ValueError(
-                    "nonconvex domain: lattice node at "
-                    f"{tuple(round(v, 12) for v in where)} lies within h of a "
-                    "segment between interior nodes but is exterior")
-
-
-def build_domain(description: dict, h_grid: float, stencil_radius: int = 2,
-                 check_convexity: bool = True) -> Domain:
-    """Build a classified lattice for a convex region description.
-
-    Raises ``ValueError("degenerate domain: ...")`` when the region is too
-    small to contain a usable interior at this resolution, and
-    ``ValueError("nonconvex domain: ...")`` when the sampled convexity check
-    fails (e.g. for disconnected unions).
+    ``description`` is ``{"kind": "ball", "center", "radius"}`` or
+    ``{"kind": "box", "lower", "upper"}``; it is read here only, and the
+    returned lattice does not keep it.  Raises ``ValueError("unknown region
+    kind ...")`` for any other kind and ``ValueError("degenerate domain:
+    ...")`` when the region is too small to contain a usable interior at
+    this resolution.
     """
     if h_grid <= 0:
         raise ValueError("h_grid must be positive")
     if stencil_radius < 1:
         raise ValueError("stencil_radius must be at least 1")
-    n = _region_dim(description)
-    lo, hi = _region_bbox(description, n)
+    lo, hi = _region_bbox(description)
+    n = lo.size
     if np.any(hi <= lo):
         raise ValueError("degenerate domain: empty bounding box")
     pad = stencil_radius * h_grid
@@ -366,7 +249,7 @@ def build_domain(description: dict, h_grid: float, stencil_radius: int = 2,
     shape = tuple(int(c) for c in counts)
     dom = Domain(n=n, h_grid=float(h_grid), origin=origin, shape=shape,
                  classes=np.zeros(shape, dtype=np.uint8),
-                 description=description, stencil_radius=int(stencil_radius))
+                 stencil_radius=int(stencil_radius))
     pts = dom.positions(np.ones(shape, dtype=bool)).reshape(shape + (n,))
     member = region_membership(description, pts)
     if not member.any():
@@ -379,10 +262,7 @@ def build_domain(description: dict, h_grid: float, stencil_radius: int = 2,
             f"{int(np.argmin(span))}; refine h_grid or enlarge the region")
     near = _chebyshev_dilate(member, stencil_radius)
     classes = np.where(member, INTERIOR, np.where(near, BAND, EXTERIOR))
-    dom = replace(dom, classes=classes.astype(np.uint8))
-    if check_convexity:
-        _check_segment_convexity(dom)
-    return dom
+    return replace(dom, classes=classes.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +603,5 @@ def load_csv(path) -> GridFunction:
             break
         radius += 1
     dom = Domain(n=n, h_grid=h, origin=lo, shape=shape, classes=classes,
-                 description={"kind": "restored", "source": str(path)},
                  stencil_radius=radius, axes_arrays=tuple(axes))
     return GridFunction(dom, values, t)

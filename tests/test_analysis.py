@@ -9,7 +9,7 @@ from pma_lab.analysis import (angle_contains, angle_opening, beta_time,
                               separation_probe, write_plot_script)
 from pma_lab.exact import quadratic_solution
 from pma_lab.geometry import flat_set
-from pma_lab.grid import build_domain, sample
+from pma_lab.grid import build_domain, load_csv, sample, save_csv
 
 
 def box(lo, hi, h, n=2):
@@ -305,6 +305,19 @@ def test_dichotomy_boundary_attached():
     snaps = [sample(dom, lambda pts, t: np.abs(pts[:, 0]), t=t)
              for t in (0.0, 0.05)]
     rep = flat_dichotomy_probe(snaps)
+    assert rep.classification == "boundary"
+    assert len(rep.offenders) == 0
+
+
+def test_dichotomy_boundary_attached_on_restored_lattice(tmp_path):
+    # a lattice read back from snapshot files keeps only its node classes;
+    # attachment is measured against its band nodes all the same
+    dom = box(-1.0, 1.0, 0.1)
+    for k, t in enumerate((0.0, 0.05)):
+        save_csv(sample(dom, lambda pts, t: np.abs(pts[:, 0]), t=t),
+                 tmp_path / f"s{k}.csv")
+    rep = flat_dichotomy_probe([load_csv(tmp_path / f"s{k}.csv")
+                                for k in range(2)])
     assert rep.classification == "boundary"
     assert len(rep.offenders) == 0
 

@@ -147,6 +147,16 @@ def test_analyze_rejects_unordered_snapshots(tmp_path, capsys):
     assert "increasing time order" in capsys.readouterr().err
 
 
+def test_analyze_dichotomy_on_snapshot_files(tmp_path, capsys):
+    # a lattice read back from a file has no region description; the
+    # attachment test measures against its band nodes instead
+    a = make_snapshot(tmp_path, "a.csv", t=0.0)
+    b = make_snapshot(tmp_path, "b.csv", t=0.1)
+    out = str(tmp_path / "out")
+    assert main(["analyze", "dichotomy", a, b, "--out", out]) == 0
+    assert "classification = stationary" in capsys.readouterr().out
+
+
 def test_analyze_angle_on_snapshot(tmp_path, capsys):
     snap = make_snapshot(tmp_path)
     out = str(tmp_path / "out")

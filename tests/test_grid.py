@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
 
 from pma_lab.grid import (BAND, EXTERIOR, INTERIOR, CoefficientField,
                           GridFunction, build_domain, discrete_convexity_check,
                           fmt17, load_csv, sample, save_csv, second_difference,
-                          primitive_directions)
+                          primitive_directions, write_table,
+                          _chebyshev_dilate)
 
 
 def box2(h=0.5, w=2):
@@ -49,24 +51,18 @@ def test_degenerate_domain_rejected():
                      h_grid=0.1)
 
 
-def test_nonconvex_union_rejected():
-    desc = {"kind": "union", "parts": [
+@pytest.mark.parametrize("desc", [
+    {"kind": "union", "parts": [
         {"kind": "ball", "center": [-0.65, 0.0], "radius": 0.5},
-        {"kind": "ball", "center": [0.65, 0.0], "radius": 0.5},
-    ]}
-    with pytest.raises(ValueError, match="nonconvex domain"):
-        build_domain(desc, h_grid=0.05)
-
-
-def test_convex_kinds_pass_segment_check():
-    # ball, box, ellipsoid, halfspace intersections must never trip the
-    # sampled convexity check
-    build_domain({"kind": "ellipsoid", "center": [0, 0],
-                  "shape": [[0.5, 0.1], [0.1, 0.3]]}, h_grid=0.05)
-    build_domain({"kind": "halfspaces",
-                  "normals": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]],
-                  "offsets": [1, 1, 1, 1, 1.2],
-                  "bbox": ([-1, -1], [1, 1])}, h_grid=0.1)
+        {"kind": "ball", "center": [0.65, 0.0], "radius": 0.5}]},
+    {"kind": "ellipsoid", "center": [0, 0],
+     "shape": [[0.5, 0.1], [0.1, 0.3]]},
+    {"kind": "halfspaces", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+     "offsets": [1, 1, 1, 1], "bbox": ([-1, -1], [1, 1])},
+], ids=["union", "ellipsoid", "halfspaces"])
+def test_only_balls_and_boxes_are_regions(desc):
+    with pytest.raises(ValueError, match="unknown region kind"):
+        build_domain(desc, h_grid=0.1)
 
 
 def test_classification_refinement_consistent():
@@ -183,3 +179,22 @@ def test_gridfunction_validate_rejects_nan():
     u.values[dom.index_of([0.0, 0.0])] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         u.validate()
+
+
+def test_write_table_formats_floats_round_trip(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, "a,b,c", [(0.1, 3, "x"),
+                                (np.float64(1 / 3), np.int64(2), True)])
+    assert path.read_text() == ("a,b,c\n0.10000000000000001,3,x\n"
+                                "0.33333333333333331,2,True\n")
+    write_table(path, None, [("volume", 2.0)])
+    assert path.read_text() == "volume,2\n"
+
+
+@pytest.mark.parametrize("n,radius", [(2, 1), (2, 3), (3, 2)])
+def test_chebyshev_dilation_matches_box_structuring_element(n, radius):
+    mask = np.random.default_rng(11).random((9,) * n) < 0.08
+    want = binary_dilation(mask, structure=np.ones((2 * radius + 1,) * n,
+                                                   dtype=bool))
+    got = _chebyshev_dilate(mask, radius)
+    assert got.dtype == bool and np.array_equal(got, want)
