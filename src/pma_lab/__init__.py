@@ -10,9 +10,8 @@ from .grid import (BAND, EXTERIOR, INTERIOR, CoefficientField, ConvexityReport,
                    Domain, GridFunction, GridStack, build_domain,
                    discrete_convexity_check, gradient_field, load_csv, sample,
                    save_csv, second_difference)
-from .monge_ampere import (OperatorConfig, OperatorField, gcf_value, ma_field,
-                           ma_value, orthogonal_frames, reduced_ma_field,
-                           reduced_ma_value)
+from .monge_ampere import (OperatorConfig, OperatorField, ma_field, ma_value,
+                           orthogonal_frames, reduced_ma_field)
 from .exact import (ConjugateTable, ExactSolution, SelfSimilarProfile,
                     build_profile, coefficient_closed_form, cone_data,
                     crease_data, flat_disk_data, planted_power_data,

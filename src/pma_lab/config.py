@@ -13,8 +13,8 @@ Recognized keys:
 * ``grid.h`` — lattice spacing (required); ``grid.stencil_radius`` defaults
   to the operator width.
 * ``op.p`` — exponent (required); ``op.width`` 1|2|3 (default 2);
-  ``op.variant`` ``plain`` | ``gcf`` | ``reduced`` (default ``plain``);
-  ``op.n_full`` for the reduced variant; ``op.b_expression`` in
+  ``op.variant`` ``plain`` | ``reduced`` (default ``plain``);
+  ``op.n_full`` for the reduced variant only; ``op.b_expression`` in
   ``x1..xn, r, t`` (default ``"1"``) with pinch bounds ``op.lambda`` and
   ``op.Lambda`` (defaults 1, 1).
 * ``data.kind`` — ``quadratic`` | ``cone`` | ``crease`` | ``flat_disk`` |

@@ -18,8 +18,6 @@ neighbor values, which is what the discrete comparison principle needs.
 Variants:
 
 * ``plain``    -- b (det_h u)^p
-* ``gcf``      -- (det_h u)^p / (1 + |grad u|^2)^((n+2)p - 1)/2, the
-  Gauss curvature flow normalization (b must be constant 1)
 * ``reduced``  -- for profiles u(r, x_n) of an axisymmetric function in
   dimension n_full:  b ( max(0, u_r/r)^(n_full-2) * det2_h u )^p, with
   u_r/r replaced by its limit u_rr on the axis r = 0.
@@ -32,10 +30,14 @@ Evaluation.  :func:`ma_field` takes one grid function or a
 :class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
 laid end to end and differenced on one contiguous span: a stack costs the
 array operations of one grid function, and each member's output is bit for
-bit that of its own call.  An :class:`OperatorField` stores interior
-arrays (behind the batch axis for a stack) and builds the lattice-shaped
-fields only when they are first read.  b(x, t) is evaluated and
-bound-checked once per call; a constant b is one scalar.
+bit that of its own call.  Both variants run one frame loop (running
+minimum of the products, running maximum of the slope factors, argmin
+frame); the reduced variant's radial factor is computed once per call and
+multiplies each frame's product and slope pieces.  An
+:class:`OperatorField` stores interior arrays (behind the batch axis for a
+stack) and builds the lattice-shaped fields only when they are first read.
+b(x, t) is evaluated and bound-checked once per call; a constant b is one
+scalar.
 """
 from __future__ import annotations
 
@@ -45,10 +47,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import (INTERIOR, CoefficientField, Domain, GridFunction,
-                   GridStack, gradient_field)
+from .grid import INTERIOR, CoefficientField, Domain, GridFunction, GridStack
 
-VARIANTS = ("plain", "gcf", "reduced")
+VARIANTS = ("plain", "reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,8 @@ class OperatorConfig:
         if self.variant == "reduced":
             if self.n_full is None or self.n_full < 3:
                 raise ValueError("reduced variant needs n_full >= 3")
-        if self.variant == "gcf" and not (self.b.lam == self.b.Lam == 1.0):
-            raise ValueError("gcf variant assumes coefficient b == 1")
+        elif self.n_full is not None:
+            raise ValueError("n_full applies only to the reduced variant")
 
 
 @dataclass
@@ -273,7 +274,7 @@ def _product(factors, out: np.ndarray) -> np.ndarray:
 
 
 def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
-                 with_slope: bool):
+                 with_slope: bool, radial: tuple | None = None):
     """Yield (k, product, floored product, leave-one-out sum) per frame k.
 
     The sensitivity pieces (but never the product itself) are computed from
@@ -281,7 +282,9 @@ def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
     difference below the scheme's own truncation scale is indistinguishable
     from degenerate, and for p < 1 the raw sensitivity diverges exactly
     there.  The leave-one-out sum is sum_i (2/|e_i|^2) prod_{j != i} F_j.
-    The yielded arrays are work arrays, overwritten by the next frame.
+    With the reduced variant's ``radial`` = (R, R_f, c) the three become
+    R P, R_f P_f and R_f loo + c P_f.  The yielded arrays are work arrays,
+    overwritten by the next frame.
     """
     dom = u.domain
     st = _stencil(dom.shape, cfg.width, dom.stencil_radius)
@@ -294,20 +297,27 @@ def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
     slope, term = _work(u, "sum", (L,)), _work(u, "term", (L,))
     for k, frame in enumerate(st.frames):
         _product([Ds[i] for i in frame], prod)
-        if not with_slope:
-            yield k, prod, None, None
-            continue
-        if floored:
-            _product([Fs[i] for i in frame], prod_f)
-        for i in range(len(frame)):
-            others = [Fs[j] for j in frame[:i] + frame[i + 1:]]
-            loo = others[0] if len(others) == 1 else _product(others, term)
-            # every term is >= +0, so starting from the first is exact
-            np.multiply(2.0 * (1.0 / st.e2[frame[i]]), loo,
-                        out=term if i else slope)
-            if i:
-                slope += term
-        yield k, prod, prod_f if floored else prod, slope
+        if with_slope:
+            if floored:
+                _product([Fs[i] for i in frame], prod_f)
+            for i in range(len(frame)):
+                others = [Fs[j] for j in frame[:i] + frame[i + 1:]]
+                loo = others[0] if len(others) == 1 else _product(others, term)
+                # every term is >= +0, so starting from the first is exact
+                np.multiply(2.0 * (1.0 / st.e2[frame[i]]), loo,
+                            out=term if i else slope)
+                if i:
+                    slope += term
+            if radial is not None:
+                R, R_f, c = radial
+                slope *= R_f
+                slope += np.multiply(c, prod_f if floored else prod, out=term)
+                if floored:
+                    prod_f *= R_f
+        if radial is not None:
+            prod *= radial[0]
+        yield (k, prod, prod_f if floored else prod,
+               slope if with_slope else None)
 
 
 def _power_slope(p: float, prod: np.ndarray, prod_f: np.ndarray,
@@ -359,14 +369,24 @@ def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
     """Evaluate the configured operator at every interior node of one grid
     function, or of every member of a :class:`GridStack` in one pass."""
     if cfg.variant == "reduced":
-        return reduced_ma_field(u, cfg, with_slope=with_slope)
+        return reduced_ma_field(u, cfg, with_slope=with_slope,
+                                with_frames=with_frames)
+    return _min_over_frames(u, cfg, with_slope, with_frames)
+
+
+def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
+                     with_slope: bool, with_frames: bool,
+                     radial: tuple | None = None) -> OperatorField:
+    """The frame loop of every variant: the running minimum of the frame
+    products, the running maximum of their slope factors and the index of
+    the first minimising frame."""
     _, a, b = _core_values(u)
     size = (b - a,)
     best = _work(u, "best", size)
     best_slope = _work(u, "best_slope", size) if with_slope else None
     power = _work(u, "power", size)
     arg = np.zeros(size, dtype=np.uint8) if with_frames else None
-    for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, with_slope):
+    for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, with_slope, radial):
         if k == 0:
             np.copyto(best, prod)
             if with_slope:
@@ -383,14 +403,6 @@ def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
                        out=best_slope)
         np.minimum(best, prod, out=best)
     values, slope = _interior_fields(u, cfg, best, best_slope)
-    if cfg.variant == "gcf":
-        grad = gradient_field(u)[..., u.domain.interior_mask(), :]
-        g2 = np.einsum("...i,...i->...", grad, grad)
-        expo = ((u.domain.n + 2) * cfg.p - 1.0) / 2.0
-        factor = np.power(1.0 + g2, -expo)
-        values *= factor
-        if with_slope:
-            slope *= factor
     if with_frames:
         arg = np.take(arg, _interior_offsets(u))
     return OperatorField(u.domain, values, slope, arg)
@@ -398,7 +410,7 @@ def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
 
 def ma_value(u: GridFunction, point, cfg: OperatorConfig) -> float:
     """Operator value at the interior node nearest to ``point``, looked up
-    in :func:`ma_field` (every variant, the reduced one included)."""
+    in :func:`ma_field` (either variant)."""
     dom = u.domain
     idx = dom.index_of(point)
     if dom.classes[idx] != INTERIOR:
@@ -406,97 +418,58 @@ def ma_value(u: GridFunction, point, cfg: OperatorConfig) -> float:
     return float(ma_field(u, cfg).values[idx])
 
 
-def gcf_value(u: GridFunction, point, cfg: OperatorConfig | None = None,
-              p: float = 1.0, width: int = 2) -> float:
-    """Gauss-curvature-flow normalized value at a node."""
-    if cfg is None:
-        cfg = OperatorConfig(p=p, width=width, variant="gcf")
-    elif cfg.variant != "gcf":
-        raise ValueError("gcf_value needs a gcf-variant config")
-    return ma_value(u, point, cfg)
-
-
 # ---------------------------------------------------------------------------
 # reduced (axisymmetric) operator
 # ---------------------------------------------------------------------------
 
-def _radial_ratio(u: GridFunction | GridStack
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """u_r / r by central differences, with the u_rr limit on the axis.
-
-    Returns the ratio and the on-axis mask as arrays over the span of
-    :func:`_core_values`, like the second differences.  Data must be even
-    in r (the first coordinate) so the axis column has mirror neighbors.
-    """
+def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
+                    with_slope: bool) -> tuple:
+    """The reduced variant's multipliers (R, R_f, c) over the span of
+    :func:`_core_values`: R = max(0, u_r/r)^(n_full-2), with u_r/r by
+    central differences and its u_rr limit on the axis; with slopes, R_f is
+    R from the ratio floored at h^2 for p < 1, and c = 2 (n_full-2)
+    ratio_f^(n_full-3) is the centre's weight in R through u_rr on the axis
+    (zero off it)."""
     dom = u.domain
-    h = dom.h_grid
+    h, nf = dom.h_grid, cfg.n_full
     flat, a, b = _core_values(u)
+    size = (b - a,)
     k = dom.shape[1]                  # flat offset of the first axis
     up = flat[a + k:b + k]
     um = flat[a - k:b - k]
     r = np.tile(np.repeat(dom.axes()[0], k), len(flat) // dom.classes.size)
-    r = r[a:b]
-    on_axis = np.abs(r) < 0.5 * h
+    axis = np.flatnonzero(np.abs(r[a:b]) < 0.5 * h)
+    ratio = np.subtract(up, um, out=_work(u, "ratio", size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (up - um) / (2.0 * h * r)
-    d2 = up + um
-    d2 -= 2.0 * flat[a:b]
-    d2 /= h * h
-    return np.where(on_axis, d2, ratio), on_axis
+        ratio /= 2.0 * h * r[a:b]
+    ratio[axis] = (up[axis] + um[axis] - 2.0 * flat[a:b][axis]) / (h * h)
+    np.maximum(ratio, 0.0, out=ratio)
+    R = np.power(ratio, nf - 2, out=_work(u, "radial", size))
+    if not with_slope:
+        return R, None, None
+    ratio_f, R_f = ratio, R
+    if cfg.p < 1.0:
+        ratio_f = np.maximum(ratio, h * h, out=_work(u, "ratio_f", size))
+        R_f = np.power(ratio_f, nf - 2, out=_work(u, "radial_f", size))
+    c = _work(u, "axis_coef", size)
+    c.fill(0.0)
+    c[axis] = 2.0 * (nf - 2) * np.power(ratio_f[axis], nf - 3)
+    return R, R_f, c
 
 
 def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
-                     with_slope: bool = False) -> OperatorField:
+                     with_slope: bool = False,
+                     with_frames: bool = False) -> OperatorField:
     """Axisymmetric operator on a 2-D (r, x_n) lattice.
 
     The grid function (or stack) lives on a 2-D domain whose first
     coordinate is the radius (the lattice must be symmetric about r = 0
     with even data, so the axis column can difference across itself);
-    `cfg.n_full` is the dimension of the ambient space.
+    `cfg.n_full` is the dimension of the ambient space.  The radial factor
+    multiplies every frame product in the frame loop shared with
+    :func:`ma_field`.
     """
-    dom = u.domain
-    if dom.n != 2:
+    if u.domain.n != 2:
         raise ValueError("the reduced operator works on a 2-D (r, x_n) lattice")
-    nf = cfg.n_full
-    ratio, on_axis = _radial_ratio(u)
-    ratio = np.maximum(ratio, 0.0)
-    radial = np.power(ratio, nf - 2)
-    floor = dom.h_grid * dom.h_grid if cfg.p < 1.0 else 0.0
-    for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, with_slope):
-        if k == 0:
-            best = prod.copy()
-            if with_slope:
-                best_f, best_sum = prod_f.copy(), sum_loo.copy()
-            continue
-        if with_slope:
-            best_sum = np.maximum(best_sum, sum_loo)
-            best_f = np.minimum(best_f, prod_f)
-        best = np.minimum(best, prod)
-    bracket = radial * best
-    s = None
-    if with_slope:
-        # d/du(x) hits the planar determinant everywhere and, on the axis
-        # only, the radial factor through its u_rr limit; for p < 1 every
-        # sensitivity piece uses the curvature-floored quantities
-        ratio_f = np.maximum(ratio, floor) if floor > 0.0 else ratio
-        radial_f = np.power(ratio_f, nf - 2)
-        sum_term = radial_f * best_sum
-        if nf == 3:
-            rpow = np.ones_like(ratio)       # ratio^0, including the clamp edge
-        else:
-            rpow = np.zeros_like(ratio)
-            pos_r = ratio_f > 0
-            rpow[pos_r] = np.power(ratio_f[pos_r], nf - 3)
-        axis_term = np.where(on_axis, 2.0 * (nf - 2) * rpow * best_f, 0.0)
-        total = sum_term + axis_term
-        if cfg.p == 1.0:
-            s = total
-        else:
-            s = np.zeros_like(ratio)
-            pos = bracket > 0
-            bracket_f = radial_f * best_f
-            s[pos] = cfg.p * np.power(bracket_f[pos], cfg.p - 1.0) * total[pos]
-    return OperatorField(dom, *_interior_fields(u, cfg, bracket, s))
-
-
-reduced_ma_value = ma_value     # ma_field dispatches on cfg.variant
+    return _min_over_frames(u, cfg, with_slope, with_frames,
+                            _radial_factors(u, cfg, with_slope))

@@ -122,6 +122,10 @@ def test_make_operator_defaults_and_required():
         make_operator({})
     with pytest.raises(ConfigError):
         make_operator({"op.p": 1.0, "op.variant": "mystery"})
+    with pytest.raises(ConfigError):
+        make_operator({"op.p": 1.0, "op.variant": "gcf"})
+    with pytest.raises(ConfigError, match="n_full"):
+        make_operator({"op.p": 1.0, "op.n_full": 4})
 
 
 def test_make_initial_kinds():

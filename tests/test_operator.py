@@ -6,9 +6,9 @@ from hypothesis import given, strategies as st
 
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
-from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, gcf_value,
-                                  ma_field, ma_value, orthogonal_frames,
-                                  reduced_ma_field, reduced_ma_value)
+from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, ma_field,
+                                  ma_value, orthogonal_frames,
+                                  reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -22,31 +22,38 @@ def quad(M):
 
 
 def pointwise_value(u, idx, cfg):
-    """The plain or gcf operator at one node, frame by frame in scalar
-    arithmetic: the reference the array kernel is checked against."""
+    """The operator at one node and its first minimising frame, frame by
+    frame in scalar arithmetic: the reference the array kernel is checked
+    against.  For the reduced variant every frame product carries the
+    radial factor max(0, u_r/r)^(n_full-2), with u_r/r the central
+    difference and, on the axis, its limit the second difference u_rr."""
     dom = u.domain
     h = dom.h_grid
     V = u.values
-    best = math.inf
-    for frame in orthogonal_frames(dom.n, cfg.width):
+
+    def second_difference(e):
+        e2 = sum(c * c for c in e)
+        ip = tuple(i + c for i, c in zip(idx, e))
+        im = tuple(i - c for i, c in zip(idx, e))
+        return (V[ip] + V[im] - 2.0 * V[idx]) / (e2 * h * h)
+
+    radial = 1.0
+    if cfg.variant == "reduced":
+        r = dom.node_position(idx)[0]
+        ip, im = (idx[0] + 1, idx[1]), (idx[0] - 1, idx[1])
+        ratio = (second_difference((1, 0)) if abs(r) < 0.5 * h
+                 else (V[ip] - V[im]) / (2.0 * h * r))
+        radial = max(ratio, 0.0) ** (cfg.n_full - 2)
+    best, arg = math.inf, None
+    for k, frame in enumerate(orthogonal_frames(dom.n, cfg.width)):
         prod = 1.0
         for e in frame:
-            e2 = sum(c * c for c in e)
-            ip = tuple(i + c for i, c in zip(idx, e))
-            im = tuple(i - c for i, c in zip(idx, e))
-            D = (V[ip] + V[im] - 2.0 * V[idx]) / (e2 * h * h)
-            prod *= max(D, 0.0)
-        best = min(best, prod)
+            prod *= max(second_difference(e), 0.0)
+        prod *= radial
+        if prod < best:
+            best, arg = prod, k
     x = dom.node_position(idx)[None, :]
-    val = float(cfg.b(x, u.t)[0]) * best ** cfg.p
-    if cfg.variant == "gcf":
-        g2 = 0.0
-        for ax in range(dom.n):
-            ip = tuple(i + (1 if k == ax else 0) for k, i in enumerate(idx))
-            im = tuple(i - (1 if k == ax else 0) for k, i in enumerate(idx))
-            g2 += ((V[ip] - V[im]) / (2 * h)) ** 2
-        val *= (1.0 + g2) ** (-((dom.n + 2) * cfg.p - 1.0) / 2.0)
-    return val
+    return float(cfg.b(x, u.t)[0]) * best ** cfg.p, arg
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +165,7 @@ def test_field_matches_pointwise_and_nan_pattern():
     for point in ([0, 0], [0.45, -0.3], [-0.6, 0.6]):
         idx = dom.index_of(point)
         assert fld.values[idx] == pytest.approx(
-            pointwise_value(base, idx, cfg), rel=1e-12)
+            pointwise_value(base, idx, cfg)[0], rel=1e-12)
         assert ma_value(base, point, cfg) == fld.values[idx]
 
 
@@ -167,9 +174,9 @@ def test_field_matches_pointwise_and_nan_pattern():
      "plain"),
     ({"kind": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3}, 0.25, 1.0,
      "plain"),
-    ({"kind": "ball", "center": [0.1, -0.05], "radius": 1.0}, 0.1, 0.7,
-     "gcf"),
-], ids=["ball2d-p0.4", "box3d-p1", "ball2d-gcf-p0.7"])
+    ({"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, 0.1, 0.7,
+     "reduced"),
+], ids=["ball2d-p0.4", "box3d-p1", "rz-reduced-n4-p0.7"])
 def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
                                                               variant):
     # the field is computed on shifted slices of the lattice; an off-by-one
@@ -179,9 +186,13 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
     n = dom.n
     rng = np.random.default_rng(17)
     A = rng.standard_normal((n, n))
-    u = sample(dom, quad(A @ A.T + 0.3 * np.eye(n)))
+    M = A @ A.T + 0.3 * np.eye(n)
+    if variant == "reduced":
+        M[0, 1] = M[1, 0] = 0.0     # even in r, as the reduced data must be
+    u = sample(dom, quad(M))
     u.values += 0.01 * rng.standard_normal(u.values.shape)
-    cfg = OperatorConfig(p=p, variant=variant)
+    cfg = OperatorConfig(p=p, variant=variant,
+                         n_full=4 if variant == "reduced" else None)
     fld = ma_field(u, cfg, with_slope=True, with_frames=True)
     inner = dom.interior_mask()
     assert np.isnan(fld.values[~inner]).all()
@@ -189,10 +200,12 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
     assert (fld.argmin_frame[~inner] == 255).all()
     assert np.isfinite(fld.values[inner]).all()
     assert np.isfinite(fld.slope[inner]).all()
-    assert (fld.argmin_frame[inner] < len(orthogonal_frames(n, 2))).all()
-    pointwise = [pointwise_value(u, tuple(i), cfg) for i in np.argwhere(inner)]
-    np.testing.assert_allclose(fld.values[inner], pointwise, rtol=1e-13,
+    values, frames = zip(*(pointwise_value(u, tuple(i), cfg)
+                           for i in np.argwhere(inner)))
+    assert (fld.values[inner] > 0).mean() > 0.5
+    np.testing.assert_allclose(fld.values[inner], values, rtol=1e-13,
                                atol=0.0)
+    assert fld.argmin_frame[inner].tolist() == list(frames)
 
 
 _LATTICES: dict = {}
@@ -225,8 +238,7 @@ def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
     reduced = variant == "reduced"
     if reduced:
         n = 2
-    b = (_VARYING_B if varying_b and variant != "gcf"
-         else CoefficientField.constant(1.0))
+    b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
     cfg = OperatorConfig(p=p, width=width, variant=variant, b=b,
                          n_full=4 if reduced else None)
     dom = _lattice(n, width, reduced)
@@ -251,8 +263,34 @@ def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
         assert np.isfinite(want.values[inner]).all()
         if with_slope:
             assert np.isnan(want.slope[~inner]).all()
-        if not reduced:
-            assert (want.argmin_frame[~inner] == 255).all()
+        assert (want.argmin_frame[~inner] == 255).all()
+
+
+@given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
+       p=st.floats(0.2, 3.0), varying_b=st.booleans(),
+       bump=st.floats(1e-6, 0.1), seed=st.integers(0, 2 ** 16))
+def test_monotone_in_neighbor_values(n, width, p, varying_b, bump, seed):
+    # raising any stencil neighbour of a node never lowers the operator
+    # there: the clamped second differences, the frame products, their
+    # minimum, the power and b are each nondecreasing in it
+    dom = _lattice(n, width, False)
+    b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
+    cfg = OperatorConfig(p=p, width=width, b=b)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    u = sample(dom, quad(A @ A.T + 0.3 * np.eye(n)), t=0.25)
+    u.values += 1e-3 * rng.standard_normal(u.values.shape)
+    inner = np.argwhere(dom.interior_mask())
+    node = tuple(inner[rng.integers(len(inner))])
+    before = ma_field(u, cfg).values[node]
+    bumped = u.copy()
+    for frame in orthogonal_frames(n, width):
+        for e in frame:
+            for sign in (1, -1):
+                nb = tuple(i + sign * c for i, c in zip(node, e))
+                bumped.values[nb] += bump
+                assert ma_field(bumped, cfg).values[node] >= before, nb
+                bumped.values[nb] = u.values[nb]
 
 
 def test_field_rejects_interior_on_the_lattice_edge():
@@ -267,24 +305,6 @@ def test_field_rejects_interior_on_the_lattice_edge():
         ma_field(u, OperatorConfig(p=1.0, width=1))
 
 
-def test_monotone_in_neighbor_values():
-    dom = box(h=0.25)
-    rng = np.random.default_rng(5)
-    u = sample(dom, quad([[1, 0], [0, 1]]))
-    u.values += 0.02 * rng.standard_normal(u.values.shape)
-    cfg = OperatorConfig(p=1.0, width=2)
-    center = dom.index_of([0, 0])
-    before = ma_value(u, [0, 0], cfg)
-    for _ in range(40):
-        off = rng.integers(-2, 3, size=2)
-        if not off.any():
-            continue
-        idx = (center[0] + off[0], center[1] + off[1])
-        bumped = u.copy()
-        bumped.values[idx] += 0.05
-        assert ma_value(bumped, [0, 0], cfg) >= before - 1e-14
-
-
 def test_slope_field_on_identity_quadratic():
     # for u = |x|^2/2, p=1: the axis frame dominates the slope bound with
     # sum_i 2/|e_i|^2 * prod_{j!=i} D_j = 4
@@ -296,21 +316,6 @@ def test_slope_field_on_identity_quadratic():
     # p = 2 doubles it through the outer power (prod = 1)
     fld2 = ma_field(u, OperatorConfig(p=2.0), with_slope=True)
     assert np.allclose(fld2.slope[inner], 8.0, atol=1e-12)
-
-
-def test_gcf_normalization_value():
-    # u = |x|^2/2 in the plane, p = 1: at a node with |grad u|^2 = 1 the
-    # normalization divides the unit determinant by 2^(3/2)
-    dom = box(half=1.6, h=0.2)
-    u = sample(dom, quad([[1, 0], [0, 1]]))
-    got = gcf_value(u, [1.0, 0.0], p=1.0)
-    assert got == pytest.approx(2.0 ** -1.5, rel=1e-12)
-
-
-def test_gcf_requires_unit_coefficient():
-    b = CoefficientField.constant(2.0)
-    with pytest.raises(ValueError, match="b == 1"):
-        OperatorConfig(p=1.0, variant="gcf", b=b)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +337,7 @@ def test_reduced_on_paraboloid():
         fld = reduced_ma_field(u, cfg)
         inner = dom.interior_mask()
         assert np.allclose(fld.values[inner], 1.0, atol=1e-12)
-        assert reduced_ma_value(u, [0.0, 0.0], cfg) == pytest.approx(1.0, abs=1e-12)
+        assert ma_value(u, [0.0, 0.0], cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reduced_anisotropic_scaling():
@@ -342,7 +347,7 @@ def test_reduced_anisotropic_scaling():
     u = sample(dom, quad([[a, 0], [0, c]]))
     cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
     want = a ** 2 * (a * c)
-    assert reduced_ma_value(u, [0.25, 0.25], cfg) == pytest.approx(want, rel=1e-10)
+    assert ma_value(u, [0.25, 0.25], cfg) == pytest.approx(want, rel=1e-10)
 
 
 def test_reduced_axis_uses_second_derivative_limit():
@@ -352,8 +357,8 @@ def test_reduced_axis_uses_second_derivative_limit():
     dom = rz_domain(h=0.125)
     u = sample(dom, quad([[a, 0], [0, c]]))
     cfg = OperatorConfig(p=1.0, variant="reduced", n_full=3)
-    assert reduced_ma_value(u, [0.0, 0.25], cfg) == pytest.approx(a * a * c,
-                                                                  rel=1e-10)
+    assert ma_value(u, [0.0, 0.25], cfg) == pytest.approx(a * a * c,
+                                                          rel=1e-10)
 
 
 def test_reduced_requires_embedding_dimension():
@@ -371,3 +376,19 @@ def test_reduced_flat_sliver_value_is_zero():
     # off the ridge x_n = 0 the function is locally affine: value 0
     idx = dom.index_of([0.3, 0.4])
     assert fld.values[idx] == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the radial ratio is the central difference (u(r+h) - u(r-h))/(2hr) "
+    "(monge_ampere._radial_factors), so the radial factor falls when "
+    "u(r-h) rises"))
+def test_reduced_monotone_in_neighbor_values():
+    # u = r^8 + z^2: raising u(0.4, 0.2) by 1e-3 lowers F(0.5, 0.2) from
+    # 0.050224 to 0.048779
+    dom = rz_domain(h=0.1)
+    u = sample(dom, lambda pts, t: pts[:, 0] ** 8 + pts[:, 1] ** 2)
+    cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
+    before = ma_value(u, [0.5, 0.2], cfg)
+    bumped = u.copy()
+    bumped.values[dom.index_of([0.4, 0.2])] += 1e-3
+    assert ma_value(bumped, [0.5, 0.2], cfg) >= before
