@@ -5,25 +5,45 @@ Forward Euler on the wide-stencil operator:
     u^{k+1}(x) = u^k(x) + dt F[u^k](x)      at interior nodes,
     u^{k+1}    = boundary data at t^{k+1}   on the band.
 
-F is nondecreasing in every neighbor value, so the update map is monotone
-as soon as dt |dF/du(x)| <= 1 at every node.  The operator evaluation
-returns exactly that slope bound (in curvature units), and the automatic
-step is
+The update H[u] = u + dt F[u] is monotone (u <= v gives H[u] <= H[v]) when
+it is nondecreasing in every neighbour value and in the centre value.  F
+is nondecreasing in every neighbour.  For the centre, raise u(x) by
+delta = t h^2 / 2 with the neighbours fixed: every second difference at x
+falls by t / |e|^2, and H changes by delta + dt (F(t) - F(0)).  That is
+>= 0 for every t > 0 exactly when the one-sided chord condition
 
-    dt = kappa h^2 / max_x slope(x),        kappa = 0.4,
+    dt (F(0) - F(t)) / t <= h^2 / 2        for every t > 0
 
-capped by ``dt_max`` and truncated to land exactly on requested snapshot
-times (the landing assigns t = t_snap, so a restarted run reproduces the
-original step sequence bit for bit).  Monotone steps propagate ordering:
-two ordered states stepped with a SHARED dt stay ordered, which is what
-:func:`evolve_pair` provides.  Since F >= 0, interior values never
-decrease along the flow; that invariant is checked at every snapshot.
+holds, a bound on the chord slopes of F along upward raises only.  The
+operator returns a slope field sigma (in curvature units) with
+2 (F(0) - F(t)) / t <= sigma(x) for every t > 0 at every node, and the
+automatic step is
+
+    dt = kappa h^2 / max_x sigma(x),        kappa = 0.4,
+
+so the chord condition holds with the factor kappa to spare.  For p >= 1
+every frame's b P_F^p is convex in t, so twice the largest |d(b P_F^p)/dt|
+at t = 0 over all frames bounds every chord (the all-frame slope); in
+3-D ``monge_ampere`` lowers it to the exact chord bound where that sets
+the maximum.  (For p < 1 the slope is floored at the curvature scale
+h^2 and is not such a bound where 0 < D < h^2.)  dt is capped by
+``dt_max`` and truncated to land exactly on requested snapshot times (the
+landing assigns t = t_snap, so a restarted run reproduces the original
+step sequence bit for bit).
+
+Monotone steps propagate ordering.  For u <= v stepped with one shared dt,
+raise u's centre to v(x) first (allowed by u's own chord condition) and
+then its neighbours (F is nondecreasing in them): H[u](x) <= H[v](x).  The
+shared dt is at most every member's own step, so it covers the lower
+member of a pair, which is what :func:`evolve_pair` provides.  Since
+F >= 0, interior values never decrease along the flow; that invariant is
+checked at every snapshot.
 
 One shared-dt loop serves both: :func:`evolve` runs it on one state and
 :func:`evolve_pair` on two.  Each step evaluates the operator once, on
 the stack of all states, so a paired step is one operator pass; it takes
-one :func:`stable_dt` per state and updates the interior values straight
-from the operator's interior arrays.
+its dt from the slope maximum of the whole stack and updates the interior
+values straight from the operator's interior arrays.
 """
 from __future__ import annotations
 
@@ -69,11 +89,20 @@ class EvolutionResult:
 
 
 def stable_dt(state: EvolutionState, fld=None) -> float:
-    """kappa h^2 / max slope, the largest monotonicity-preserving step."""
+    """kappa h^2 / max slope, the largest monotonicity-preserving step.
+
+    ``fld`` may be the operator field of a stack: the maximum then runs
+    over every member, which gives the step that a shared-dt loop takes.
+    A non-finite slope raises a ValueError naming its node.
+    """
     if fld is None or fld.interior_slope is None:
         fld = ma_field(state.u, state.cfg, with_slope=True)
     slope = fld.interior_slope
-    sig = float(np.nanmax(slope)) if np.any(np.isfinite(slope)) else 0.0
+    sig = float(slope.max()) if slope.size else 0.0
+    if not math.isfinite(sig):
+        k = np.flatnonzero(~np.isfinite(slope))[0] % slope.shape[-1]
+        where = fld.domain.interior_positions[k]
+        raise ValueError(f"non-finite slope bound at node {tuple(where)}")
     if sig <= 0.0:
         return state.dt_max
     dt = state.kappa * state.u.domain.h_grid ** 2 / sig
@@ -109,10 +138,11 @@ def _same_lattice(a: Domain, b: Domain) -> bool:
 def _shared_steps(states: list[EvolutionState], stops: list[float]):
     """Step N states on one lattice, under one config, with one shared dt.
 
-    A step is one operator pass over the stack of all N members and one
-    :func:`stable_dt` per member; dt is the smallest of those, so every
-    member's update stays monotone.  Each state re-binds to a private copy
-    of its values (a view into the stack).  Yields on landing at each stop.
+    A step is one operator pass over the stack of all N members; dt is the
+    smallest :func:`stable_dt` of the states over the slope maximum of the
+    whole stack, so every member's update stays monotone.  Each state
+    re-binds to a private copy of its values (a view into the stack).
+    Yields on landing at each stop.
     """
     dom = states[0].u.domain
     stack = GridStack(dom, np.stack([s.u.values for s in states]),
@@ -127,7 +157,7 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     for stop in stops:
         while stack.t < stop:
             fld = ma_field(stack, states[0].cfg, with_slope=True)
-            dt = min(stable_dt(s, fld.member(k)) for k, s in enumerate(states))
+            dt = min(stable_dt(s, fld) for s in states)
             rem = stop - stack.t
             if dt >= rem * (1.0 - 1e-12):
                 dt, t_new = rem, stop

@@ -163,6 +163,12 @@ class Domain:
         lattice; calls sharing a domain must not run concurrently."""
         return {}
 
+    @cached_property
+    def span_cache(self) -> dict:
+        """Read-only arrays that operator kernels derive from the lattice
+        and the number of stacked members alone, kept between calls."""
+        return {}
+
     def interior_mask(self) -> np.ndarray:
         return self._interior
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from pma_lab.evolution import (EvolutionState, ScalingMap, comparison_check,
 from pma_lab.exact import quadratic_solution, cone_data
 from pma_lab.grid import (CoefficientField, build_domain, load_csv, sample,
                           save_csv)
-from pma_lab.monge_ampere import OperatorConfig
+from pma_lab.monge_ampere import OperatorConfig, ma_field
 
 
 def ball(r=1.0, h=0.1, n=2):
@@ -42,6 +43,22 @@ def test_stable_dt_value():
     sol = quadratic_solution(np.eye(2), p=1.0)
     state = make_state(dom, sol, OperatorConfig(p=1.0))
     assert stable_dt(state) == pytest.approx(0.1 * 0.1 ** 2, rel=1e-12)
+
+
+def test_stable_dt_rejects_a_non_finite_slope_and_names_its_node():
+    dom = ball(r=1.0, h=0.1)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    state = make_state(dom, sol, OperatorConfig(p=1.0))
+    fld = ma_field(state.u, state.cfg, with_slope=True)
+    k = len(fld.interior_slope) // 3
+    where = tuple(dom.interior_positions[k])
+    fld.interior_slope[k] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"node {where}")):
+        stable_dt(state, fld)
+    # every slope NaN: no step at all, rather than a jump to dt_max
+    fld.interior_slope[:] = np.nan
+    with pytest.raises(ValueError, match="non-finite slope bound"):
+        stable_dt(state, fld)
 
 
 def test_snapshots_land_exactly():
