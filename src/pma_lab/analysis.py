@@ -273,9 +273,14 @@ def c1alpha_from_line(offsets, values, h_list) -> C1AlphaReport:
 
 
 def c1alpha_exponent(u: GridFunction, base_point, direction,
-                     h_list) -> C1AlphaReport:
-    """Gradient-Holder exponent of a grid sample along a lattice line."""
+                     h_list=None) -> C1AlphaReport:
+    """Gradient-Holder exponent of a grid sample along a lattice line; the
+    default ``h_list`` is six heights over 1.5 decades from ``10 Lip h``."""
     s, v = line_restriction(u, base_point, direction)
+    if h_list is None:
+        lip = max(float(np.max(np.abs(np.diff(v) / np.diff(s)))), 1e-12)
+        lo = 10.0 * lip * float(np.min(np.diff(s)))
+        h_list = np.geomspace(lo, 32.0 * lo, 6)
     return c1alpha_from_line(s, v, h_list)
 
 

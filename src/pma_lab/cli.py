@@ -6,13 +6,15 @@ Subcommands
 * ``solve`` — run the configured flow and write snapshot CSVs.
 * ``selfsimilar`` — build the separating profile and write its tables.
 * ``geometry`` — section / ellipsoid / balancedness report for a snapshot.
-* ``analyze`` — run one analysis probe over snapshot CSVs.
+* ``analyze PROBE SNAPSHOTS...`` — run the registry probe ``PROBE`` (``-``
+  read as ``_``) on snapshot CSVs in time order; print its ``measured:``
+  lines and write ``<out>/analyze/{probes,plots,summary.txt}``.
 * ``experiment run NAME... | --all`` and ``experiment list [FILTER]``.
 
 Global flags (shared by every subcommand): ``--config PATH``, ``--out DIR``,
-``--workers N``, ``--seed N``.  The seed feeds only randomized property
-probes, never the solver, so solver outputs are bit-identical across seeds
-and worker counts.
+``--workers N`` (at least 1), ``--seed N``.  The seed feeds only randomized
+property probes, never the solver, so solver outputs are bit-identical
+across seeds and worker counts.
 
 Exit codes: 0 when everything passed, 1 when any expected outcome failed,
 2 for configuration or runtime errors.
@@ -27,19 +29,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .analysis import (c1alpha_from_line, dual_flow_residual,
-                       flat_dichotomy_probe, holder_time_fit,
-                       interface_exponent, line_restriction,
-                       separation_probe, write_plot_script)
-from .config import ConfigError, format_config, make_state, read_config, \
-    run_settings
-from .evolution import evolve
+from .config import ConfigError, format_config, make_state, read_config
+from .evolution import _same_lattice
 from .exact import build_profile, coefficient_closed_form, profile_residual
-from .experiments import (REGISTRY, ExperimentError, list_experiments,
-                          run_experiment)
-from .geometry import balancedness, flat_set, save_ellipsoid, save_section, \
-    section_at
-from .grid import fmt17, load_csv, save_csv, write_table
+from .experiments import (_PROBES, REGISTRY, ExperimentError, RunContext,
+                          list_experiments, measured_lines, run_experiment,
+                          solve_to_snapshots, write_profile_curve)
+from .geometry import balancedness, save_ellipsoid, save_section, section_at
+from .grid import fmt17, load_csv
 
 __all__ = ["main"]
 
@@ -107,18 +104,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _parse_point(text, n):
-    if text is None:
-        return [0.0] * n
-    return [float(c) for c in str(text).split(",")]
+def _vector(text, kind=float):
+    return None if text is None else [kind(c) for c in text.split(",")]
 
 
 def _load_snapshots(paths):
     snaps = [load_csv(p) for p in paths]
+    for path, snap in zip(paths, snaps):
+        if not _same_lattice(snaps[0].domain, snap.domain):
+            raise ValueError(f"{path} is not on the lattice of {paths[0]}")
     times = [s.t for s in snaps]
     if sorted(times) != times:
         raise ValueError("snapshots must be given in increasing time order")
     return snaps
+
+
+def _report(out_dir, lines) -> int:
+    """Print the summary lines and write them to ``<out_dir>/summary.txt``."""
+    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
+        f.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -130,44 +136,26 @@ def _cmd_solve(args) -> int:
         raise ConfigError("solve needs --config PATH")
     cfg = read_config(args.config)
     state = make_state(cfg)
-    initial = state.u
-    settings = run_settings(cfg)
     out_dir = os.path.join(args.out, "solve")
     snap_dir = os.path.join(out_dir, "snapshots")
     os.makedirs(snap_dir, exist_ok=True)
-    result = evolve(state, settings["t_end"], settings["snapshot_times"])
-    save_csv(initial, os.path.join(snap_dir, "snap_0.csv"))
-    for k, snap in enumerate(result.snapshots, start=1):
-        save_csv(snap, os.path.join(snap_dir, f"snap_{k}.csv"))
-    inner = initial.domain.interior_mask()
+    frames = solve_to_snapshots(state, cfg, snap_dir)
+    inner = frames[0].domain.interior_mask()
     lines = ["solve:"]
     lines += ["  " + ln for ln in format_config(cfg).strip().splitlines()]
-    lines.append(f"t_final = {fmt17(result.t_final)}")
-    lines.append(f"snapshots = {len(result.snapshots) + 1}")
+    lines.append(f"t_final = {fmt17(state.t)}")
+    lines.append(f"snapshots = {len(frames)}")
     lines.append(
-        f"final_range = [{fmt17(float(np.min(result.state.u.values[inner])))}"
-        f", {fmt17(float(np.max(result.state.u.values[inner])))}]")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return 0
+        f"final_range = [{fmt17(float(np.min(state.u.values[inner])))}"
+        f", {fmt17(float(np.max(state.u.values[inner])))}]")
+    return _report(out_dir, lines)
 
 
 def _cmd_selfsimilar(args) -> int:
     profile = build_profile(args.n, args.p, rk_step=args.rk_step,
                             n_tab=args.n_tab)
     out_dir = os.path.join(args.out, "selfsimilar")
-    probes = os.path.join(out_dir, "probes")
-    plots = os.path.join(out_dir, "plots")
-    os.makedirs(probes, exist_ok=True)
-    os.makedirs(plots, exist_ok=True)
-    s = np.linspace(0.0, profile.s_flat, 401)
-    g = profile.g_eval(s)
-    write_table(os.path.join(probes, "profile_curve.csv"), "s,g",
-                zip(map(float, s), map(float, g)))
-    write_plot_script(os.path.join(plots, "profile_curve.gp"),
-                      "../probes/profile_curve.csv",
-                      "cross-section profile g", "s", "g")
+    write_profile_curve(RunContext.create(out_dir), profile)
     res = profile_residual(profile)
     lines = [
         f"n = {profile.n}", f"p = {fmt17(profile.p)}",
@@ -179,15 +167,12 @@ def _cmd_selfsimilar(args) -> int:
         f"energy_drift = {fmt17(float(profile.table.energy_drift))}",
         f"pde_residual = {fmt17(float(res.max_residual))}",
     ]
-    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return 0
+    return _report(out_dir, lines)
 
 
 def _cmd_geometry(args) -> int:
     u = load_csv(args.snapshot)
-    point = _parse_point(args.point, u.domain.n)
+    point = _vector(args.point) or [0.0] * u.domain.n
     out_dir = os.path.join(args.out, "geometry")
     os.makedirs(out_dir, exist_ok=True)
     sec = section_at(u, point, args.height)
@@ -203,63 +188,20 @@ def _cmd_geometry(args) -> int:
         f"john gap = {fmt17(ell.gap)}",
         str(cert),
     ]
-    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    print("\n".join(lines))
-    return 0
+    return _report(out_dir, lines)
 
 
 def _cmd_analyze(args) -> int:
-    snaps = _load_snapshots(args.snapshots)
-    n = snaps[0].domain.n
+    frames = _load_snapshots(args.snapshots)
+    params = {"point": _vector(args.point),
+              "direction": _vector(args.direction, int),
+              "eps": args.eps, "r_max": args.r_max}
     out_dir = os.path.join(args.out, "analyze")
-    os.makedirs(out_dir, exist_ok=True)
-    lines: list[str] = []
-    if args.probe == "separation":
-        rep = separation_probe(snaps, eps=args.eps)
-        rep.to_csv(os.path.join(out_dir, "separation.csv"))
-        counts = rep.counts()
-        lines.append(f"eps = {fmt17(rep.eps)}")
-        lines += [f"{k} = {counts[k]}"
-                  for k in ("instant", "delayed", "persistent")]
-    elif args.probe == "holder-time":
-        fit = holder_time_fit(snaps, _parse_point(args.point, n))
-        lines.append(f"time_slope = {fmt17(float(fit.slope))}")
-        lines.append(f"fit_residual = {fmt17(float(fit.residual))}")
-    elif args.probe == "interface":
-        fs = flat_set(snaps[-1])
-        rep = interface_exponent(snaps[-1], fs, r_max=args.r_max)
-        rep.to_csv(os.path.join(out_dir, "interface_bins.csv"))
-        write_plot_script(os.path.join(out_dir, "interface_bins.gp"),
-                          "interface_bins.csv",
-                          "binned growth off the contact set",
-                          "distance", "value", logxy=True)
-        lines.append(f"gamma_hat = {fmt17(float(rep.gamma_hat))}")
-        lines.append(f"flat_nodes = {len(fs)}")
-    elif args.probe == "dichotomy":
-        rep = flat_dichotomy_probe(snaps)
-        lines.append(f"classification = {rep.classification}")
-        lines.append(f"max_motion = {fmt17(float(rep.max_motion))}")
-    elif args.probe == "dual-residual":
-        if len(snaps) != 2:
-            raise ValueError("dual-residual needs exactly two snapshots")
-        worst, _field, _lt = dual_flow_residual(snaps[0], snaps[1], args.p)
-        lines.append(f"dual_residual = {fmt17(float(worst))}")
-    elif args.probe == "angle":
-        direction = [int(c) for c in (args.direction or "1" + ",0" * (n - 1)
-                                      ).split(",")]
-        s, v = line_restriction(snaps[-1], _parse_point(args.point, n),
-                                direction)
-        # height ladder above the resolvable scale 10*Lip*h, 1.5 decades up
-        lip = max(float(np.max(np.abs(np.diff(v) / np.diff(s)))), 1e-12)
-        lo = 10.0 * lip * float(np.min(np.diff(s)))
-        rep = c1alpha_from_line(s, v, np.geomspace(lo, 32.0 * lo, 6))
-        lines.append(f"corner = {rep.corner}")
-        lines.append(f"alpha_hat = {fmt17(float(rep.alpha_hat))}")
-    print("\n".join(lines))
-    with open(os.path.join(out_dir, "summary.txt"), "w") as f:
-        f.write("\n".join(lines) + "\n")
-    return 0
+    ctx = RunContext.create(
+        out_dir, cfg={"op.p": args.p}, frames=frames, seed=args.seed,
+        params={k: v for k, v in params.items() if v is not None})
+    return _report(out_dir, measured_lines(
+        _PROBES[args.probe.replace("-", "_")](ctx)))
 
 
 def _run_one(name: str, out: str, seed: int):
@@ -281,16 +223,16 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"unknown experiments: {unknown} "
                           f"(try: experiment list)")
     os.makedirs(args.out, exist_ok=True)
-    results: dict = {}
-    if args.workers > 1 and len(names) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(names))
+    if workers > 1:
+        # a fork pool starts all of its workers on the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(_run_one, name, args.out, args.seed)
                        for name in names}
-            for name in names:
-                results[name] = futures[name].result()
+            results = {name: fut.result() for name, fut in futures.items()}
     else:
-        for name in names:
-            results[name] = _run_one(name, args.out, args.seed)
+        results = {name: _run_one(name, args.out, args.seed)
+                   for name in names}
     all_passed = True
     for name in names:
         passed, lines = results[name]
@@ -305,6 +247,8 @@ def _cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "selfsimilar":

@@ -15,6 +15,9 @@ probe, outcomes, summary) and aborts with the failing stage's name, keeping
 whatever artifacts were already written.  Summaries and CSVs are rendered
 deterministically (sorted keys, 17-digit floats, no wall times), so repeated
 runs of the same entry produce bit-identical files.
+
+A probe reads only its :class:`RunContext`; ``pma-lab analyze`` runs the
+probes that need nothing but the frames on snapshot files read back.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .analysis import (angle_contains, angle_opening, c1alpha_from_line,
-                       dual_flow_residual, flat_dichotomy_probe,
-                       holder_time_fit, interface_exponent, separation_probe,
-                       write_plot_script)
+from .analysis import (angle_contains, angle_opening, c1alpha_exponent,
+                       c1alpha_from_line, dual_flow_residual,
+                       flat_dichotomy_probe, holder_time_fit,
+                       interface_exponent, separation_probe, write_plot_script)
 from .config import format_config, make_initial, make_state, run_settings
 from .evolution import (EvolutionState, ScalingMap, comparison_check, evolve,
                         evolve_pair, rescale)
@@ -46,10 +49,14 @@ __all__ = [
     "ExperimentReport",
     "ExperimentSpec",
     "Outcome",
+    "RunContext",
     "claim_quote",
     "claims_text",
     "list_experiments",
+    "measured_lines",
     "run_experiment",
+    "solve_to_snapshots",
+    "write_profile_curve",
 ]
 
 
@@ -160,27 +167,40 @@ def claim_quote(claim_id: int) -> str:
 
 @dataclass
 class RunContext:
-    spec: ExperimentSpec
+    """What a probe reads, and where it writes its tables and plots.
+
+    ``frames`` are the snapshots, the t = 0 sample first (empty without a
+    solve stage); ``state`` is None when they were read back from files.
+    """
+
     cfg: dict
+    params: dict
     state: EvolutionState | None
-    initial: object | None        # clean t = 0 sample
-    result: object | None         # EvolutionResult when the solve stage ran
+    frames: list
     rng: np.random.Generator
     probes_dir: str
     plots_dir: str
 
+    @classmethod
+    def create(cls, out_dir, cfg=None, params=None, frames=(),
+               seed: int = 0) -> "RunContext":
+        """A context writing to ``<out_dir>/{probes,plots}``."""
+        dirs = [os.path.join(str(out_dir), d) for d in ("probes", "plots")]
+        for d in dirs:
+            os.makedirs(d, exist_ok=True)
+        return cls(cfg or {}, params or {}, None, list(frames),
+                   np.random.default_rng(seed), *dirs)
+
     def param(self, key, default=None):
-        return self.spec.params.get(key, default)
+        return self.params.get(key, default)
 
     def snapshots(self):
-        if self.result is None:
+        if not self.frames:
             raise ValueError("this probe needs a solve stage (set run.t_end)")
-        return [self.initial] + list(self.result.snapshots)
+        return self.frames
 
-    def write_table(self, name: str, header: str, rows) -> str:
-        path = os.path.join(self.probes_dir, name + ".csv")
-        write_table(path, header, rows)
-        return path
+    def write_table(self, name: str, header: str, rows) -> None:
+        write_table(os.path.join(self.probes_dir, name + ".csv"), header, rows)
 
     def write_plot(self, name: str, title: str, xlabel: str, ylabel: str,
                    logxy: bool = False, using=(1, 2)) -> None:
@@ -352,8 +372,8 @@ def _random_map(rng: np.random.Generator, n: int) -> np.ndarray:
 @_probe("holder_time")
 def _probe_holder_time(ctx: RunContext) -> dict:
     """Log-log slope of the value increment in time at one node."""
-    point = ctx.param("point", [0.0] * ctx.state.u.domain.n)
     snaps = ctx.snapshots()
+    point = ctx.param("point", [0.0] * snaps[0].domain.n)
     fit = holder_time_fit(snaps, point)
     rows = list(zip([float(x) for x in fit.abscissae],
                     [float(y) for y in fit.ordinates]))
@@ -436,11 +456,7 @@ def _probe_profile(ctx: RunContext) -> dict:
     C_exact = coefficient_closed_form(n, p)
     res_c = profile_residual(coarse)
     res_f = profile_residual(fine)
-    s = np.linspace(0.0, coarse.s_flat, 401)
-    g = coarse.g_eval(s)
-    ctx.write_table("profile_curve", "s,g",
-                    list(zip(map(float, s), map(float, g))))
-    ctx.write_plot("profile_curve", "cross-section profile g", "s", "g")
+    write_profile_curve(ctx, coarse)
     measured = {
         "beta_value": float(coarse.beta),
         "coeff_rel_err": abs(coarse.C - C_exact) / C_exact,
@@ -454,9 +470,17 @@ def _probe_profile(ctx: RunContext) -> dict:
     return measured
 
 
-@_probe("dual_residual")
-def _probe_dual_residual(ctx: RunContext) -> dict:
-    """Conjugated-flow residual at two primal resolutions."""
+def write_profile_curve(ctx: RunContext, profile) -> None:
+    """Table and plot of the profile's cross-section g on [0, s_flat]."""
+    s = np.linspace(0.0, profile.s_flat, 401)
+    g = profile.g_eval(s)
+    ctx.write_table("profile_curve", "s,g", zip(map(float, s), map(float, g)))
+    ctx.write_plot("profile_curve", "cross-section profile g", "s", "g")
+
+
+@_probe("dual_refinement")
+def _probe_dual_refinement(ctx: RunContext) -> dict:
+    """Conjugated-flow residual of an exact quadratic at two resolutions."""
     M = np.asarray(ctx.param("matrix", [[1.2, 0.0], [0.0, 0.8]]), float)
     p = float(ctx.cfg["op.p"])
     t0 = float(ctx.param("t0", 0.1))
@@ -571,9 +595,47 @@ def _probe_dichotomy(ctx: RunContext) -> dict:
                   if rep.classification == "violation" else 0)}
 
 
+@_probe("angle")
+def _probe_angle(ctx: RunContext) -> dict:
+    """Gradient-Holder exponent along a lattice line of the final snapshot,
+    through ``point`` (default: the origin) along ``direction`` (default:
+    the first axis)."""
+    last = ctx.snapshots()[-1]
+    n = last.domain.n
+    rep = c1alpha_exponent(last, ctx.param("point", [0.0] * n),
+                           ctx.param("direction", [1] + [0] * (n - 1)))
+    return {"corner": float(rep.corner), "alpha_hat": float(rep.alpha_hat)}
+
+
+@_probe("dual_residual")
+def _probe_dual_residual(ctx: RunContext) -> dict:
+    """Conjugated-flow residual between the first and the last snapshot."""
+    snaps = ctx.snapshots()
+    worst, _field, _lt = dual_flow_residual(snaps[0], snaps[-1],
+                                            float(ctx.cfg["op.p"]))
+    return {"dual_residual": float(worst)}
+
+
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
+
+def solve_to_snapshots(state: EvolutionState, cfg: dict, snap_dir):
+    """Evolve ``state`` to ``run.t_end``, write ``snap_<k>.csv`` per frame,
+    and return the frames, the t = 0 sample first."""
+    settings = run_settings(cfg)
+    frames = [state.u]                  # evolve re-binds state.u
+    frames += evolve(state, settings["t_end"],
+                     settings["snapshot_times"]).snapshots
+    for k, snap in enumerate(frames):
+        save_csv(snap, os.path.join(str(snap_dir), f"snap_{k}.csv"))
+    return frames
+
+
+def measured_lines(measured: dict) -> list:
+    """``key = value`` lines, sorted by key, with 17-digit floats."""
+    return [f"{k} = {fmt17(v)}" for k, v in sorted(measured.items())]
+
 
 def run_experiment(spec: ExperimentSpec, out_root, seed: int = 0
                    ) -> ExperimentReport:
@@ -585,27 +647,16 @@ def run_experiment(spec: ExperimentSpec, out_root, seed: int = 0
     """
     out_dir = os.path.join(str(out_root), spec.name)
     snap_dir = os.path.join(out_dir, "snapshots")
-    probes_dir = os.path.join(out_dir, "probes")
-    plots_dir = os.path.join(out_dir, "plots")
-    for d in (out_dir, snap_dir, probes_dir, plots_dir):
-        os.makedirs(d, exist_ok=True)
+    os.makedirs(snap_dir, exist_ok=True)
+    ctx = RunContext.create(out_dir, cfg=spec.config, params=spec.params,
+                            seed=seed)
 
     stage = "configure"
     try:
-        state = make_state(spec.config)
-        initial = state.u
-        ctx = RunContext(spec=spec, cfg=spec.config, state=state,
-                         initial=initial, result=None,
-                         rng=np.random.default_rng(seed),
-                         probes_dir=probes_dir, plots_dir=plots_dir)
+        ctx.state = make_state(spec.config)
         if "run.t_end" in spec.config:
             stage = "solve"
-            settings = run_settings(spec.config)
-            ctx.result = evolve(state, settings["t_end"],
-                                settings["snapshot_times"])
-            save_csv(initial, os.path.join(snap_dir, "snap_0.csv"))
-            for k, snap in enumerate(ctx.result.snapshots, start=1):
-                save_csv(snap, os.path.join(snap_dir, f"snap_{k}.csv"))
+            ctx.frames = solve_to_snapshots(ctx.state, spec.config, snap_dir)
         measured: dict = {}
         for probe in spec.probes:
             stage = f"probe {probe}"
@@ -618,7 +669,7 @@ def run_experiment(spec: ExperimentSpec, out_root, seed: int = 0
         lines += ["  " + ln for ln in
                   format_config(spec.config).strip().splitlines()]
         lines.append("measured:")
-        lines += [f"  {k} = {fmt17(v)}" for k, v in sorted(measured.items())]
+        lines += ["  " + ln for ln in measured_lines(measured)]
         lines.append("outcomes:")
         passed = True
         for out in spec.outcomes:
@@ -827,7 +878,7 @@ REGISTRY = {spec.name: spec for spec in [
                 "domain.upper": [1.0, 1.0], "grid.h": 0.05, "op.p": 1.0,
                 "data.kind": "quadratic",
                 "data.matrix": [[1.2, 0.0], [0.0, 0.8]]},
-        probes=("dual_residual",),
+        probes=("dual_refinement",),
         outcomes=(
             Outcome("dual_residual", "le", 0.0, 5e-2, "quoted"),
             Outcome("dual_ratio", "le", 1.0, 0.0, "derived")),

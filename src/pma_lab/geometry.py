@@ -251,11 +251,6 @@ class Ellipsoid:
         w, v = np.linalg.eigh(self.shape_matrix)
         return (v / np.sqrt(w)) @ v.T
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> np.ndarray:
-        d = np.atleast_2d(points) - self.center
-        q = np.einsum("ij,jk,ik->i", d, np.linalg.inv(self.shape_matrix), d)
-        return q <= 1.0 + tol
-
 
 def _point_array(set_like) -> np.ndarray:
     if isinstance(set_like, Section):

@@ -1,13 +1,17 @@
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from pma_lab import cli
+from pma_lab.analysis import dual_flow_residual
 from pma_lab.cli import main
-from pma_lab.exact import flat_disk_data
-from pma_lab.experiments import REGISTRY, ExperimentSpec, Outcome
+from pma_lab.exact import flat_disk_data, quadratic_solution
+from pma_lab.experiments import (REGISTRY, ExperimentSpec, Outcome,
+                                 run_experiment)
 from pma_lab.geometry import john_ellipsoid, save_ellipsoid, section_at
-from pma_lab.grid import build_domain, load_csv, sample, save_csv
+from pma_lab.grid import build_domain, fmt17, load_csv, sample, save_csv
 
 SOLVE_CFG = """\
 # harmless little disk run
@@ -97,9 +101,9 @@ def test_selfsimilar_summary_and_tables(tmp_path, capsys):
 # geometry and analyze
 # ---------------------------------------------------------------------------
 
-def make_snapshot(tmp_path, name="snap.csv", t=0.0):
-    dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
-                        "upper": [1.0, 1.0]}, h_grid=0.1, stencil_radius=2)
+def make_snapshot(tmp_path, name="snap.csv", t=0.0, half=1.0, h=0.1):
+    dom = build_domain({"kind": "box", "lower": [-half, -half],
+                        "upper": [half, half]}, h_grid=h, stencil_radius=2)
     u = sample(dom, flat_disk_data(radius=0.4, slope=1.0).fn, t=t)
     u.t = t
     path = str(tmp_path / name)
@@ -134,9 +138,14 @@ def test_analyze_separation_over_solve_output(tmp_path, capsys):
     snaps = [os.path.join(snap_dir, f"snap_{k}.csv") for k in range(3)]
     capsys.readouterr()
     assert main(["analyze", "separation", *snaps, "--out", out]) == 0
-    stdout = capsys.readouterr().out
-    assert "instant = " in stdout and "persistent = " in stdout
-    assert os.path.exists(os.path.join(out, "analyze", "separation.csv"))
+    assert "eps_used = " in capsys.readouterr().out
+    with open(os.path.join(out, "analyze", "probes", "separation.csv")) as f:
+        rows = [ln.split(",") for ln in f.read().splitlines()]
+    assert rows[0][-1] == "status"
+    # the rise by t = 0.01 stays below eps = 10 h^2 = 0.1 at every node
+    statuses = {row[-1] for row in rows[1:]}
+    assert statuses == {"persistent"}
+    assert len(rows) - 1 == load_csv(snaps[0]).domain.interior_count()
 
 
 def test_analyze_rejects_unordered_snapshots(tmp_path, capsys):
@@ -147,6 +156,21 @@ def test_analyze_rejects_unordered_snapshots(tmp_path, capsys):
     assert "increasing time order" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("half,h,same_shape", [(1.2, 0.03, False),
+                                               (2.0, 0.2, True)])
+def test_analyze_rejects_snapshots_on_another_lattice(tmp_path, capsys,
+                                                      half, h, same_shape):
+    a = make_snapshot(tmp_path, "a.csv", t=0.0)
+    b = make_snapshot(tmp_path, "b.csv", t=0.1, half=half, h=h)
+    shapes = load_csv(a).domain.shape, load_csv(b).domain.shape
+    assert (shapes[0] == shapes[1]) == same_shape
+    out = str(tmp_path / "out")
+    for probe in ("separation", "dichotomy"):
+        assert main(["analyze", probe, a, b, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "b.csv" in err and "lattice" in err
+
+
 def test_analyze_dichotomy_on_snapshot_files(tmp_path, capsys):
     # a lattice read back from a file has no region description; the
     # attachment test measures against its band nodes instead
@@ -154,7 +178,9 @@ def test_analyze_dichotomy_on_snapshot_files(tmp_path, capsys):
     b = make_snapshot(tmp_path, "b.csv", t=0.1)
     out = str(tmp_path / "out")
     assert main(["analyze", "dichotomy", a, b, "--out", out]) == 0
-    assert "classification = stationary" in capsys.readouterr().out
+    assert "dichotomy_violations = 0" in capsys.readouterr().out.splitlines()
+    with open(os.path.join(out, "analyze", "probes", "dichotomy.csv")) as f:
+        assert f.read().splitlines()[1].startswith("stationary,")
 
 
 def test_analyze_angle_on_snapshot(tmp_path, capsys):
@@ -164,6 +190,80 @@ def test_analyze_angle_on_snapshot(tmp_path, capsys):
                  "--out", out]) == 0
     stdout = capsys.readouterr().out
     assert "alpha_hat = " in stdout
+
+
+def quadratic_snapshots(tmp_path, times, p, h=0.1):
+    dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
+                        "upper": [1.0, 1.0]}, h_grid=h, stencil_radius=2)
+    sol = quadratic_solution(np.array([[1.2, 0.0], [0.0, 0.8]]), p=p)
+    paths = []
+    for k, t in enumerate(times):
+        u = sample(dom, sol.fn, t=t)
+        u.t = t
+        paths.append(str(tmp_path / f"q_{k}.csv"))
+        save_csv(u, paths[-1])
+    return paths
+
+
+def test_analyze_holder_time_on_exact_quadratic(tmp_path, capsys):
+    # u = x.Mx/2 + t (det M)^p rises by exactly 0.96 t at every node
+    times = [0.0] + list(np.geomspace(1e-4, 0.1, 7))
+    snaps = quadratic_snapshots(tmp_path, times, p=1.0)
+    out = str(tmp_path / "out")
+    assert main(["analyze", "holder-time", *snaps, "--point", "0.3,-0.2",
+                 "--out", out]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    key, value = line.split(" = ")
+    assert key == "time_slope" and abs(float(value) - 1.0) < 1e-9
+    with open(os.path.join(out, "analyze", "probes",
+                           "time_increments.csv")) as f:
+        rows = [list(map(float, ln.split(",")))
+                for ln in f.read().splitlines()[1:]]
+    assert np.allclose(rows, [(t, 0.96 * t) for t in times[1:]],
+                       rtol=1e-9, atol=0.0)
+    assert os.path.exists(os.path.join(out, "analyze", "plots",
+                                       "time_increments.gp"))
+    # the probe node comes from --point
+    assert main(["analyze", "holder-time", *snaps, "--point", "5,5",
+                 "--out", out]) == 2
+    assert "outside the lattice" in capsys.readouterr().err
+
+
+def test_analyze_dual_residual_between_first_and_last(tmp_path, capsys):
+    snaps = quadratic_snapshots(tmp_path, [0.1, 0.105, 0.11], p=2.0, h=0.05)
+    u1, u2 = load_csv(snaps[0]), load_csv(snaps[-1])
+    out = str(tmp_path / "out")
+    for p in (2.0, 1.0):
+        assert main(["analyze", "dual-residual", *snaps, "--p", str(p),
+                     "--out", out]) == 0
+        worst = dual_flow_residual(u1, u2, p)[0]
+        assert capsys.readouterr().out == f"dual_residual = {fmt17(worst)}\n"
+    assert main(["analyze", "dual-residual", snaps[0], "--out", out]) == 2
+    assert "increasing time levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,probe", [
+    ("holder-time-n2p1", "holder-time"),
+    ("interface-exponent-p1", "interface"),
+    ("flat-dichotomy", "dichotomy")])
+def test_analyze_reproduces_the_registry_probe(tmp_path, capsys, name,
+                                               probe):
+    rep = run_experiment(REGISTRY[name], tmp_path / "registry")
+    snap_dir = os.path.join(rep.out_dir, "snapshots")
+    snaps = [os.path.join(snap_dir, f"snap_{k}.csv")
+             for k in range(len(os.listdir(snap_dir)))]
+    out = str(tmp_path / "cli")
+    assert main(["analyze", probe, *snaps, "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    lines = rep.lines
+    measured = lines[lines.index("measured:") + 1:lines.index("outcomes:")]
+    assert measured and stdout.splitlines() == [ln.strip() for ln in measured]
+    base = os.path.join(out, "analyze")
+    with open(os.path.join(base, "summary.txt")) as f:
+        assert f.read() == stdout
+    for sub in ("probes", "plots"):
+        assert tree_bytes(os.path.join(base, sub)) == \
+            tree_bytes(os.path.join(rep.out_dir, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +310,42 @@ def test_experiment_run_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["experiment", "run", "doomed", "--out",
                  str(tmp_path / "out")]) == 1
     assert "FAILURES above" in capsys.readouterr().out
+
+
+def test_experiment_workers_capped_and_validated(tmp_path, capsys,
+                                                 monkeypatch):
+    made = []
+
+    class RecordingPool:
+        # stands in for the process pool: records its size, starts nothing
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    out = str(tmp_path / "out")
+    assert main(["experiment", "run", "noop", "quadratic-exact",
+                 "--out", out, "--workers", "500"]) == 0
+    assert made == [2]
+    assert main(["experiment", "run", "noop", "--out", out,
+                 "--workers", "500"]) == 0
+    assert made == [2]                     # one entry runs in this process
+    capsys.readouterr()
+    for bad in ("0", "-3"):
+        assert main(["experiment", "run", "noop", "--out", out,
+                     "--workers", bad]) == 2
+        assert "--workers" in capsys.readouterr().err
+    assert made == [2]
 
 
 def test_experiment_workers_agree_bitwise(tmp_path):
