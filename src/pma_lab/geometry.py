@@ -40,9 +40,18 @@ a base point: the witnessing map ``A = M^{-1/2}`` sends the set between the
 unit ball and the ball of radius ``d = max |A (y - x0)|``.
 
 ``legendre`` evaluates the convex conjugate ``u*(xi) = max_x (xi.x - u(x))``
-over the sampled nodes onto a dual lattice, and ``flat_set`` extracts the
-contact set of a supporting affine function together with its extremal
-points.
+over the sampled nodes onto a dual lattice.  Both lattices are boxes of
+axis-aligned nodes, so the maximum separates by axis,
+
+    max_x (xi.x - u) = max_{x_1} (xi_1 x_1 + max_{x_2} (xi_2 x_2 - u))
+
+in 2-D (Lucet, Numer. Algorithms 16, 1997), and it is taken as one 1-D
+maximum per axis over the whole lattice.  With ``m`` primal and ``K``
+dual nodes per axis, pass ``d`` evaluates ``K^(d+1) m^(n-d)`` candidates,
+against ``K^n m^n`` for the dense search over every (dual, primal) pair.
+Inactive primal nodes count as ``u = +inf``, and ties go to the first
+maximiser along each axis.  ``flat_set`` extracts the contact set of a
+supporting affine function together with its extremal points.
 """
 
 from __future__ import annotations
@@ -424,20 +433,35 @@ def _gradient_box(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def legendre(u: GridFunction, dual_domain: Domain | None = None,
-             dual_h: float | None = None, chunk: int = 512,
+             dual_h: float | None = None,
              stencil_radius: int = 2) -> LegendreTransform:
     """Convex conjugate ``u*(xi) = max over nodes x of (xi . x - u(x))``.
 
     The maximum runs over all active primal nodes, so boundary-band data
     participates (the conjugate of the sampled function on the closed
-    domain).  When no dual lattice is supplied, a box covering the sampled
-    gradient range is built; a supplied lattice that fails to cover that
-    range only triggers a warning, since the conjugate is still well defined
-    (it just reflects the primal boundary).
+    domain); inactive nodes count as ``u = +inf``.  When no dual lattice is
+    supplied, a box covering the sampled gradient range is built; a supplied
+    lattice that fails to cover that range only triggers a warning, since
+    the conjugate is still well defined (it just reflects the primal
+    boundary).  A non-finite sample at an active node raises ``ValueError``
+    naming the node.
+
+    The maximum is taken one lattice axis at a time (module docstring):
+    starting from ``g = -u`` on the primal box, the pass over axis ``d``
+    sets ``g <- max over x_d of (xi_d x_d + g)``, trading the primal
+    coordinate ``x_d`` for the dual coordinate ``xi_d``.  After the last
+    pass ``g`` is ``u*`` on the dual box, read at its active nodes.  Each
+    pass keeps its argmax (the first maximiser along the axis), and the
+    maximising primal node is read back from the last axis to the first;
+    ``argmax`` holds its exact lattice coordinates.
     """
     dom = u.domain
-    pts = dom.positions(dom.active_mask())
-    vals = u.values[dom.active_mask()]
+    active = dom.active_mask()
+    bad = active & ~np.isfinite(u.values)
+    if bad.any():
+        at = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"non-finite sample {u.values[at]} at active node "
+                         f"{tuple(map(float, dom.node_position(at)))}")
     glo, ghi = _gradient_box(u)
     if dual_domain is None:
         width = ghi - glo
@@ -450,26 +474,35 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
             {"kind": "box", "lower": glo, "upper": ghi},
             dual_h, stencil_radius=stencil_radius)
     else:
-        dlo, dhi = dual_domain.positions().min(axis=0), \
-            dual_domain.positions().max(axis=0)
+        xi = dual_domain.positions()
+        dlo, dhi = xi.min(axis=0), xi.max(axis=0)
         if np.any(dlo > glo + 1e-12) or np.any(dhi < ghi - 1e-12):
             warnings.warn(
                 "dual grid range is smaller than the sampled gradient range; "
                 "conjugate values near the dual boundary feel the truncation",
                 stacklevel=2)
+    xs, xis = dom.axes(), dual_domain.axes()
+    g = np.where(active, -u.values, -np.inf)
+    picks = []
+    for d in range(dom.n):
+        # axes < d of g are dual, axes >= d primal; axis d + 1 of cand is x_d
+        shape = [1] * (dom.n + 1)
+        shape[d:d + 2] = len(xis[d]), len(xs[d])
+        cand = np.multiply.outer(xis[d], xs[d]).reshape(shape) \
+            + np.expand_dims(g, d)
+        picks.append(np.argmax(cand, axis=d + 1))
+        g = cand.max(axis=d + 1)
     mask = dual_domain.active_mask()
-    xi = dual_domain.positions(mask)
-    star = np.empty(len(xi))
-    arg = np.empty(len(xi), dtype=int)
-    step = max(1, min(len(xi), chunk))
-    for s in range(0, len(xi), step):
-        block = xi[s:s + step] @ pts.T - vals[None, :]
-        arg[s:s + step] = np.argmax(block, axis=1)
-        star[s:s + step] = block[np.arange(len(block)), arg[s:s + step]]
     dual_vals = np.full(dual_domain.shape, np.nan)
-    dual_vals[mask] = star
+    dual_vals[mask] = g[mask]
+    at = np.nonzero(mask)
+    arg = np.empty((len(at[0]), dom.n))
+    for d in reversed(range(dom.n)):
+        i = picks[d][at]
+        arg[:, d] = xs[d][i]
+        at = at[:d] + (i,) + at[d + 1:]
     return LegendreTransform(dual=GridFunction(dual_domain, dual_vals, t=u.t),
-                             argmax=pts[arg])
+                             argmax=arg)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sections, inscribed ellipsoids, balancedness, conjugates, flat sets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import nnls
@@ -438,6 +440,92 @@ def test_legendre_warns_when_dual_grid_truncates():
     tight = build_domain({"kind": "box", "lower": [-0.5], "upper": [0.5]}, 0.05)
     with pytest.warns(UserWarning, match="smaller than the sampled gradient"):
         legendre(u, dual_domain=tight)
+
+
+def _dense_conjugate(u, xi):
+    """Reference: ``max (xi . x - u(x))`` over every active primal node."""
+    dom = u.domain
+    pts = dom.positions(dom.active_mask())
+    vals = u.values[dom.active_mask()]
+    return np.concatenate([np.max(block @ pts.T - vals, axis=1)
+                           for block in np.array_split(xi, -(-len(xi) // 256))])
+
+
+@pytest.mark.filterwarnings("ignore:dual grid range is smaller")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_legendre_matches_the_dense_search(n):
+    h = {1: 0.05, 2: 0.1, 3: 0.25}[n]
+    rng = np.random.default_rng(40 + n)
+    a = rng.normal(size=(n, n))
+    m = a @ a.T + 0.3 * np.eye(n)
+    kinks = rng.normal(size=(2, n))
+    gamma = rng.uniform(-0.3, 0.3, 2)
+    slope = np.array([0.0, 0.5, -0.25])[:n]
+    data = {
+        "convex": lambda x, t: 0.5 * np.einsum("ki,ij,kj->k", x, m, x)
+        + 0.4 * np.sum(np.abs(x @ kinks.T - gamma), axis=1),
+        "affine": lambda x, t: 0.3 + x @ slope,
+        "nonconvex": lambda x, t: np.sin(3.0 * x[:, 0])
+        * np.cos(2.0 * np.sum(x, axis=1)),
+    }
+    primal = [box_domain(1.0, h, n),
+              build_domain({"kind": "ball", "center": [0.1] * n,
+                            "radius": 1.0}, h)]
+    duals = [None, box_domain(1.5, 2 * h, n),
+             build_domain({"kind": "ball", "center": [-0.2] * n,
+                           "radius": 1.6}, 2 * h)]
+    for dom in primal:
+        for f in data.values():
+            u = sample(dom, f)
+            scale = 1e-12 * max(1.0, float(np.nanmax(np.abs(u.values))))
+            for dual in duals:
+                lt = legendre(u, dual_domain=dual)
+                dd = lt.domain
+                mask = dd.active_mask()
+                xi = dd.positions(mask)
+                star = lt.dual.values[mask]
+                assert np.all(np.isnan(lt.dual.values[~mask]))
+                # every dual node up to 2-D, every 17th in 3-D (the default
+                # dual there has about 50k nodes)
+                ref = slice(None, None, 1 if n < 3 else 17)
+                assert np.max(np.abs(
+                    star[ref] - _dense_conjugate(u, xi[ref]))) <= scale
+                # each maximiser is an active primal node, given exactly,
+                # and attains the returned value
+                idx = np.rint((lt.argmax - dom.origin) / dom.h_grid).astype(int)
+                ax = dom.axes()
+                for d in range(n):
+                    assert np.array_equal(ax[d][idx[:, d]], lt.argmax[:, d])
+                node = tuple(idx.T)
+                assert np.all(dom.active_mask()[node])
+                attained = np.sum(xi * lt.argmax, axis=1) - u.values[node]
+                assert np.max(np.abs(attained - star)) <= scale
+
+
+def test_legendre_memory_stays_within_a_few_candidate_arrays():
+    # box [-1, 1]^2 at h = 0.02 and its default dual; the dense search over
+    # every (dual, primal) pair peaked at 87 MB of temporaries here
+    dom = box_domain(1.0, 0.02)
+    u = sample(dom, lambda x, t: 0.5 * x[:, 0] ** 2 + 0.3 * x[:, 1] ** 2
+               + 0.2 * np.abs(x[:, 0] - 0.3 * x[:, 1] - 0.1))
+    tracemalloc.start()
+    try:
+        legendre(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_legendre_rejects_a_non_finite_sample_and_names_its_node(bad):
+    dom = box_domain(1.0, 0.1)
+    u = sample(dom, paraboloid)
+    node = dom.index_of([0.3, -0.2])
+    u.values[node] = bad
+    with pytest.raises(ValueError, match=r"non-finite sample .* at active "
+                       r"node \(0\.(3|29{5})\d*, -0\.(2|19{5})\d*\)"):
+        legendre(u)
 
 
 # ---------------------------------------------------------------------------
