@@ -134,9 +134,6 @@ class AngleCertificate:
     q_right: float
     q_left: float
     base_value: float
-    t: float
-    base_point: np.ndarray | None = None
-    direction: np.ndarray | None = None
 
 
 def _check_line_samples(offsets, values):
@@ -159,8 +156,7 @@ def _check_line_samples(offsets, values):
 
 
 def angle_opening(offsets, values, height: float,
-                  base_value: float | None = None,
-                  t: float = 0.0) -> AngleCertificate:
+                  base_value: float | None = None) -> AngleCertificate:
     """Widest two-slope angle fitting under the samples, dropped by ``height``.
 
     ``q_right`` is the infimum of difference quotients on the right branch,
@@ -178,8 +174,7 @@ def angle_opening(offsets, values, height: float,
     q_left = float(np.max(lifted[:i0] / s[:i0]))
     alpha = max(0.0, q_right - q_left)
     return AngleCertificate(height=float(height), alpha=alpha,
-                            q_right=q_right, q_left=q_left, base_value=v0,
-                            t=t)
+                            q_right=q_right, q_left=q_left, base_value=v0)
 
 
 def angle_contains(offsets, values, height: float, alpha: float,
@@ -300,8 +295,8 @@ def holder_time_fit(snapshots, point) -> ExponentFit:
     incs = np.array([float(s.values[idx]) - v0 for s in snapshots[1:]])
     if np.any(incs <= 1e-12):
         raise ValueError(
-            f"no motion at node {tuple(dom.node_position(idx))}: increment "
-            f"{incs.min():.3g}")
+            f"no motion at node {tuple(map(float, dom.node_position(idx)))}: "
+            f"increment {incs.min():.3g}")
     return fit_exponent(times, incs, min_points=5, min_decades=1.5)
 
 
@@ -331,20 +326,19 @@ class SeparationReport:
                                    self.status)))
 
 
-def separation_probe(snapshots, region=None, eps: float | None = None,
+def separation_probe(snapshots, eps: float | None = None,
                      lam_upper: float = 1.0) -> SeparationReport:
     """Per-node crossing times of ``u(x, t) > u(x, 0) + eps``.
 
-    ``region`` is a boolean lattice mask (default: the interior).  Nodes are
-    flagged ``instant`` when they cross by the first positive snapshot,
-    ``delayed`` when later, ``persistent`` when never.
+    Every interior node is probed: ``instant`` when it crosses by the first
+    positive snapshot, ``delayed`` when later, ``persistent`` when never.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least 2 snapshots to detect separation")
     dom = snapshots[0].domain
     if eps is None:
         eps = 10.0 * dom.h_grid ** 2 * lam_upper
-    mask = dom.interior_mask() if region is None else np.asarray(region, bool)
+    mask = dom.interior_mask()
     idx = np.argwhere(mask)
     base = snapshots[0].values[mask]
     first = np.full(len(idx), np.nan)
@@ -387,10 +381,9 @@ class DichotomyReport:
                 f"(max motion {self.max_motion:.3g}, eps {self.eps_flat:.3g})")
 
 
-def flat_dichotomy_probe(snapshots, slope=None, offset: float = 0.0,
-                         tol: float | None = None,
-                         eps_flat: float | None = None) -> DichotomyReport:
-    """Test the persist-or-attach dichotomy for one supporting plane.
+def flat_dichotomy_probe(snapshots, eps_flat: float | None = None
+                         ) -> DichotomyReport:
+    """Test the persist-or-attach dichotomy for the supporting plane l = 0.
 
     The contact set is extracted at the final snapshot; motion is measured
     against the first snapshot.  An extremal point is attached when it lies
@@ -404,7 +397,7 @@ def flat_dichotomy_probe(snapshots, slope=None, offset: float = 0.0,
     dom = last.domain
     if eps_flat is None:
         eps_flat = 10.0 * dom.h_grid ** 2
-    fs = flat_set(last, slope=slope, offset=offset, tol=tol)
+    fs = flat_set(last)
     if len(fs) == 0 or not fs.contains_segment:
         return DichotomyReport(classification="vacuous", flat=fs,
                                max_motion=0.0, eps_flat=float(eps_flat),
@@ -447,8 +440,7 @@ class InterfaceReport:
 
 
 def interface_exponent(u: GridFunction, flat: FlatSet,
-                       r_max: float | None = None, bin_factor: float = 1.3,
-                       min_count: int = 3) -> InterfaceReport:
+                       r_max: float | None = None) -> InterfaceReport:
     """Fit ``u - l ~ c * dist(x, D)^{1+gamma}`` outside the contact set.
 
     Distances are to the nearest contact-set node, minus ``h/3``: the true
@@ -457,11 +449,12 @@ def interface_exponent(u: GridFunction, flat: FlatSet,
     generically), and without the offset the fit inherits an upward bias of
     several percent from the smallest bins.  Bins grow geometrically (factor
     1.3) from ``3 h`` so the first under-resolved cells are skipped, and each
-    bin contributes the geometric means of its distances and of its values
-    (pairing the mean value with the bin's log-midpoint instead would skew
-    the fit wherever the in-bin distance distribution is lopsided).  Raises
-    ``ValueError("under-resolved interface")`` when fewer than 5 populated
-    bins (or less than one decade of distance) survive.
+    bin with at least 3 nodes contributes the geometric means of its
+    distances and of its values (pairing the mean value with the bin's
+    log-midpoint instead would skew the fit wherever the in-bin distance
+    distribution is lopsided).  Raises ``ValueError("under-resolved
+    interface")`` when fewer than 5 populated bins (or less than one decade
+    of distance) survive.
     """
     dom = u.domain
     if len(flat) == 0:
@@ -481,16 +474,16 @@ def interface_exponent(u: GridFunction, flat: FlatSet,
     dist = dist - dom.h_grid / 3.0
     lo = 3.0 * dom.h_grid
     hi = float(dist.max()) if r_max is None else float(r_max)
-    if hi <= lo * bin_factor:
+    if hi <= lo * 1.3:
         raise ValueError("under-resolved interface: distance range too small")
     edges = [lo]
     while edges[-1] < hi:
-        edges.append(edges[-1] * bin_factor)
+        edges.append(edges[-1] * 1.3)
     edges = np.array(edges)
     centers, vals, counts = [], [], []
     for a, b in zip(edges[:-1], edges[1:]):
         sel = (dist >= a) & (dist < b)
-        if np.sum(sel) < min_count:
+        if np.sum(sel) < 3:
             continue
         centers.append(float(np.exp(np.mean(np.log(dist[sel])))))
         vals.append(float(np.exp(np.mean(np.log(excess[sel])))))
@@ -514,7 +507,7 @@ def interface_exponent(u: GridFunction, flat: FlatSet,
 # ---------------------------------------------------------------------------
 
 def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
-                       width: int = 2, dual_domain: Domain | None = None,
+                       dual_domain: Domain | None = None,
                        dual_h: float | None = None
                        ) -> tuple[float, GridFunction, LegendreTransform]:
     """Residual of the conjugated flow ``u*_t = -(det D^2 u*)^{-p}``.
@@ -525,11 +518,11 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
     conjugates with the monotone determinant of their average.
 
     The default dual box is the intersection of the two attained-slope
-    ranges trimmed by ``width`` dual cells per side: a dual node whose slope
-    is never attained strictly inside the primal interior picks its argmax
-    on the boundary band, the conjugate flattens there, and the wide-stencil
-    determinant within reach of such nodes is garbage.  Trimming keeps every
-    active dual node honest.
+    ranges trimmed by 2 dual cells per side, the width of the determinant's
+    stencil: a dual node whose slope is never attained strictly inside the
+    primal interior picks its argmax on the boundary band, the conjugate
+    flattens there, and the wide-stencil determinant within reach of such
+    nodes is garbage.  Trimming keeps every active dual node honest.
     """
     if u2.t <= u1.t:
         raise ValueError("need two increasing time levels")
@@ -540,14 +533,14 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
         ghi = np.minimum(ghi1, ghi2)
         extent = float(np.max(ghi - glo))
         step = float(dual_h) if dual_h is not None else extent / 32.0
-        lo = glo + width * step
-        hi = ghi - width * step
+        lo = glo + 2.0 * step
+        hi = ghi - 2.0 * step
         if np.any(hi - lo <= 2.0 * step):
             raise ValueError("dual grid degenerate after trimming the "
                              "unattained slope margin")
         dual_domain = build_domain(
             {"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
-            step, stencil_radius=width)
+            step, stencil_radius=2)
     with warnings.catch_warnings():
         # the trimmed dual box is narrower than the attained-slope range on
         # purpose; the coverage warning does not apply here
@@ -557,7 +550,7 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
     dstar = (lt2.dual.values - lt1.dual.values) / (u2.t - u1.t)
     mid = lt1.dual.copy(values=0.5 * (lt1.dual.values + lt2.dual.values),
                         t=0.5 * (u1.t + u2.t))
-    det = ma_field(mid, OperatorConfig(p=1.0, width=width)).values
+    det = ma_field(mid, OperatorConfig(p=1.0)).values
     inner = lt1.domain.interior_mask()
     res = np.full(lt1.domain.shape, np.nan)
     ok = inner & (det > 0)

@@ -10,8 +10,8 @@ Recognized keys:
 
 * ``domain.kind`` — ``ball`` | ``box`` (default ``ball``), with
   ``domain.center``/``domain.radius`` or ``domain.lower``/``domain.upper``.
-* ``grid.h`` — lattice spacing (required); ``grid.stencil_radius`` defaults
-  to the operator width.
+* ``grid.h`` — lattice spacing (required); the stencil radius of the
+  lattice is the operator width.
 * ``op.p`` — exponent (required); ``op.width`` 1|2|3 (default 2);
   ``op.variant`` ``plain`` | ``reduced`` (default ``plain``);
   ``op.n_full`` for the reduced variant only; ``op.b_expression`` in
@@ -23,8 +23,7 @@ Recognized keys:
   ...).
 * ``run.t_end``; ``run.snapshots`` (count or explicit time list);
   ``run.boundary`` ``exact`` | ``frozen`` (default: exact for data kinds
-  that are closed-form solutions, frozen otherwise); ``run.kappa``;
-  ``run.dt_max``.
+  that are closed-form solutions, frozen otherwise).
 
 Unknown keys are configuration errors: a typo that silently changed nothing
 would be worse than a refusal to run.
@@ -36,7 +35,7 @@ import ast
 
 import numpy as np
 
-from .evolution import KAPPA_CFL, EvolutionState
+from .evolution import EvolutionState
 from .exact import (build_profile, cone_data, crease_data, flat_disk_data,
                     planted_power_data, quadratic_solution)
 from .grid import CoefficientField, Domain, build_domain, sample
@@ -49,6 +48,7 @@ __all__ = [
     "make_domain",
     "make_initial",
     "make_operator",
+    "make_profile",
     "make_state",
     "parse_config",
     "read_config",
@@ -62,13 +62,13 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "domain": {"kind", "center", "radius", "lower", "upper"},
-    "grid": {"h", "stencil_radius"},
+    "grid": {"h"},
     "op": {"p", "width", "variant", "n_full", "b_expression", "lambda",
            "Lambda"},
     "data": {"kind", "matrix", "b0", "linear", "slope", "center", "axis",
              "quad_coeff", "radius", "gamma", "coeff", "direction", "n", "p",
              "T", "reduced", "rk_step", "n_tab", "expression"},
-    "run": {"t_end", "snapshots", "boundary", "kappa", "dt_max"},
+    "run": {"t_end", "snapshots", "boundary"},
 }
 
 # data kinds whose evaluator solves the flow in closed form, so the exact
@@ -194,10 +194,9 @@ def make_domain(cfg: dict) -> Domain:
     else:
         raise ConfigError(f"domain.kind must be 'ball' or 'box', got {kind!r}")
     h = float(_get(cfg, "grid.h", required=True))
-    radius = int(_get(cfg, "grid.stencil_radius",
-                      _get(cfg, "op.width", 2)))
     try:
-        return build_domain(desc, h_grid=h, stencil_radius=radius)
+        return build_domain(desc, h_grid=h,
+                            stencil_radius=int(_get(cfg, "op.width", 2)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -215,6 +214,14 @@ def make_operator(cfg: dict) -> OperatorConfig:
             n_full=(int(cfg["op.n_full"]) if "op.n_full" in cfg else None))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def make_profile(cfg: dict):
+    """The self-similar profile named by the ``data.*`` keys."""
+    return build_profile(n=int(_get(cfg, "data.n", required=True)),
+                         p=float(_get(cfg, "data.p", required=True)),
+                         rk_step=float(_get(cfg, "data.rk_step", 4e-4)),
+                         n_tab=int(_get(cfg, "data.n_tab", 2501)))
 
 
 def make_initial(cfg: dict):
@@ -244,12 +251,7 @@ def make_initial(cfg: dict):
                 coeff=float(_get(cfg, "data.coeff", 1.0)),
                 direction=_get(cfg, "data.direction"))
         if kind == "selfsimilar":
-            profile = build_profile(
-                n=int(_get(cfg, "data.n", required=True)),
-                p=float(_get(cfg, "data.p", required=True)),
-                rk_step=float(_get(cfg, "data.rk_step", 4e-4)),
-                n_tab=int(_get(cfg, "data.n_tab", 2501)))
-            return profile.as_initial_data(
+            return make_profile(cfg).as_initial_data(
                 T=float(_get(cfg, "data.T", 1.0)),
                 reduced=bool(_get(cfg, "data.reduced", False)))
         if kind == "expression":
@@ -281,12 +283,7 @@ def make_state(cfg: dict) -> EvolutionState:
     else:
         raise ConfigError(
             f"run.boundary must be 'exact' or 'frozen', got {mode!r}")
-    kwargs = {}
-    if "run.dt_max" in cfg:
-        kwargs["dt_max"] = float(cfg["run.dt_max"])
-    return EvolutionState(u=u, cfg=op, boundary=boundary,
-                          kappa=float(_get(cfg, "run.kappa", KAPPA_CFL)),
-                          **kwargs)
+    return EvolutionState(u=u, cfg=op, boundary=boundary)
 
 
 def run_settings(cfg: dict) -> dict:

@@ -26,18 +26,17 @@ every frame's b P_F^p is convex in t, so twice the largest |d(b P_F^p)/dt|
 at t = 0 over all frames bounds every chord (the all-frame slope); in
 3-D ``monge_ampere`` lowers it to the exact chord bound where that sets
 the maximum.  (For p < 1 the slope is floored at the curvature scale
-h^2 and is not such a bound where 0 < D < h^2.)  dt is capped by
-``dt_max`` and truncated to land exactly on requested snapshot times (the
-landing assigns t = t_snap, so a restarted run reproduces the original
-step sequence bit for bit).
+h^2 and is not such a bound where 0 < D < h^2.)  dt is truncated to land
+exactly on requested snapshot times (the landing assigns t = t_snap, so a
+restarted run reproduces the original step sequence bit for bit).
 
 Monotone steps propagate ordering.  For u <= v stepped with one shared dt,
 raise u's centre to v(x) first (allowed by u's own chord condition) and
 then its neighbours (F is nondecreasing in them): H[u](x) <= H[v](x).  The
-shared dt is at most every member's own step, so it covers the lower
-member of a pair, which is what :func:`evolve_pair` provides.  Since
-F >= 0, interior values never decrease along the flow; that invariant is
-checked at every snapshot.
+shared dt is the stable step of the whole stack, at most every member's
+own step, so it covers the lower member of a pair, which is what
+:func:`evolve_pair` provides.  Since F >= 0, interior values never
+decrease along the flow; that invariant is checked at every snapshot.
 
 One shared-dt loop serves both: :func:`evolve` runs it on one state and
 :func:`evolve_pair` on two.  Each step evaluates the operator once, on
@@ -71,8 +70,6 @@ class EvolutionState:
     u: GridFunction
     cfg: OperatorConfig
     boundary: Callable | None = None
-    dt_max: float = math.inf
-    kappa: float = KAPPA_CFL
     steps: int = 0
 
     @property
@@ -89,11 +86,12 @@ class EvolutionResult:
 
 
 def stable_dt(state: EvolutionState, fld=None) -> float:
-    """kappa h^2 / max slope, the largest monotonicity-preserving step.
+    """KAPPA_CFL h^2 / max slope, the largest monotonicity-preserving step.
 
     ``fld`` may be the operator field of a stack: the maximum then runs
     over every member, which gives the step that a shared-dt loop takes.
-    A non-finite slope raises a ValueError naming its node.
+    With no moving node (max slope 0) the step is ``math.inf``.  A
+    non-finite slope raises a ValueError naming its node.
     """
     if fld is None or fld.interior_slope is None:
         fld = ma_field(state.u, state.cfg, with_slope=True)
@@ -101,15 +99,15 @@ def stable_dt(state: EvolutionState, fld=None) -> float:
     sig = float(slope.max()) if slope.size else 0.0
     if not math.isfinite(sig):
         k = np.flatnonzero(~np.isfinite(slope))[0] % slope.shape[-1]
-        where = fld.domain.interior_positions[k]
-        raise ValueError(f"non-finite slope bound at node {tuple(where)}")
+        where = tuple(map(float, fld.domain.interior_positions[k]))
+        raise ValueError(f"non-finite slope bound at node {where}")
     if sig <= 0.0:
-        return state.dt_max
-    dt = state.kappa * state.u.domain.h_grid ** 2 / sig
+        return math.inf
+    dt = KAPPA_CFL * state.u.domain.h_grid ** 2 / sig
     if not math.isfinite(dt) or dt < DT_FLOOR:
         raise ValueError(f"stiff state: stable step {dt:.3e} underflows "
                          f"(slope bound {sig:.3e})")
-    return min(dt, state.dt_max)
+    return dt
 
 
 def _prepare_band(state: EvolutionState):
@@ -139,8 +137,8 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     """Step N states on one lattice, under one config, with one shared dt.
 
     A step is one operator pass over the stack of all N members; dt is the
-    smallest :func:`stable_dt` of the states over the slope maximum of the
-    whole stack, so every member's update stays monotone.  Each state
+    stack's one stable step, :func:`stable_dt` over the slope maximum of
+    every member, so every member's update stays monotone.  Each state
     re-binds to a private copy of its values (a view into the stack).
     Yields on landing at each stop.
     """
@@ -157,7 +155,7 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     for stop in stops:
         while stack.t < stop:
             fld = ma_field(stack, states[0].cfg, with_slope=True)
-            dt = min(stable_dt(s, fld) for s in states)
+            dt = stable_dt(states[0], fld)
             rem = stop - stack.t
             if dt >= rem * (1.0 - 1e-12):
                 dt, t_new = rem, stop
@@ -167,8 +165,8 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
             finite = np.isfinite(rate)
             if not finite.all():
                 where = dom.interior_positions[np.argwhere(~finite)[0][-1]]
-                raise ValueError(
-                    f"non-finite operator value at node {tuple(where)}")
+                raise ValueError(f"non-finite operator value at node "
+                                 f"{tuple(map(float, where))}")
             rate *= dt
             flat[inner] += rate.reshape(-1)
             for s, (pts, band) in zip(states, bands):
@@ -214,10 +212,10 @@ def evolve_pair(state_a: EvolutionState, state_b: EvolutionState,
                 t_end: float) -> tuple[GridFunction, GridFunction]:
     """Advance two states to t_end with a shared step size.
 
-    The shared dt is the smaller of the two stable steps, so both updates
-    stay monotone and discrete comparison applies to the pair.  Both states
-    must share one lattice and one operator config: each step evaluates
-    the pair in one operator pass.
+    The shared dt is the pair's one stable step, over the slope maximum of
+    both members, so both updates stay monotone and discrete comparison
+    applies to the pair.  Both states must share one lattice and one
+    operator config: each step evaluates the pair in one operator pass.
     """
     if not _same_lattice(state_a.u.domain, state_b.u.domain) or \
             abs(state_a.u.t - state_b.u.t) > 1e-15:
@@ -256,9 +254,9 @@ def comparison_check(lower: GridFunction, upper: GridFunction,
     diff = lower.values[mask] - upper.values[mask]
     k = int(np.argmax(diff))
     worst = float(diff[k])
-    where = tuple(lower.domain.positions(mask)[k]) if worst > tol else None
+    where = tuple(map(float, lower.domain.positions(mask)[k]))
     return ComparisonReport(ordered=bool(worst <= tol), max_violation=worst,
-                            where=where, tol=tol)
+                            where=where if worst > tol else None, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +306,8 @@ def rescale(u: GridFunction, mapping: ScalingMap,
     bad = ~np.isfinite(vals)
     if bad.any():
         raise ValueError(
-            f"rescaling map leaves the source domain at node {tuple(pts[bad][0])}")
+            f"rescaling map leaves the source domain at node "
+            f"{tuple(map(float, pts[bad][0]))}")
     out = np.full(target.shape, np.nan)
     out[mask] = vals
     return GridFunction(target, out, t=u.t / mapping.m(n))

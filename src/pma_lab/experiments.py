@@ -17,7 +17,9 @@ deterministically (sorted keys, 17-digit floats, no wall times), so repeated
 runs of the same entry produce bit-identical files.
 
 A probe reads only its :class:`RunContext`; ``pma-lab analyze`` runs the
-probes that need nothing but the frames on snapshot files read back.
+probes that need nothing but the frames on snapshot files read back.  Any
+other probe setting is the entry's ``config`` or a constant: ``params``
+takes only the five keys of ``_PARAM_KEYS``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .analysis import (angle_contains, angle_opening, c1alpha_exponent,
                        c1alpha_from_line, dual_flow_residual,
                        flat_dichotomy_probe, holder_time_fit,
                        interface_exponent, separation_probe, write_plot_script)
-from .config import format_config, make_initial, make_state, run_settings
+from .config import (format_config, make_domain, make_initial, make_profile,
+                     make_state, run_settings)
 from .evolution import (EvolutionState, ScalingMap, comparison_check, evolve,
                         evolve_pair, rescale)
 from .exact import (build_profile, coefficient_closed_form, profile_residual,
@@ -69,6 +72,8 @@ class ExperimentError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _KINDS = {"le", "ge", "abs"}
+# the keys of ``pma-lab analyze``'s flags, and the separation probe's region
+_PARAM_KEYS = ("point", "direction", "eps", "r_max", "region_radius")
 _BASES = {"quoted", "derived", "direct"}
 
 
@@ -127,6 +132,9 @@ class ExperimentSpec:
         for probe in self.probes:
             if probe not in _PROBES:
                 raise ValueError(f"unknown probe {probe!r} in {self.name!r}")
+        for key in self.params:
+            if key not in _PARAM_KEYS:
+                raise ValueError(f"unknown params key {key!r} in {self.name!r}")
         for out in self.outcomes:
             if not isinstance(out, Outcome):
                 raise ValueError("outcomes must be Outcome instances")
@@ -192,6 +200,8 @@ class RunContext:
                    np.random.default_rng(seed), *dirs)
 
     def param(self, key, default=None):
+        if key not in _PARAM_KEYS:
+            raise ValueError(f"unknown params key {key!r}")
         return self.params.get(key, default)
 
     def snapshots(self):
@@ -245,8 +255,7 @@ def _probe_comparison_barriers(ctx: RunContext) -> dict:
     state = ctx.state
     dom = state.u.domain
     p = float(ctx.cfg["op.p"])
-    margin = float(ctx.param("margin", 0.1))
-    t_end = float(ctx.param("t_end", 0.02))
+    margin, t_end = 0.1, 0.02
     rows, worsts = [], {}
     for label, barrier in (("sub", subsolution_barrier(dom.n, p)),
                            ("super", supersolution_barrier(dom.n, p))):
@@ -273,8 +282,7 @@ def _probe_comparison_random(ctx: RunContext) -> dict:
     state = ctx.state
     dom = state.u.domain
     p = float(ctx.cfg["op.p"])
-    pairs = int(ctx.param("pairs", 10))
-    t_end = float(ctx.param("t_end", 0.02))
+    pairs, t_end = 10, 0.02
     pos = dom.positions(dom.active_mask())
     rows = []
     worst_all = -inf
@@ -323,7 +331,7 @@ def _probe_scaling(ctx: RunContext) -> dict:
     state = ctx.state
     dom = state.u.domain
     p = float(ctx.cfg["op.p"])
-    draws = int(ctx.param("draws", 10))
+    draws = 10
     r_src = float(ctx.cfg["domain.radius"])
     rows = []
     ratio_max = 0.0
@@ -445,15 +453,13 @@ def _probe_interface(ctx: RunContext) -> dict:
 
 @_probe("profile")
 def _probe_profile(ctx: RunContext) -> dict:
-    """Self-similar profile checks: exponents, energy, equation residual."""
-    n = int(ctx.param("n", 4))
-    p = float(ctx.param("p", 1.0))
-    coarse = build_profile(n, p, rk_step=float(ctx.param("rk_step", 4e-4)),
-                           n_tab=int(ctx.param("n_tab", 2501)))
-    fine = build_profile(n, p,
-                         rk_step=float(ctx.param("rk_step", 4e-4)) / 2.0,
-                         n_tab=2 * int(ctx.param("n_tab", 2501)) - 1)
-    C_exact = coefficient_closed_form(n, p)
+    """Self-similar profile checks: exponents, energy, equation residual.
+    The fine profile takes half the step and 2 n_tab - 1 table nodes."""
+    coarse = make_profile(ctx.cfg)
+    fine = build_profile(coarse.n, coarse.p,
+                         rk_step=coarse.table.rk_step / 2.0,
+                         n_tab=2 * len(coarse.table.xi) - 1)
+    C_exact = coefficient_closed_form(coarse.n, coarse.p)
     res_c = profile_residual(coarse)
     res_f = profile_residual(fine)
     write_profile_curve(ctx, coarse)
@@ -480,21 +486,17 @@ def write_profile_curve(ctx: RunContext, profile) -> None:
 
 @_probe("dual_refinement")
 def _probe_dual_refinement(ctx: RunContext) -> dict:
-    """Conjugated-flow residual of an exact quadratic at two resolutions."""
-    M = np.asarray(ctx.param("matrix", [[1.2, 0.0], [0.0, 0.8]]), float)
+    """Conjugated-flow residual of the config's exact quadratic at two
+    resolutions: the config's lattice and the one with half its step."""
+    sol = make_initial(ctx.cfg)
     p = float(ctx.cfg["op.p"])
-    t0 = float(ctx.param("t0", 0.1))
-    t1 = float(ctx.param("t1", 0.11))
-    hs = [float(h) for h in ctx.param("h_pair", (0.05, 0.025))]
-    factor = float(ctx.param("dual_factor", 0.65))
-    sol = quadratic_solution(M, p=p)
+    h0 = float(ctx.cfg["grid.h"])
     rows, worsts = [], []
-    for h in hs:
-        dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
-                            "upper": [1.0, 1.0]}, h, stencil_radius=2)
-        u1 = sample(dom, sol.fn, t=t0)
-        u2 = sample(dom, sol.fn, t=t1)
-        dual_h = factor * sqrt(h)
+    for h in (h0, h0 / 2.0):
+        dom = make_domain(dict(ctx.cfg, **{"grid.h": h}))
+        u1 = sample(dom, sol.fn, t=0.1)
+        u2 = sample(dom, sol.fn, t=0.11)
+        dual_h = 0.65 * sqrt(h)
         worst, _fld, _lt = dual_flow_residual(u1, u2, p, dual_h=dual_h)
         worsts.append(worst)
         rows.append((h, dual_h, worst))
@@ -516,9 +518,7 @@ def _probe_angle_suite(ctx: RunContext) -> dict:
     covariance, and certificate containment.  The brute-force check compares
     ``angle_opening`` with an explicit max-min two-slope search.
     """
-    gammas = [float(g) for g in ctx.param("gammas", (0.25, 0.5, 0.75, 1.0))]
-    samples = int(ctx.param("samples", 100))
-    step = float(ctx.param("line_step", 2e-4))
+    gammas, samples, step = (0.25, 0.5, 0.75, 1.0), 100, 2e-4
     s = np.arange(-1.0, 1.0 + step / 2, step)
     hs = np.geomspace(0.005, 0.16, 6)
     rows, err_max = [], 0.0
@@ -583,7 +583,7 @@ def _brute_force_opening(offsets, values, height) -> float:
 def _probe_dichotomy(ctx: RunContext) -> dict:
     """Contact-set dichotomy on the final snapshot."""
     snaps = ctx.snapshots()
-    rep = flat_dichotomy_probe(snaps, eps_flat=ctx.param("eps_flat"))
+    rep = flat_dichotomy_probe(snaps)
     ctx.write_table("dichotomy",
                     "classification,max_motion,eps_flat,offenders",
                     [(rep.classification, float(rep.max_motion),
@@ -748,8 +748,7 @@ REGISTRY = {spec.name: spec for spec in [
         probes=("comparison_barriers",),
         outcomes=(
             Outcome("barrier_sub_violation", "le", 0.0, 1e-10, "quoted"),
-            Outcome("barrier_super_violation", "le", 0.0, 1e-10, "quoted")),
-        params={"margin": 0.1, "t_end": 0.02}),
+            Outcome("barrier_super_violation", "le", 0.0, 1e-10, "quoted"))),
     _entry(
         "comparison-random", "comparison", 5,
         config={"domain.kind": "ball", "domain.center": [0.0, 0.0],
@@ -757,8 +756,7 @@ REGISTRY = {spec.name: spec for spec in [
                 "data.kind": "quadratic",
                 "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
         probes=("comparison_random",),
-        outcomes=(Outcome("pair_worst_gap", "le", 0.0, 1e-10, "quoted"),),
-        params={"pairs": 10, "t_end": 0.02}),
+        outcomes=(Outcome("pair_worst_gap", "le", 0.0, 1e-10, "quoted"),)),
     _entry(
         "scaling-law", "scaling", 8,
         config={"domain.kind": "ball", "domain.center": [0.0, 0.0],
@@ -766,8 +764,7 @@ REGISTRY = {spec.name: spec for spec in [
                 "data.kind": "quadratic",
                 "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
         probes=("scaling",),
-        outcomes=(Outcome("scaling_ratio_max", "le", 10.0, 0.0, "derived"),),
-        params={"draws": 10}),
+        outcomes=(Outcome("scaling_ratio_max", "le", 10.0, 0.0, "derived"),)),
     _entry(
         "holder-time-n2p1", "time-regularity", 2,
         config={"domain.kind": "ball", "domain.center": [0.0, 0.0],
@@ -809,7 +806,7 @@ REGISTRY = {spec.name: spec for spec in [
         outcomes=(
             Outcome("center_crossed", "le", 0.0, 0.0, "quoted"),
             Outcome("region_max_value", "le", 0.0, _EPS_129, "quoted")),
-        params={"point": [0.0, 0.0], "region_radius": 0.1}),
+        params={"region_radius": 0.1}),
     _entry(
         "flat-side-clears-p04", "separation", 12,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
@@ -820,8 +817,7 @@ REGISTRY = {spec.name: spec for spec in [
         probes=("separation",),
         outcomes=(
             Outcome("min_final_value", "ge", _EPS_129, 0.0, "quoted"),
-            Outcome("center_crossed", "ge", 1.0, 0.0, "quoted")),
-        params={"point": [0.0, 0.0]}),
+            Outcome("center_crossed", "ge", 1.0, 0.0, "quoted"))),
     _entry(
         "edge-persist-n4p1", "separation", 4,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
@@ -834,8 +830,7 @@ REGISTRY = {spec.name: spec for spec in [
         probes=("separation",),
         outcomes=(
             Outcome("center_crossed", "le", 0.0, 0.0, "quoted"),
-            Outcome("center_rise", "le", 0.0, _EPS_RED, "quoted")),
-        params={"point": [0.0, 0.0]}),
+            Outcome("center_rise", "le", 0.0, _EPS_RED, "quoted"))),
     _entry(
         "edge-moves-n3p1", "separation", 15,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0, -1.0],
@@ -846,8 +841,7 @@ REGISTRY = {spec.name: spec for spec in [
         probes=("separation",),
         outcomes=(
             Outcome("center_crossed", "ge", 1.0, 0.0, "quoted"),
-            Outcome("center_first_time", "le", 0.021, 1e-12, "quoted")),
-        params={"point": [0.0, 0.0, 0.0]}),
+            Outcome("center_first_time", "le", 0.021, 1e-12, "quoted"))),
     _entry(
         "interface-exponent-p1", "interface-regularity", 3,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
@@ -870,8 +864,7 @@ REGISTRY = {spec.name: spec for spec in [
             Outcome("coeff_rel_err", "le", 0.0, 1e-8, "derived"),
             Outcome("energy_drift", "le", 0.0, 1e-6, "derived"),
             Outcome("residual_coarse", "le", 0.0, 5e-3, "derived"),
-            Outcome("residual_ratio", "le", 0.75, 0.0, "derived")),
-        params={"n": 4, "p": 1.0, "rk_step": 4e-4, "n_tab": 2501}),
+            Outcome("residual_ratio", "le", 0.75, 0.0, "derived"))),
     _entry(
         "legendre-duality", "duality", 13,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
@@ -881,9 +874,7 @@ REGISTRY = {spec.name: spec for spec in [
         probes=("dual_refinement",),
         outcomes=(
             Outcome("dual_residual", "le", 0.0, 5e-2, "quoted"),
-            Outcome("dual_ratio", "le", 1.0, 0.0, "derived")),
-        params={"matrix": [[1.2, 0.0], [0.0, 0.8]], "t0": 0.1, "t1": 0.11,
-                "h_pair": [0.05, 0.025], "dual_factor": 0.65}),
+            Outcome("dual_ratio", "le", 1.0, 0.0, "derived"))),
     _entry(
         "angle-c1alpha", "interface-regularity", 3,
         config={"domain.kind": "ball", "domain.center": [0.0, 0.0],
@@ -893,8 +884,7 @@ REGISTRY = {spec.name: spec for spec in [
         outcomes=(
             Outcome("planted_err_max", "le", 0.0, 0.05, "quoted"),
             Outcome("property_failures", "le", 0.0, 0.0, "derived"),
-            Outcome("brute_force_mismatches", "le", 0.0, 0.0, "direct")),
-        params={"gammas": [0.25, 0.5, 0.75, 1.0], "samples": 100}),
+            Outcome("brute_force_mismatches", "le", 0.0, 0.0, "direct"))),
     _entry(
         "flat-dichotomy", "interface-regularity", 14,
         config={"domain.kind": "box", "domain.lower": [-1.2, -1.2],

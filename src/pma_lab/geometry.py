@@ -12,7 +12,7 @@ section has curvature scale ``2 h / rbar^2``), so the update
 
     p <- p - kappa * (2 h / rbar^2) * (x* - x0)
 
-with a safety factor ``kappa`` contracts toward the centered slope.
+with the safety factor ``kappa = 0.5`` contracts toward the centered slope.
 
 ``john_ellipsoid`` computes the maximum-volume ellipsoid with a *given*
 center inscribed in the convex hull of a node set.  With hull facets
@@ -119,25 +119,26 @@ class Section:
 def _base_node(u: GridFunction, base_point) -> tuple[tuple[int, ...], np.ndarray]:
     dom = u.domain
     x0 = np.asarray(base_point, dtype=float).reshape(dom.n)
+    bad = f"base point {tuple(map(float, x0))} is not an active lattice node"
     try:
         idx = dom.index_of(x0)
     except ValueError:
-        raise ValueError(f"base point {tuple(x0)} is not an active lattice node")
+        raise ValueError(bad)
     snapped = dom.node_position(idx)
     if (dom.classes[idx] == 0
             or np.max(np.abs(snapped - x0)) > 0.5 * dom.h_grid):
-        raise ValueError(f"base point {tuple(x0)} is not an active lattice node")
+        raise ValueError(bad)
     return idx, snapped
 
 
 def section_at(u: GridFunction, base_point, height: float,
-               slope=None, tol_rel: float = 1e-9) -> Section:
+               slope=None) -> Section:
     """Member nodes of the sub-level set at a given height and slope.
 
-    Membership uses ``<=`` with a relative tolerance so nodes landing exactly
-    on the cutting plane are kept.  Raises if the section is empty (height
-    below what the grid can resolve) and flags, without raising, sections
-    that reach the boundary band.
+    Membership uses ``<=`` with the relative tolerance 1e-9 so nodes landing
+    exactly on the cutting plane are kept.  Raises if the section is empty
+    (height below what the grid can resolve) and flags, without raising,
+    sections that reach the boundary band.
     """
     if height <= 0:
         raise ValueError("section height must be positive")
@@ -149,14 +150,14 @@ def section_at(u: GridFunction, base_point, height: float,
     plane = u0 + height
     for d, g in enumerate(dom.grids()):
         plane = plane + p[d] * (g - x0[d])
-    tol = tol_rel * max(1.0, abs(u0) + abs(height))
+    tol = 1e-9 * max(1.0, abs(u0) + abs(height))
     with np.errstate(invalid="ignore"):
         member = dom.active_mask() & (u.values <= plane + tol)
     indices = np.argwhere(member)
     if len(indices) == 0:
         raise ValueError(
             f"empty section: height {height:g} is below the grid resolution "
-            f"at base point {tuple(x0)}")
+            f"at base point {tuple(map(float, x0))}")
     touches = bool(np.any(member & dom.band_mask()))
     return Section(domain=dom, base_point=x0, height=float(height), slope=p,
                    indices=indices, t=u.t, touches_boundary=touches)
@@ -183,7 +184,7 @@ def _node_gradient(u: GridFunction, idx: tuple[int, ...]) -> np.ndarray:
 
 
 def centered_section(u: GridFunction, base_point, height: float,
-                     kappa: float = 0.5, max_iter: int = 200) -> Section:
+                     max_iter: int = 200) -> Section:
     """Section whose center of mass lies within ``2 h_grid`` of the base node.
 
     The slope starts at the discrete gradient and is adjusted by the damped
@@ -209,7 +210,7 @@ def centered_section(u: GridFunction, base_point, height: float,
             return sec
         rbar2 = float(np.mean(np.sum((sec.positions - x0) ** 2, axis=1)))
         stiffness = 2.0 * height / max(rbar2, 1e-30)
-        p = p - kappa * stiffness * res
+        p = p - 0.5 * stiffness * res
     raise ValueError(
         f"centering failed: best center-of-mass residual {best:.3g} exceeds "
         f"{goal:.3g} after {max_iter} iterations")
@@ -388,7 +389,7 @@ class BalancednessCertificate:
 
     def __str__(self):
         return (f"balancedness d = {self.d:.6g} about "
-                f"{tuple(np.round(self.base_point, 12))}")
+                f"{tuple(map(float, np.round(self.base_point, 12)))}")
 
 
 def balancedness(node_set, base_point) -> BalancednessCertificate:
@@ -433,18 +434,17 @@ def _gradient_box(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def legendre(u: GridFunction, dual_domain: Domain | None = None,
-             dual_h: float | None = None,
-             stencil_radius: int = 2) -> LegendreTransform:
+             dual_h: float | None = None) -> LegendreTransform:
     """Convex conjugate ``u*(xi) = max over nodes x of (xi . x - u(x))``.
 
     The maximum runs over all active primal nodes, so boundary-band data
     participates (the conjugate of the sampled function on the closed
     domain); inactive nodes count as ``u = +inf``.  When no dual lattice is
-    supplied, a box covering the sampled gradient range is built; a supplied
-    lattice that fails to cover that range only triggers a warning, since
-    the conjugate is still well defined (it just reflects the primal
-    boundary).  A non-finite sample at an active node raises ``ValueError``
-    naming the node.
+    supplied, a box covering the sampled gradient range is built (stencil
+    radius 2); a supplied lattice that fails to cover that range only
+    triggers a warning, since the conjugate is still well defined (it just
+    reflects the primal boundary).  A non-finite sample at an active node
+    raises ``ValueError`` naming the node.
 
     The maximum is taken one lattice axis at a time (module docstring):
     starting from ``g = -u`` on the primal box, the pass over axis ``d``
@@ -472,7 +472,7 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
             dual_h = float(np.max(ghi - glo) / 32.0)
         dual_domain = build_domain(
             {"kind": "box", "lower": glo, "upper": ghi},
-            dual_h, stencil_radius=stencil_radius)
+            dual_h, stencil_radius=2)
     else:
         xi = dual_domain.positions()
         dlo, dhi = xi.min(axis=0), xi.max(axis=0)
@@ -602,9 +602,9 @@ def flat_set(u: GridFunction, slope=None, offset: float = 0.0,
         tol = 1e-9 * max(1.0, float(np.max(np.abs(u.values[mask]))))
     worst = float(diff.min())
     if worst < -tol:
-        at = pos[int(np.argmin(diff))]
+        at = tuple(map(float, pos[int(np.argmin(diff))]))
         raise ValueError(
-            f"not a tangent plane: u - l = {worst:.3g} < -tol at node {tuple(at)}")
+            f"not a tangent plane: u - l = {worst:.3g} < -tol at node {at}")
     member = np.zeros(dom.shape, dtype=bool)
     member[mask] = diff <= tol
     indices = np.argwhere(member)

@@ -292,8 +292,8 @@ class GridFunction:
         active = self.domain.active_mask()
         bad = ~np.isfinite(self.values[active])
         if bad.any():
-            where = self.domain.positions(active)[bad][0]
-            raise ValueError(f"non-finite value at node {tuple(where)}")
+            where = tuple(map(float, self.domain.positions(active)[bad][0]))
+            raise ValueError(f"non-finite value at node {where}")
 
     def copy(self, values: np.ndarray | None = None,
              t: float | None = None) -> "GridFunction":

@@ -527,7 +527,8 @@ def ma_value(u: GridFunction, point, cfg: OperatorConfig) -> float:
     dom = u.domain
     idx = dom.index_of(point)
     if dom.classes[idx] != INTERIOR:
-        raise ValueError(f"node {dom.node_position(idx)} is not interior")
+        raise ValueError(f"node {tuple(map(float, dom.node_position(idx)))} "
+                         f"is not interior")
     return float(ma_field(u, cfg).values[idx])
 
 

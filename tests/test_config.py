@@ -5,7 +5,6 @@ from pma_lab.config import (ConfigError, expression_field, format_config,
                             make_domain, make_initial, make_operator,
                             make_state, parse_config, read_config,
                             run_settings)
-from pma_lab.evolution import KAPPA_CFL
 
 BALL = {"domain.kind": "ball", "domain.center": [0.0, 0.0],
         "domain.radius": 1.0, "grid.h": 0.1}
@@ -39,6 +38,11 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config("domain.radiuss = 1.0")
     with pytest.raises(ConfigError, match="unknown key 'mesh.h'"):
         parse_config("mesh.h = 0.1")
+    # settings that no run varied: the stencil radius is op.width, the
+    # step is KAPPA_CFL h^2 / max slope
+    for key in ("run.kappa", "run.dt_max", "grid.stencil_radius"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"{key} = 1")
     with pytest.raises(ConfigError, match="duplicate key 'grid.h'"):
         parse_config("grid.h = 0.1\ngrid.h = 0.2")
     with pytest.raises(ConfigError, match="line 2: expected"):
@@ -153,7 +157,6 @@ def test_make_initial_expression():
 def test_make_state_boundary_defaults():
     state = make_state(QUAD)                       # closed form: exact
     assert state.boundary is not None
-    assert state.kappa == pytest.approx(KAPPA_CFL)
     cone_cfg = dict(BALL, **{"op.p": 1.0, "data.kind": "cone"})
     assert make_state(cone_cfg).boundary is None   # no closed form: frozen
     forced = make_state(dict(cone_cfg, **{"run.boundary": "exact"}))

@@ -51,14 +51,22 @@ def test_stable_dt_rejects_a_non_finite_slope_and_names_its_node():
     state = make_state(dom, sol, OperatorConfig(p=1.0))
     fld = ma_field(state.u, state.cfg, with_slope=True)
     k = len(fld.interior_slope) // 3
-    where = tuple(dom.interior_positions[k])
+    where = tuple(map(float, dom.interior_positions[k]))
     fld.interior_slope[k] = np.nan
     with pytest.raises(ValueError, match=re.escape(f"node {where}")):
         stable_dt(state, fld)
-    # every slope NaN: no step at all, rather than a jump to dt_max
+    # every slope NaN: no step at all, rather than an infinite step
     fld.interior_slope[:] = np.nan
     with pytest.raises(ValueError, match="non-finite slope bound"):
         stable_dt(state, fld)
+
+
+def test_stable_dt_is_infinite_when_no_node_moves():
+    # a constant sample has no curvature, so no node's value can change
+    dom = ball(r=1.0, h=0.1)
+    state = make_state(dom, lambda pts, t: np.ones(len(pts)),
+                       OperatorConfig(p=1.0))
+    assert stable_dt(state) == math.inf
 
 
 def test_snapshots_land_exactly():

@@ -1,12 +1,17 @@
 import math
 import os
 
+import numpy as np
 import pytest
 
+from pma_lab.analysis import dual_flow_residual
+from pma_lab.exact import quadratic_solution
 from pma_lab.experiments import (REGISTRY, ExperimentError, ExperimentSpec,
-                                 Outcome, claim_quote, claims_text,
-                                 list_experiments, run_experiment)
+                                 Outcome, RunContext, claim_quote,
+                                 claims_text, list_experiments,
+                                 run_experiment)
 from pma_lab.experiments import _PROBES
+from pma_lab.grid import build_domain, sample
 
 
 # ---------------------------------------------------------------------------
@@ -36,6 +41,19 @@ def test_spec_rejects_unknown_probe():
     with pytest.raises(ValueError, match="unknown probe"):
         ExperimentSpec(name="bad", topic="t", claim_id=1, claim="q",
                        config={}, probes=("warp_drive",), outcomes=())
+
+
+def test_spec_and_context_refuse_unknown_params_keys(tmp_path):
+    # a misspelt key would otherwise run over the whole interior
+    with pytest.raises(ValueError, match="unknown params key 'region_raduis'"):
+        ExperimentSpec(name="bad", topic="t", claim_id=1, claim="q",
+                       config={}, probes=("separation",),
+                       params={"region_raduis": 0.1})
+    ctx = RunContext.create(tmp_path, params={"region_radius": 0.1})
+    assert ctx.param("region_radius") == 0.1
+    assert ctx.param("point", [0.0, 0.0]) == [0.0, 0.0]
+    with pytest.raises(ValueError, match="unknown params key 'margin'"):
+        ctx.param("margin", 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +191,21 @@ def test_seed_feeds_probes_not_solver(tmp_path):
     rep_c = run_experiment(solver, tmp_path / "c", seed=1)
     rep_d = run_experiment(solver, tmp_path / "d", seed=2)
     assert _tree_bytes(rep_c.out_dir) == _tree_bytes(rep_d.out_dir)
+
+
+def test_dual_refinement_reads_its_quadratic_and_lattices_from_the_config(
+        tmp_path):
+    M = [[2.0, 0.0], [0.0, 0.5]]
+    cfg = dict(REGISTRY["legendre-duality"].config, **{"data.matrix": M})
+    got = _PROBES["dual_refinement"](RunContext.create(tmp_path, cfg=cfg))
+    sol = quadratic_solution(np.array(M), p=1.0)
+    want = []
+    for h in (0.05, 0.025):               # grid.h and grid.h / 2
+        dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
+                            "upper": [1.0, 1.0]}, h, stencil_radius=2)
+        worst, _field, _lt = dual_flow_residual(
+            sample(dom, sol.fn, t=0.1), sample(dom, sol.fn, t=0.11), 1.0,
+            dual_h=0.65 * math.sqrt(h))
+        want.append(worst)
+    assert got["dual_residual"] == want[0]
+    assert got["dual_residual_fine"] == want[1]

@@ -581,6 +581,21 @@ def test_flat_set_strictly_below_plane_is_empty():
     assert not fs.contains_segment
 
 
+def test_error_messages_print_positions_as_plain_floats():
+    u = sample(box_domain(1.0, 0.25), paraboloid)
+    with pytest.raises(ValueError, match="not an active lattice node") as exc:
+        section_at(u, [7.0, 0.0], 0.1)
+    assert "(7.0, 0.0)" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
+    with pytest.raises(ValueError, match="not a tangent plane") as exc:
+        flat_set(u, slope=[1.0, 0.0])
+    assert "(1.0, 0.0)" in str(exc.value)
+    assert "np.float64" not in str(exc.value)
+    cert = balancedness(u.domain.positions(u.domain.active_mask()),
+                        [0.0, 0.0])
+    assert str(cert).endswith("about (0.0, 0.0)")
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
