@@ -6,11 +6,10 @@ section/ellipsoid geometry, exact barrier and self-similar solutions, and
 probes for the regularity and flat-side phenomena the flow exhibits.
 """
 
-from .grid import (BAND, EXTERIOR, INTERIOR, CoefficientField, ConvexityReport,
-                   Domain, GridFunction, GridStack, build_domain,
-                   discrete_convexity_check, gradient_field, load_csv, sample,
-                   save_csv, second_difference)
-from .monge_ampere import (OperatorConfig, OperatorField, ma_field, ma_value,
+from .grid import (BAND, EXTERIOR, INTERIOR, CoefficientField, Domain,
+                   GridFunction, GridStack, build_domain, gradient_field,
+                   load_csv, sample, save_csv)
+from .monge_ampere import (OperatorConfig, OperatorField, ma_field,
                            orthogonal_frames, reduced_ma_field)
 from .exact import (ConjugateTable, ExactSolution, SelfSimilarProfile,
                     build_profile, coefficient_closed_form, cone_data,
@@ -27,11 +26,11 @@ from .geometry import (BalancednessCertificate, Ellipsoid, FlatSet,
                        unit_ball_volume)
 from .analysis import (AngleCertificate, C1AlphaReport, DichotomyReport,
                        ExponentFit, InterfaceReport, SeparationReport,
-                       angle_contains, angle_opening, beta_time,
-                       c1alpha_exponent, c1alpha_from_line, dual_flow_residual,
-                       fit_exponent, flat_dichotomy_probe, gamma_p,
-                       holder_time_fit, interface_exponent, line_restriction,
-                       separation_probe, write_plot_script)
+                       angle_opening, beta_time, c1alpha_exponent,
+                       c1alpha_from_line, dual_flow_residual, fit_exponent,
+                       flat_dichotomy_probe, gamma_p, holder_time_fit,
+                       interface_exponent, line_restriction, separation_probe,
+                       write_plot_script)
 from .config import (ConfigError, expression_field, format_config, make_domain,
                      make_initial, make_operator, make_state, parse_config,
                      read_config, run_settings)

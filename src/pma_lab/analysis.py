@@ -48,7 +48,6 @@ __all__ = [
     "ExponentFit",
     "InterfaceReport",
     "SeparationReport",
-    "angle_contains",
     "angle_opening",
     "beta_time",
     "c1alpha_exponent",
@@ -177,13 +176,6 @@ def angle_opening(offsets, values, height: float,
                             q_right=q_right, q_left=q_left, base_value=v0)
 
 
-def angle_contains(offsets, values, height: float, alpha: float,
-                   base_value: float | None = None) -> bool:
-    """Whether the pair ``(height, alpha)`` admits a fitting two-slope angle."""
-    cert = angle_opening(offsets, values, height, base_value=base_value)
-    return cert.alpha >= alpha
-
-
 def line_restriction(u: GridFunction, base_point, direction
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Samples of ``u`` along a lattice line through a node.
@@ -295,7 +287,7 @@ def holder_time_fit(snapshots, point) -> ExponentFit:
     incs = np.array([float(s.values[idx]) - v0 for s in snapshots[1:]])
     if np.any(incs <= 1e-12):
         raise ValueError(
-            f"no motion at node {tuple(map(float, dom.node_position(idx)))}: "
+            f"no motion at node {tuple(map(float, dom.coordinates(idx)))}: "
             f"increment {incs.min():.3g}")
     return fit_exponent(times, incs, min_points=5, min_decades=1.5)
 

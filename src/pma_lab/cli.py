@@ -11,10 +11,11 @@ Subcommands
   lines and write ``<out>/analyze/{probes,plots,summary.txt}``.
 * ``experiment run NAME... | --all`` and ``experiment list [FILTER]``.
 
-Global flags (shared by every subcommand): ``--config PATH``, ``--out DIR``,
-``--workers N`` (at least 1), ``--seed N``.  The seed feeds only randomized
-property probes, never the solver, so solver outputs are bit-identical
-across seeds and worker counts.
+Each subcommand takes only the flags it reads: ``--out DIR`` on every
+command that writes (all but ``experiment list``), ``--config PATH`` on
+``solve``, and ``--workers N`` (at least 1) and ``--seed N`` on ``experiment
+run``.  The seed feeds only randomized property probes, never the solver, so
+solver outputs are bit-identical across seeds and worker counts.
 
 Exit codes: 0 when everything passed, 1 when any expected outcome failed,
 2 for configuration or runtime errors.
@@ -42,15 +43,9 @@ __all__ = ["main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="flat key = value configuration file")
-    common.add_argument("--out", metavar="DIR", default="out",
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", metavar="DIR", default="out",
                         help="output directory (default: out)")
-    common.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="parallel experiment workers (default: 1)")
-    common.add_argument("--seed", type=int, default=0, metavar="N",
-                        help="seed for randomized property probes only")
 
     ap = argparse.ArgumentParser(
         prog="pma-lab",
@@ -58,17 +53,19 @@ def _build_parser() -> argparse.ArgumentParser:
                     "Monge-Ampere flow u_t = b (det D^2 u)^p")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("solve", parents=[common],
-                   help="run the configured flow and write snapshots")
+    solve = sub.add_parser("solve", parents=[writes],
+                           help="run the configured flow and write snapshots")
+    solve.add_argument("--config", metavar="PATH",
+                       help="flat key = value configuration file")
 
-    ss = sub.add_parser("selfsimilar", parents=[common],
+    ss = sub.add_parser("selfsimilar", parents=[writes],
                         help="build the separating self-similar profile")
     ss.add_argument("--n", type=int, default=4, help="ambient dimension")
     ss.add_argument("--p", type=float, default=1.0, help="power p")
     ss.add_argument("--rk-step", type=float, default=4e-4)
     ss.add_argument("--n-tab", type=int, default=2501)
 
-    geo = sub.add_parser("geometry", parents=[common],
+    geo = sub.add_parser("geometry", parents=[writes],
                          help="section, ellipsoid and balancedness report")
     geo.add_argument("snapshot", help="snapshot CSV")
     geo.add_argument("--height", type=float, required=True,
@@ -76,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--point", default=None,
                      help="base point, comma-separated (default: origin)")
 
-    an = sub.add_parser("analyze", parents=[common],
+    an = sub.add_parser("analyze", parents=[writes],
                         help="run one analysis probe over snapshot CSVs")
     an.add_argument("probe", choices=["separation", "holder-time",
                                       "interface", "dichotomy",
@@ -91,14 +88,17 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--p", type=float, default=1.0,
                     help="power p for the dual-residual probe")
 
-    ex = sub.add_parser("experiment", parents=[common],
-                        help="run or list registry experiments")
+    ex = sub.add_parser("experiment", help="run or list registry experiments")
     exsub = ex.add_subparsers(dest="action", required=True)
-    run = exsub.add_parser("run", parents=[common])
+    run = exsub.add_parser("run", parents=[writes])
     run.add_argument("names", nargs="*", help="experiment names")
     run.add_argument("--all", action="store_true",
                      help="run every registry entry")
-    lst = exsub.add_parser("list", parents=[common])
+    run.add_argument("--workers", type=int, default=1, metavar="N",
+                     help="parallel experiment workers (default: 1)")
+    run.add_argument("--seed", type=int, default=0, metavar="N",
+                     help="seed for randomized property probes only")
+    lst = exsub.add_parser("list")
     lst.add_argument("filter", nargs="?", default=None,
                      help="substring filter on name or topic")
     return ap
@@ -198,7 +198,7 @@ def _cmd_analyze(args) -> int:
               "eps": args.eps, "r_max": args.r_max}
     out_dir = os.path.join(args.out, "analyze")
     ctx = RunContext.create(
-        out_dir, cfg={"op.p": args.p}, frames=frames, seed=args.seed,
+        out_dir, cfg={"op.p": args.p}, frames=frames,
         params={k: v for k, v in params.items() if v is not None})
     return _report(out_dir, measured_lines(
         _PROBES[args.probe.replace("-", "_")](ctx)))
@@ -215,6 +215,8 @@ def _cmd_experiment(args) -> int:
             print(f"{spec.name:26s} [{spec.topic}] claim {spec.claim_id}: "
                   f"{spec.claim}")
         return 0
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     names = sorted(REGISTRY) if args.all else sorted(set(args.names))
     if not names:
         raise ConfigError("experiment run needs names or --all")
@@ -247,8 +249,6 @@ def _cmd_experiment(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError("--workers must be at least 1")
         if args.command == "solve":
             return _cmd_solve(args)
         if args.command == "selfsimilar":

@@ -31,10 +31,10 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from .analysis import (angle_contains, angle_opening, c1alpha_exponent,
-                       c1alpha_from_line, dual_flow_residual,
-                       flat_dichotomy_probe, holder_time_fit,
-                       interface_exponent, separation_probe, write_plot_script)
+from .analysis import (angle_opening, c1alpha_exponent, c1alpha_from_line,
+                       dual_flow_residual, flat_dichotomy_probe,
+                       holder_time_fit, interface_exponent, separation_probe,
+                       write_plot_script)
 from .config import (format_config, make_domain, make_initial, make_profile,
                      make_state, run_settings)
 from .evolution import (EvolutionState, ScalingMap, comparison_check, evolve,
@@ -553,8 +553,8 @@ def _probe_angle_suite(ctx: RunContext) -> dict:
         if abs(dil.alpha - c2.alpha / lam) > 1e-10 * max(1.0, c2.alpha / lam):
             failures += 1                                  # dilation
         grown = vals + float(ctx.rng.uniform(0.0, 1.0)) * grid ** 2
-        if not angle_contains(grid, grown, h1, c1.alpha - 1e-12,
-                              base_value=vals[i0]):
+        if angle_opening(grid, grown, h1,
+                         base_value=vals[i0]).alpha < c1.alpha - 1e-12:
             failures += 1                                  # anchored angle survives growth
         if abs(c2.alpha - _brute_force_opening(grid, vals, h2)) > 1e-12:
             mismatches += 1

@@ -105,11 +105,7 @@ class Section:
 
     @property
     def positions(self) -> np.ndarray:
-        ax = self.domain.axes()
-        out = np.empty((len(self.indices), self.domain.n))
-        for d in range(self.domain.n):
-            out[:, d] = ax[d][self.indices[:, d]]
-        return out
+        return self.domain.coordinates(self.indices)
 
     @property
     def center_of_mass(self) -> np.ndarray:
@@ -124,7 +120,7 @@ def _base_node(u: GridFunction, base_point) -> tuple[tuple[int, ...], np.ndarray
         idx = dom.index_of(x0)
     except ValueError:
         raise ValueError(bad)
-    snapped = dom.node_position(idx)
+    snapped = dom.coordinates(idx)
     if (dom.classes[idx] == 0
             or np.max(np.abs(snapped - x0)) > 0.5 * dom.h_grid):
         raise ValueError(bad)
@@ -461,7 +457,7 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
     if bad.any():
         at = tuple(np.argwhere(bad)[0])
         raise ValueError(f"non-finite sample {u.values[at]} at active node "
-                         f"{tuple(map(float, dom.node_position(at)))}")
+                         f"{tuple(map(float, dom.coordinates(at)))}")
     glo, ghi = _gradient_box(u)
     if dual_domain is None:
         width = ghi - glo
@@ -527,11 +523,7 @@ class FlatSet:
 
     @property
     def positions(self) -> np.ndarray:
-        ax = self.domain.axes()
-        out = np.empty((len(self.indices), self.domain.n))
-        for d in range(self.domain.n):
-            out[:, d] = ax[d][self.indices[:, d]]
-        return out
+        return self.domain.coordinates(self.indices)
 
 
 def _prune_collinear(pts: np.ndarray, angle_tol: float = 1e-6) -> np.ndarray:

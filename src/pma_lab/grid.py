@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -182,11 +182,16 @@ class Domain:
         """Physical coordinates of masked nodes, shape (N, n)."""
         if mask is None:
             mask = self.active_mask()
-        idx = np.argwhere(mask)
+        return self.coordinates(np.argwhere(mask))
+
+    def coordinates(self, indices) -> np.ndarray:
+        """Physical coordinates of lattice indices: an index of length n
+        gives shape (n,), an index array of shape (k, n) gives (k, n)."""
+        idx = np.asarray(indices, dtype=int)
         ax = self.axes()
-        out = np.empty((len(idx), self.n))
+        out = np.empty(idx.shape)
         for d in range(self.n):
-            out[:, d] = ax[d][idx[:, d]]
+            out[..., d] = ax[d][idx[..., d]]
         return out
 
     def grids(self) -> list[np.ndarray]:
@@ -200,13 +205,6 @@ class Domain:
         if np.any(idx < 0) or np.any(idx >= np.array(self.shape)):
             raise ValueError(f"point {p} is outside the lattice")
         return tuple(int(i) for i in idx)
-
-    def node_position(self, index) -> np.ndarray:
-        ax = self.axes()
-        return np.array([ax[d][int(i)] for d, i in enumerate(index)])
-
-    def interior_count(self) -> int:
-        return int(np.count_nonzero(self._interior))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -301,9 +299,6 @@ class GridFunction:
                             self.values.copy() if values is None else values,
                             self.t if t is None else t)
 
-    def value_at(self, point) -> float:
-        return float(self.interpolate(np.asarray(point, dtype=float)[None, :])[0])
-
     def interpolate(self, points: np.ndarray) -> np.ndarray:
         """Multilinear interpolation at physical points, shape (N, n).
 
@@ -334,9 +329,6 @@ class GridFunction:
                 acc += w * self.values[tuple((b + np.array(off)).T)]
             out[valid] = acc
         return out
-
-    def max_abs(self) -> float:
-        return float(np.nanmax(np.abs(self.values)))
 
 
 @dataclass
@@ -383,108 +375,6 @@ def gradient_field(u: GridFunction | GridStack) -> np.ndarray:
         g = (plus - minus) / (2.0 * dom.h_grid)
         out[..., ax][..., inner] = g[..., inner]
     return out
-
-
-# ---------------------------------------------------------------------------
-# directions and discrete convexity
-# ---------------------------------------------------------------------------
-
-def primitive_directions(n: int, width: int) -> list[tuple[int, ...]]:
-    """Primitive integer vectors with Chebyshev norm <= width, up to sign."""
-    dirs = []
-    for v in product(range(-width, width + 1), repeat=n):
-        if all(c == 0 for c in v):
-            continue
-        first = next(c for c in v if c != 0)
-        if first < 0:
-            continue  # keep one representative per +/- pair
-        if math.gcd(*[abs(c) for c in v]) != 1:
-            continue
-        dirs.append(v)
-    return dirs
-
-
-def _shifted(values: np.ndarray, offset: Iterable[int]) -> np.ndarray:
-    """values[idx + offset] with NaN padding outside the lattice."""
-    out = np.full_like(values, np.nan)
-    src = []
-    dst = []
-    for o in offset:
-        if o > 0:
-            src.append(slice(o, None))
-            dst.append(slice(None, -o))
-        elif o < 0:
-            src.append(slice(None, o))
-            dst.append(slice(-o, None))
-        else:
-            src.append(slice(None))
-            dst.append(slice(None))
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
-def second_difference(u: GridFunction, direction) -> np.ndarray:
-    """Second difference per unit |e|^2 h^2 (curvature units) at interior nodes."""
-    e = tuple(int(c) for c in direction)
-    dom = u.domain
-    if max(abs(c) for c in e) > dom.stencil_radius:
-        raise ValueError(f"direction {e} exceeds the stencil radius "
-                         f"{dom.stencil_radius}")
-    e2 = sum(c * c for c in e)
-    num = _shifted(u.values, e) + _shifted(u.values, tuple(-c for c in e)) \
-        - 2.0 * u.values
-    out = np.full(dom.shape, np.nan)
-    inner = dom.interior_mask()
-    out[inner] = num[inner] / (e2 * dom.h_grid ** 2)
-    return out
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    passed: bool
-    min_curvature: float          # most negative second difference, curvature units
-    worst_node: tuple[float, ...]
-    worst_direction: tuple[int, ...]
-    tolerance: float
-
-    def __str__(self):
-        verdict = "convex" if self.passed else "NOT convex"
-        return (f"{verdict}: min directional curvature {self.min_curvature:.3e} "
-                f"at {self.worst_node} along {self.worst_direction} "
-                f"(tol {self.tolerance:.1e})")
-
-
-def discrete_convexity_check(u: GridFunction,
-                             directions: list | None = None,
-                             tol: float | None = None) -> ConvexityReport:
-    """Check all stencil second differences for negativity.
-
-    The tolerance scales with the size of u so that exact convex data with
-    roundoff noise passes.
-    """
-    dom = u.domain
-    if directions is None:
-        directions = primitive_directions(dom.n, dom.stencil_radius)
-    if tol is None:
-        scale = max(1.0, u.max_abs())
-        tol = 1e-10 * scale
-    worst = np.inf
-    worst_node = None
-    worst_dir = None
-    for e in directions:
-        d2 = second_difference(u, e)
-        inner = dom.interior_mask()
-        vals = d2[inner]
-        if vals.size == 0:
-            continue
-        k = int(np.argmin(vals))
-        if vals[k] < worst:
-            worst = float(vals[k])
-            worst_node = tuple(dom.positions(inner)[k])
-            worst_dir = tuple(e)
-    return ConvexityReport(passed=bool(worst >= -tol), min_curvature=worst,
-                           worst_node=worst_node, worst_direction=worst_dir,
-                           tolerance=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grid import INTERIOR, CoefficientField, Domain, GridFunction, GridStack
+from .grid import CoefficientField, Domain, GridFunction, GridStack
 
 VARIANTS = ("plain", "reduced")
 
@@ -519,17 +519,6 @@ def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
         sigma = 2.0 * np.minimum(M ** p / tF, dg).max(axis=0)
     sigma[~(M > 0.0)] = 0.0
     return sigma
-
-
-def ma_value(u: GridFunction, point, cfg: OperatorConfig) -> float:
-    """Operator value at the interior node nearest to ``point``, looked up
-    in :func:`ma_field` (either variant)."""
-    dom = u.domain
-    idx = dom.index_of(point)
-    if dom.classes[idx] != INTERIOR:
-        raise ValueError(f"node {tuple(map(float, dom.node_position(idx)))} "
-                         f"is not interior")
-    return float(ma_field(u, cfg).values[idx])
 
 
 # ---------------------------------------------------------------------------

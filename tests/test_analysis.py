@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from pma_lab.analysis import (angle_contains, angle_opening, beta_time,
-                              c1alpha_exponent, c1alpha_from_line,
-                              dual_flow_residual, fit_exponent,
-                              flat_dichotomy_probe, gamma_p, holder_time_fit,
-                              interface_exponent, line_restriction,
-                              separation_probe, write_plot_script)
+from pma_lab.analysis import (angle_opening, beta_time, c1alpha_exponent,
+                              c1alpha_from_line, dual_flow_residual,
+                              fit_exponent, flat_dichotomy_probe, gamma_p,
+                              holder_time_fit, interface_exponent,
+                              line_restriction, separation_probe,
+                              write_plot_script)
 from pma_lab.exact import quadratic_solution
 from pma_lab.geometry import flat_set
 from pma_lab.grid import build_domain, load_csv, sample, save_csv
@@ -146,7 +146,6 @@ def test_angle_property_suite_on_random_samples():
         v0 = v[int(np.argmin(np.abs(s)))]
         later = angle_opening(s, grown, h1, base_value=v0)
         assert later.alpha >= a1 - 1e-12
-        assert angle_contains(s, grown, h1, a1 - 1e-12, base_value=v0)
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def test_typo_in_config_exits_2(tmp_path, capsys):
 def test_solve_reruns_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["solve", "--config", cfg, "--out", out_a, "--seed", "1"]) == 0
-    assert main(["solve", "--config", cfg, "--out", out_b, "--seed", "2"]) == 0
+    assert main(["solve", "--config", cfg, "--out", out_a]) == 0
+    assert main(["solve", "--config", cfg, "--out", out_b]) == 0
     assert tree_bytes(out_a) == tree_bytes(out_b)
 
 
@@ -145,7 +145,8 @@ def test_analyze_separation_over_solve_output(tmp_path, capsys):
     # the rise by t = 0.01 stays below eps = 10 h^2 = 0.1 at every node
     statuses = {row[-1] for row in rows[1:]}
     assert statuses == {"persistent"}
-    assert len(rows) - 1 == load_csv(snaps[0]).domain.interior_count()
+    inner = load_csv(snaps[0]).domain.interior_mask()
+    assert len(rows) - 1 == np.count_nonzero(inner)
 
 
 def test_analyze_rejects_unordered_snapshots(tmp_path, capsys):
@@ -346,6 +347,26 @@ def test_experiment_workers_capped_and_validated(tmp_path, capsys,
                      "--workers", bad]) == 2
         assert "--workers" in capsys.readouterr().err
     assert made == [2]
+
+
+def test_flags_are_taken_only_where_they_are_read(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["experiment", "run", "noop", "--out", str(out),
+                 "--workers", "1", "--seed", "3"]) == 0
+    assert (out / "noop" / "summary.txt").exists()
+    snap = make_snapshot(tmp_path)
+    cfg = write_cfg(tmp_path)
+    for argv in (["selfsimilar", "--workers", "3"],
+                 ["geometry", snap, "--height", "0.2", "--config", cfg],
+                 ["analyze", "angle", snap, "--seed", "3"],
+                 ["experiment", "--out", str(out), "run", "noop"],
+                 ["experiment", "list", "--out", str(out)]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "snap.csv", "x"]
 
 
 def test_experiment_workers_agree_bitwise(tmp_path):

@@ -5,10 +5,8 @@ import pytest
 from scipy.ndimage import binary_dilation
 
 from pma_lab.grid import (BAND, EXTERIOR, INTERIOR, CoefficientField,
-                          GridFunction, build_domain, discrete_convexity_check,
-                          fmt17, load_csv, sample, save_csv, second_difference,
-                          primitive_directions, write_table,
-                          _chebyshev_dilate)
+                          build_domain, fmt17, load_csv, sample, save_csv,
+                          write_table, _chebyshev_dilate)
 
 
 def box2(h=0.5, w=2):
@@ -25,14 +23,14 @@ def test_box_classification_counts():
     dom = box2(h=0.5, w=2)
     # interior = the 3x3 block of nodes strictly inside [-1,1]^2;
     # band = Chebyshev-2 collar around it (7x7 minus the interior)
-    assert dom.interior_count() == 9
+    assert np.count_nonzero(dom.interior_mask()) == 9
     assert int(np.count_nonzero(dom.classes == BAND)) == 49 - 9
     assert dom.shape == (9, 9)
 
 
 def test_ball_interior_count_matches_area():
     dom = ball2(r=1.0, h=0.1)
-    area = dom.interior_count() * dom.h_grid ** 2
+    area = np.count_nonzero(dom.interior_mask()) * dom.h_grid ** 2
     assert abs(area - math.pi) / math.pi < 0.05
 
 
@@ -88,39 +86,18 @@ def test_sample_and_interpolation():
     assert np.allclose(got, want, atol=1e-13)
 
 
-def test_second_difference_curvature_units():
-    dom = box2(h=0.25)
-    u = sample(dom, lambda pts, t: 0.5 * pts[:, 0] ** 2)
-    d_axis = second_difference(u, (1, 0))
-    d_diag = second_difference(u, (1, 1))
-    inner = dom.interior_mask()
-    assert np.allclose(d_axis[inner], 1.0, atol=1e-12)
-    # along (1,1) the curvature of x_1^2/2 per unit |e|^2 is 1/2
-    assert np.allclose(d_diag[inner], 0.5, atol=1e-12)
-
-
-def test_primitive_directions():
-    dirs = primitive_directions(2, 2)
-    assert (1, 0) in dirs and (0, 1) in dirs and (1, 1) in dirs
-    assert (2, 2) not in dirs          # not primitive
-    assert (-1, 0) not in dirs         # sign representative only
-    for d in dirs:
-        assert max(abs(c) for c in d) <= 2
-
-
-def test_convexity_check_passes_and_fails():
-    dom = ball2(r=1.0, h=0.1)
-    u = sample(dom, lambda pts, t: 0.5 * (pts ** 2).sum(axis=1))
-    rep = discrete_convexity_check(u)
-    assert rep.passed
-    # dent one interior node
-    v = u.copy()
-    idx = dom.index_of([0.0, 0.0])
-    v.values[idx] += 0.05
-    rep2 = discrete_convexity_check(v)
-    assert not rep2.passed
-    assert rep2.min_curvature < -1.0  # 0.05 dent at h=0.1 is huge in curvature
-    assert "NOT convex" in str(rep2)
+def test_coordinates_read_the_axes(tmp_path):
+    # every node-position query goes through Domain.coordinates; it reads
+    # the axis arrays, so a restored lattice keeps its stored coordinates
+    u = sample(ball2(r=0.7, h=0.1), lambda pts, t: pts[:, 0])
+    save_csv(u, tmp_path / "u.csv")
+    for dom in (u.domain, load_csv(tmp_path / "u.csv").domain):
+        idx = np.argwhere(dom.active_mask())
+        ax = dom.axes()
+        want = np.column_stack([ax[d][idx[:, d]] for d in range(dom.n)])
+        assert np.array_equal(dom.positions(), want)
+        assert np.array_equal(dom.coordinates(idx[3]), want[3])
+        assert dom.coordinates(idx[:0]).shape == (0, dom.n)
 
 
 def rowwise_csv(u) -> str:

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
 from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, ma_field,
-                                  ma_value, orthogonal_frames,
-                                  reduced_ma_field)
+                                  orthogonal_frames, reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -19,6 +18,13 @@ def box(n=2, half=1.5, h=0.25, w=2):
 def quad(M):
     M = np.asarray(M, dtype=float)
     return lambda pts, t: 0.5 * np.einsum("...i,ij,...j->...", pts, M, pts)
+
+
+def ma_at(u, point, cfg):
+    """The operator field at the interior node nearest to ``point``."""
+    idx = u.domain.index_of(point)
+    assert u.domain.classes[idx] == INTERIOR
+    return float(ma_field(u, cfg).values[idx])
 
 
 def pointwise_value(u, idx, cfg):
@@ -39,7 +45,7 @@ def pointwise_value(u, idx, cfg):
 
     radial = 1.0
     if cfg.variant == "reduced":
-        r = dom.node_position(idx)[0]
+        r = dom.coordinates(idx)[0]
         ip, im = (idx[0] + 1, idx[1]), (idx[0] - 1, idx[1])
         ratio = (second_difference((1, 0)) if abs(r) < 0.5 * h
                  else (V[ip] - V[im]) / (2.0 * h * r))
@@ -52,7 +58,7 @@ def pointwise_value(u, idx, cfg):
         prod *= radial
         if prod < best:
             best, arg = prod, k
-    x = dom.node_position(idx)[None, :]
+    x = dom.coordinates(idx)[None, :]
     return float(cfg.b(x, u.t)[0]) * best ** cfg.p, arg
 
 
@@ -93,7 +99,7 @@ def test_exact_on_axis_aligned_quadratic():
     dom = box(h=0.25)
     u = sample(dom, quad([[2, 0], [0, 3]]))
     cfg = OperatorConfig(p=1.0)
-    assert ma_value(u, [0, 0], cfg) == pytest.approx(6.0, abs=1e-12)
+    assert ma_at(u, [0, 0], cfg) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_exact_on_diagonal_aligned_quadratic():
@@ -104,7 +110,7 @@ def test_exact_on_diagonal_aligned_quadratic():
     dom = box(h=0.25)
     u = sample(dom, quad(M))
     cfg = OperatorConfig(p=1.0, width=2)
-    assert ma_value(u, [0, 0], cfg) == pytest.approx(6.0, abs=1e-12)
+    assert ma_at(u, [0, 0], cfg) == pytest.approx(6.0, abs=1e-12)
 
 
 def test_hadamard_sandwich_on_random_quadratics():
@@ -117,7 +123,7 @@ def test_hadamard_sandwich_on_random_quadratics():
         A = rng.standard_normal((2, 2))
         M = A @ A.T + 0.2 * np.eye(2)
         u = sample(dom, quad(M))
-        val = ma_value(u, [0, 0], cfg)
+        val = ma_at(u, [0, 0], cfg)
         det = float(np.linalg.det(M))
         assert val >= det - 1e-10 * max(1.0, det)
         assert val <= M[0, 0] * M[1, 1] + 1e-10
@@ -130,16 +136,16 @@ def test_misaligned_quadratic_overestimates():
     M = R @ np.diag([0.2, 5.0]) @ R.T
     dom = box(h=0.25)
     u = sample(dom, quad(M))
-    val = ma_value(u, [0, 0], OperatorConfig(p=1.0, width=2))
+    val = ma_at(u, [0, 0], OperatorConfig(p=1.0, width=2))
     assert val > np.linalg.det(M) + 1e-3
 
 
 def test_zero_on_concave_and_power_p():
     dom = box(h=0.25)
     u = sample(dom, lambda pts, t: -0.5 * (pts ** 2).sum(axis=1))
-    assert ma_value(u, [0, 0], OperatorConfig(p=1.0)) == 0.0
+    assert ma_at(u, [0, 0], OperatorConfig(p=1.0)) == 0.0
     v = sample(dom, quad([[2, 0], [0, 3]]))
-    got = ma_value(v, [0, 0], OperatorConfig(p=0.4))
+    got = ma_at(v, [0, 0], OperatorConfig(p=0.4))
     assert got == pytest.approx(6.0 ** 0.4, rel=1e-12)
 
 
@@ -148,7 +154,7 @@ def test_coefficient_enters_linearly():
     u = sample(dom, quad([[1, 0], [0, 1]]))
     b = CoefficientField(lambda pts, t: 2.0 + 0.0 * pts[:, 0], lam=2.0, Lam=2.0)
     cfg = OperatorConfig(p=3.0, b=b)
-    assert ma_value(u, [0.25, 0.0], cfg) == pytest.approx(2.0, rel=1e-12)
+    assert ma_at(u, [0.25, 0.0], cfg) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_field_matches_pointwise_and_nan_pattern():
@@ -166,7 +172,6 @@ def test_field_matches_pointwise_and_nan_pattern():
         idx = dom.index_of(point)
         assert fld.values[idx] == pytest.approx(
             pointwise_value(base, idx, cfg)[0], rel=1e-12)
-        assert ma_value(base, point, cfg) == fld.values[idx]
 
 
 @pytest.mark.parametrize("desc,h,p,variant", [
@@ -337,7 +342,7 @@ def test_reduced_on_paraboloid():
         fld = reduced_ma_field(u, cfg)
         inner = dom.interior_mask()
         assert np.allclose(fld.values[inner], 1.0, atol=1e-12)
-        assert ma_value(u, [0.0, 0.0], cfg) == pytest.approx(1.0, abs=1e-12)
+        assert ma_at(u, [0.0, 0.0], cfg) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reduced_anisotropic_scaling():
@@ -347,7 +352,7 @@ def test_reduced_anisotropic_scaling():
     u = sample(dom, quad([[a, 0], [0, c]]))
     cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
     want = a ** 2 * (a * c)
-    assert ma_value(u, [0.25, 0.25], cfg) == pytest.approx(want, rel=1e-10)
+    assert ma_at(u, [0.25, 0.25], cfg) == pytest.approx(want, rel=1e-10)
 
 
 def test_reduced_axis_uses_second_derivative_limit():
@@ -357,8 +362,7 @@ def test_reduced_axis_uses_second_derivative_limit():
     dom = rz_domain(h=0.125)
     u = sample(dom, quad([[a, 0], [0, c]]))
     cfg = OperatorConfig(p=1.0, variant="reduced", n_full=3)
-    assert ma_value(u, [0.0, 0.25], cfg) == pytest.approx(a * a * c,
-                                                          rel=1e-10)
+    assert ma_at(u, [0.0, 0.25], cfg) == pytest.approx(a * a * c, rel=1e-10)
 
 
 def test_reduced_requires_embedding_dimension():
@@ -388,7 +392,7 @@ def test_reduced_monotone_in_neighbor_values():
     dom = rz_domain(h=0.1)
     u = sample(dom, lambda pts, t: pts[:, 0] ** 8 + pts[:, 1] ** 2)
     cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
-    before = ma_value(u, [0.5, 0.2], cfg)
+    before = ma_at(u, [0.5, 0.2], cfg)
     bumped = u.copy()
     bumped.values[dom.index_of([0.4, 0.2])] += 1e-3
-    assert ma_value(bumped, [0.5, 0.2], cfg) >= before
+    assert ma_at(bumped, [0.5, 0.2], cfg) >= before
