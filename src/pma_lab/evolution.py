@@ -117,13 +117,19 @@ def _prepare_band(state: EvolutionState):
     return pts, band
 
 
-def _check_nondecreasing(prev: np.ndarray, cur: np.ndarray, t: float) -> None:
+def _check_nondecreasing(prev: np.ndarray, cur: np.ndarray, t: float,
+                         dom: Domain) -> None:
+    """Raise if an interior value fell, naming the node of the largest drop
+    (``prev`` and ``cur`` are in the order of ``dom.interior_positions``)."""
     scale = max(1.0, float(np.max(np.abs(cur))))
-    drop = float(np.min(cur - prev))
+    change = cur - prev
+    k = int(np.argmin(change))
+    drop = float(change[k])
     if drop < -1e-12 * scale:
+        where = tuple(map(float, dom.interior_positions[k]))
         raise RuntimeError(
-            f"interior values decreased by {-drop:.3e} by t = {t}; "
-            "the flow must be nondecreasing in time")
+            f"interior values decreased by {-drop:.3e} at node {where} by "
+            f"t = {t}; the flow must be nondecreasing in time")
 
 
 def _same_lattice(a: Domain, b: Domain) -> bool:
@@ -201,7 +207,7 @@ def evolve(state: EvolutionState, t_end: float,
     snaps: list[GridFunction] = []
     for _ in _shared_steps([state], stops):
         cur = state.u.values[inner]
-        _check_nondecreasing(prev, cur, state.t)
+        _check_nondecreasing(prev, cur, state.t, state.u.domain)
         prev = cur
         snaps.append(state.u.copy())
     return EvolutionResult(snapshots=snaps, state=state, n_steps=state.steps,

@@ -36,7 +36,9 @@ _CLASS_CODES = {v: k for k, v in _CLASS_NAMES.items()}
 
 
 def fmt17(x: float) -> str:
-    """Shortest decimal form that round-trips a float64 exactly."""
+    """``x`` with 17 significant digits (``%.17g``): every float64 reads
+    back exactly, though the form is not always the shortest that does
+    (``fmt17(0.1)`` is ``0.10000000000000001``)."""
     return format(float(x), ".17g")
 
 
@@ -160,7 +162,9 @@ class Domain:
     @cached_property
     def work(self) -> dict:
         """Work arrays that operator kernels reuse between calls on this
-        lattice; calls sharing a domain must not run concurrently."""
+        lattice, by name: span rows such as the operator's shared and
+        scratch second differences, frame products and slope pieces.
+        Calls sharing a domain must not run concurrently."""
         return {}
 
     @cached_property

@@ -43,7 +43,14 @@ array operations of one grid function, and each member's output is bit for
 bit that of its own call.  Both variants run one frame loop (running
 minimum of the products, running maximum of the slope factors, argmin
 frame); the reduced variant's radial factor is computed once per call and
-multiplies each frame's product and slope pieces.  An
+multiplies each frame's product and slope pieces.  Second differences
+live where they are read: a direction that several frames read (the axes
+in 3-D and up) is differenced once per call into a span row, and every
+other direction is differenced into one of at most n scratch rows just
+before the one frame that reads it, so the work arrays hold a few rows
+rather than one per direction (21 at width 2 in 3-D).  The chord bound
+recomputes the differences it needs at its candidate nodes from the
+values (:func:`_differences_at`).  An
 :class:`OperatorField` stores interior arrays (behind the batch axis for a
 stack) and builds the lattice-shaped fields only when they are first read.
 b(x, t) is evaluated and bound-checked once per call; a constant b is one
@@ -195,11 +202,25 @@ class _Stencil:
 
     Each direction (taken up to sign) carries its offset in the flattened
     lattice and |e|^2; ``frames[k]`` lists the direction indices of frame k.
+    The directions that more than one frame reads (``shared``: the axes in
+    3-D and up, none in 2-D) are differenced once per call into span rows;
+    each other direction is differenced into one of ``scratch`` rows just
+    before the one frame that reads it.  The per-frame plan, built once per
+    stencil, indexes the shared rows followed by the scratch rows: frame k
+    fills rows ``fills[k]`` = ((row, direction), ...), the scratch rows from
+    the first, and reads its factors from rows ``rows[k]``; ``loo[k]``
+    gives, per factor, its weight 2/|e|^2 in the leave-one-out sum and the
+    rows of the other factors.
     """
 
     frames: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
     e2: tuple[int, ...]
+    shared: tuple[int, ...]
+    scratch: int
+    fills: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    loo: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -212,11 +233,26 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
     for frame in frames:
         for e in frame:
             dirs.setdefault(max(e, tuple(-c for c in e)), len(dirs))
+    e2 = tuple(sum(c * c for c in e) for e in dirs)
+    frames = tuple(tuple(dirs[max(e, tuple(-c for c in e))] for e in frame)
+                   for frame in frames)
+    readers = [sum(d in f for f in frames) for d in range(len(dirs))]
+    shared = tuple(d for d in range(len(dirs)) if readers[d] > 1)
+    fills, rows = [], []
+    for f in frames:
+        single = [d for d in f if readers[d] == 1]
+        fills.append(tuple((len(shared) + s, d) for s, d in enumerate(single)))
+        rows.append(tuple(shared.index(d) if d in shared
+                          else len(shared) + single.index(d) for d in f))
     return _Stencil(
-        frames=tuple(tuple(dirs[max(e, tuple(-c for c in e))] for e in frame)
-                     for frame in frames),
+        frames=frames,
         offsets=tuple(sum(c * s for c, s in zip(e, strides)) for e in dirs),
-        e2=tuple(sum(c * c for c in e) for e in dirs))
+        e2=e2,
+        shared=shared, scratch=max(len(f) for f in fills),
+        fills=tuple(fills), rows=tuple(rows),
+        loo=tuple(tuple((2.0 * (1.0 / e2[d]), r[:i] + r[i + 1:])
+                        for i, d in enumerate(f))
+                  for f, r in zip(frames, rows)))
 
 
 def _core_values(u: GridFunction | GridStack) -> tuple[np.ndarray, int, int]:
@@ -267,24 +303,45 @@ def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
     return a
 
 
-def _clamped_second_differences(u: GridFunction | GridStack,
-                                st: _Stencil) -> np.ndarray:
-    """Clamped second differences per unit |e|^2 h^2, one row per direction.
+def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil):
+    """Clamped second differences per unit |e|^2 h^2 over the span of
+    :func:`_core_values`: one row per shared direction, and the function
+    ``difference(d, out)`` that fills a span row with direction d.
 
-    Each row runs over the span of :func:`_core_values`, read from the
-    flattened values at the shifts +-offset; entries off the cores are
-    computed from wrapped-around neighbours and never used.
+    A row is read from the flattened values at the shifts +-offset; entries
+    off the cores are computed from wrapped-around neighbours and never
+    used.
     """
     flat, a, b = _core_values(u)
     h = u.domain.h_grid
     twice = np.multiply(2.0, flat[a:b], out=_work(u, "twice", (b - a,)))
-    Ds = _work(u, "diff", (len(st.offsets), b - a))
-    for D, k, e2 in zip(Ds, st.offsets, st.e2):
-        np.add(flat[a + k:b + k], flat[a - k:b - k], out=D)
-        D -= twice
-        D /= e2 * h * h
-        np.maximum(D, 0.0, out=D)
-    return Ds
+
+    def difference(d: int, out: np.ndarray) -> np.ndarray:
+        k = st.offsets[d]
+        np.add(flat[a + k:b + k], flat[a - k:b - k], out=out)
+        out -= twice
+        out /= st.e2[d] * h * h
+        return np.maximum(out, 0.0, out=out)
+
+    Ds = _work(u, "diff", (len(st.shared), b - a))
+    for D, d in zip(Ds, st.shared):
+        difference(d, D)
+    return Ds, difference
+
+
+def _differences_at(u: GridFunction | GridStack, st: _Stencil,
+                    cols: np.ndarray) -> np.ndarray:
+    """The clamped second differences of every direction at the span
+    columns ``cols``, one row per direction: bit for bit the entries a span
+    row of :func:`_clamped_second_differences` holds there."""
+    flat, a, _ = _core_values(u)
+    h = u.domain.h_grid
+    at = a + cols
+    k = np.array(st.offsets)[:, None]
+    D = flat[at + k] + flat[at - k]
+    D -= np.multiply(2.0, flat[at])
+    D /= np.array(st.e2)[:, None] * h * h
+    return np.maximum(D, 0.0, out=D)
 
 
 def _product(factors, out: np.ndarray) -> np.ndarray:
@@ -295,10 +352,12 @@ def _product(factors, out: np.ndarray) -> np.ndarray:
 
 
 def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
-                 st: _Stencil, Ds: np.ndarray, with_slope: bool,
+                 st: _Stencil, Ds: np.ndarray, difference, with_slope: bool,
                  radial: tuple | None = None):
     """Yield (k, product, floored product, leave-one-out sum) per frame k.
 
+    ``Ds`` and ``difference`` come from :func:`_clamped_second_differences`;
+    each frame first differences its own directions into the scratch rows.
     The sensitivity pieces (but never the product itself) are computed from
     differences floored at the curvature scale h^2 for p < 1: a second
     difference below the scheme's own truncation scale is indistinguishable
@@ -310,34 +369,45 @@ def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
     """
     dom = u.domain
     floored = with_slope and cfg.p < 1.0
-    Fs = (np.maximum(Ds, dom.h_grid * dom.h_grid,
-                     out=_work(u, "floored", Ds.shape)) if floored else Ds)
     L = Ds.shape[1]
-    prod, prod_f = _work(u, "prod", (L,)), _work(u, "prod_f", (L,))
-    slope, term = _work(u, "sum", (L,)), _work(u, "term", (L,))
-    for k, frame in enumerate(st.frames):
-        _product([Ds[i] for i in frame], prod)
+    scratch = _work(u, "scratch", (st.scratch, L))
+    rows = [*Ds, *scratch]
+    Fs = rows
+    if floored:
+        hh = dom.h_grid * dom.h_grid
+        Fs = [*np.maximum(Ds, hh, out=_work(u, "floored", Ds.shape)),
+              *scratch]
+    prod = _work(u, "prod", (L,))
+    prod_f = _work(u, "prod_f", (L,)) if floored else prod
+    if with_slope:
+        slope, term = _work(u, "sum", (L,)), _work(u, "term", (L,))
+    for k, frame in enumerate(st.rows):
+        fills = st.fills[k]
+        for r, d in fills:
+            difference(d, rows[r])
+        _product([rows[i] for i in frame], prod)
         if with_slope:
             if floored:
+                if fills:
+                    fresh = scratch[:len(fills)]
+                    np.maximum(fresh, hh, out=fresh)
                 _product([Fs[i] for i in frame], prod_f)
-            for i in range(len(frame)):
-                others = [Fs[j] for j in frame[:i] + frame[i + 1:]]
+            for i, (w, rest) in enumerate(st.loo[k]):
+                others = [Fs[j] for j in rest]
                 loo = others[0] if len(others) == 1 else _product(others, term)
                 # every term is >= +0, so starting from the first is exact
-                np.multiply(2.0 * (1.0 / st.e2[frame[i]]), loo,
-                            out=term if i else slope)
+                np.multiply(w, loo, out=term if i else slope)
                 if i:
                     slope += term
             if radial is not None:
                 R, R_f, c = radial
                 slope *= R_f
-                slope += np.multiply(c, prod_f if floored else prod, out=term)
+                slope += np.multiply(c, prod_f, out=term)
                 if floored:
                     prod_f *= R_f
         if radial is not None:
             prod *= radial[0]
-        yield (k, prod, prod_f if floored else prod,
-               slope if with_slope else None)
+        yield k, prod, prod_f, slope if with_slope else None
 
 
 def _power_slope(p: float, prod: np.ndarray, prod_f: np.ndarray,
@@ -413,14 +483,15 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     """
     dom = u.domain
     st = _stencil(dom.shape, cfg.width, dom.stencil_radius)
-    Ds = _clamped_second_differences(u, st)
+    Ds, difference = _clamped_second_differences(u, st)
     size = Ds.shape[1:]
     best = _work(u, "best", size)
     best_slope = _work(u, "best_slope", size) if with_slope else None
-    power = _work(u, "power", size)
+    power = (_work(u, "power", size) if with_slope and cfg.p != 1.0
+             else None)
     arg = np.zeros(size, dtype=np.uint8) if with_frames else None
-    for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, st, Ds, with_slope,
-                                                 radial):
+    for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, st, Ds, difference,
+                                                 with_slope, radial):
         if k == 0:
             np.copyto(best, prod)
             if with_slope:
@@ -439,15 +510,15 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     b = _coefficient(u, cfg)
     values, slope = _interior_fields(u, cfg, b, best, best_slope)
     if with_slope and radial is None and cfg.p >= 1.0 and dom.n >= 3:
-        _lower_to_chord_bound(u, cfg, st, Ds, best, b, slope)
+        _lower_to_chord_bound(u, cfg, st, best, b, slope)
     if with_frames:
         arg = np.take(arg, _interior_offsets(u))
     return OperatorField(u.domain, values, slope, arg)
 
 
 def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
-                          st: _Stencil, Ds: np.ndarray, best: np.ndarray,
-                          b, slope: np.ndarray) -> None:
+                          st: _Stencil, best: np.ndarray, b,
+                          slope: np.ndarray) -> None:
     """Lower the interior slope field (in place, ``b`` times the all-frame
     value on entry) to ``b`` times the chord bound wherever it could set
     its member's maximum.
@@ -466,12 +537,13 @@ def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
     moving = np.take(best, inner) > 0.0
     top = np.where(moving, slope, 0.0).argmax(axis=-1)[..., None]
     cols = np.take_along_axis(inner, top, axis=-1).reshape(-1)
-    bound = _chord_slope(Ds[:, cols], st, cfg.p).reshape(top.shape)
+    bound = _chord_slope(_differences_at(u, st, cols), st,
+                         cfg.p).reshape(top.shape)
     bound *= b if np.ndim(b) == 0 else b[top]
     hit = np.nonzero(slope > bound)
     if not hit[0].size:
         return
-    sigma = _chord_slope(Ds[:, inner[hit]], st, cfg.p)
+    sigma = _chord_slope(_differences_at(u, st, inner[hit]), st, cfg.p)
     sigma *= b if np.ndim(b) == 0 else b[hit[-1]]
     slope[hit] = np.minimum(slope[hit], sigma)
 

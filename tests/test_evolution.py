@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from pma_lab import evolution
 from pma_lab.evolution import (EvolutionState, ScalingMap, comparison_check,
                                evolve, evolve_pair, rescale, stable_dt)
 from pma_lab.exact import quadratic_solution, cone_data
@@ -115,6 +116,27 @@ def test_interior_values_nondecrease():
     assert np.all(res.snapshots[0].values[inner] >= v0[inner] - 1e-15)
     assert np.all(res.snapshots[1].values[inner]
                   >= res.snapshots[0].values[inner] - 1e-15)
+
+
+def test_a_planted_drop_names_its_node(monkeypatch):
+    # the nondecreasing check names the interior node of the largest drop
+    dom = ball(r=1.0, h=0.1)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    state = make_state(dom, sol, OperatorConfig(p=1.0))
+    k = len(dom.interior_positions) // 3
+    where = tuple(map(float, dom.interior_positions[k]))
+
+    def dropping(u, cfg, **kw):
+        fld = ma_field(u, cfg, **kw)
+        fld.interior_values[..., k] = -1.0
+        fld.interior_values[..., k + 1] = -0.5
+        return fld
+
+    monkeypatch.setattr(evolution, "ma_field", dropping)
+    with pytest.raises(RuntimeError,
+                       match=r"decreased by .* at node "
+                       + re.escape(f"{where} by t = ")):
+        evolve(state, t_end=0.01)
 
 
 def test_evolve_validates_window():

@@ -6,8 +6,11 @@ from hypothesis import given, strategies as st
 
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
-from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, ma_field,
-                                  orthogonal_frames, reduced_ma_field)
+from pma_lab.monge_ampere import (VARIANTS, OperatorConfig,
+                                  _clamped_second_differences,
+                                  _differences_at, _interior_offsets,
+                                  _stencil, ma_field, orthogonal_frames,
+                                  reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -269,6 +272,57 @@ def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
         if with_slope:
             assert np.isnan(want.slope[~inner]).all()
         assert (want.argmin_frame[~inner] == 255).all()
+
+
+@pytest.mark.parametrize("members", [None, 3])
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_differences_at_columns_equal_the_span_rows(n, width, members):
+    # the chord bound's differences, recomputed at a few columns, are bit
+    # for bit the entries of the span rows the frame loop reads
+    dom = _lattice(n, width, False)
+    rng = np.random.default_rng(10 * n + width)
+    us = []
+    for _ in range(members or 1):
+        A = rng.standard_normal((n, n))
+        u = sample(dom, quad(A @ A.T + 0.3 * np.eye(n)), t=0.25)
+        u.values += 1e-3 * rng.standard_normal(u.values.shape)
+        us.append(u)
+    u = us[0] if members is None else GridStack(
+        dom, np.stack([v.values for v in us]), t=0.25)
+    sten = _stencil(dom.shape, width, dom.stencil_radius)
+    Ds, difference = _clamped_second_differences(u, sten)
+    inner = _interior_offsets(u).reshape(-1)
+    cols = rng.choice(inner, size=min(40, inner.size), replace=False)
+    got = _differences_at(u, sten, cols)
+    assert got.shape == (len(sten.offsets), cols.size)
+    row = np.empty(Ds.shape[1])
+    for d in range(len(sten.offsets)):
+        assert got[d].tobytes() == difference(d, row)[cols].tobytes(), d
+    for r, d in enumerate(sten.shared):
+        assert got[d].tobytes() == Ds[r, cols].tobytes(), d
+
+
+@pytest.mark.parametrize("n,p", [(3, 0.4), (3, 1.0), (3, 2.0), (2, 0.4),
+                                 (2, 1.0)])
+def test_work_arrays_hold_a_few_rows(n, p):
+    # only the directions several frames read (the axes in 3-D, none in
+    # 2-D) keep a span row; the others share at most n scratch rows, and
+    # the floored product and the power exist only where they are written
+    dom = build_domain({"kind": "ball", "center": [0.03] * n,
+                        "radius": 1.0}, h_grid=0.1 if n == 2 else 0.25,
+                       stencil_radius=2)
+    A = np.random.default_rng(n).standard_normal((n, n))
+    ma_field(sample(dom, quad(A @ A.T + 0.3 * np.eye(n))),
+             OperatorConfig(p=p), with_slope=True)
+    sten = _stencil(dom.shape, 2, dom.stencil_radius)
+    assert len(sten.shared) == (3 if n == 3 else 0)
+    assert len(sten.offsets) == (21 if n == 3 else 8)
+    rows = max(len(sten.shared), n)
+    for name, a in dom.work.items():
+        assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
+    assert ("prod_f" in dom.work) == (p < 1.0)
+    assert ("power" in dom.work) == (p != 1.0)
 
 
 @given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
