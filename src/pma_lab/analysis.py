@@ -537,7 +537,7 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
         # the trimmed dual box is narrower than the attained-slope range on
         # purpose; the coverage warning does not apply here
         warnings.simplefilter("ignore")
-        lt1 = legendre(u1, dual_domain=dual_domain, dual_h=dual_h)
+        lt1 = legendre(u1, dual_domain=dual_domain)
         lt2 = legendre(u2, dual_domain=lt1.domain)
     dstar = (lt2.dual.values - lt1.dual.values) / (u2.t - u1.t)
     mid = lt1.dual.copy(values=0.5 * (lt1.dual.values + lt2.dual.values),

@@ -49,6 +49,9 @@ in 2-D (Lucet, Numer. Algorithms 16, 1997), and it is taken as one 1-D
 maximum per axis over the whole lattice.  With ``m`` primal and ``K``
 dual nodes per axis, pass ``d`` evaluates ``K^(d+1) m^(n-d)`` candidates,
 against ``K^n m^n`` for the dense search over every (dual, primal) pair.
+They are held in blocks of whole dual rows along axis ``d``, at most
+``LEGENDRE_BLOCK`` candidates per block (or one row, where a row alone is
+larger), so a pass never holds the (dual x lattice) candidate array.
 Inactive primal nodes count as ``u = +inf``, and ties go to the first
 maximiser along each axis.  ``flat_set`` extracts the contact set of a
 supporting affine function together with its extremal points.
@@ -63,8 +66,7 @@ from math import gamma, nan, pi
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .grid import Domain, GridFunction, build_domain, gradient_field, \
-    write_table
+from .grid import Domain, GridFunction, build_domain, write_table
 
 __all__ = [
     "BalancednessCertificate",
@@ -421,11 +423,22 @@ class LegendreTransform:
         return self.dual.domain
 
 
+# Candidates one block of a Legendre axis pass holds (module docstring).
+LEGENDRE_BLOCK = 2 ** 16
+
+
 def _gradient_box(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    g = gradient_field(u)
-    inner = u.domain.interior_mask()
-    lo = np.array([np.nanmin(g[..., d][inner]) for d in range(u.domain.n)])
-    hi = np.array([np.nanmax(g[..., d][inner]) for d in range(u.domain.n)])
+    """Range of the central-difference gradient over the interior, per axis.
+
+    The same differences as ``grid.gradient_field``, one axis at a time.
+    """
+    dom = u.domain
+    inner = dom.interior_mask()
+    lo, hi = np.empty(dom.n), np.empty(dom.n)
+    for ax in range(dom.n):
+        g = (np.roll(u.values, -1, axis=ax)[inner]
+             - np.roll(u.values, 1, axis=ax)[inner]) / (2.0 * dom.h_grid)
+        lo[ax], hi[ax] = np.nanmin(g), np.nanmax(g)
     return lo, hi
 
 
@@ -437,20 +450,26 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
     participates (the conjugate of the sampled function on the closed
     domain); inactive nodes count as ``u = +inf``.  When no dual lattice is
     supplied, a box covering the sampled gradient range is built (stencil
-    radius 2); a supplied lattice that fails to cover that range only
-    triggers a warning, since the conjugate is still well defined (it just
-    reflects the primal boundary).  A non-finite sample at an active node
-    raises ``ValueError`` naming the node.
+    radius 2) with step ``dual_h``, by default 1/32 of its widest side; a
+    supplied lattice that fails to cover that range only triggers a
+    warning, since the conjugate is still well defined (it just reflects
+    the primal boundary).  Passing both ``dual_domain`` and ``dual_h``
+    raises ``ValueError``, as does a non-finite sample at an active node
+    (naming the node).
 
     The maximum is taken one lattice axis at a time (module docstring):
     starting from ``g = -u`` on the primal box, the pass over axis ``d``
     sets ``g <- max over x_d of (xi_d x_d + g)``, trading the primal
-    coordinate ``x_d`` for the dual coordinate ``xi_d``.  After the last
-    pass ``g`` is ``u*`` on the dual box, read at its active nodes.  Each
-    pass keeps its argmax (the first maximiser along the axis), and the
-    maximising primal node is read back from the last axis to the first;
-    ``argmax`` holds its exact lattice coordinates.
+    coordinate ``x_d`` for the dual coordinate ``xi_d``, one block of dual
+    rows at a time; each block sees whole lines along ``x_d`` and writes
+    its argmax (the first maximiser) and the value there in place.  After
+    the last pass ``g`` is ``u*`` on the dual box, read at its active
+    nodes.  The maximising primal node is read back from the last axis to
+    the first; ``argmax`` holds its exact lattice coordinates.
     """
+    if dual_domain is not None and dual_h is not None:
+        raise ValueError("dual_h sets the step of the default dual lattice; "
+                         "it cannot be combined with dual_domain")
     dom = u.domain
     active = dom.active_mask()
     bad = active & ~np.isfinite(u.values)
@@ -483,11 +502,18 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
     for d in range(dom.n):
         # axes < d of g are dual, axes >= d primal; axis d + 1 of cand is x_d
         shape = [1] * (dom.n + 1)
-        shape[d:d + 2] = len(xis[d]), len(xs[d])
-        cand = np.multiply.outer(xis[d], xs[d]).reshape(shape) \
-            + np.expand_dims(g, d)
-        picks.append(np.argmax(cand, axis=d + 1))
-        g = cand.max(axis=d + 1)
+        shape[d:d + 2] = -1, len(xs[d])
+        kept = g.shape[:d] + (len(xis[d]), 1) + g.shape[d + 1:]
+        pick, nxt = np.empty(kept, dtype=np.intp), np.empty(kept)
+        step = max(1, LEGENDRE_BLOCK // g.size)
+        for j in range(0, len(xis[d]), step):
+            rows = (slice(None),) * d + (slice(j, j + step),)
+            cand = np.multiply.outer(xis[d][j:j + step], xs[d]) \
+                .reshape(shape) + np.expand_dims(g, d)
+            np.argmax(cand, axis=d + 1, out=pick[rows], keepdims=True)
+            nxt[rows] = np.take_along_axis(cand, pick[rows], axis=d + 1)
+        picks.append(pick.squeeze(d + 1))
+        g = nxt.squeeze(d + 1)
     mask = dual_domain.active_mask()
     dual_vals = np.full(dual_domain.shape, np.nan)
     dual_vals[mask] = g[mask]

@@ -70,6 +70,20 @@ def test_stable_dt_is_infinite_when_no_node_moves():
     assert stable_dt(state) == math.inf
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "stable_dt has no consistency cap: with no curvature the step is "
+    "infinite, so evolve lands on t_end in one step while the band moves"))
+def test_moving_band_data_reaches_a_flat_interior():
+    # u0 = 0 with band data 5 t |x|^2: one step of 0.1 leaves all 307
+    # interior nodes at 0 while the band reaches 0.82; steps capped at h^2
+    # move every interior node, to a maximum of 0.391
+    dom = ball(r=1.0, h=0.1)
+    state = make_state(dom, lambda pts, t: 5.0 * t * np.sum(pts ** 2, axis=1),
+                       OperatorConfig(p=1.0))
+    res = evolve(state, t_end=0.1)
+    assert np.max(res.snapshots[-1].values[dom.interior_mask()]) > 0.1
+
+
 def test_snapshots_land_exactly():
     dom = ball(r=0.8, h=0.1)
     sol = quadratic_solution(np.eye(2), p=1.0)

@@ -7,7 +7,10 @@ import pytest
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
-from pma_lab import build_domain, sample
+from pma_lab import build_domain, gradient_field, sample
+from pma_lab import geometry
+from pma_lab.config import make_state
+from pma_lab.experiments import REGISTRY
 from pma_lab.geometry import (
     BalancednessCertificate,
     Ellipsoid,
@@ -521,6 +524,97 @@ def test_legendre_memory_stays_within_a_few_candidate_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def _default_dual(u):
+    # the default dual box, from the n-component gradient array
+    g = gradient_field(u)[u.domain.interior_mask()]
+    glo, ghi = np.nanmin(g, axis=0), np.nanmax(g, axis=0)
+    width = ghi - glo
+    floor = max(1e-3, u.domain.h_grid)
+    glo = np.where(width < floor, glo - 0.5 * floor, glo)
+    ghi = np.where(width < floor, ghi + 0.5 * floor, ghi)
+    return build_domain({"kind": "box", "lower": glo, "upper": ghi},
+                        float(np.max(ghi - glo) / 32.0), stencil_radius=2)
+
+
+def _unblocked_legendre(u, dual):
+    # each axis pass over all dual rows at once, the (dual x lattice)
+    # candidate array held whole
+    dom = u.domain
+    xs, xis = dom.axes(), dual.axes()
+    g = np.where(dom.active_mask(), -u.values, -np.inf)
+    picks = []
+    for d in range(dom.n):
+        shape = [1] * (dom.n + 1)
+        shape[d:d + 2] = len(xis[d]), len(xs[d])
+        cand = np.multiply.outer(xis[d], xs[d]).reshape(shape) \
+            + np.expand_dims(g, d)
+        picks.append(np.argmax(cand, axis=d + 1))
+        g = cand.max(axis=d + 1)
+    mask = dual.active_mask()
+    at = np.nonzero(mask)
+    arg = np.empty((len(at[0]), dom.n))
+    for d in reversed(range(dom.n)):
+        i = picks[d][at]
+        arg[:, d] = xs[d][i]
+        at = at[:d] + (i,) + at[d + 1:]
+    return np.where(mask, g, np.nan), arg
+
+
+@pytest.mark.filterwarnings("ignore:dual grid range is smaller")
+@pytest.mark.parametrize("block", [1, 1000, None])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_legendre_blocks_equal_the_unblocked_passes(n, block, monkeypatch):
+    # block = 1 puts one dual row in each block; None keeps the constant
+    if block is not None:
+        monkeypatch.setattr(geometry, "LEGENDRE_BLOCK", block)
+    h = {1: 0.05, 2: 0.1, 3: 0.25}[n]
+    rng = np.random.default_rng(60 + n)
+    a = rng.normal(size=(n, n))
+    m = a @ a.T + 0.3 * np.eye(n)
+    data = [lambda x, t: 0.5 * np.einsum("ki,ij,kj->k", x, m, x)
+            + 0.4 * np.abs(x[:, 0] - 0.2),
+            lambda x, t: np.sin(3.0 * x[:, 0]) * np.cos(2.0 * np.sum(x, 1)),
+            lambda x, t: np.full(len(x), 0.3)]
+    primal = [box_domain(1.0, h, n),
+              build_domain({"kind": "ball", "center": [0.1] * n,
+                            "radius": 1.0}, h)]
+    duals = [None, box_domain(1.5, 2 * h, n),
+             build_domain({"kind": "ball", "center": [-0.2] * n,
+                           "radius": 1.6}, 2 * h)]
+    for dom in primal:
+        for f in data:
+            u = sample(dom, f)
+            for dual in duals:
+                lt = legendre(u, dual_domain=dual)
+                ref = _default_dual(u) if dual is None else dual
+                vals, arg = _unblocked_legendre(u, ref)
+                assert np.array_equal(lt.domain.positions(), ref.positions())
+                assert np.array_equal(lt.dual.values, vals, equal_nan=True)
+                assert np.array_equal(lt.argmax, arg)
+
+
+def test_legendre_memory_in_3d_stays_within_a_few_lattices():
+    # the edge-moves-n3p1 initial sample on 45^3 and its default dual; one
+    # candidate array over all dual rows per pass peaked at about 53 MB
+    u = make_state(REGISTRY["edge-moves-n3p1"].config).u
+    assert u.values.shape == (45, 45, 45)
+    tracemalloc.start()
+    try:
+        legendre(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+def test_legendre_refuses_a_step_for_a_given_dual_lattice():
+    u = sample(box_domain(1.0, 0.1), paraboloid)
+    dual = box_domain(1.2, 0.1)
+    with pytest.raises(ValueError, match="dual_h .* dual_domain"):
+        legendre(u, dual_domain=dual, dual_h=0.05)
+    assert legendre(u, dual_domain=dual).domain is dual
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
