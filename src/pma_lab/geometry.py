@@ -66,7 +66,8 @@ from math import gamma, nan, pi
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .grid import Domain, GridFunction, build_domain, write_table
+from .grid import Domain, GridFunction, build_domain, gradient_field, \
+    write_table
 
 __all__ = [
     "BalancednessCertificate",
@@ -428,34 +429,26 @@ LEGENDRE_BLOCK = 2 ** 16
 
 
 def _gradient_box(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Range of the central-difference gradient over the interior, per axis.
-
-    The same differences as ``grid.gradient_field``, one axis at a time.
-    """
-    dom = u.domain
-    inner = dom.interior_mask()
-    lo, hi = np.empty(dom.n), np.empty(dom.n)
-    for ax in range(dom.n):
-        g = (np.roll(u.values, -1, axis=ax)[inner]
-             - np.roll(u.values, 1, axis=ax)[inner]) / (2.0 * dom.h_grid)
-        lo[ax], hi[ax] = np.nanmin(g), np.nanmax(g)
+    g = gradient_field(u)
+    inner = u.domain.interior_mask()
+    lo = np.array([np.nanmin(g[..., d][inner]) for d in range(u.domain.n)])
+    hi = np.array([np.nanmax(g[..., d][inner]) for d in range(u.domain.n)])
     return lo, hi
 
 
-def legendre(u: GridFunction, dual_domain: Domain | None = None,
-             dual_h: float | None = None) -> LegendreTransform:
+def legendre(u: GridFunction,
+             dual_domain: Domain | None = None) -> LegendreTransform:
     """Convex conjugate ``u*(xi) = max over nodes x of (xi . x - u(x))``.
 
     The maximum runs over all active primal nodes, so boundary-band data
     participates (the conjugate of the sampled function on the closed
     domain); inactive nodes count as ``u = +inf``.  When no dual lattice is
     supplied, a box covering the sampled gradient range is built (stencil
-    radius 2) with step ``dual_h``, by default 1/32 of its widest side; a
-    supplied lattice that fails to cover that range only triggers a
-    warning, since the conjugate is still well defined (it just reflects
-    the primal boundary).  Passing both ``dual_domain`` and ``dual_h``
-    raises ``ValueError``, as does a non-finite sample at an active node
-    (naming the node).
+    radius 2) with step 1/32 of its widest side; a supplied lattice that
+    fails to cover that range only triggers a warning, since the conjugate
+    is still well defined (it just reflects the primal boundary).  A
+    non-finite sample at an active node raises ``ValueError`` naming the
+    node.
 
     The maximum is taken one lattice axis at a time (module docstring):
     starting from ``g = -u`` on the primal box, the pass over axis ``d``
@@ -467,9 +460,6 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
     nodes.  The maximising primal node is read back from the last axis to
     the first; ``argmax`` holds its exact lattice coordinates.
     """
-    if dual_domain is not None and dual_h is not None:
-        raise ValueError("dual_h sets the step of the default dual lattice; "
-                         "it cannot be combined with dual_domain")
     dom = u.domain
     active = dom.active_mask()
     bad = active & ~np.isfinite(u.values)
@@ -483,11 +473,9 @@ def legendre(u: GridFunction, dual_domain: Domain | None = None,
         floor = max(1e-3, dom.h_grid)
         glo = np.where(width < floor, glo - 0.5 * floor, glo)
         ghi = np.where(width < floor, ghi + 0.5 * floor, ghi)
-        if dual_h is None:
-            dual_h = float(np.max(ghi - glo) / 32.0)
         dual_domain = build_domain(
             {"kind": "box", "lower": glo, "upper": ghi},
-            dual_h, stencil_radius=2)
+            float(np.max(ghi - glo) / 32.0), stencil_radius=2)
     else:
         xi = dual_domain.positions()
         dlo, dhi = xi.min(axis=0), xi.max(axis=0)

@@ -70,7 +70,7 @@ def test_stable_dt_is_infinite_when_no_node_moves():
     assert stable_dt(state) == math.inf
 
 
-@pytest.mark.xfail(strict=True, reason=(
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "stable_dt has no consistency cap: with no curvature the step is "
     "infinite, so evolve lands on t_end in one step while the band moves"))
 def test_moving_band_data_reaches_a_flat_interior():

@@ -609,14 +609,6 @@ def test_legendre_memory_in_3d_stays_within_a_few_lattices():
     assert peak <= 10e6
 
 
-def test_legendre_refuses_a_step_for_a_given_dual_lattice():
-    u = sample(box_domain(1.0, 0.1), paraboloid)
-    dual = box_domain(1.2, 0.1)
-    with pytest.raises(ValueError, match="dual_h .* dual_domain"):
-        legendre(u, dual_domain=dual, dual_h=0.05)
-    assert legendre(u, dual_domain=dual).domain is dual
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_legendre_rejects_a_non_finite_sample_and_names_its_node(bad):
     dom = box_domain(1.0, 0.1)
