@@ -23,15 +23,15 @@ dom = build_domain({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
 # directions the operator searches, so the discrete determinant is exact
 M = np.array([[1.1, 0.3], [0.3, 1.1]])
 sol = quadratic_solution(M, p=1.2)
-state = EvolutionState(u=sample(dom, sol.fn, t=0.0),
-                       cfg=OperatorConfig(p=1.2), boundary=sol.fn)
+state = EvolutionState(u=sample(dom, sol, t=0.0),
+                       cfg=OperatorConfig(p=1.2), boundary=sol)
 
 # run to t = 0.05 and compare against the closed form on the way
 result = evolve(state, 0.05, snapshot_times=[0.0125, 0.025, 0.0375, 0.05])
 mask = dom.interior_mask()
 pos = dom.positions(mask)
 for snap in result.snapshots:
-    err = float(np.max(np.abs(snap.values[mask] - sol.fn(pos, snap.t))))
+    err = float(np.max(np.abs(snap.values[mask] - sol(pos, snap.t))))
     print(f"t = {snap.t:6.4f}   max |error| = {err:.3e}")
 
 print(f"\n{result.n_steps} explicit steps, rate (det M)^p = "

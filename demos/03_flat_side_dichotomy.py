@@ -26,7 +26,7 @@ pos = dom.positions(np.ones(dom.shape, dtype=bool)).reshape(dom.shape + (2,))
 inner = dom.interior_mask() & (np.linalg.norm(pos, axis=-1) <= 0.15)
 
 for p, t_end in ((1.0, 0.05), (0.4, 0.1)):
-    u0 = sample(dom, data.fn, t=0.0)
+    u0 = sample(dom, data, t=0.0)
     flat0 = dom.interior_mask() & (u0.values == 0.0)
     state = EvolutionState(u=u0, cfg=OperatorConfig(p=p), boundary=None)
     result = evolve(state, t_end,

@@ -23,12 +23,12 @@ cfg = OperatorConfig(p=1.0)
 # 1. each barrier against its own copy shifted up by a margin
 for label, barrier in (("sub ", subsolution_barrier(2, 1.0)),
                        ("super", supersolution_barrier(2, 1.0))):
-    lo = sample(dom, barrier.fn, t=0.0)
+    lo = sample(dom, barrier, t=0.0)
     hi = lo.copy(values=lo.values + 0.1)
     ua, ub = evolve_pair(
-        EvolutionState(u=lo, cfg=cfg, boundary=barrier.fn),
+        EvolutionState(u=lo, cfg=cfg, boundary=barrier),
         EvolutionState(u=hi, cfg=cfg,
-                       boundary=lambda pts, t, f=barrier.fn: f(pts, t) + 0.1),
+                       boundary=lambda pts, t, f=barrier: f(pts, t) + 0.1),
         0.02)
     rep = comparison_check(ua, ub)
     print(f"{label} barrier pair ordered: {rep.ordered}   "
@@ -41,9 +41,9 @@ for k in range(5):
     Ra, Rb = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     qa = quadratic_solution(Ra @ Ra.T + 0.3 * np.eye(2), p=1.0)
     qb = quadratic_solution(Rb @ Rb.T + 0.3 * np.eye(2), p=1.0)
-    gap = float(np.max(qa.fn(pos, 0.0) - qb.fn(pos, 0.0))) + 0.05
-    lo = sample(dom, qa.fn, t=0.0)
-    hi = sample(dom, lambda pts, t, f=qb.fn, g=gap: f(pts, t) + g, t=0.0)
+    gap = float(np.max(qa(pos, 0.0) - qb(pos, 0.0))) + 0.05
+    lo = sample(dom, qa, t=0.0)
+    hi = sample(dom, lambda pts, t, f=qb, g=gap: f(pts, t) + g, t=0.0)
     ua, ub = evolve_pair(EvolutionState(u=lo, cfg=cfg, boundary=None),
                          EvolutionState(u=hi, cfg=cfg, boundary=None), 0.02)
     rep = comparison_check(ua, ub)

@@ -18,7 +18,7 @@ from pma_lab.geometry import balancedness, john_ellipsoid, section_at
 
 dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
                     "upper": [1.0, 1.0]}, h_grid=0.05, stencil_radius=2)
-u = sample(dom, flat_disk_data(radius=0.4, slope=1.0).fn, t=0.0)
+u = sample(dom, flat_disk_data(radius=0.4, slope=1.0), t=0.0)
 
 # sections at the origin for a ladder of heights: each is the flat disk
 # fattened by the cone's sublevel ring of width h/slope

@@ -23,7 +23,7 @@ from pma_lab.exact import cone_data
 # 1. time exponent at the vertex of a cone, n = 2, p = 1: expect 1/3
 dom = build_domain({"kind": "ball", "center": [0.0, 0.0], "radius": 0.8},
                    h_grid=0.05, stencil_radius=2)
-u0 = sample(dom, cone_data(slope=1.0).fn, t=0.0)
+u0 = sample(dom, cone_data(slope=1.0), t=0.0)
 state = EvolutionState(u=u0, cfg=OperatorConfig(p=1.0), boundary=None)
 times = list(np.geomspace(1e-3, 0.05, 7))
 result = evolve(state, 0.05, snapshot_times=times)

@@ -126,13 +126,12 @@ def fit_exponent(x, y, min_points: int = 5,
 
 @dataclass(frozen=True)
 class AngleCertificate:
-    """Two-slope minorant ``base - h + max(q_right s, q_left s)`` of a line."""
+    """Two-slope minorant ``v(0) - h + max(q_right s, q_left s)`` of a line."""
 
     height: float
     alpha: float                  # max(0, q_right - q_left)
     q_right: float
     q_left: float
-    base_value: float
 
 
 def _check_line_samples(offsets, values):
@@ -154,26 +153,23 @@ def _check_line_samples(offsets, values):
     return s, v, i0
 
 
-def angle_opening(offsets, values, height: float,
-                  base_value: float | None = None) -> AngleCertificate:
+def angle_opening(offsets, values, height: float) -> AngleCertificate:
     """Widest two-slope angle fitting under the samples, dropped by ``height``.
 
     ``q_right`` is the infimum of difference quotients on the right branch,
-    ``q_left`` the supremum on the left, both measured from the base value
-    lowered by ``height``; the opening is their (clamped) difference.  A
-    ``base_value`` other than the sample at ``s = 0`` anchors the angle to a
-    reference time while the samples come from a later one.
+    ``q_left`` the supremum on the left, both measured from the sample at
+    ``s = 0`` lowered by ``height``; the opening is their (clamped)
+    difference.
     """
     if height < 0:
         raise ValueError("height must be nonnegative")
     s, v, i0 = _check_line_samples(offsets, values)
-    v0 = float(v[i0]) if base_value is None else float(base_value)
-    lifted = v + height - v0
+    lifted = v + height - v[i0]
     q_right = float(np.min(lifted[i0 + 1:] / s[i0 + 1:]))
     q_left = float(np.max(lifted[:i0] / s[:i0]))
     alpha = max(0.0, q_right - q_left)
     return AngleCertificate(height=float(height), alpha=alpha,
-                            q_right=q_right, q_left=q_left, base_value=v0)
+                            q_right=q_right, q_left=q_left)
 
 
 def line_restriction(u: GridFunction, base_point, direction
@@ -262,12 +258,23 @@ def c1alpha_from_line(offsets, values, h_list) -> C1AlphaReport:
 def c1alpha_exponent(u: GridFunction, base_point, direction,
                      h_list=None) -> C1AlphaReport:
     """Gradient-Holder exponent of a grid sample along a lattice line; the
-    default ``h_list`` is six heights over 1.5 decades from ``10 Lip h``."""
+    default ``h_list`` is six heights over 1.5 decades from ``10 Lip h``.
+
+    Refuses a ladder whose top height exceeds the line's smaller one-sided
+    rise above its base value: the openings there measure where the line
+    ends, not how the sample bends.
+    """
     s, v = line_restriction(u, base_point, direction)
     if h_list is None:
         lip = max(float(np.max(np.abs(np.diff(v) / np.diff(s)))), 1e-12)
         lo = 10.0 * lip * float(np.min(np.diff(s)))
         h_list = np.geomspace(lo, 32.0 * lo, 6)
+    top = float(np.max(h_list))
+    rise = float(min(v[0], v[-1]) - v[np.argmin(np.abs(s))])
+    if top > rise:
+        raise ValueError(
+            f"top height {top:g} exceeds the line's smaller one-sided rise "
+            f"{rise:g} above its base value; the angle fit is out of range")
     return c1alpha_from_line(s, v, h_list)
 
 
@@ -301,8 +308,6 @@ class SeparationReport:
     first_time: np.ndarray        # (k,), NaN for nodes that never crossed
     status: np.ndarray            # (k,) of {"instant", "delayed", "persistent"}
     eps: float
-    t_first: float                # first positive snapshot time
-    t_final: float
 
     def counts(self) -> dict:
         return {k: int(np.sum(self.status == k))
@@ -341,8 +346,7 @@ def separation_probe(snapshots, eps: float | None = None,
                       np.where(first <= snapshots[1].t + 1e-15,
                                "instant", "delayed")).astype(object)
     return SeparationReport(indices=idx, positions=dom.positions(mask),
-                            first_time=first, status=status, eps=float(eps),
-                            t_first=snapshots[1].t, t_final=snapshots[-1].t)
+                            first_time=first, status=status, eps=float(eps))
 
 
 # ---------------------------------------------------------------------------

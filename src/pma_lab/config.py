@@ -225,7 +225,7 @@ def make_profile(cfg: dict):
 
 
 def make_initial(cfg: dict):
-    """The initial-data evaluator named by ``data.kind``."""
+    """The initial data named by ``data.kind``, as ``(points, t) -> values``."""
     kind = _get(cfg, "data.kind", required=True)
     try:
         if kind == "quadratic":
@@ -255,11 +255,8 @@ def make_initial(cfg: dict):
                 T=float(_get(cfg, "data.T", 1.0)),
                 reduced=bool(_get(cfg, "data.reduced", False)))
         if kind == "expression":
-            from .exact import ExactSolution
-            fn = _compile_expression(
+            return _compile_expression(
                 str(_get(cfg, "data.expression", required=True)))
-            return ExactSolution("expression", lambda pts, t: fn(pts, t),
-                                 {"expression": cfg["data.expression"]})
     except ConfigError:
         raise
     except ValueError as exc:
@@ -272,12 +269,12 @@ def make_state(cfg: dict) -> EvolutionState:
     dom = make_domain(cfg)
     op = make_operator(cfg)
     sol = make_initial(cfg)
-    u = sample(dom, sol.fn, t=0.0)
+    u = sample(dom, sol, t=0.0)
     mode = _get(cfg, "run.boundary",
                 "exact" if _get(cfg, "data.kind") in _EXACT_KINDS
                 else "frozen")
     if mode == "exact":
-        boundary = sol.fn
+        boundary = sol
     elif mode == "frozen":
         boundary = None
     else:

@@ -41,23 +41,12 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# simple exact solutions and data factories
+# simple exact solutions and data factories: each returns the space-time
+# function itself, called as ``fn(points, t)`` on points of shape (..., n)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExactSolution:
-    """A closed-form space-time function with its defining parameters."""
-
-    name: str
-    fn: Callable
-    params: dict
-
-    def __call__(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return self.fn(np.asarray(points, dtype=float), t)
-
-
 def quadratic_solution(M, p: float, b0: float = 1.0, linear=None,
-                       const: float = 0.0) -> ExactSolution:
+                       const: float = 0.0) -> Callable:
     """u = x^T M x / 2 + l.x + const + (det M)^p b0 t, exact for b == b0."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = M.shape[0]
@@ -71,12 +60,10 @@ def quadratic_solution(M, p: float, b0: float = 1.0, linear=None,
         quad = 0.5 * np.einsum("...i,ij,...j->...", pts, M, pts)
         return quad + pts @ lin + const + rate * t
 
-    return ExactSolution("quadratic", fn,
-                         {"M": M, "p": p, "b0": b0, "rate": rate,
-                          "linear": lin, "const": const})
+    return fn
 
 
-def subsolution_barrier(n: int, p: float, Lam: float = 1.0) -> ExactSolution:
+def subsolution_barrier(n: int, p: float, Lam: float = 1.0) -> Callable:
     """w = m(t + c) + 2|x|^2 - 3/2 with m = Lam 4^(np), c = 1/(4m).
 
     Solves w_t = Lam (det D^2 w)^p exactly (det D^2 w = 4^n), hence is a
@@ -88,11 +75,10 @@ def subsolution_barrier(n: int, p: float, Lam: float = 1.0) -> ExactSolution:
     def fn(pts, t):
         return m * (t + c) + 2.0 * np.einsum("...i,...i->...", pts, pts) - 1.5
 
-    return ExactSolution("subsolution_barrier", fn,
-                         {"n": n, "p": p, "Lam": Lam, "m": m, "c": c})
+    return fn
 
 
-def supersolution_barrier(n: int, p: float, lam: float = 1.0) -> ExactSolution:
+def supersolution_barrier(n: int, p: float, lam: float = 1.0) -> Callable:
     """w = (|x|^2 - 1)/2 + lam(t - C) with C = 1/lam.
 
     Solves w_t = lam (det D^2 w)^p exactly (det D^2 w = 1), hence is a
@@ -103,39 +89,38 @@ def supersolution_barrier(n: int, p: float, lam: float = 1.0) -> ExactSolution:
     def fn(pts, t):
         return 0.5 * (np.einsum("...i,...i->...", pts, pts) - 1.0) + lam * (t - C)
 
-    return ExactSolution("supersolution_barrier", fn,
-                         {"n": n, "p": p, "lam": lam, "C": C})
+    return fn
 
 
-def cone_data(slope: float = 1.0, center=None) -> ExactSolution:
+def cone_data(slope: float = 1.0, center=None) -> Callable:
     """u0 = slope |x - x0|: the vertex saturates the 1/(np+1) time rate."""
     def fn(pts, t):
         c = np.zeros(pts.shape[-1]) if center is None else np.asarray(center, float)
         return slope * np.linalg.norm(pts - c, axis=-1)
 
-    return ExactSolution("cone", fn, {"slope": slope, "center": center})
+    return fn
 
 
-def crease_data(axis: int = -1, quad_coeff: float = 0.5) -> ExactSolution:
+def crease_data(axis: int = -1, quad_coeff: float = 0.5) -> Callable:
     """u0 = |x_axis| + quad_coeff |x_rest|^2: an edge along a hyperplane."""
     def fn(pts, t):
         rest = np.delete(pts, axis % pts.shape[-1], axis=-1)
         return np.abs(pts[..., axis]) + quad_coeff * np.einsum(
             "...i,...i->...", rest, rest)
 
-    return ExactSolution("crease", fn, {"axis": axis, "quad_coeff": quad_coeff})
+    return fn
 
 
-def flat_disk_data(radius: float, slope: float = 1.0) -> ExactSolution:
+def flat_disk_data(radius: float, slope: float = 1.0) -> Callable:
     """u0 = slope max(0, |x| - radius): flat on a disk, cone outside."""
     def fn(pts, t):
         return slope * np.maximum(np.linalg.norm(pts, axis=-1) - radius, 0.0)
 
-    return ExactSolution("flat_disk", fn, {"radius": radius, "slope": slope})
+    return fn
 
 
 def planted_power_data(gamma: float, coeff: float = 1.0,
-                       direction=None) -> ExactSolution:
+                       direction=None) -> Callable:
     """u0 = coeff max(0, x.e)^(1+gamma): a C^(1,gamma) interface."""
     def fn(pts, t):
         e = np.zeros(pts.shape[-1])
@@ -146,9 +131,7 @@ def planted_power_data(gamma: float, coeff: float = 1.0,
             e /= np.linalg.norm(e)
         return coeff * np.maximum(pts @ e, 0.0) ** (1.0 + gamma)
 
-    return ExactSolution("planted_power", fn,
-                         {"gamma": gamma, "coeff": coeff,
-                          "direction": direction})
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +307,10 @@ class SelfSimilarProfile:
         f = self.f_scale(t, T)
         return f * self.v(np.abs(pts[..., 0]) / f, pts[..., 1] / f)
 
-    def as_initial_data(self, T: float, reduced: bool = False) -> ExactSolution:
-        fn = (lambda pts, t: self.eval_reduced(pts, t, T)) if reduced \
-            else (lambda pts, t: self.eval(pts, t, T))
-        return ExactSolution("selfsimilar", fn,
-                             {"n": self.n, "p": self.p, "T": T,
-                              "reduced": reduced})
+    def as_initial_data(self, T: float, reduced: bool = False) -> Callable:
+        if reduced:
+            return lambda pts, t: self.eval_reduced(pts, t, T)
+        return lambda pts, t: self.eval(pts, t, T)
 
 
 def coefficient_closed_form(n: int, p: float) -> float:

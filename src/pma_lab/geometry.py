@@ -66,8 +66,8 @@ from math import gamma, nan, pi
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .grid import Domain, GridFunction, build_domain, gradient_field, \
-    write_table
+from .grid import INTERIOR, Domain, GridFunction, build_domain, \
+    gradient_field, write_table
 
 __all__ = [
     "BalancednessCertificate",
@@ -162,26 +162,6 @@ def section_at(u: GridFunction, base_point, height: float,
                    indices=indices, t=u.t, touches_boundary=touches)
 
 
-def _node_gradient(u: GridFunction, idx: tuple[int, ...]) -> np.ndarray:
-    """Central-difference gradient at one node, one-sided near missing data."""
-    dom = u.domain
-    g = np.zeros(dom.n)
-    for ax in range(dom.n):
-        lo = list(idx)
-        hi = list(idx)
-        lo[ax] -= 1
-        hi[ax] += 1
-        has_lo = lo[ax] >= 0 and dom.classes[tuple(lo)] != 0
-        has_hi = hi[ax] < dom.shape[ax] and dom.classes[tuple(hi)] != 0
-        if has_lo and has_hi:
-            g[ax] = (u.values[tuple(hi)] - u.values[tuple(lo)]) / (2 * dom.h_grid)
-        elif has_hi:
-            g[ax] = (u.values[tuple(hi)] - u.values[idx]) / dom.h_grid
-        elif has_lo:
-            g[ax] = (u.values[idx] - u.values[tuple(lo)]) / dom.h_grid
-    return g
-
-
 def centered_section(u: GridFunction, base_point, height: float,
                      max_iter: int = 200) -> Section:
     """Section whose center of mass lies within ``2 h_grid`` of the base node.
@@ -193,7 +173,12 @@ def centered_section(u: GridFunction, base_point, height: float,
     """
     dom = u.domain
     idx0, x0 = _base_node(u, base_point)
-    p = _node_gradient(u, idx0)
+    if dom.classes[idx0] != INTERIOR:
+        # the base node belongs to its own section, which then touches
+        # the band whatever the slope
+        raise ValueError(
+            "section touches the boundary band; centering not attempted")
+    p = gradient_field(u)[idx0].copy()    # not a view pinning the field
     goal = 2.0 * dom.h_grid
     best = np.inf
     sec = None

@@ -123,9 +123,9 @@ def test_criterion_06_comparison_on_barriers_and_50_random_pairs(tmp_path):
         R_a, R_b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
         Ma, Mb = R_a @ R_a.T + 0.3 * np.eye(2), R_b @ R_b.T + 0.3 * np.eye(2)
         qa, qb = quadratic_solution(Ma, p=1.0), quadratic_solution(Mb, p=1.0)
-        lo = sample(dom, qa.fn, t=0.0)
-        gap = float(np.max(qa.fn(pos, 0.0) - qb.fn(pos, 0.0))) + 0.05
-        hi = sample(dom, lambda pts, t, _f=qb.fn, _g=gap: _f(pts, t) + _g,
+        lo = sample(dom, qa, t=0.0)
+        gap = float(np.max(qa(pos, 0.0) - qb(pos, 0.0))) + 0.05
+        hi = sample(dom, lambda pts, t, _f=qb, _g=gap: _f(pts, t) + _g,
                     t=0.0)
         ua, ub = evolve_pair(EvolutionState(u=lo, cfg=cfg, boundary=None),
                              EvolutionState(u=hi, cfg=cfg, boundary=None),
@@ -193,16 +193,16 @@ def test_criterion_10_restart_and_csv_round_trip_bit_exact(tmp_path):
     dom = build_domain({"kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
                        h_grid=0.1, stencil_radius=2)
     sol = quadratic_solution(np.array([[1.2, 0.0], [0.0, 0.8]]), p=1.3)
-    u0 = sample(dom, sol.fn, t=0.0)
+    u0 = sample(dom, sol, t=0.0)
     cfg = OperatorConfig(p=1.3)
 
-    direct = evolve(EvolutionState(u=u0, cfg=cfg, boundary=sol.fn),
+    direct = evolve(EvolutionState(u=u0, cfg=cfg, boundary=sol),
                     0.004, [0.002, 0.004])
 
     mid_path = str(tmp_path / "mid.csv")
     save_csv(direct.snapshots[0], mid_path)
     resumed = evolve(EvolutionState(u=load_csv(mid_path), cfg=cfg,
-                                    boundary=sol.fn), 0.004, [0.004])
+                                    boundary=sol), 0.004, [0.004])
     u_dir, u_res = direct.state.u, resumed.state.u
     assert np.array_equal(
         u_res.values[u_res.domain.active_mask()],

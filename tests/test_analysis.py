@@ -7,7 +7,7 @@ from pma_lab.analysis import (angle_opening, beta_time, c1alpha_exponent,
                               holder_time_fit, interface_exponent,
                               line_restriction, separation_probe,
                               write_plot_script)
-from pma_lab.exact import quadratic_solution
+from pma_lab.exact import cone_data, quadratic_solution
 from pma_lab.geometry import flat_set
 from pma_lab.grid import build_domain, load_csv, sample, save_csv
 
@@ -107,7 +107,7 @@ def test_certificate_plane_is_a_minorant():
     rng = np.random.default_rng(21)
     s, v = random_convex_line(rng)
     cert = angle_opening(s, v, 0.07)
-    plane = cert.base_value - cert.height + np.where(
+    plane = v[int(np.argmin(np.abs(s)))] - cert.height + np.where(
         s >= 0, cert.q_right * s, cert.q_left * s)
     assert np.all(plane <= v + 1e-12)
 
@@ -143,8 +143,10 @@ def test_angle_property_suite_on_random_samples():
         dil = angle_opening(lam * s, v, h1)
         assert dil.alpha == pytest.approx(a1 / lam, rel=1e-10)
         grown = v + rng.uniform(0.0, 1.0) * s ** 2
-        v0 = v[int(np.argmin(np.abs(s)))]
-        later = angle_opening(s, grown, h1, base_value=v0)
+        # anchored at the earlier base value v0: the drop below the later
+        # base value is h1 + (grown[i0] - v0)
+        i0 = int(np.argmin(np.abs(s)))
+        later = angle_opening(s, grown, h1 + (grown[i0] - v[i0]))
         assert later.alpha >= a1 - 1e-12
 
 
@@ -197,6 +199,29 @@ def test_c1alpha_on_grid_line():
     u = sample(dom, lambda pts, t: np.abs(pts[:, 0]) ** 1.5, t=0.0)
     rep = c1alpha_exponent(u, [0.0], [1], np.geomspace(0.005, 0.16, 6))
     assert rep.alpha_hat == pytest.approx(0.5, abs=0.02)
+
+
+def test_c1alpha_default_ladder_answers_inside_the_line():
+    # 10 Lip h = 0.003, so the default ladder tops out at 0.096, below the
+    # unit rise of |s|^1.5 on each side
+    dom = build_domain({"kind": "box", "lower": [-1.0], "upper": [1.0]},
+                       h_grid=2e-4)
+    u = sample(dom, lambda pts, t: np.abs(pts[:, 0]) ** 1.5, t=0.0)
+    rep = c1alpha_exponent(u, [0.0], [1])
+    assert rep.heights[-1] < 0.1
+    assert rep.alpha_hat == pytest.approx(0.5, abs=0.02)
+
+
+def test_c1alpha_refuses_a_ladder_above_the_line():
+    # |x| on the box at h = 0.05: the default ladder climbs from
+    # 10 Lip h = 0.5 to 16, while the line rises only 1.05 (band included)
+    u = sample(box(-1.0, 1.0, 0.05), cone_data(1.0), t=0.0)
+    with pytest.raises(ValueError, match=r"top height 16 exceeds the line's "
+                       r"smaller one-sided rise 1\.05"):
+        c1alpha_exponent(u, [0.0, 0.0], [1, 0])
+    # an explicit ladder is held to the same range
+    with pytest.raises(ValueError, match="out of range"):
+        c1alpha_exponent(u, [0.0, 0.0], [1, 0], np.geomspace(0.5, 1.5, 6))
 
 
 def test_line_restriction_axis_and_diagonal():
@@ -383,7 +408,7 @@ def test_interface_under_resolved():
 def dual_pair(M, h, t1=0.1, t2=0.11):
     ex = quadratic_solution(M, p=1.0)
     dom = box(-1.0, 1.0, h)
-    return sample(dom, ex.fn, t=t1), sample(dom, ex.fn, t=t2)
+    return sample(dom, ex, t=t1), sample(dom, ex, t=t2)
 
 
 def test_dual_residual_small_on_isotropic_quadratic():

@@ -104,7 +104,7 @@ def test_selfsimilar_summary_and_tables(tmp_path, capsys):
 def make_snapshot(tmp_path, name="snap.csv", t=0.0, half=1.0, h=0.1):
     dom = build_domain({"kind": "box", "lower": [-half, -half],
                         "upper": [half, half]}, h_grid=h, stencil_radius=2)
-    u = sample(dom, flat_disk_data(radius=0.4, slope=1.0).fn, t=t)
+    u = sample(dom, flat_disk_data(radius=0.4, slope=1.0), t=t)
     u.t = t
     path = str(tmp_path / name)
     save_csv(u, path)
@@ -185,12 +185,16 @@ def test_analyze_dichotomy_on_snapshot_files(tmp_path, capsys):
 
 
 def test_analyze_angle_on_snapshot(tmp_path, capsys):
+    # the flat-disk line at h = 0.1 rises 0.7 on each side, below the
+    # default ladder's lowest height 10 Lip h = 1: no exponent, exit 2
     snap = make_snapshot(tmp_path)
     out = str(tmp_path / "out")
     assert main(["analyze", "angle", snap, "--direction", "1,0",
-                 "--out", out]) == 0
-    stdout = capsys.readouterr().out
-    assert "alpha_hat = " in stdout
+                 "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "alpha_hat = " not in captured.out
+    assert "error: top height 32 exceeds the line's smaller one-sided " \
+        "rise 0.7 above its base value" in captured.err
 
 
 def quadratic_snapshots(tmp_path, times, p, h=0.1):
@@ -199,7 +203,7 @@ def quadratic_snapshots(tmp_path, times, p, h=0.1):
     sol = quadratic_solution(np.array([[1.2, 0.0], [0.0, 0.8]]), p=p)
     paths = []
     for k, t in enumerate(times):
-        u = sample(dom, sol.fn, t=t)
+        u = sample(dom, sol, t=t)
         u.t = t
         paths.append(str(tmp_path / f"q_{k}.csv"))
         save_csv(u, paths[-1])
@@ -370,7 +374,8 @@ def test_flags_are_taken_only_where_they_are_read(tmp_path, capsys):
 
 
 def test_experiment_workers_agree_bitwise(tmp_path):
-    names = ["angle-c1alpha", "noop", "quadratic-exact"]
+    names = ["angle-c1alpha", "comparison-random", "noop",
+             "quadratic-exact"]
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["experiment", "run", *names, "--out", out_a,
                  "--workers", "1"]) == 0

@@ -134,12 +134,12 @@ def test_make_operator_defaults_and_required():
 
 def test_make_initial_kinds():
     quad = make_initial(QUAD)
-    assert quad.fn(np.array([[1.0, 0.0]]), 0.0) == pytest.approx([0.5])
+    assert quad(np.array([[1.0, 0.0]]), 0.0) == pytest.approx([0.5])
     cone = make_initial({"data.kind": "cone", "data.slope": 2.0})
-    assert cone.fn(np.array([[0.3, 0.4]]), 0.0) == pytest.approx([1.0])
+    assert cone(np.array([[0.3, 0.4]]), 0.0) == pytest.approx([1.0])
     disk = make_initial({"data.kind": "flat_disk", "data.radius": 0.5,
                          "data.slope": 1.0})
-    assert disk.fn(np.array([[0.2, 0.0], [1.5, 0.0]]), 0.0) == pytest.approx(
+    assert disk(np.array([[0.2, 0.0], [1.5, 0.0]]), 0.0) == pytest.approx(
         [0.0, 1.0])
     with pytest.raises(ConfigError, match="unknown data.kind"):
         make_initial({"data.kind": "wavelet"})
@@ -150,7 +150,7 @@ def test_make_initial_kinds():
 def test_make_initial_expression():
     sol = make_initial({"data.kind": "expression",
                         "data.expression": "0.5*r**2 + t"})
-    out = sol.fn(np.array([[1.0, 0.0]]), 0.25)
+    out = sol(np.array([[1.0, 0.0]]), 0.25)
     assert out == pytest.approx([0.75])
 
 

@@ -326,7 +326,7 @@ def test_degenerate_fringe_step_stays_bounded_for_p_below_one():
     h = 0.05
     dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
                         "upper": [1.0, 1.0]}, h_grid=h, stencil_radius=2)
-    u0 = sample(dom, flat_disk_data(radius=0.4, slope=1.0).fn, t=0.0)
+    u0 = sample(dom, flat_disk_data(radius=0.4, slope=1.0), t=0.0)
     state = EvolutionState(u=u0, cfg=OperatorConfig(p=0.4), boundary=None)
     res = evolve(state, t_end=0.01)
     # bounded step count certifies the dt floor held well above underflow

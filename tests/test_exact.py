@@ -21,25 +21,36 @@ def profile41():
 
 def test_subsolution_barrier_values():
     w = subsolution_barrier(n=2, p=1.0, Lam=1.0)
-    assert w.params["m"] == 16.0
-    assert w.params["c"] == 1.0 / 64.0
+    origin, e1 = np.zeros((1, 2)), np.array([[1.0, 0.0]])
+    # the rate m = Lam 4^(np) = 16
+    rate = (w(origin, 1.0) - w(origin, 0.0))[0]
+    assert rate == 16.0
+    # c = 1/(4m) = 1/64: w(0, -c) = -3/2
+    assert w(origin, -1.0 / 64.0)[0] == -1.5
     # at the origin at t = 0 the barrier starts at -5/4
-    assert w(np.zeros((1, 2)), 0.0)[0] == pytest.approx(-1.25, abs=1e-15)
-    # exactness: w_t = m and Lam (det D^2 w)^p = Lam 4^np = m
-    assert w.params["m"] == w.params["Lam"] * 4.0 ** (2 * 1.0)
+    assert w(origin, 0.0)[0] == pytest.approx(-1.25, abs=1e-15)
+    # exactness: w_t = m and Lam (det D^2 w)^p = Lam 4^np = m, with the
+    # Hessian 4 I read off an exact second difference of 2|x|^2
+    hess = (w(e1, 0.0) + w(-e1, 0.0) - 2.0 * w(origin, 0.0))[0]
+    assert hess == 4.0
+    assert rate == 1.0 * hess ** (2 * 1.0)
 
 
 def test_supersolution_barrier_values():
     w = supersolution_barrier(n=3, p=2.0, lam=0.5)
-    assert w.params["C"] == 2.0
+    origin = np.zeros((1, 3))
+    # C = 1/lam = 2: w(0, 0) = -1/2 - lam C = -3/2
+    assert w(origin, 0.0)[0] == -1.5
     pts = np.array([[1.0, 0.0, 0.0]])
     # on the unit sphere at t = C the barrier vanishes
-    assert w(pts, w.params["C"])[0] == pytest.approx(0.0, abs=1e-15)
+    assert w(pts, 2.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_quadratic_solution_rate():
     sol = quadratic_solution([[2.0, 0.0], [0.0, 3.0]], p=2.0, b0=0.5)
-    assert sol.params["rate"] == pytest.approx(0.5 * 36.0, rel=1e-14)
+    origin = np.zeros((1, 2))
+    rate = (sol(origin, 1.0) - sol(origin, 0.0))[0]
+    assert rate == pytest.approx(0.5 * 36.0, rel=1e-14)
     pts = np.array([[1.0, 1.0]])
     got = sol(pts, 1.0)
     assert got[0] == pytest.approx(0.5 * (2 + 3) + 18.0, rel=1e-14)

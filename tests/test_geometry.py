@@ -136,6 +136,24 @@ def test_centered_section_boundary_refusal():
         centered_section(u, [0.0, 0.0], 5.0)
 
 
+def test_centered_section_refuses_a_band_base_node_up_front():
+    # the gradient there is NaN, and a NaN slope would read as an empty
+    # section; the base node is a member of its own section, so any height
+    # touches the band
+    dom = box_domain(1.0, 0.25)
+    u = sample(dom, paraboloid)
+    edge = [1.0, 0.0]
+    assert dom.band_mask()[dom.index_of(edge)]
+    assert np.isnan(gradient_field(u)[dom.index_of(edge)]).all()
+    with pytest.raises(ValueError, match="empty section"):
+        section_at(u, edge, 0.01, slope=[np.nan, np.nan])
+    assert section_at(u, edge, 0.01).touches_boundary
+    for height in (0.01, 5.0):
+        with pytest.raises(ValueError, match="^section touches the boundary "
+                           "band; centering not attempted$"):
+            centered_section(u, edge, height)
+
+
 # ---------------------------------------------------------------------------
 # inscribed ellipsoids
 # ---------------------------------------------------------------------------
