@@ -34,5 +34,5 @@ for snap in result.snapshots:
     err = float(np.max(np.abs(snap.values[mask] - sol(pos, snap.t))))
     print(f"t = {snap.t:6.4f}   max |error| = {err:.3e}")
 
-print(f"\n{result.n_steps} explicit steps, rate (det M)^p = "
+print(f"\n{result.state.steps} explicit steps, rate (det M)^p = "
       f"{float(np.linalg.det(M)) ** 1.2:.6f}")

@@ -32,7 +32,7 @@ for p, t_end in ((1.0, 0.05), (0.4, 0.1)):
     result = evolve(state, t_end,
                     snapshot_times=list(np.linspace(0.0, t_end, 5)[1:]))
     final = result.state.u.values
-    print(f"p = {p}: {result.n_steps} steps to t = {t_end}, "
+    print(f"p = {p}: {result.state.steps} steps to t = {t_end}, "
           f"{int(flat0.sum())} initially flat nodes")
     print(f"  max rise on the inner disk r <= 0.15: "
           f"{float(np.max(final[inner])):.3e}")

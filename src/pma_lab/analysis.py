@@ -38,7 +38,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import FlatSet, LegendreTransform, _gradient_box, flat_set, legendre
-from .grid import Domain, GridFunction, build_domain, write_table
+from .grid import GridFunction, build_domain, write_table
 from .monge_ampere import OperatorConfig, ma_field
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "interface_exponent",
     "line_restriction",
     "separation_probe",
-    "write_plot_script",
 ]
 
 
@@ -87,10 +86,6 @@ class ExponentFit:
     slope: float
     intercept: float
     residual: float               # RMS of log-log residuals
-
-    @property
-    def decades(self) -> float:
-        return float(np.log10(self.abscissae.max() / self.abscissae.min()))
 
 
 def fit_exponent(x, y, min_points: int = 5,
@@ -217,7 +212,6 @@ class C1AlphaReport:
     fit: ExponentFit | None
     alpha_hat: float              # NaN when a corner is detected
     corner: bool
-    c1_along: bool
     slope_gap0: float             # zero-height one-sided slope gap
 
 
@@ -247,12 +241,12 @@ def c1alpha_from_line(offsets, values, h_list) -> C1AlphaReport:
     if corner or np.any(alphas <= 0):
         return C1AlphaReport(heights=hs, alphas=alphas, fit=None,
                              alpha_hat=float("nan"), corner=corner,
-                             c1_along=not corner, slope_gap0=gap0)
+                             slope_gap0=gap0)
     fit = fit_exponent(hs, alphas, min_points=5, min_decades=1.0)
     m = min(fit.slope, 0.999)
     return C1AlphaReport(heights=hs, alphas=alphas, fit=fit,
                          alpha_hat=float(m / (1.0 - m)), corner=False,
-                         c1_along=True, slope_gap0=gap0)
+                         slope_gap0=gap0)
 
 
 def c1alpha_exponent(u: GridFunction, base_point, direction,
@@ -308,10 +302,6 @@ class SeparationReport:
     first_time: np.ndarray        # (k,), NaN for nodes that never crossed
     status: np.ndarray            # (k,) of {"instant", "delayed", "persistent"}
     eps: float
-
-    def counts(self) -> dict:
-        return {k: int(np.sum(self.status == k))
-                for k in ("instant", "delayed", "persistent")}
 
     def to_csv(self, path) -> None:
         n = self.positions.shape[1]
@@ -502,9 +492,7 @@ def interface_exponent(u: GridFunction, flat: FlatSet,
 # dual-flow residual
 # ---------------------------------------------------------------------------
 
-def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
-                       dual_domain: Domain | None = None,
-                       dual_h: float | None = None
+def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float
                        ) -> tuple[float, GridFunction, LegendreTransform]:
     """Residual of the conjugated flow ``u*_t = -(det D^2 u*)^{-p}``.
 
@@ -513,30 +501,32 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
     equation; the residual pairs a centered time difference of the
     conjugates with the monotone determinant of their average.
 
-    The default dual box is the intersection of the two attained-slope
-    ranges trimmed by 2 dual cells per side, the width of the determinant's
-    stencil: a dual node whose slope is never attained strictly inside the
-    primal interior picks its argmax on the boundary band, the conjugate
-    flattens there, and the wide-stencil determinant within reach of such
-    nodes is garbage.  Trimming keeps every active dual node honest.
+    The dual step is ``0.65 sqrt(h)`` of ``u1``'s lattice: the discrete
+    transform's O(h^2) value error enters the dual second differences
+    divided by the squared dual step, against their O(step^2) truncation
+    error, and a step of order sqrt(h) balances the two.  The dual box is
+    the intersection of the two attained-slope ranges trimmed by 2 dual
+    cells per side, the width of the determinant's stencil: a dual node
+    whose slope is never attained strictly inside the primal interior
+    picks its argmax on the boundary band, the conjugate flattens there,
+    and the wide-stencil determinant within reach of such nodes is
+    garbage.  Trimming keeps every active dual node honest.
     """
     if u2.t <= u1.t:
         raise ValueError("need two increasing time levels")
-    if dual_domain is None:
-        glo1, ghi1 = _gradient_box(u1)
-        glo2, ghi2 = _gradient_box(u2)
-        glo = np.maximum(glo1, glo2)
-        ghi = np.minimum(ghi1, ghi2)
-        extent = float(np.max(ghi - glo))
-        step = float(dual_h) if dual_h is not None else extent / 32.0
-        lo = glo + 2.0 * step
-        hi = ghi - 2.0 * step
-        if np.any(hi - lo <= 2.0 * step):
-            raise ValueError("dual grid degenerate after trimming the "
-                             "unattained slope margin")
-        dual_domain = build_domain(
-            {"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
-            step, stencil_radius=2)
+    glo1, ghi1 = _gradient_box(u1)
+    glo2, ghi2 = _gradient_box(u2)
+    glo = np.maximum(glo1, glo2)
+    ghi = np.minimum(ghi1, ghi2)
+    step = 0.65 * float(np.sqrt(u1.domain.h_grid))
+    lo = glo + 2.0 * step
+    hi = ghi - 2.0 * step
+    if np.any(hi - lo <= 2.0 * step):
+        raise ValueError("dual grid degenerate after trimming the "
+                         "unattained slope margin")
+    dual_domain = build_domain(
+        {"kind": "box", "lower": lo.tolist(), "upper": hi.tolist()},
+        step, stencil_radius=2)
     with warnings.catch_warnings():
         # the trimmed dual box is narrower than the attained-slope range on
         # purpose; the coverage warning does not apply here
@@ -556,25 +546,3 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float,
     worst = float(np.nanmax(np.abs(res[ok])))
     field = GridFunction(lt1.domain, res, t=mid.t)
     return worst, field, lt1
-
-
-# ---------------------------------------------------------------------------
-# plot scripts
-# ---------------------------------------------------------------------------
-
-def write_plot_script(path, csv_name: str, title: str, xlabel: str,
-                      ylabel: str, logxy: bool = False,
-                      using: tuple[int, int] = (1, 2)) -> None:
-    """Emit a small gnuplot script referencing a sibling CSV by name."""
-    lines = [
-        "set datafile separator ','",
-        f"set title '{title}'",
-        f"set xlabel '{xlabel}'",
-        f"set ylabel '{ylabel}'",
-    ]
-    if logxy:
-        lines.append("set logscale xy")
-    lines.append(f"plot '{csv_name}' using {using[0]}:{using[1]} "
-                 "with linespoints notitle")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

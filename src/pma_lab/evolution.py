@@ -81,8 +81,6 @@ class EvolutionState:
 class EvolutionResult:
     snapshots: list[GridFunction]
     state: EvolutionState
-    n_steps: int
-    t_final: float
 
 
 def stable_dt(state: EvolutionState, fld=None) -> float:
@@ -153,10 +151,6 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
                       states[0].t)
     for s, v in zip(states, stack.values):
         s.u = GridFunction(s.u.domain, v, s.u.t)
-    flat = stack.values.reshape(-1)
-    # the interior nodes of every member, as offsets into the flat stack
-    inner = (dom.interior_index + dom.classes.size
-             * np.arange(len(states))[:, None]).reshape(-1)
     bands = [_prepare_band(s) for s in states]
     for stop in stops:
         while stack.t < stop:
@@ -174,8 +168,8 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
                 raise ValueError(f"non-finite operator value at node "
                                  f"{tuple(map(float, where))}")
             rate *= dt
-            flat[inner] += rate.reshape(-1)
-            for s, (pts, band) in zip(states, bands):
+            for s, r, (pts, band) in zip(states, rate, bands):
+                s.u.values.reshape(-1)[dom.interior_index] += r
                 if s.boundary is not None:
                     bvals = np.asarray(s.boundary(pts, t_new), dtype=float)
                     if not np.all(np.isfinite(bvals)):
@@ -210,8 +204,7 @@ def evolve(state: EvolutionState, t_end: float,
         _check_nondecreasing(prev, cur, state.t, state.u.domain)
         prev = cur
         snaps.append(state.u.copy())
-    return EvolutionResult(snapshots=snaps, state=state, n_steps=state.steps,
-                           t_final=state.t)
+    return EvolutionResult(snapshots=snaps, state=state)
 
 
 def evolve_pair(state_a: EvolutionState, state_b: EvolutionState,

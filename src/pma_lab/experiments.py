@@ -29,14 +29,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from importlib import resources
-from math import inf, isfinite, sqrt
+from math import inf, isfinite
 
 import numpy as np
 
 from .analysis import (c1alpha_exponent, c1alpha_from_line,
                        dual_flow_residual, flat_dichotomy_probe,
-                       holder_time_fit, interface_exponent, separation_probe,
-                       write_plot_script)
+                       holder_time_fit, interface_exponent, separation_probe)
 from .config import (format_config, make_domain, make_initial, make_profile,
                      make_state, run_settings)
 from .evolution import (EvolutionState, ScalingMap, comparison_check, evolve,
@@ -216,9 +215,19 @@ class RunContext:
 
     def write_plot(self, name: str, title: str, xlabel: str, ylabel: str,
                    logxy: bool = False, using=(1, 2)) -> None:
-        write_plot_script(os.path.join(self.plots_dir, name + ".gp"),
-                          f"../probes/{name}.csv", title, xlabel, ylabel,
-                          logxy=logxy, using=using)
+        """A small gnuplot script plotting the probe table ``name``."""
+        lines = [
+            "set datafile separator ','",
+            f"set title '{title}'",
+            f"set xlabel '{xlabel}'",
+            f"set ylabel '{ylabel}'",
+        ]
+        if logxy:
+            lines.append("set logscale xy")
+        lines.append(f"plot '../probes/{name}.csv' using "
+                     f"{using[0]}:{using[1]} with linespoints notitle")
+        with open(os.path.join(self.plots_dir, name + ".gp"), "w") as f:
+            f.write("\n".join(lines) + "\n")
 
 
 _PROBES: dict = {}
@@ -498,10 +507,9 @@ def _probe_dual_refinement(ctx: RunContext) -> dict:
         dom = make_domain(dict(ctx.cfg, **{"grid.h": h}))
         u1 = sample(dom, sol, t=0.1)
         u2 = sample(dom, sol, t=0.11)
-        dual_h = 0.65 * sqrt(h)
-        worst, _fld, _lt = dual_flow_residual(u1, u2, p, dual_h=dual_h)
+        worst, fld, _lt = dual_flow_residual(u1, u2, p)
         worsts.append(worst)
-        rows.append((h, dual_h, worst))
+        rows.append((h, fld.domain.h_grid, worst))
     ctx.write_table("dual_residual", "h,dual_h,residual", rows)
     ctx.write_plot("dual_residual", "conjugated-flow residual vs h", "h",
                    "residual", logxy=True)

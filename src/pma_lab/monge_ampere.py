@@ -34,16 +34,17 @@ active: on the crease data of ``edge-moves-n3p1`` that is 162 against an
 all-frame 881.5, so 5x fewer steps.  Nodes that cannot set the maximum
 keep the all-frame value, so the field is an upper bound everywhere and
 its maximum is the chord bound's.  For p < 1 the slope pieces use
-differences floored at h^2 (see :func:`_frame_terms`).
+differences floored at h^2 (see :func:`_min_over_frames`).
 
 Evaluation.  :func:`ma_field` takes one grid function or a
 :class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
 laid end to end and differenced on one contiguous span: a stack costs the
 array operations of one grid function, and each member's output is bit for
-bit that of its own call.  Both variants run one frame loop (running
-minimum of the products, running maximum of the slope factors, argmin
-frame); the reduced variant's radial factor is computed once per call and
-multiplies each frame's product and slope pieces.  Second differences
+bit that of its own call.  Both variants run one frame loop,
+:func:`_min_over_frames` (running minimum of the products, running maximum
+of the slope factors, argmin frame); the reduced variant's radial factor
+is computed once per call and multiplies each frame's product and slope
+pieces.  Second differences
 live where they are read: a direction that several frames read (the axes
 in 3-D and up) is differenced once per call into a span row, and every
 other direction is differenced into one of at most n scratch rows just
@@ -351,109 +352,6 @@ def _product(factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frame_terms(u: GridFunction | GridStack, cfg: OperatorConfig,
-                 st: _Stencil, Ds: np.ndarray, difference, with_slope: bool,
-                 radial: tuple | None = None):
-    """Yield (k, product, floored product, leave-one-out sum) per frame k.
-
-    ``Ds`` and ``difference`` come from :func:`_clamped_second_differences`;
-    each frame first differences its own directions into the scratch rows.
-    The sensitivity pieces (but never the product itself) are computed from
-    differences floored at the curvature scale h^2 for p < 1: a second
-    difference below the scheme's own truncation scale is indistinguishable
-    from degenerate, and for p < 1 the raw sensitivity diverges exactly
-    there.  The leave-one-out sum is sum_i (2/|e_i|^2) prod_{j != i} F_j.
-    With the reduced variant's ``radial`` = (R, R_f, c) the three become
-    R P, R_f P_f and R_f loo + c P_f.  The yielded arrays are work arrays,
-    overwritten by the next frame.
-    """
-    dom = u.domain
-    floored = with_slope and cfg.p < 1.0
-    L = Ds.shape[1]
-    scratch = _work(u, "scratch", (st.scratch, L))
-    rows = [*Ds, *scratch]
-    Fs = rows
-    if floored:
-        hh = dom.h_grid * dom.h_grid
-        Fs = [*np.maximum(Ds, hh, out=_work(u, "floored", Ds.shape)),
-              *scratch]
-    prod = _work(u, "prod", (L,))
-    prod_f = _work(u, "prod_f", (L,)) if floored else prod
-    if with_slope:
-        slope, term = _work(u, "sum", (L,)), _work(u, "term", (L,))
-    for k, frame in enumerate(st.rows):
-        fills = st.fills[k]
-        for r, d in fills:
-            difference(d, rows[r])
-        _product([rows[i] for i in frame], prod)
-        if with_slope:
-            if floored:
-                if fills:
-                    fresh = scratch[:len(fills)]
-                    np.maximum(fresh, hh, out=fresh)
-                _product([Fs[i] for i in frame], prod_f)
-            for i, (w, rest) in enumerate(st.loo[k]):
-                others = [Fs[j] for j in rest]
-                loo = others[0] if len(others) == 1 else _product(others, term)
-                # every term is >= +0, so starting from the first is exact
-                np.multiply(w, loo, out=term if i else slope)
-                if i:
-                    slope += term
-            if radial is not None:
-                R, R_f, c = radial
-                slope *= R_f
-                slope += np.multiply(c, prod_f, out=term)
-                if floored:
-                    prod_f *= R_f
-        if radial is not None:
-            prod *= radial[0]
-        yield k, prod, prod_f, slope if with_slope else None
-
-
-def _power_slope(p: float, prod: np.ndarray, prod_f: np.ndarray,
-                 sum_loo: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|d(prod^p)/du(x)| factor: p * prod_f^(p-1) * sum_loo.
-
-    ``prod_f`` equals ``prod`` for p >= 1; for p < 1 the caller passes the
-    curvature-floored product (at least floor^n > 0), bounding the otherwise
-    divergent p - 1 power at the resolvable scale.  Where ``prod == 0`` the
-    node does not move and the sensitivity is taken as zero (the
-    degenerate-product convention).
-    """
-    if p == 1.0:
-        return sum_loo
-    np.power(prod_f, p - 1.0, out=out)
-    np.multiply(p, out, out=out)
-    out *= sum_loo
-    np.copyto(out, 0.0, where=~(prod > 0))
-    return out
-
-
-def _coefficient(u: GridFunction | GridStack, cfg: OperatorConfig):
-    """b at the interior nodes, evaluated and bound-checked once per call
-    for every member at once; a constant b is a scalar whose bounds hold by
-    construction."""
-    b = cfg.b.constant_value
-    if b is None:
-        b = cfg.b(u.domain.interior_positions, u.t)
-        cfg.b.check_bounds(b, f"at t={u.t}")
-    return b
-
-
-def _interior_fields(u: GridFunction | GridStack, cfg: OperatorConfig, b,
-                     core_value: np.ndarray, core_slope: np.ndarray | None):
-    """``b * value^p`` and ``b * slope`` at the interior nodes, from arrays
-    over the span."""
-    inner = _interior_offsets(u)
-    values = np.power(np.take(core_value, inner), cfg.p)
-    values *= b
-    slope = None
-    if core_slope is not None:
-        slope = np.take(core_slope, inner)
-        slope *= b
-    return values, slope
-
-
 def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
              with_slope: bool = False,
              with_frames: bool = False) -> OperatorField:
@@ -470,7 +368,20 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
                      radial: tuple | None = None) -> OperatorField:
     """The frame loop of every variant: the running minimum of the frame
     products, the running maximum of their slope factors and the index of
-    the first minimising frame.
+    the first minimising frame, then ``b * minimum^p`` and ``b * slope`` at
+    the interior nodes.
+
+    Each frame first differences its own directions into the scratch rows
+    (:func:`_clamped_second_differences`).  The slope factor of frame F is
+    |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i (2/|e_i|^2) prod_{j != i} F_j.
+    For p < 1 its pieces (but never the product itself) are computed from
+    differences floored at the curvature scale h^2: a second difference
+    below the scheme's own truncation scale is indistinguishable from
+    degenerate, and the raw p - 1 power diverges exactly there.  Where the
+    product is 0 the node does not move and the factor is taken as zero.
+    With the reduced variant's ``radial`` = (R, R_f, c) the product, the
+    floored product and the leave-one-out sum become R P, R_f P_f and
+    R_f loo + c P_f.
 
     For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
     slope field is then lowered to the chord bound of :func:`_chord_slope`
@@ -482,38 +393,83 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     variant's radial factor is not a product of frame differences.
     """
     dom = u.domain
+    p = cfg.p
     st = _stencil(dom.shape, cfg.width, dom.stencil_radius)
     Ds, difference = _clamped_second_differences(u, st)
-    size = Ds.shape[1:]
-    best = _work(u, "best", size)
-    best_slope = _work(u, "best_slope", size) if with_slope else None
-    power = (_work(u, "power", size) if with_slope and cfg.p != 1.0
-             else None)
-    arg = np.zeros(size, dtype=np.uint8) if with_frames else None
-    for k, prod, prod_f, sum_loo in _frame_terms(u, cfg, st, Ds, difference,
-                                                 with_slope, radial):
-        if k == 0:
-            np.copyto(best, prod)
-            if with_slope:
-                np.copyto(best_slope,
-                          _power_slope(cfg.p, prod, prod_f, sum_loo, power))
-            continue
+    L = Ds.shape[1]
+    scratch = _work(u, "scratch", (st.scratch, L))
+    rows = [*Ds, *scratch]
+    floored = with_slope and p < 1.0
+    Fs = rows
+    if floored:
+        hh = dom.h_grid * dom.h_grid
+        Fs = [*np.maximum(Ds, hh, out=_work(u, "floored", Ds.shape)),
+              *scratch]
+    prod = _work(u, "prod", (L,))
+    prod_f = _work(u, "prod_f", (L,)) if floored else prod
+    # seeded so that frame 0's minimum and maximum copy it bit for bit
+    best = _work(u, "best", (L,))
+    best.fill(np.inf)
+    if with_slope:
+        sum_loo, term = _work(u, "sum", (L,)), _work(u, "term", (L,))
+        power = sum_loo if p == 1.0 else _work(u, "power", (L,))
+        best_slope = _work(u, "best_slope", (L,))
+        best_slope.fill(-np.inf)
+    arg = np.zeros(L, dtype=np.uint8) if with_frames else None
+    for k, frame in enumerate(st.rows):
+        fills = st.fills[k]
+        for r, d in fills:
+            difference(d, rows[r])
+        _product([rows[i] for i in frame], prod)
+        if with_slope:
+            if floored:
+                if fills:
+                    fresh = scratch[:len(fills)]
+                    np.maximum(fresh, hh, out=fresh)
+                _product([Fs[i] for i in frame], prod_f)
+            for i, (w, rest) in enumerate(st.loo[k]):
+                others = [Fs[j] for j in rest]
+                loo = others[0] if len(others) == 1 else _product(others, term)
+                # every term is >= +0, so starting from the first is exact
+                np.multiply(w, loo, out=term if i else sum_loo)
+                if i:
+                    sum_loo += term
+            if radial is not None:
+                R, R_f, c = radial
+                sum_loo *= R_f
+                sum_loo += np.multiply(c, prod_f, out=term)
+                if floored:
+                    prod_f *= R_f
+        if radial is not None:
+            prod *= radial[0]
         if with_frames:
             arg[prod < best] = k
         if with_slope:
+            if p != 1.0:
+                np.power(prod_f, p - 1.0, out=power)
+                np.multiply(p, power, out=power)
+                power *= sum_loo
+                np.copyto(power, 0.0, where=~(prod > 0))
             # monotone steps need the slope bound over every frame, not
             # just the active one: a frame can take over mid-step
-            np.maximum(best_slope,
-                       _power_slope(cfg.p, prod, prod_f, sum_loo, power),
-                       out=best_slope)
+            np.maximum(best_slope, power, out=best_slope)
         np.minimum(best, prod, out=best)
-    b = _coefficient(u, cfg)
-    values, slope = _interior_fields(u, cfg, b, best, best_slope)
-    if with_slope and radial is None and cfg.p >= 1.0 and dom.n >= 3:
-        _lower_to_chord_bound(u, cfg, st, best, b, slope)
+    b = cfg.b.constant_value
+    if b is None:
+        b = cfg.b(dom.interior_positions, u.t)
+        cfg.b.check_bounds(b, f"at t={u.t}")
+    inner = _interior_offsets(u)
+    values = np.power(np.take(best, inner), p)
+    values *= b
+    slope = None
+    if with_slope:
+        slope = np.take(best_slope, inner)
+        slope *= b
+        if radial is None and p >= 1.0 and dom.n >= 3:
+            _lower_to_chord_bound(u, cfg, st, best, b, slope)
     if with_frames:
-        arg = np.take(arg, _interior_offsets(u))
-    return OperatorField(u.domain, values, slope, arg)
+        arg = np.take(arg, inner)
+    return OperatorField(dom, values, slope, arg)
 
 
 def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,

@@ -91,7 +91,7 @@ def test_snapshots_land_exactly():
     times = [0.0123, 0.02, 0.031]
     res = evolve(state, t_end=0.031, snapshot_times=times)
     assert [s.t for s in res.snapshots] == times
-    assert res.t_final == 0.031
+    assert res.state.t == 0.031
 
 
 def test_restart_is_bit_exact(tmp_path):

@@ -204,8 +204,7 @@ def test_dual_refinement_reads_its_quadratic_and_lattices_from_the_config(
         dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
                             "upper": [1.0, 1.0]}, h, stencil_radius=2)
         worst, _field, _lt = dual_flow_residual(
-            sample(dom, sol, t=0.1), sample(dom, sol, t=0.11), 1.0,
-            dual_h=0.65 * math.sqrt(h))
+            sample(dom, sol, t=0.1), sample(dom, sol, t=0.11), 1.0)
         want.append(worst)
     assert got["dual_residual"] == want[0]
     assert got["dual_residual_fine"] == want[1]

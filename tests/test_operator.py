@@ -325,6 +325,33 @@ def test_work_arrays_hold_a_few_rows(n, p):
     assert ("power" in dom.work) == (p != 1.0)
 
 
+def test_work_arrays_carry_nothing_between_calls():
+    # one lattice's work arrays serve every later call, whatever aliases the
+    # frame loop set up before (the power is the slope at p = 1, the floored
+    # product the product at p >= 1): each call in a mixed sequence equals
+    # the same call on a lattice that has never run the operator
+    desc = {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    shared = build_domain(desc, h_grid=0.1, stencil_radius=2)
+    values = sample(shared, quad([[1.3, 0.0], [0.0, 0.7]])).values
+    values += 1e-3 * np.random.default_rng(3).standard_normal(values.shape)
+    calls = [(OperatorConfig(p=p, variant=variant,
+                             n_full=4 if variant == "reduced" else None),
+              with_slope)
+             for variant in VARIANTS for p in (0.4, 1.0, 2.0)
+             for with_slope in (False, True)]
+    for cfg, with_slope in calls + calls[::-1]:
+        fresh = build_domain(desc, h_grid=0.1, stencil_radius=2)
+        got = ma_field(GridFunction(shared, values.copy()), cfg,
+                       with_slope=with_slope, with_frames=True)
+        want = ma_field(GridFunction(fresh, values.copy()), cfg,
+                        with_slope=with_slope, with_frames=True)
+        for name in ("values", "slope", "argmin_frame"):
+            a, w = getattr(got, name), getattr(want, name)
+            assert (a is None) == (w is None), name
+            if w is not None:
+                assert a.tobytes() == w.tobytes(), (cfg, with_slope, name)
+
+
 @given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
        p=st.floats(0.2, 3.0), varying_b=st.booleans(),
        bump=st.floats(1e-6, 0.1), seed=st.integers(0, 2 ** 16))
