@@ -14,8 +14,11 @@ Subcommands
 Each subcommand takes only the flags it reads: ``--out DIR`` on every
 command that writes (all but ``experiment list``), ``--config PATH`` on
 ``solve``, and ``--workers N`` (at least 1) and ``--seed N`` on ``experiment
-run``.  The seed feeds only randomized property probes, never the solver, so
-solver outputs are bit-identical across seeds and worker counts.
+run``; ``analyze`` takes ``--point``, ``--direction``, ``--eps`` and
+``--r-max`` only for a probe that reads that params key, and ``--p`` only
+for ``dual-residual``.  The seed feeds only randomized property probes,
+never the solver, so solver outputs are bit-identical across seeds and
+worker counts.
 
 Exit codes: 0 when everything passed, 1 when any expected outcome failed,
 2 for configuration or runtime errors.
@@ -33,9 +36,10 @@ import numpy as np
 from .config import ConfigError, format_config, make_state, read_config
 from .evolution import _same_lattice
 from .exact import build_profile, coefficient_closed_form, profile_residual
-from .experiments import (_PROBES, REGISTRY, ExperimentError, RunContext,
-                          list_experiments, measured_lines, run_experiment,
-                          solve_to_snapshots, write_profile_curve)
+from .experiments import (_PROBE_PARAMS, _PROBES, REGISTRY, ExperimentError,
+                          RunContext, list_experiments, measured_lines,
+                          run_experiment, solve_to_snapshots,
+                          write_profile_curve)
 from .geometry import balancedness, save_ellipsoid, save_section, section_at
 from .grid import fmt17, load_csv
 
@@ -85,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="lattice direction for the angle probe")
     an.add_argument("--eps", type=float, default=None)
     an.add_argument("--r-max", type=float, default=None)
-    an.add_argument("--p", type=float, default=1.0,
-                    help="power p for the dual-residual probe")
+    an.add_argument("--p", type=float, default=None,
+                    help="power p for the dual-residual probe (default: 1)")
 
     ex = sub.add_parser("experiment", help="run or list registry experiments")
     exsub = ex.add_subparsers(dest="action", required=True)
@@ -192,16 +196,22 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    frames = _load_snapshots(args.snapshots)
+    probe = args.probe.replace("-", "_")
     params = {"point": _vector(args.point),
               "direction": _vector(args.direction, int),
               "eps": args.eps, "r_max": args.r_max}
+    params = {k: v for k, v in params.items() if v is not None}
+    unread = [k for k in params if k not in _PROBE_PARAMS[probe]]
+    if args.p is not None and probe != "dual_residual":
+        unread.append("p")
+    if unread:
+        raise ConfigError(f"analyze {args.probe} does not read " + ", ".join(
+            "--" + k.replace("_", "-") for k in unread))
+    frames = _load_snapshots(args.snapshots)
     out_dir = os.path.join(args.out, "analyze")
-    ctx = RunContext.create(
-        out_dir, cfg={"op.p": args.p}, frames=frames,
-        params={k: v for k, v in params.items() if v is not None})
-    return _report(out_dir, measured_lines(
-        _PROBES[args.probe.replace("-", "_")](ctx)))
+    cfg = {} if args.p is None else {"op.p": args.p}
+    ctx = RunContext.create(out_dir, cfg=cfg, params=params, frames=frames)
+    return _report(out_dir, measured_lines(_PROBES[probe](ctx)))
 
 
 def _run_one(name: str, out: str, seed: int):

@@ -8,8 +8,8 @@ registry embeds the same mappings.
 
 Recognized keys:
 
-* ``domain.kind`` — ``ball`` | ``box`` (default ``ball``), with
-  ``domain.center``/``domain.radius`` or ``domain.lower``/``domain.upper``.
+* ``domain.kind`` — ``ball`` (the default) with ``domain.center`` and
+  ``domain.radius``, or ``box`` with ``domain.lower`` and ``domain.upper``.
 * ``grid.h`` — lattice spacing (required); the stencil radius of the
   lattice is the operator width.
 * ``op.p`` — exponent (required); ``op.width`` 1|2|3 (default 2);
@@ -17,16 +17,23 @@ Recognized keys:
   ``op.n_full`` for the reduced variant only; ``op.b_expression`` in
   ``x1..xn, r, t`` (default ``"1"``) with pinch bounds ``op.lambda`` and
   ``op.Lambda`` (defaults 1, 1).
-* ``data.kind`` — ``quadratic`` | ``cone`` | ``crease`` | ``flat_disk`` |
-  ``power`` | ``selfsimilar`` | ``expression`` plus kind parameters
-  (``data.matrix``, ``data.radius``, ``data.gamma``, ``data.expression``,
-  ...).
+* ``data.kind`` and the ``data.*`` keys of that kind:
+
+  - ``quadratic``: ``matrix`` (required), ``b0``, ``linear``;
+  - ``cone``: ``slope``, ``center``;
+  - ``crease``: ``axis``, ``quad_coeff``;
+  - ``flat_disk``: ``radius`` (required), ``slope``;
+  - ``power``: ``gamma`` (required), ``coeff``, ``direction``;
+  - ``selfsimilar``: ``n`` and ``p`` (required), ``T``, ``reduced``,
+    ``rk_step``, ``n_tab``;
+  - ``expression``: ``expression`` (required).
 * ``run.t_end``; ``run.snapshots`` (count or explicit time list);
   ``run.boundary`` ``exact`` | ``frozen`` (default: exact for data kinds
   that are closed-form solutions, frozen otherwise).
 
-Unknown keys are configuration errors: a typo that silently changed nothing
-would be worse than a refusal to run.
+Unknown keys are configuration errors, and so are the keys of a region or
+data kind other than the one named, and a value of the wrong type: a typo
+that silently changed nothing would be worse than a refusal to run.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from .evolution import EvolutionState
 from .exact import (build_profile, cone_data, crease_data, flat_disk_data,
                     planted_power_data, quadratic_solution)
-from .grid import CoefficientField, Domain, build_domain, sample
+from .grid import _REGION_KEYS, CoefficientField, Domain, build_domain, sample
 from .monge_ampere import OperatorConfig
 
 __all__ = [
@@ -60,14 +67,24 @@ class ConfigError(ValueError):
     """A configuration that cannot be turned into a run."""
 
 
+# the data.* keys each data kind reads besides data.kind; a key of another
+# kind is refused, as an unknown key is
+_DATA_KEYS = {
+    "quadratic": {"matrix", "b0", "linear"},
+    "cone": {"slope", "center"},
+    "crease": {"axis", "quad_coeff"},
+    "flat_disk": {"radius", "slope"},
+    "power": {"gamma", "coeff", "direction"},
+    "selfsimilar": {"n", "p", "T", "reduced", "rk_step", "n_tab"},
+    "expression": {"expression"},
+}
+
 _KNOWN_KEYS = {
-    "domain": {"kind", "center", "radius", "lower", "upper"},
+    "domain": {"kind"}.union(*_REGION_KEYS.values()),
     "grid": {"h"},
     "op": {"p", "width", "variant", "n_full", "b_expression", "lambda",
            "Lambda"},
-    "data": {"kind", "matrix", "b0", "linear", "slope", "center", "axis",
-             "quad_coeff", "radius", "gamma", "coeff", "direction", "n", "p",
-             "T", "reduced", "rk_step", "n_tab", "expression"},
+    "data": {"kind"}.union(*_DATA_KEYS.values()),
     "run": {"t_end", "snapshots", "boundary"},
 }
 
@@ -123,12 +140,25 @@ def format_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False):
-    if key in cfg:
+def _get(cfg: dict, key: str, default=None, required: bool = False,
+         cast=None):
+    """``cfg[key]``, passed through ``cast`` when given, else ``default``;
+    a value ``cast`` cannot take is a ConfigError that names the key."""
+    if key not in cfg:
+        if required:
+            raise ConfigError(f"missing required key {key!r}")
+        return default
+    if cast is None:
         return cfg[key]
-    if required:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
+    try:
+        return cast(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {cfg[key]!r} for {key!r}: {exc}") \
+            from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -181,87 +211,84 @@ def expression_field(expr: str, lam: float = 1.0,
 # ---------------------------------------------------------------------------
 
 def make_domain(cfg: dict) -> Domain:
-    kind = _get(cfg, "domain.kind", "ball")
-    if kind == "ball":
-        center = _get(cfg, "domain.center", required=True)
-        desc = {"kind": "ball", "center": list(map(float, center)),
-                "radius": float(_get(cfg, "domain.radius", required=True))}
-    elif kind == "box":
-        lower = _get(cfg, "domain.lower", required=True)
-        upper = _get(cfg, "domain.upper", required=True)
-        desc = {"kind": "box", "lower": list(map(float, lower)),
-                "upper": list(map(float, upper))}
-    else:
-        raise ConfigError(f"domain.kind must be 'ball' or 'box', got {kind!r}")
-    h = float(_get(cfg, "grid.h", required=True))
+    """The ``grid.h`` lattice over the ``domain.*`` region (kind ``ball``
+    unless given); :func:`build_domain` alone reads the region keys."""
+    desc = {"kind": "ball"}
+    desc.update((key[len("domain."):], val) for key, val in cfg.items()
+                if key.startswith("domain."))
+    h = _get(cfg, "grid.h", required=True, cast=float)
     try:
         return build_domain(desc, h_grid=h,
-                            stencil_radius=int(_get(cfg, "op.width", 2)))
+                            stencil_radius=_get(cfg, "op.width", 2, cast=int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def make_operator(cfg: dict) -> OperatorConfig:
-    lam = float(_get(cfg, "op.lambda", 1.0))
-    Lam = float(_get(cfg, "op.Lambda", 1.0))
     try:
-        b = expression_field(str(_get(cfg, "op.b_expression", "1")), lam, Lam)
+        b = expression_field(_get(cfg, "op.b_expression", "1", cast=str),
+                             _get(cfg, "op.lambda", 1.0, cast=float),
+                             _get(cfg, "op.Lambda", 1.0, cast=float))
         return OperatorConfig(
-            p=float(_get(cfg, "op.p", required=True)),
-            width=int(_get(cfg, "op.width", 2)),
-            variant=str(_get(cfg, "op.variant", "plain")),
-            b=b,
-            n_full=(int(cfg["op.n_full"]) if "op.n_full" in cfg else None))
+            p=_get(cfg, "op.p", required=True, cast=float),
+            width=_get(cfg, "op.width", 2, cast=int),
+            variant=_get(cfg, "op.variant", "plain", cast=str),
+            b=b, n_full=_get(cfg, "op.n_full", cast=int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def make_profile(cfg: dict):
     """The self-similar profile named by the ``data.*`` keys."""
-    return build_profile(n=int(_get(cfg, "data.n", required=True)),
-                         p=float(_get(cfg, "data.p", required=True)),
-                         rk_step=float(_get(cfg, "data.rk_step", 4e-4)),
-                         n_tab=int(_get(cfg, "data.n_tab", 2501)))
+    return build_profile(n=_get(cfg, "data.n", required=True, cast=int),
+                         p=_get(cfg, "data.p", required=True, cast=float),
+                         rk_step=_get(cfg, "data.rk_step", 4e-4, cast=float),
+                         n_tab=_get(cfg, "data.n_tab", 2501, cast=int))
 
 
 def make_initial(cfg: dict):
     """The initial data named by ``data.kind``, as ``(points, t) -> values``."""
-    kind = _get(cfg, "data.kind", required=True)
+    kind = _get(cfg, "data.kind", required=True, cast=str)
+    if kind not in _DATA_KEYS:
+        raise ConfigError(f"unknown data.kind {kind!r}")
+    extra = sorted(key for key in cfg if key.startswith("data.")
+                   and key[len("data."):] not in _DATA_KEYS[kind] | {"kind"})
+    if extra:
+        raise ConfigError(f"data.kind {kind!r} does not read {extra} (it "
+                          f"takes {sorted(_DATA_KEYS[kind])})")
     try:
         if kind == "quadratic":
-            M = np.array(_get(cfg, "data.matrix", required=True), dtype=float)
             return quadratic_solution(
-                M, p=float(_get(cfg, "op.p", required=True)),
-                b0=float(_get(cfg, "data.b0", 1.0)),
-                linear=_get(cfg, "data.linear"))
+                _get(cfg, "data.matrix", required=True, cast=_floats),
+                p=_get(cfg, "op.p", required=True, cast=float),
+                b0=_get(cfg, "data.b0", 1.0, cast=float),
+                linear=_get(cfg, "data.linear", cast=_floats))
         if kind == "cone":
-            return cone_data(slope=float(_get(cfg, "data.slope", 1.0)),
-                             center=_get(cfg, "data.center"))
+            return cone_data(slope=_get(cfg, "data.slope", 1.0, cast=float),
+                             center=_get(cfg, "data.center", cast=_floats))
         if kind == "crease":
             return crease_data(
-                axis=int(_get(cfg, "data.axis", -1)),
-                quad_coeff=float(_get(cfg, "data.quad_coeff", 0.5)))
+                axis=_get(cfg, "data.axis", -1, cast=int),
+                quad_coeff=_get(cfg, "data.quad_coeff", 0.5, cast=float))
         if kind == "flat_disk":
             return flat_disk_data(
-                radius=float(_get(cfg, "data.radius", required=True)),
-                slope=float(_get(cfg, "data.slope", 1.0)))
+                radius=_get(cfg, "data.radius", required=True, cast=float),
+                slope=_get(cfg, "data.slope", 1.0, cast=float))
         if kind == "power":
             return planted_power_data(
-                gamma=float(_get(cfg, "data.gamma", required=True)),
-                coeff=float(_get(cfg, "data.coeff", 1.0)),
-                direction=_get(cfg, "data.direction"))
+                gamma=_get(cfg, "data.gamma", required=True, cast=float),
+                coeff=_get(cfg, "data.coeff", 1.0, cast=float),
+                direction=_get(cfg, "data.direction", cast=_floats))
         if kind == "selfsimilar":
             return make_profile(cfg).as_initial_data(
-                T=float(_get(cfg, "data.T", 1.0)),
+                T=_get(cfg, "data.T", 1.0, cast=float),
                 reduced=bool(_get(cfg, "data.reduced", False)))
-        if kind == "expression":
-            return _compile_expression(
-                str(_get(cfg, "data.expression", required=True)))
+        return _compile_expression(
+            _get(cfg, "data.expression", required=True, cast=str))
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown data.kind {kind!r}")
 
 
 def make_state(cfg: dict) -> EvolutionState:
@@ -285,7 +312,7 @@ def make_state(cfg: dict) -> EvolutionState:
 
 def run_settings(cfg: dict) -> dict:
     """Final time and snapshot schedule for a solve."""
-    t_end = float(_get(cfg, "run.t_end", required=True))
+    t_end = _get(cfg, "run.t_end", required=True, cast=float)
     if t_end <= 0:
         raise ConfigError(f"run.t_end must be positive, got {t_end}")
     snaps = _get(cfg, "run.snapshots", 4)
@@ -294,8 +321,8 @@ def run_settings(cfg: dict) -> dict:
             raise ConfigError("run.snapshots must name at least one time")
         times = list(np.linspace(0.0, t_end, snaps + 1)[1:])
     else:
-        times = [float(s) for s in snaps]
+        times = _get(cfg, "run.snapshots",
+                     cast=lambda v: sorted(float(s) for s in v))
         if not times or any(s <= 0 or s > t_end + 1e-15 for s in times):
             raise ConfigError("run.snapshots times must lie in (0, t_end]")
-        times = sorted(times)
     return {"t_end": t_end, "snapshot_times": times}

@@ -17,10 +17,11 @@ deterministically (sorted keys, 17-digit floats, no wall times), so repeated
 runs of the same entry produce bit-identical files.
 
 A probe reads only its :class:`RunContext`; ``pma-lab analyze`` runs the
-probes that need nothing but the frames on snapshot files read back.  Any
-other probe setting is the entry's ``config`` or a constant: ``params``
-takes only the five keys of ``_PARAM_KEYS``.  Properties of the measuring
-machinery itself, such as the angle opening's invariances and its
+probes that need nothing but the frames on snapshot files read back.  Each
+probe declares the ``params`` keys it reads, and an entry's ``params`` (or
+an ``analyze`` flag) may set only a key one of its probes reads.  Any other
+probe setting is the entry's ``config`` or a constant.  Properties of the
+measuring machinery itself, such as the angle opening's invariances and its
 brute-force oracle, are asserted once in the test suite, not re-run here.
 """
 
@@ -73,8 +74,6 @@ class ExperimentError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _KINDS = {"le", "ge", "abs"}
-# the keys of ``pma-lab analyze``'s flags, and the separation probe's region
-_PARAM_KEYS = ("point", "direction", "eps", "r_max", "region_radius")
 _BASES = {"quoted", "derived", "direct"}
 
 
@@ -133,9 +132,11 @@ class ExperimentSpec:
         for probe in self.probes:
             if probe not in _PROBES:
                 raise ValueError(f"unknown probe {probe!r} in {self.name!r}")
+        reads = set().union(*(_PROBE_PARAMS[p] for p in self.probes))
         for key in self.params:
-            if key not in _PARAM_KEYS:
-                raise ValueError(f"unknown params key {key!r} in {self.name!r}")
+            if key not in reads:
+                raise ValueError(f"unknown params key {key!r} in {self.name!r}"
+                                 f": its probes read {sorted(reads)}")
         for out in self.outcomes:
             if not isinstance(out, Outcome):
                 raise ValueError("outcomes must be Outcome instances")
@@ -231,11 +232,13 @@ class RunContext:
 
 
 _PROBES: dict = {}
+_PROBE_PARAMS: dict = {}          # the params keys each probe reads
 
 
-def _probe(name):
+def _probe(name, params=()):
     def deco(fn):
         _PROBES[name] = fn
+        _PROBE_PARAMS[name] = frozenset(params)
         return fn
     return deco
 
@@ -388,7 +391,7 @@ def _random_map(rng: np.random.Generator, n: int) -> np.ndarray:
     return q @ np.diag(diag) @ q2
 
 
-@_probe("holder_time")
+@_probe("holder_time", params=("point",))
 def _probe_holder_time(ctx: RunContext) -> dict:
     """Log-log slope of the value increment in time at one node."""
     snaps = ctx.snapshots()
@@ -402,7 +405,7 @@ def _probe_holder_time(ctx: RunContext) -> dict:
     return {"time_slope": float(fit.slope)}
 
 
-@_probe("separation")
+@_probe("separation", params=("eps", "point", "region_radius"))
 def _probe_separation(ctx: RunContext) -> dict:
     """First-crossing table plus center trace and region statistics.
 
@@ -448,7 +451,7 @@ def _probe_separation(ctx: RunContext) -> dict:
     }
 
 
-@_probe("interface")
+@_probe("interface", params=("r_max",))
 def _probe_interface(ctx: RunContext) -> dict:
     """Distance-binned growth exponent off the final contact set."""
     snaps = ctx.snapshots()
@@ -557,7 +560,7 @@ def _probe_dichotomy(ctx: RunContext) -> dict:
                   if rep.classification == "violation" else 0)}
 
 
-@_probe("angle")
+@_probe("angle", params=("point", "direction"))
 def _probe_angle(ctx: RunContext) -> dict:
     """Gradient-Holder exponent along a lattice line of the final snapshot,
     through ``point`` (default: the origin) along ``direction`` (default:
@@ -571,11 +574,16 @@ def _probe_angle(ctx: RunContext) -> dict:
 
 @_probe("dual_residual")
 def _probe_dual_residual(ctx: RunContext) -> dict:
-    """Conjugated-flow residual between the first and the last snapshot."""
+    """Conjugated-flow residual between the first and the last snapshot,
+    at the power ``op.p`` (default 1)."""
     snaps = ctx.snapshots()
     worst, _field, _lt = dual_flow_residual(snaps[0], snaps[-1],
-                                            float(ctx.cfg["op.p"]))
+                                            float(ctx.cfg.get("op.p", 1.0)))
     return {"dual_residual": float(worst)}
+
+
+# every params key some probe reads
+_PARAM_KEYS = frozenset().union(*_PROBE_PARAMS.values())
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Everything downstream works on a uniform lattice of spacing ``h_grid``
 covering the bounding box of a ball or a box, extended by the stencil
 radius so that every stencil read from an interior node stays on the
 lattice.  :func:`build_domain` is the only reader of a region description;
-the :class:`Domain` it returns keeps the node classes, not the region, and
-every later question about the domain (interior, band, distance to the
-boundary) is answered from them.  Nodes are classified as
+the :class:`Domain` it returns keeps the node classes and axis coordinates,
+not the region, and every later question about the domain (interior, band,
+distance to the boundary) is answered from them.  Nodes are classified as
 
 * ``INTERIOR`` -- lattice nodes strictly inside the region (the open set);
   the unknowns live here,
@@ -22,12 +22,13 @@ save/load bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 EXTERIOR, BAND, INTERIOR = 0, 1, 2
 
@@ -57,39 +58,39 @@ def write_table(path, header: str | None, rows) -> None:
 # region descriptions
 # ---------------------------------------------------------------------------
 
-def _as_vec(v, n: int) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if a.size != n:
-        raise ValueError(f"expected a length-{n} vector, got {v!r}")
+def _as_vec(v, n: int | None = None, name: str = "vector") -> np.ndarray:
+    try:
+        a = np.asarray(v, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} {v!r} is not a list of numbers") from exc
+    if n is not None and a.size != n:
+        raise ValueError(f"expected a length-{n} {name}, got {v!r}")
     return a
 
 
-def _region_bbox(desc: dict) -> tuple[np.ndarray, np.ndarray]:
+# the keys each region kind takes besides ``kind``, sorted
+_REGION_KEYS = {"ball": ["center", "radius"], "box": ["lower", "upper"]}
+
+
+def _region(desc: dict) -> tuple[np.ndarray, np.ndarray, Callable]:
+    """Bounding box ``(lo, hi)`` and strict-inside test (points of shape
+    (..., n) to booleans) of a region description."""
     kind = desc.get("kind")
+    if not isinstance(kind, str) or kind not in _REGION_KEYS:
+        raise ValueError(f"unknown region kind {kind!r}: must be 'ball' or "
+                         "'box'")
+    keys = sorted(set(desc) - {"kind"})
+    if keys != _REGION_KEYS[kind]:
+        raise ValueError(f"a {kind} region takes {_REGION_KEYS[kind]}, "
+                         f"got {keys}")
     if kind == "ball":
-        c = np.asarray(desc["center"], dtype=float).reshape(-1)
-        r = float(desc["radius"])
-        return c - r, c + r
-    if kind == "box":
-        lo = np.asarray(desc["lower"], dtype=float).reshape(-1)
-        return lo, _as_vec(desc["upper"], lo.size)
-    raise ValueError(f"unknown region kind {kind!r}")
-
-
-def region_membership(desc: dict, points: np.ndarray) -> np.ndarray:
-    """Strict-inside test, vectorized over ``points`` of shape (N, n)."""
-    kind = desc["kind"]
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[-1]
-    if kind == "ball":
-        c = _as_vec(desc["center"], n)
-        r = float(desc["radius"])
-        return np.einsum("...i,...i->...", pts - c, pts - c) < r * r
-    if kind == "box":
-        lo = _as_vec(desc["lower"], n)
-        hi = _as_vec(desc["upper"], n)
-        return np.all((pts > lo) & (pts < hi), axis=-1)
-    raise ValueError(f"unknown region kind {kind!r}")
+        c = _as_vec(desc["center"], name="center")
+        r = _as_vec(desc["radius"], 1, "radius")[0]
+        return c - r, c + r, \
+            lambda pts: np.einsum("...i,...i->...", pts - c, pts - c) < r * r
+    lo = _as_vec(desc["lower"], name="lower")
+    hi = _as_vec(desc["upper"], lo.size, "upper")
+    return lo, hi, lambda pts: np.all((pts > lo) & (pts < hi), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +101,33 @@ def region_membership(desc: dict, points: np.ndarray) -> np.ndarray:
 class Domain:
     """A classified uniform lattice over a convex region."""
 
-    n: int
     h_grid: float
-    origin: np.ndarray            # physical position of lattice index (0,..,0)
-    shape: tuple[int, ...]
     classes: np.ndarray           # uint8 lattice array of EXTERIOR/BAND/INTERIOR
     stencil_radius: int
-    # restored domains carry their axis coordinates verbatim so that node
-    # positions survive a save/load cycle bit for bit
-    axes_arrays: tuple | None = None
+    # node coordinates per axis; a restored lattice keeps the stored ones,
+    # so node positions survive a save/load cycle bit for bit
+    axis_coords: tuple
+
+    def __post_init__(self):
+        if tuple(len(a) for a in self.axis_coords) != self.classes.shape:
+            raise ValueError("axis coordinates do not match the lattice "
+                             f"shape {self.classes.shape}")
+
+    @property
+    def n(self) -> int:
+        return self.classes.ndim
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.classes.shape
+
+    @property
+    def origin(self) -> np.ndarray:
+        """Physical position of lattice index (0, .., 0)."""
+        return np.array([a[0] for a in self.axis_coords])
 
     def axes(self) -> list[np.ndarray]:
-        if self.axes_arrays is not None:
-            return [np.asarray(a) for a in self.axes_arrays]
-        return [self.origin[i] + self.h_grid * np.arange(self.shape[i])
-                for i in range(self.n)]
+        return list(self.axis_coords)
 
     # The class masks, interior positions and offsets, and core box are
     # cached per domain (it is frozen) and handed out read-only, so the
@@ -238,28 +251,24 @@ def build_domain(description: dict, h_grid: float,
 
     ``description`` is ``{"kind": "ball", "center", "radius"}`` or
     ``{"kind": "box", "lower", "upper"}``; it is read here only, and the
-    returned lattice does not keep it.  Raises ``ValueError("unknown region
-    kind ...")`` for any other kind and ``ValueError("degenerate domain:
-    ...")`` when the region is too small to contain a usable interior at
-    this resolution.
+    returned lattice does not keep it.  Raises ``ValueError`` for any other
+    kind or set of keys, and ``ValueError("degenerate domain: ...")`` when
+    the region is too small to contain a usable interior at this
+    resolution.
     """
     if h_grid <= 0:
         raise ValueError("h_grid must be positive")
     if stencil_radius < 1:
         raise ValueError("stencil_radius must be at least 1")
-    lo, hi = _region_bbox(description)
-    n = lo.size
+    lo, hi, inside = _region(description)
     if np.any(hi <= lo):
         raise ValueError("degenerate domain: empty bounding box")
-    pad = stencil_radius * h_grid
-    origin = lo - pad
+    origin = lo - stencil_radius * h_grid
     counts = np.floor((hi - lo) / h_grid + 1e-9).astype(int) + 1 + 2 * stencil_radius
-    shape = tuple(int(c) for c in counts)
-    dom = Domain(n=n, h_grid=float(h_grid), origin=origin, shape=shape,
-                 classes=np.zeros(shape, dtype=np.uint8),
-                 stencil_radius=int(stencil_radius))
-    pts = dom.positions(np.ones(shape, dtype=bool)).reshape(shape + (n,))
-    member = region_membership(description, pts)
+    axes = tuple(_read_only(o + float(h_grid) * np.arange(c))
+                 for o, c in zip(origin, counts))
+    member = inside(np.stack(np.broadcast_arrays(
+        *np.meshgrid(*axes, indexing="ij", sparse=True)), axis=-1))
     if not member.any():
         raise ValueError("degenerate domain: no lattice node lies strictly inside")
     ext = np.argwhere(member)
@@ -270,7 +279,8 @@ def build_domain(description: dict, h_grid: float,
             f"{int(np.argmin(span))}; refine h_grid or enlarge the region")
     near = _chebyshev_dilate(member, stencil_radius)
     classes = np.where(member, INTERIOR, np.where(near, BAND, EXTERIOR))
-    return replace(dom, classes=classes.astype(np.uint8))
+    return Domain(h_grid=float(h_grid), classes=classes.astype(np.uint8),
+                  stencil_radius=int(stencil_radius), axis_coords=axes)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +503,11 @@ def load_csv(path) -> GridFunction:
         ax[idx[:, d]] = pts[:, d]
         hole = np.isnan(ax)
         ax[hole] = lo[d] + h * np.flatnonzero(hole)
-        axes.append(ax)
+        axes.append(_read_only(ax))
     # the stencil radius is recoverable as the widest Chebyshev gap between a
     # band node and the interior set
-    interior = classes == INTERIOR
-    radius = 1
-    while radius < 16:
-        if np.all(~(classes == BAND) | _chebyshev_dilate(interior, radius)):
-            break
-        radius += 1
-    dom = Domain(n=n, h_grid=h, origin=lo, shape=shape, classes=classes,
-                 stencil_radius=radius, axes_arrays=tuple(axes))
+    gap, _ = cKDTree(np.argwhere(classes == INTERIOR)).query(
+        np.argwhere(classes == BAND), p=np.inf)
+    dom = Domain(h_grid=h, classes=classes,
+                 stencil_radius=int(gap.max(initial=1)), axis_coords=tuple(axes))
     return GridFunction(dom, values, t)

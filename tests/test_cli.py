@@ -70,6 +70,22 @@ def test_typo_in_config_exits_2(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("op.p = 1.0", "op.p = 1,0", "op.p"),
+    ("data.kind = quadratic\ndata.matrix = [[1.0, 0.0], [0.0, 1.0]]",
+     "data.kind = crease\ndata.axis = [1]", "data.axis"),
+    ("run.t_end = 0.01", "run.t_end = [0.01]", "run.t_end"),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, old, new,
+                                                key):
+    # a value the builder cannot take is a configuration error, not a crash
+    assert old in SOLVE_CFG
+    cfg = write_cfg(tmp_path, SOLVE_CFG.replace(old, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"for '{key}'" in err
+
+
 def test_solve_reruns_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -195,6 +211,27 @@ def test_analyze_angle_on_snapshot(tmp_path, capsys):
     assert "alpha_hat = " not in captured.out
     assert "error: top height 32 exceeds the line's smaller one-sided " \
         "rise 0.7 above its base value" in captured.err
+
+
+# the analyze flags, a value for each, and the flags each probe reads
+_FLAGS = {"--point": "0,0", "--direction": "1,0", "--eps": "0.1",
+          "--r-max": "0.3", "--p": "2"}
+_READS = {"separation": {"--point", "--eps"}, "holder-time": {"--point"},
+          "interface": {"--r-max"}, "dichotomy": set(),
+          "dual-residual": {"--p"}, "angle": {"--point", "--direction"}}
+
+
+@pytest.mark.parametrize("probe,flag", [
+    (probe, flag) for probe, reads in _READS.items()
+    for flag in _FLAGS if flag not in reads])
+def test_analyze_refuses_a_flag_its_probe_does_not_read(tmp_path, capsys,
+                                                        probe, flag):
+    snap = make_snapshot(tmp_path)
+    out = tmp_path / "out"
+    assert main(["analyze", probe, snap, flag, _FLAGS[flag],
+                 "--out", str(out)]) == 2
+    assert f"analyze {probe} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def quadratic_snapshots(tmp_path, times, p, h=0.1):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,28 @@ def test_make_domain_errors():
         make_domain(dict(BALL, **{"grid.h": -0.1}))
 
 
+BOX = {"domain.kind": "box", "domain.lower": [-1.0, -1.0],
+       "domain.upper": [1.0, 1.0], "grid.h": 0.25}
+
+
+@pytest.mark.parametrize("cfg,message", [
+    (dict(BOX, **{"domain.radius": 7.0}),
+     r"got \['lower', 'radius', 'upper'\]"),
+    (dict(BALL, **{"domain.upper": [1.0, 1.0]}),
+     r"got \['center', 'radius', 'upper'\]"),
+    ({k: v for k, v in BOX.items() if k != "domain.upper"},
+     r"a box region takes \['lower', 'upper'\], got \['lower'\]"),
+    ({k: v for k, v in BALL.items() if k != "domain.center"},
+     r"a ball region takes \['center', 'radius'\], got \['radius'\]"),
+    ({k: v for k, v in BALL.items() if k != "domain.kind"} | {
+        "domain.lower": [-1.0, -1.0]}, "a ball region takes"),
+], ids=["box+radius", "ball+upper", "box-upper", "ball-center",
+        "default-ball+lower"])
+def test_make_domain_refuses_keys_of_the_other_kind(cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        make_domain(cfg)
+
+
 def test_make_operator_defaults_and_required():
     op = make_operator({"op.p": 1.5})
     assert (op.p, op.width, op.variant) == (1.5, 2, "plain")
@@ -145,6 +169,38 @@ def test_make_initial_kinds():
         make_initial({"data.kind": "wavelet"})
     with pytest.raises(ConfigError, match="data.matrix"):
         make_initial({"data.kind": "quadratic", "op.p": 1.0})
+
+
+@pytest.mark.parametrize("kind,cfg,foreign", [
+    ("quadratic", {"op.p": 1.0, "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
+     {"data.radius": 0.5}),
+    ("cone", {}, {"data.radius": 0.5, "data.matrix": [[1.0]], "data.T": 2.0}),
+    ("crease", {}, {"data.slope": 2.0}),
+    ("flat_disk", {"data.radius": 0.4}, {"data.center": [0.1, 0.0]}),
+    ("power", {"data.gamma": 0.5}, {"data.axis": 0}),
+    ("selfsimilar", {"data.n": 4, "data.p": 1.0}, {"data.expression": "r"}),
+    ("expression", {"data.expression": "x1"}, {"data.n": 4}),
+])
+def test_data_kinds_refuse_keys_they_do_not_read(kind, cfg, foreign):
+    cfg = dict(cfg, **{"data.kind": kind})
+    if kind != "selfsimilar":           # a profile build takes a while
+        make_initial(cfg)
+    message = f"data.kind '{kind}' does not read {sorted(foreign)}"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make_initial(dict(cfg, **foreign))
+
+
+@pytest.mark.parametrize("cfg,key", [
+    (dict(QUAD, **{"op.p": (1, 0)}), "op.p"),
+    (dict(BALL, **{"op.p": 1.0, "data.kind": "crease", "data.axis": [1]}),
+     "data.axis"),
+    (dict(QUAD, **{"data.matrix": [[1.0, 0.0], [0.0]]}), "data.matrix"),
+    (dict(QUAD, **{"grid.h": [0.1]}), "grid.h"),
+    (dict(QUAD, **{"op.width": "wide"}), "op.width"),
+])
+def test_a_value_of_the_wrong_type_names_its_key(cfg, key):
+    with pytest.raises(ConfigError, match=f"for '{key}'"):
+        make_state(cfg)
 
 
 def test_make_initial_expression():
@@ -197,3 +253,11 @@ def test_run_settings_validation():
         run_settings({"run.t_end": 0.1, "run.snapshots": [0.2]})
     with pytest.raises(ConfigError, match=r"\(0, t_end\]"):
         run_settings({"run.t_end": 0.1, "run.snapshots": []})
+
+
+@pytest.mark.parametrize("key,value", [("run.t_end", [0.1]),
+                                       ("run.snapshots", 0.05),
+                                       ("run.snapshots", ["soon"])])
+def test_run_settings_name_a_value_of_the_wrong_type(key, value):
+    with pytest.raises(ConfigError, match=f"for '{key}'"):
+        run_settings(dict({"run.t_end": 0.1}, **{key: value}))

@@ -1,10 +1,12 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.ndimage import binary_dilation
 
-from pma_lab.grid import (BAND, EXTERIOR, INTERIOR, CoefficientField,
+from pma_lab.grid import (BAND, EXTERIOR, INTERIOR, CoefficientField, Domain,
                           build_domain, fmt17, load_csv, sample, save_csv,
                           write_table, _chebyshev_dilate)
 
@@ -61,6 +63,70 @@ def test_degenerate_domain_rejected():
 def test_only_balls_and_boxes_are_regions(desc):
     with pytest.raises(ValueError, match="unknown region kind"):
         build_domain(desc, h_grid=0.1)
+
+
+@pytest.mark.parametrize("desc,message", [
+    ({"kind": "ball", "center": [0, 0], "radius": 1.0, "lower": [-1, -1]},
+     "a ball region takes ['center', 'radius'], "
+     "got ['center', 'lower', 'radius']"),
+    ({"kind": "box", "lower": [-1, -1], "upper": [1, 1], "radius": 7.0},
+     "a box region takes ['lower', 'upper'], "
+     "got ['lower', 'radius', 'upper']"),
+    ({"kind": "ball", "center": [0, 0]},
+     "a ball region takes ['center', 'radius'], got ['center']"),
+    ({"kind": "box", "upper": [1, 1]},
+     "a box region takes ['lower', 'upper'], got ['upper']"),
+    ({"kind": "ball", "center": [0, 0], "radius": [1.0, 2.0]},
+     "expected a length-1 radius, got [1.0, 2.0]"),
+    ({"kind": "box", "lower": [-1, "a"], "upper": [1, 1]},
+     "lower [-1, 'a'] is not a list of numbers"),
+], ids=["ball+lower", "box+radius", "ball-radius", "box-lower",
+        "ball-radius-vector", "box-lower-text"])
+def test_region_refuses_keys_its_kind_does_not_take(desc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_domain(desc, h_grid=0.1)
+
+
+def test_domain_stores_each_fact_once():
+    assert [f.name for f in fields(Domain)] == [
+        "h_grid", "classes", "stencil_radius", "axis_coords"]
+    dom = ball2(r=0.7, h=0.1, w=3)
+    assert dom.n == 2 and dom.shape == dom.classes.shape
+    assert np.array_equal(dom.origin, [a[0] for a in dom.axes()])
+    with pytest.raises(AttributeError):
+        dom.shape = (3, 3)
+    # axes and classes of different shapes are not a lattice
+    with pytest.raises(ValueError, match="do not match the lattice shape"):
+        Domain(h_grid=0.1, classes=dom.classes, stencil_radius=3,
+               axis_coords=(dom.axes()[0][:-1], dom.axes()[1]))
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("n,kind", [(2, "ball"), (2, "box"), (3, "ball"),
+                                    (3, "box")])
+def test_restored_lattice_matches_the_built_one(tmp_path, n, kind, radius):
+    # a restored lattice is the built one cut to its non-exterior nodes;
+    # its radius, axes and index_of agree with the built one bit for bit
+    desc = {"kind": "ball", "center": [0.05] * n, "radius": 0.7} \
+        if kind == "ball" else \
+        {"kind": "box", "lower": [-0.6] + [-0.4] * (n - 1),
+         "upper": [0.5] * n}
+    built = build_domain(desc, h_grid=0.1 if n == 2 else 0.15,
+                         stencil_radius=radius)
+    save_csv(sample(built, lambda pts, t: pts[:, 0]), tmp_path / "u.csv")
+    restored = load_csv(tmp_path / "u.csv").domain
+    assert restored.stencil_radius == built.stencil_radius == radius
+    active = np.argwhere(built.active_mask())
+    lo, hi = active.min(axis=0), active.max(axis=0) + 1
+    cut = tuple(slice(a, b) for a, b in zip(lo, hi))
+    assert restored.shape == built.classes[cut].shape
+    assert np.array_equal(restored.classes, built.classes[cut])
+    for got, want, c in zip(restored.axes(), built.axes(), cut):
+        assert got.tobytes() == want[c].tobytes()
+    assert restored.positions().tobytes() == built.positions().tobytes()
+    assert [restored.index_of(x) for x in built.positions()] == \
+        [tuple(int(i) for i in np.subtract(built.index_of(x), lo))
+         for x in built.positions()]
 
 
 def test_classification_refinement_consistent():

@@ -384,8 +384,8 @@ def test_field_rejects_interior_on_the_lattice_edge():
     # inside the lattice; a lattice that breaks that must fail loudly
     classes = np.full((6, 6), BAND, dtype=np.uint8)
     classes[1:5, 1:5] = INTERIOR
-    dom = Domain(n=2, h_grid=0.1, origin=np.zeros(2), shape=(6, 6),
-                 classes=classes, stencil_radius=2)
+    dom = Domain(h_grid=0.1, classes=classes, stencil_radius=2,
+                 axis_coords=(0.1 * np.arange(6),) * 2)
     u = GridFunction(dom, np.zeros((6, 6)))
     with pytest.raises(ValueError, match="lattice edge"):
         ma_field(u, OperatorConfig(p=1.0, width=1))
