@@ -38,7 +38,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import FlatSet, LegendreTransform, _gradient_box, flat_set, legendre
-from .grid import GridFunction, build_domain, write_table
+from .grid import INTERIOR, GridFunction, build_domain, write_table
 from .monge_ampere import OperatorConfig, ma_field
 
 __all__ = [
@@ -180,8 +180,6 @@ def line_restriction(u: GridFunction, base_point, direction
     if e.shape != (dom.n,) or not e.any():
         raise ValueError("direction must be a nonzero integer lattice vector")
     idx0 = np.array(dom.index_of(base_point), dtype=int)
-    if dom.classes[tuple(idx0)] == 0:
-        raise ValueError("base point is not an active lattice node")
     step = float(np.linalg.norm(e)) * dom.h_grid
     shape = np.array(dom.shape)
 
@@ -281,7 +279,7 @@ def holder_time_fit(snapshots, point) -> ExponentFit:
     if len(snapshots) < 6:
         raise ValueError("need at least 6 snapshots for the time fit")
     dom = snapshots[0].domain
-    idx = dom.index_of(point)
+    idx = dom.index_of(point, INTERIOR)
     t0 = snapshots[0].t
     v0 = float(snapshots[0].values[idx])
     times = np.array([s.t - t0 for s in snapshots[1:]])

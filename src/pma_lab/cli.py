@@ -34,7 +34,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .config import ConfigError, format_config, make_state, read_config
-from .evolution import _same_lattice
 from .exact import build_profile, coefficient_closed_form, profile_residual
 from .experiments import (_PROBE_PARAMS, _PROBES, REGISTRY, ExperimentError,
                           RunContext, list_experiments, measured_lines,
@@ -115,7 +114,7 @@ def _vector(text, kind=float):
 def _load_snapshots(paths):
     snaps = [load_csv(p) for p in paths]
     for path, snap in zip(paths, snaps):
-        if not _same_lattice(snaps[0].domain, snap.domain):
+        if not snaps[0].domain.same_lattice(snap.domain):
             raise ValueError(f"{path} is not on the lattice of {paths[0]}")
     times = [s.t for s in snaps]
     if sorted(times) != times:

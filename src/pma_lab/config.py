@@ -32,8 +32,10 @@ Recognized keys:
   that are closed-form solutions, frozen otherwise).
 
 Unknown keys are configuration errors, and so are the keys of a region or
-data kind other than the one named, and a value of the wrong type: a typo
-that silently changed nothing would be worse than a refusal to run.
+data kind other than the one named, a value of the wrong type, and one
+that does not fit the lattice (a non-finite region value, a ``data.*``
+vector, matrix or axis of another dimension): a typo that silently
+changed nothing would be worse than a refusal to run.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ _KNOWN_KEYS = {
     "data": {"kind"}.union(*_DATA_KEYS.values()),
     "run": {"t_end", "snapshots", "boundary"},
 }
+
+# the rank of each vector or matrix data key: make_state refuses a value
+# whose shape is not (n,) * rank on an n-D lattice
+_DATA_RANKS = {"data.center": 1, "data.linear": 1, "data.direction": 1,
+               "data.matrix": 2}
 
 # data kinds whose evaluator solves the flow in closed form, so the exact
 # values can keep refreshing the boundary band during evolution
@@ -296,6 +303,14 @@ def make_state(cfg: dict) -> EvolutionState:
     dom = make_domain(cfg)
     op = make_operator(cfg)
     sol = make_initial(cfg)
+    for key, rank in _DATA_RANKS.items():
+        want = (dom.n,) * rank
+        if key in cfg and np.shape(_get(cfg, key, cast=_floats)) != want:
+            raise ConfigError(f"{key} = {cfg[key]!r} does not fit the "
+                              f"{dom.n}-D lattice: it needs shape {want}")
+    if not -dom.n <= _get(cfg, "data.axis", 0, cast=int) < dom.n:
+        raise ConfigError(f"data.axis = {cfg['data.axis']!r} does not fit the "
+                          f"{dom.n}-D lattice: it is not one of its axes")
     u = sample(dom, sol, t=0.0)
     mode = _get(cfg, "run.boundary",
                 "exact" if _get(cfg, "data.kind") in _EXACT_KINDS

@@ -36,13 +36,15 @@ then its neighbours (F is nondecreasing in them): H[u](x) <= H[v](x).  The
 shared dt is the stable step of the whole stack, at most every member's
 own step, so it covers the lower member of a pair, which is what
 :func:`evolve_pair` provides.  Since F >= 0, interior values never
-decrease along the flow; that invariant is checked at every snapshot.
+decrease along the flow.
 
 One shared-dt loop serves both: :func:`evolve` runs it on one state and
 :func:`evolve_pair` on two.  Each step evaluates the operator once, on
 the stack of all states, so a paired step is one operator pass; it takes
 its dt from the slope maximum of the whole stack and updates the interior
-values straight from the operator's interior arrays.
+values straight from the operator's interior arrays.  The loop owns every
+check of a run, so a pair gets each check a single run gets, the
+nondecreasing check at every stop included.
 """
 from __future__ import annotations
 
@@ -108,54 +110,55 @@ def stable_dt(state: EvolutionState, fld=None) -> float:
     return dt
 
 
-def _prepare_band(state: EvolutionState):
-    dom = state.u.domain
-    band = dom.band_mask()
-    pts = dom.positions(band) if state.boundary is not None else None
-    return pts, band
-
-
 def _check_nondecreasing(prev: np.ndarray, cur: np.ndarray, t: float,
                          dom: Domain) -> None:
     """Raise if an interior value fell, naming the node of the largest drop
-    (``prev`` and ``cur`` are in the order of ``dom.interior_positions``)."""
+    (``prev`` and ``cur``: one row per member, in the order of
+    ``dom.interior_positions``)."""
     scale = max(1.0, float(np.max(np.abs(cur))))
     change = cur - prev
     k = int(np.argmin(change))
-    drop = float(change[k])
+    drop = float(change.flat[k])
     if drop < -1e-12 * scale:
-        where = tuple(map(float, dom.interior_positions[k]))
+        where = tuple(map(float, dom.interior_positions[k % cur.shape[-1]]))
         raise RuntimeError(
             f"interior values decreased by {-drop:.3e} at node {where} by "
             f"t = {t}; the flow must be nondecreasing in time")
 
 
-def _same_lattice(a: Domain, b: Domain) -> bool:
-    return a is b or (a.h_grid == b.h_grid
-                      and np.array_equal(a.classes, b.classes)
-                      and np.array_equal(a.interior_positions,
-                                         b.interior_positions))
-
-
 def _shared_steps(states: list[EvolutionState], stops: list[float]):
     """Step N states on one lattice, under one config, with one shared dt.
 
+    Refuses states on different lattices, at different times or under
+    different configs, and a first stop that is not ahead of their time.
     A step is one operator pass over the stack of all N members; dt is the
     stack's one stable step, :func:`stable_dt` over the slope maximum of
     every member, so every member's update stays monotone.  Each state
-    re-binds to a private copy of its values (a view into the stack).
-    Yields on landing at each stop.
+    re-binds to a private copy of its values (a view into the stack).  On
+    landing at each stop it checks that no member's interior value fell
+    since the last stop, then yields.
     """
-    dom = states[0].u.domain
-    stack = GridStack(dom, np.stack([s.u.values for s in states]),
-                      states[0].t)
+    first = states[0]
+    dom, cfg, t0 = first.u.domain, first.cfg, first.t
+    if any(not dom.same_lattice(s.u.domain) or abs(s.t - t0) > 1e-15
+           for s in states):
+        raise ValueError("shared stepping needs matching lattices and times")
+    if any(s.cfg != cfg for s in states):
+        raise ValueError("shared stepping needs one operator config")
+    if stops[0] <= t0:
+        raise ValueError(f"stop {stops[0]} is not ahead of t = {t0}")
+    stack = GridStack(dom, np.stack([s.u.values for s in states]), t0)
     for s, v in zip(states, stack.values):
-        s.u = GridFunction(s.u.domain, v, s.u.t)
-    bands = [_prepare_band(s) for s in states]
+        s.u = GridFunction(dom, v, t0)
+    band = dom.band_mask()
+    pts = dom.positions(band) \
+        if any(s.boundary is not None for s in states) else None
+    flat = stack.values.reshape(len(states), -1)
+    prev = flat.take(dom.interior_index, axis=1)
     for stop in stops:
         while stack.t < stop:
-            fld = ma_field(stack, states[0].cfg, with_slope=True)
-            dt = stable_dt(states[0], fld)
+            fld = ma_field(stack, cfg, with_slope=True)
+            dt = stable_dt(first, fld)
             rem = stop - stack.t
             if dt >= rem * (1.0 - 1e-12):
                 dt, t_new = rem, stop
@@ -168,7 +171,7 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
                 raise ValueError(f"non-finite operator value at node "
                                  f"{tuple(map(float, where))}")
             rate *= dt
-            for s, r, (pts, band) in zip(states, rate, bands):
+            for s, r in zip(states, rate):
                 s.u.values.reshape(-1)[dom.interior_index] += r
                 if s.boundary is not None:
                     bvals = np.asarray(s.boundary(pts, t_new), dtype=float)
@@ -179,6 +182,9 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
                 s.u.t = t_new
                 s.steps += 1
             stack.t = t_new
+        cur = flat.take(dom.interior_index, axis=1)
+        _check_nondecreasing(prev, cur, stop, dom)
+        prev = cur
         yield stop
 
 
@@ -190,20 +196,10 @@ def evolve(state: EvolutionState, t_end: float,
     as the final snapshot.  The state re-binds to a private working copy, so
     the grid function passed in survives as the clean pre-flow sample.
     """
-    t0 = state.t
-    if t_end <= t0:
-        raise ValueError(f"t_end = {t_end} is not ahead of t = {t0}")
     stops = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
-    if stops[0] <= t0 or stops[-1] > t_end + 1e-12:
+    if stops[-1] > t_end + 1e-12:
         raise ValueError("snapshot times must lie in (t, t_end]")
-    inner = state.u.domain.interior_mask()
-    prev = state.u.values[inner]
-    snaps: list[GridFunction] = []
-    for _ in _shared_steps([state], stops):
-        cur = state.u.values[inner]
-        _check_nondecreasing(prev, cur, state.t, state.u.domain)
-        prev = cur
-        snaps.append(state.u.copy())
+    snaps = [state.u.copy() for _ in _shared_steps([state], stops)]
     return EvolutionResult(snapshots=snaps, state=state)
 
 
@@ -213,14 +209,9 @@ def evolve_pair(state_a: EvolutionState, state_b: EvolutionState,
 
     The shared dt is the pair's one stable step, over the slope maximum of
     both members, so both updates stay monotone and discrete comparison
-    applies to the pair.  Both states must share one lattice and one
-    operator config: each step evaluates the pair in one operator pass.
+    applies to the pair.  Both states must share one lattice, one time and
+    one operator config: each step evaluates the pair in one operator pass.
     """
-    if not _same_lattice(state_a.u.domain, state_b.u.domain) or \
-            abs(state_a.u.t - state_b.u.t) > 1e-15:
-        raise ValueError("paired evolution needs matching lattices and times")
-    if state_a.cfg != state_b.cfg:
-        raise ValueError("paired evolution needs one operator config")
     for _ in _shared_steps([state_a, state_b], [t_end]):
         pass
     return state_a.u, state_b.u
@@ -247,7 +238,7 @@ class ComparisonReport:
 def comparison_check(lower: GridFunction, upper: GridFunction,
                      tol: float = 1e-10) -> ComparisonReport:
     """Check lower <= upper + tol on all non-exterior nodes."""
-    if lower.domain.shape != upper.domain.shape:
+    if not lower.domain.same_lattice(upper.domain):
         raise ValueError("comparison needs a common lattice")
     mask = lower.domain.active_mask()
     diff = lower.values[mask] - upper.values[mask]

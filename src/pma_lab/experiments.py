@@ -45,7 +45,7 @@ from .exact import (build_profile, coefficient_closed_form, profile_residual,
                     quadratic_solution, subsolution_barrier,
                     supersolution_barrier)
 from .geometry import flat_set
-from .grid import build_domain, fmt17, sample, save_csv, write_table
+from .grid import INTERIOR, build_domain, fmt17, sample, save_csv, write_table
 from .monge_ampere import ma_field
 
 __all__ = [
@@ -423,7 +423,7 @@ def _probe_separation(ctx: RunContext) -> dict:
                    using=(1, dom.n + 1))
 
     point = ctx.param("point", [0.0] * dom.n)
-    idx = dom.index_of(point)
+    idx = dom.index_of(point, INTERIOR)
     trace = [(float(s.t), float(s.values[idx] - snaps[0].values[idx]))
              for s in snaps]
     ctx.write_table("center_trace", "t,rise", trace)

@@ -115,21 +115,6 @@ class Section:
         return self.positions.mean(axis=0)
 
 
-def _base_node(u: GridFunction, base_point) -> tuple[tuple[int, ...], np.ndarray]:
-    dom = u.domain
-    x0 = np.asarray(base_point, dtype=float).reshape(dom.n)
-    bad = f"base point {tuple(map(float, x0))} is not an active lattice node"
-    try:
-        idx = dom.index_of(x0)
-    except ValueError:
-        raise ValueError(bad)
-    snapped = dom.coordinates(idx)
-    if (dom.classes[idx] == 0
-            or np.max(np.abs(snapped - x0)) > 0.5 * dom.h_grid):
-        raise ValueError(bad)
-    return idx, snapped
-
-
 def section_at(u: GridFunction, base_point, height: float,
                slope=None) -> Section:
     """Member nodes of the sub-level set at a given height and slope.
@@ -142,7 +127,8 @@ def section_at(u: GridFunction, base_point, height: float,
     if height <= 0:
         raise ValueError("section height must be positive")
     dom = u.domain
-    idx0, x0 = _base_node(u, base_point)
+    idx0 = dom.index_of(base_point)
+    x0 = dom.coordinates(idx0)
     p = (np.zeros(dom.n) if slope is None
          else np.asarray(slope, dtype=float).reshape(dom.n))
     u0 = float(u.values[idx0])
@@ -172,7 +158,8 @@ def centered_section(u: GridFunction, base_point, height: float,
     the domain and its center of mass is meaningless).
     """
     dom = u.domain
-    idx0, x0 = _base_node(u, base_point)
+    idx0 = dom.index_of(base_point)
+    x0 = dom.coordinates(idx0)
     if dom.classes[idx0] != INTERIOR:
         # the base node belongs to its own section, which then touches
         # the band whatever the slope

@@ -28,7 +28,6 @@ from itertools import product
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 EXTERIOR, BAND, INTERIOR = 0, 1, 2
 
@@ -65,6 +64,8 @@ def _as_vec(v, n: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name} {v!r} is not a list of numbers") from exc
     if n is not None and a.size != n:
         raise ValueError(f"expected a length-{n} {name}, got {v!r}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} {v!r} is not finite")
     return a
 
 
@@ -215,13 +216,28 @@ class Domain:
         """Broadcastable coordinate arrays (one per axis, lattice-shaped)."""
         return list(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
 
-    def index_of(self, point) -> tuple[int, ...]:
-        """Lattice index of the node nearest to a physical point."""
-        p = _as_vec(point, self.n)
-        idx = np.rint((p - self.origin) / self.h_grid).astype(int)
-        if np.any(idx < 0) or np.any(idx >= np.array(self.shape)):
-            raise ValueError(f"point {p} is outside the lattice")
-        return tuple(int(i) for i in idx)
+    def index_of(self, point, lowest: int = BAND) -> tuple[int, ...]:
+        """Lattice index of the node nearest to a physical point; refuses a
+        point off the lattice and a node of a class below ``lowest``."""
+        p = _as_vec(point, self.n, "point")
+        idx = tuple(int(i) for i in np.rint((p - self.origin) / self.h_grid))
+        if any(not 0 <= i < s for i, s in zip(idx, self.shape)):
+            where = "it is outside the lattice"
+        elif self.classes[idx] < lowest:
+            where = f"it is in the {_CLASS_NAMES[int(self.classes[idx])]}"
+        else:
+            return idx
+        need = "an interior" if lowest == INTERIOR else "an active"
+        raise ValueError(f"point {tuple(map(float, p))} is not {need} "
+                         f"lattice node: {where}")
+
+    def same_lattice(self, other: "Domain") -> bool:
+        """Same spacing, node classes and interior positions as ``other``."""
+        return other is self or (
+            self.h_grid == other.h_grid
+            and np.array_equal(self.classes, other.classes)
+            and np.array_equal(self.interior_positions,
+                               other.interior_positions))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -504,10 +520,10 @@ def load_csv(path) -> GridFunction:
         hole = np.isnan(ax)
         ax[hole] = lo[d] + h * np.flatnonzero(hole)
         axes.append(_read_only(ax))
-    # the stencil radius is recoverable as the widest Chebyshev gap between a
-    # band node and the interior set
-    gap, _ = cKDTree(np.argwhere(classes == INTERIOR)).query(
-        np.argwhere(classes == BAND), p=np.inf)
+    # the stored lattice is cut to its active nodes and the band reaches the
+    # stencil radius past the interior, so the first interior row is the
+    # radius
+    inner = (classes == INTERIOR).any(axis=tuple(range(1, n)))
     dom = Domain(h_grid=h, classes=classes,
-                 stencil_radius=int(gap.max(initial=1)), axis_coords=tuple(axes))
+                 stencil_radius=int(np.argmax(inner)), axis_coords=tuple(axes))
     return GridFunction(dom, values, t)

@@ -84,8 +84,6 @@ def _frames_2d(width: int) -> list[tuple[tuple[int, int], ...]]:
     frames = []
     for a in range(1, width + 1):
         for b in range(-a + 1, a + 1):
-            if max(abs(a), abs(b)) > width:
-                continue
             if math.gcd(a, abs(b)) != 1:
                 continue
             frames.append(((a, b), (-b, a)))

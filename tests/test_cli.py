@@ -1,4 +1,5 @@
 import os
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -85,6 +86,38 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, old, new,
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"for '{key}'" in err
 
+
+
+_QUAD = "data.kind = quadratic\ndata.matrix = [[1.0, 0.0], [0.0, 1.0]]"
+
+
+@pytest.mark.parametrize("new,key", [
+    ("data.kind = quadratic\ndata.matrix = "
+     "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]", "data.matrix"),
+    (_QUAD + "\ndata.linear = [1.0]", "data.linear"),
+    ("data.kind = cone\ndata.center = [0.1, 0.2, 0.3]", "data.center"),
+    ("data.kind = power\ndata.gamma = 0.5\ndata.direction = [1.0, 0.0, 0.0]",
+     "data.direction"),
+    ("data.kind = crease\ndata.axis = 5", "data.axis"),
+])
+def test_data_value_that_does_not_fit_the_lattice_exits_2(tmp_path, capsys,
+                                                          new, key):
+    # refused by key before the initial data is sampled, not as a NumPy
+    # broadcast error from inside the sampler
+    cfg = write_cfg(tmp_path, SOLVE_CFG.replace(_QUAD, new))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} = ")
+    assert "does not fit the 2-D lattice" in err
+
+
+def test_non_finite_region_value_exits_2_without_a_warning(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SOLVE_CFG.replace("domain.radius = 1.0",
+                                                "domain.radius = None"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "radius None is not finite" in capsys.readouterr().err
 
 def test_solve_reruns_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path)
@@ -270,6 +303,21 @@ def test_analyze_holder_time_on_exact_quadratic(tmp_path, capsys):
                  "--out", out]) == 2
     assert "outside the lattice" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("probe,point", [("separation", "1.0,0"),
+                                         ("holder-time", "1.1,0")])
+def test_analyze_at_a_band_node_exits_2(tmp_path, capsys, probe, point):
+    # a band node carries the boundary data, not the flow: the probes read
+    # an unknown or nothing
+    times = [0.0] + list(np.geomspace(1e-4, 0.1, 7))
+    snaps = quadratic_snapshots(tmp_path, times, p=1.0)
+    out = str(tmp_path / "out")
+    assert main(["analyze", probe, *snaps, "--point", point,
+                 "--out", out]) == 2
+    x = float(point.split(",")[0])
+    assert (f"point ({x}, 0.0) is not an interior lattice node: it is in the "
+            "band") in capsys.readouterr().err
 
 def test_analyze_dual_residual_between_first_and_last(tmp_path, capsys):
     snaps = quadratic_snapshots(tmp_path, [0.1, 0.105, 0.11], p=2.0, h=0.05)

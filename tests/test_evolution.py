@@ -153,6 +153,80 @@ def test_a_planted_drop_names_its_node(monkeypatch):
         evolve(state, t_end=0.01)
 
 
+
+def test_evolve_pair_refuses_a_drop_as_evolve_does(monkeypatch):
+    # one loop checks every member: a fall in the upper member of a pair is
+    # named as it is for a single run
+    dom = ball(r=1.0, h=0.1)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    cfg = OperatorConfig(p=1.0)
+    k = len(dom.interior_positions) // 3
+    where = tuple(map(float, dom.interior_positions[k]))
+
+    def dropping(u, cfg, **kw):
+        fld = ma_field(u, cfg, **kw)
+        fld.interior_values[-1, k] = -1.0
+        return fld
+
+    monkeypatch.setattr(evolution, "ma_field", dropping)
+    with pytest.raises(RuntimeError,
+                       match=r"decreased by .* at node "
+                       + re.escape(f"{where} by t = 0.01;")):
+        evolve_pair(make_state(dom, sol, cfg), make_state(dom, sol, cfg),
+                    t_end=0.01)
+
+
+def test_loop_refuses_a_non_finite_operator_value_and_names_its_node(
+        monkeypatch):
+    dom = ball(r=1.0, h=0.1)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    k = len(dom.interior_positions) // 2
+    where = tuple(map(float, dom.interior_positions[k]))
+
+    def poisoned(u, cfg, **kw):
+        fld = ma_field(u, cfg, **kw)
+        fld.interior_values[..., k] = np.nan
+        return fld
+
+    monkeypatch.setattr(evolution, "ma_field", poisoned)
+    with pytest.raises(ValueError, match=re.escape(
+            f"non-finite operator value at node {where}")):
+        evolve(make_state(dom, sol, OperatorConfig(p=1.0)), t_end=0.01)
+
+
+def test_loop_refuses_non_finite_boundary_data():
+    dom = ball(r=1.0, h=0.1)
+    u = sample(dom, quadratic_solution(np.eye(2), p=1.0))
+    state = EvolutionState(u=u, cfg=OperatorConfig(p=1.0),
+                           boundary=lambda pts, t: np.full(len(pts), np.nan))
+    with pytest.raises(ValueError, match="non-finite boundary data at t = "):
+        evolve(state, t_end=0.01)
+
+
+def test_loop_refuses_a_pair_at_two_times_or_a_stop_behind_it():
+    dom = ball(r=1.0, h=0.1)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    cfg = OperatorConfig(p=1.0)
+    with pytest.raises(ValueError, match="matching lattices and times"):
+        evolve_pair(make_state(dom, sol, cfg),
+                    make_state(dom, sol, cfg, t0=0.001), t_end=0.01)
+    with pytest.raises(ValueError, match="not ahead"):
+        evolve_pair(make_state(dom, sol, cfg), make_state(dom, sol, cfg),
+                    t_end=0.0)
+    with pytest.raises(ValueError, match="not ahead"):
+        evolve(make_state(dom, sol, cfg), t_end=0.01, snapshot_times=[0.0])
+
+
+def test_comparison_needs_one_lattice_not_one_shape():
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    disk = sample(ball(r=1.0, h=0.1), sol)
+    square = sample(build_domain({"kind": "box", "lower": [-1.0, -1.0],
+                                  "upper": [1.0, 1.0]}, h_grid=0.1,
+                                 stencil_radius=2), sol)
+    assert disk.domain.shape == square.domain.shape
+    with pytest.raises(ValueError, match="common lattice"):
+        comparison_check(disk, square)
+
 def test_evolve_validates_window():
     dom = ball(r=0.8, h=0.2)
     state = make_state(dom, quadratic_solution(np.eye(2), p=1.0),
@@ -249,6 +323,15 @@ def test_scaling_factor_example():
     sm = ScalingMap(A=2.0 * np.eye(2), h=4.0, p=1.0)
     assert sm.m(2) == pytest.approx(4.0, rel=1e-14)
 
+
+
+@pytest.mark.parametrize("A,h,message", [
+    (np.eye(2), 0.0, "h > 0"), (np.eye(2), -1.0, "h > 0"),
+    ([[1.0, 2.0], [2.0, 4.0]], 1.0, "invertible A"),
+])
+def test_scaling_map_refuses_a_degenerate_map(A, h, message):
+    with pytest.raises(ValueError, match=message):
+        ScalingMap(A=A, h=h, p=1.0)
 
 def test_rescale_affine_exact_and_quadratic_close():
     dom = ball(r=1.3, h=0.05)

@@ -51,6 +51,45 @@ def test_degenerate_domain_rejected():
                      h_grid=0.1)
 
 
+
+@pytest.mark.parametrize("desc,w,message", [
+    ({"kind": "ball", "center": [0, 0], "radius": 1.0}, 0,
+     "stencil_radius must be at least 1"),
+    ({"kind": "ball", "center": [0, 0], "radius": 0.0}, 2,
+     "degenerate domain: empty bounding box"),
+    ({"kind": "box", "lower": [0, 0], "upper": [1, 0]}, 2,
+     "degenerate domain: empty bounding box"),
+    ({"kind": "box", "lower": [0, 0], "upper": [1, 0.15]}, 2,
+     "interior is a single lattice layer along axis 1"),
+    ({"kind": "ball", "center": [0, 0], "radius": None}, 2,
+     "radius None is not finite"),
+    ({"kind": "box", "lower": [0, float("nan")], "upper": [1, 1]}, 2,
+     "lower [0, nan] is not finite"),
+], ids=["radius-0", "ball-radius-0", "empty-box", "single-layer",
+        "radius-None", "lower-nan"])
+def test_build_domain_refuses_a_degenerate_region(desc, w, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_domain(desc, h_grid=0.1, stencil_radius=w)
+
+
+def test_index_of_refuses_a_point_off_the_lattice_or_below_the_class_asked():
+    dom = box2(h=0.5, w=2)
+    assert dom.classes[dom.index_of([0.4, -0.1], INTERIOR)] == INTERIOR
+    assert dom.classes[dom.index_of([1.0, 0.0])] == BAND
+    with pytest.raises(ValueError, match=re.escape(
+            "point (1.0, 0.0) is not an interior lattice node: it is in "
+            "the band")):
+        dom.index_of([1.0, 0.0], INTERIOR)
+    with pytest.raises(ValueError, match=re.escape(
+            "point (7.0, 0.0) is not an active lattice node: it is outside "
+            "the lattice")):
+        dom.index_of([7.0, 0.0])
+    disk = ball2()
+    with pytest.raises(ValueError, match="it is in the exterior"):
+        disk.index_of(disk.origin)
+    with pytest.raises(ValueError, match="point .* is not finite"):
+        dom.index_of([np.nan, 0.0])
+
 @pytest.mark.parametrize("desc", [
     {"kind": "union", "parts": [
         {"kind": "ball", "center": [-0.65, 0.0], "radius": 0.5},

@@ -391,6 +391,22 @@ def test_field_rejects_interior_on_the_lattice_edge():
         ma_field(u, OperatorConfig(p=1.0, width=1))
 
 
+
+@pytest.mark.parametrize("kw,message", [
+    ({"p": 0.0}, "exponent p must be positive"),
+    ({"p": -0.5}, "exponent p must be positive"),
+    ({"p": 1.0, "width": 4}, "stencil width must be 1, 2 or 3"),
+])
+def test_operator_config_refuses_bad_values(kw, message):
+    with pytest.raises(ValueError, match=message):
+        OperatorConfig(**kw)
+
+
+def test_operator_wider_than_the_lattice_radius_is_refused():
+    u = sample(box(w=2), quad(np.eye(2)))
+    with pytest.raises(ValueError, match="operator width exceeds"):
+        ma_field(u, OperatorConfig(p=1.0, width=3))
+
 def test_slope_field_on_identity_quadratic():
     # for u = |x|^2/2, p=1: the axis frame dominates the slope bound with
     # sum_i 2/|e_i|^2 * prod_{j!=i} D_j = 4
