@@ -317,12 +317,15 @@ def separation_probe(snapshots, eps: float | None = None,
 
     Every interior node is probed: ``instant`` when it crosses by the first
     positive snapshot, ``delayed`` when later, ``persistent`` when never.
+    ``eps`` must be a positive finite number.
     """
     if len(snapshots) < 2:
         raise ValueError("need at least 2 snapshots to detect separation")
     dom = snapshots[0].domain
     if eps is None:
         eps = 10.0 * dom.h_grid ** 2 * lam_upper
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be a positive finite number, got {eps}")
     mask = dom.interior_mask()
     idx = np.argwhere(mask)
     base = snapshots[0].values[mask]

@@ -226,6 +226,8 @@ def _cmd_experiment(args) -> int:
         return 0
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    if args.all and args.names:
+        raise ConfigError("experiment run takes names or --all, not both")
     names = sorted(REGISTRY) if args.all else sorted(set(args.names))
     if not names:
         raise ConfigError("experiment run needs names or --all")

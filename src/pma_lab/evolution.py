@@ -14,10 +14,10 @@ falls by t / |e|^2, and H changes by delta + dt (F(t) - F(0)).  That is
 
     dt (F(0) - F(t)) / t <= h^2 / 2        for every t > 0
 
-holds, a bound on the chord slopes of F along upward raises only.  The
-operator returns a slope field sigma (in curvature units) with
-2 (F(0) - F(t)) / t <= sigma(x) for every t > 0 at every node, and the
-automatic step is
+holds, a bound on the chord slopes of F along upward raises only.  Every
+operator call returns, with F, a slope field sigma (in curvature units)
+with 2 (F(0) - F(t)) / t <= sigma(x) for every t > 0 at every node, and
+:func:`stable_dt` reads the automatic step off that field:
 
     dt = kappa h^2 / max_x sigma(x),        kappa = 0.4,
 
@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Domain, GridFunction, GridStack
-from .monge_ampere import OperatorConfig, ma_field
+from .monge_ampere import OperatorConfig, OperatorField, ma_field
 
 KAPPA_CFL = 0.4
 DT_FLOOR = 1e-14
@@ -85,16 +85,15 @@ class EvolutionResult:
     state: EvolutionState
 
 
-def stable_dt(state: EvolutionState, fld=None) -> float:
-    """KAPPA_CFL h^2 / max slope, the largest monotonicity-preserving step.
+def stable_dt(fld: OperatorField) -> float:
+    """KAPPA_CFL h^2 / max slope, the largest monotonicity-preserving step
+    for the operator field ``fld`` (its lattice gives h).
 
-    ``fld`` may be the operator field of a stack: the maximum then runs
-    over every member, which gives the step that a shared-dt loop takes.
-    With no moving node (max slope 0) the step is ``math.inf``.  A
-    non-finite slope raises a ValueError naming its node.
+    For the field of a stack the maximum runs over every member, which
+    gives the step that a shared-dt loop takes.  With no moving node (max
+    slope 0) the step is ``math.inf``.  A non-finite slope raises a
+    ValueError naming its node.
     """
-    if fld is None or fld.interior_slope is None:
-        fld = ma_field(state.u, state.cfg, with_slope=True)
     slope = fld.interior_slope
     sig = float(slope.max()) if slope.size else 0.0
     if not math.isfinite(sig):
@@ -103,7 +102,7 @@ def stable_dt(state: EvolutionState, fld=None) -> float:
         raise ValueError(f"non-finite slope bound at node {where}")
     if sig <= 0.0:
         return math.inf
-    dt = KAPPA_CFL * state.u.domain.h_grid ** 2 / sig
+    dt = KAPPA_CFL * fld.domain.h_grid ** 2 / sig
     if not math.isfinite(dt) or dt < DT_FLOOR:
         raise ValueError(f"stiff state: stable step {dt:.3e} underflows "
                          f"(slope bound {sig:.3e})")
@@ -157,8 +156,8 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     prev = flat.take(dom.interior_index, axis=1)
     for stop in stops:
         while stack.t < stop:
-            fld = ma_field(stack, cfg, with_slope=True)
-            dt = stable_dt(first, fld)
+            fld = ma_field(stack, cfg)
+            dt = stable_dt(fld)
             rem = stop - stack.t
             if dt >= rem * (1.0 - 1e-12):
                 dt, t_new = rem, stop

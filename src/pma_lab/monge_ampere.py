@@ -22,8 +22,8 @@ Variants:
   dimension n_full:  b ( max(0, u_r/r)^(n_full-2) * det2_h u )^p, with
   u_r/r replaced by its limit u_rr on the axis r = 0.
 
-Alongside the value the evaluator can return a slope field, in curvature
-units (multiply by 1/h^2), that bounds how fast F(x) can fall when u(x)
+Every call returns, alongside the value, a slope field in curvature
+units (multiply by 1/h^2) that bounds how fast F(x) can fall when u(x)
 rises: the time step ``kappa h^2 / max slope`` keeps the explicit update
 monotone (see ``evolution``).  Its value at a node is the all-frame slope,
 twice the largest |d(b P_F^p)/dt| at t = 0 over every frame F, where the
@@ -44,7 +44,9 @@ bit that of its own call.  Both variants run one frame loop,
 :func:`_min_over_frames` (running minimum of the products, running maximum
 of the slope factors, argmin frame); the reduced variant's radial factor
 is computed once per call and multiplies each frame's product and slope
-pieces.  Second differences
+pieces.  One recurrence, :func:`_product_and_rate`, builds a frame's
+product and its rate of fall, in the frame loop and in the chord bound
+alike.  Second differences
 live where they are read: a direction that several frames read (the axes
 in 3-D and up) is differenced once per call into a span row, and every
 other direction is differenced into one of at most n scratch rows just
@@ -155,7 +157,8 @@ class OperatorConfig:
 
 @dataclass
 class OperatorField:
-    """Operator values (and optional diagnostics) at the interior nodes.
+    """Operator values and slope bounds (and optional argmin frames) at the
+    interior nodes.
 
     ``interior_values``, ``interior_slope`` and ``interior_frames`` hold one
     entry per interior node, in the order of ``domain.interior_positions``,
@@ -168,7 +171,7 @@ class OperatorField:
 
     domain: Domain
     interior_values: np.ndarray
-    interior_slope: np.ndarray | None = None
+    interior_slope: np.ndarray
     interior_frames: np.ndarray | None = None
 
     @cached_property
@@ -176,7 +179,7 @@ class OperatorField:
         return self._on_lattice(self.interior_values, np.nan)
 
     @cached_property
-    def slope(self) -> np.ndarray | None:
+    def slope(self) -> np.ndarray:
         return self._on_lattice(self.interior_slope, np.nan)
 
     @cached_property
@@ -207,9 +210,7 @@ class _Stencil:
     before the one frame that reads it.  The per-frame plan, built once per
     stencil, indexes the shared rows followed by the scratch rows: frame k
     fills rows ``fills[k]`` = ((row, direction), ...), the scratch rows from
-    the first, and reads its factors from rows ``rows[k]``; ``loo[k]``
-    gives, per factor, its weight 2/|e|^2 in the leave-one-out sum and the
-    rows of the other factors.
+    the first, and reads its factors from rows ``rows[k]``.
     """
 
     frames: tuple[tuple[int, ...], ...]
@@ -219,7 +220,6 @@ class _Stencil:
     scratch: int
     fills: tuple[tuple[tuple[int, int], ...], ...]
     rows: tuple[tuple[int, ...], ...]
-    loo: tuple[tuple[tuple[float, tuple[int, ...]], ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -248,10 +248,7 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
         offsets=tuple(sum(c * s for c, s in zip(e, strides)) for e in dirs),
         e2=e2,
         shared=shared, scratch=max(len(f) for f in fills),
-        fills=tuple(fills), rows=tuple(rows),
-        loo=tuple(tuple((2.0 * (1.0 / e2[d]), r[:i] + r[i + 1:])
-                        for i, d in enumerate(f))
-                  for f, r in zip(frames, rows)))
+        fills=tuple(fills), rows=tuple(rows))
 
 
 def _core_values(u: GridFunction | GridStack) -> tuple[np.ndarray, int, int]:
@@ -343,26 +340,40 @@ def _differences_at(u: GridFunction | GridStack, st: _Stencil,
     return np.maximum(D, 0.0, out=D)
 
 
-def _product(factors, out: np.ndarray) -> np.ndarray:
-    np.multiply(factors[0], factors[1], out=out)
-    for D in factors[2:]:
-        out *= D
-    return out
+def _product_and_rate(factors, w, P: np.ndarray, rate: np.ndarray | None,
+                      tmp: np.ndarray | None = None):
+    """The product P = prod_i F_i of ``factors`` and, unless ``rate`` is
+    None, its rate of fall sum_i w_i prod_{j != i} F_j when factor i falls
+    at rate w_i, both written in place (``tmp``: a work array for the rate).
+
+    The recurrence starts from P = F_0 F_1, rate = w_0 F_1 + w_1 F_0 and
+    takes each further factor as rate = rate F_i + w_i P, then P = P F_i.
+    """
+    F0, F1 = factors[0], factors[1]
+    if rate is not None:
+        np.multiply(w[0], F1, out=rate)
+        rate += np.multiply(w[1], F0, out=tmp)
+    np.multiply(F0, F1, out=P)
+    for F, w_i in zip(factors[2:], w[2:]):
+        if rate is not None:
+            rate *= F
+            rate += np.multiply(w_i, P, out=tmp)
+        P *= F
+    return P, rate
 
 
 def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
-             with_slope: bool = False,
              with_frames: bool = False) -> OperatorField:
-    """Evaluate the configured operator at every interior node of one grid
-    function, or of every member of a :class:`GridStack` in one pass."""
+    """Evaluate the configured operator and its slope bound at every
+    interior node of one grid function, or of every member of a
+    :class:`GridStack` in one pass."""
     if cfg.variant == "reduced":
-        return reduced_ma_field(u, cfg, with_slope=with_slope,
-                                with_frames=with_frames)
-    return _min_over_frames(u, cfg, with_slope, with_frames)
+        return reduced_ma_field(u, cfg, with_frames=with_frames)
+    return _min_over_frames(u, cfg, with_frames)
 
 
 def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
-                     with_slope: bool, with_frames: bool,
+                     with_frames: bool,
                      radial: tuple | None = None) -> OperatorField:
     """The frame loop of every variant: the running minimum of the frame
     products, the running maximum of their slope factors and the index of
@@ -371,15 +382,16 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
 
     Each frame first differences its own directions into the scratch rows
     (:func:`_clamped_second_differences`).  The slope factor of frame F is
-    |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i (2/|e_i|^2) prod_{j != i} F_j.
+    |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i (2/|e_i|^2) prod_{j != i} F_j;
+    one :func:`_product_and_rate` call gives P_F and the leave-one-out sum.
     For p < 1 its pieces (but never the product itself) are computed from
-    differences floored at the curvature scale h^2: a second difference
-    below the scheme's own truncation scale is indistinguishable from
-    degenerate, and the raw p - 1 power diverges exactly there.  Where the
-    product is 0 the node does not move and the factor is taken as zero.
-    With the reduced variant's ``radial`` = (R, R_f, c) the product, the
-    floored product and the leave-one-out sum become R P, R_f P_f and
-    R_f loo + c P_f.
+    differences floored at the curvature scale h^2, and the raw product
+    takes a call of its own: a second difference below the scheme's own
+    truncation scale is indistinguishable from degenerate, and the raw
+    p - 1 power diverges exactly there.  Where the product is 0 the node
+    does not move and the factor is taken as zero.  With the reduced
+    variant's ``radial`` = (R, R_f, c) the product, the floored product and
+    the leave-one-out sum become R P, R_f P_f and R_f loo + c P_f.
 
     For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
     slope field is then lowered to the chord bound of :func:`_chord_slope`
@@ -397,7 +409,7 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     L = Ds.shape[1]
     scratch = _work(u, "scratch", (st.scratch, L))
     rows = [*Ds, *scratch]
-    floored = with_slope and p < 1.0
+    floored = p < 1.0
     Fs = rows
     if floored:
         hh = dom.h_grid * dom.h_grid
@@ -405,52 +417,43 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
               *scratch]
     prod = _work(u, "prod", (L,))
     prod_f = _work(u, "prod_f", (L,)) if floored else prod
+    rate, term = _work(u, "rate", (L,)), _work(u, "term", (L,))
+    power = rate if p == 1.0 else _work(u, "power", (L,))
+    w2 = [2.0 / e for e in st.e2]
     # seeded so that frame 0's minimum and maximum copy it bit for bit
     best = _work(u, "best", (L,))
     best.fill(np.inf)
-    if with_slope:
-        sum_loo, term = _work(u, "sum", (L,)), _work(u, "term", (L,))
-        power = sum_loo if p == 1.0 else _work(u, "power", (L,))
-        best_slope = _work(u, "best_slope", (L,))
-        best_slope.fill(-np.inf)
+    best_slope = _work(u, "best_slope", (L,))
+    best_slope.fill(-np.inf)
     arg = np.zeros(L, dtype=np.uint8) if with_frames else None
     for k, frame in enumerate(st.rows):
         fills = st.fills[k]
         for r, d in fills:
             difference(d, rows[r])
-        _product([rows[i] for i in frame], prod)
-        if with_slope:
-            if floored:
-                if fills:
-                    fresh = scratch[:len(fills)]
-                    np.maximum(fresh, hh, out=fresh)
-                _product([Fs[i] for i in frame], prod_f)
-            for i, (w, rest) in enumerate(st.loo[k]):
-                others = [Fs[j] for j in rest]
-                loo = others[0] if len(others) == 1 else _product(others, term)
-                # every term is >= +0, so starting from the first is exact
-                np.multiply(w, loo, out=term if i else sum_loo)
-                if i:
-                    sum_loo += term
-            if radial is not None:
-                R, R_f, c = radial
-                sum_loo *= R_f
-                sum_loo += np.multiply(c, prod_f, out=term)
-                if floored:
-                    prod_f *= R_f
+        w = [w2[d] for d in st.frames[k]]
+        if floored:
+            _product_and_rate([rows[i] for i in frame], w, prod, None)
+            if fills:
+                fresh = scratch[:len(fills)]
+                np.maximum(fresh, hh, out=fresh)
+        _product_and_rate([Fs[i] for i in frame], w, prod_f, rate, term)
         if radial is not None:
-            prod *= radial[0]
+            R, R_f, c = radial
+            rate *= R_f
+            rate += np.multiply(c, prod_f, out=term)
+            if floored:
+                prod_f *= R_f
+            prod *= R
         if with_frames:
             arg[prod < best] = k
-        if with_slope:
-            if p != 1.0:
-                np.power(prod_f, p - 1.0, out=power)
-                np.multiply(p, power, out=power)
-                power *= sum_loo
-                np.copyto(power, 0.0, where=~(prod > 0))
-            # monotone steps need the slope bound over every frame, not
-            # just the active one: a frame can take over mid-step
-            np.maximum(best_slope, power, out=best_slope)
+        if p != 1.0:
+            np.power(prod_f, p - 1.0, out=power)
+            np.multiply(p, power, out=power)
+            power *= rate
+            np.copyto(power, 0.0, where=~(prod > 0))
+        # monotone steps need the slope bound over every frame, not just
+        # the active one: a frame can take over mid-step
+        np.maximum(best_slope, power, out=best_slope)
         np.minimum(best, prod, out=best)
     b = cfg.b.constant_value
     if b is None:
@@ -459,12 +462,10 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     inner = _interior_offsets(u)
     values = np.power(np.take(best, inner), p)
     values *= b
-    slope = None
-    if with_slope:
-        slope = np.take(best_slope, inner)
-        slope *= b
-        if radial is None and p >= 1.0 and dom.n >= 3:
-            _lower_to_chord_bound(u, cfg, st, best, b, slope)
+    slope = np.take(best_slope, inner)
+    slope *= b
+    if radial is None and p >= 1.0 and dom.n >= 3:
+        _lower_to_chord_bound(u, cfg, st, best, b, slope)
     if with_frames:
         arg = np.take(arg, inner)
     return OperatorField(dom, values, slope, arg)
@@ -502,16 +503,6 @@ def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
     slope[hit] = np.minimum(slope[hit], sigma)
 
 
-def _product_and_rate(X: np.ndarray, w: np.ndarray):
-    """The frame products P = prod_i X_i over axis 1 of X, and their rate of
-    fall sum_i w_i prod_{j != i} X_j when factor i falls at rate w_i."""
-    P, rate = X[:, 0], w[:, :1]
-    for i in range(1, X.shape[1]):
-        rate = rate * X[:, i] + w[:, i:i + 1] * P
-        P = P * X[:, i]
-    return P, rate
-
-
 def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
     """The chord slope factor at the nodes of the columns of ``D`` (clamped
     differences, one row per stencil direction), for p >= 1.
@@ -531,15 +522,17 @@ def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
     takes for it; every frame's bound is at most its |g_F'(0)|, so sigma
     never exceeds the all-frame value.  M = 0 gives sigma = 0: g_F >= 0.
     """
-    frames = np.array(st.frames)
-    w = 1.0 / np.array(st.e2, dtype=float)[frames]
-    X = D[frames]                              # (frame, factor, node)
-    P0, rate0 = _product_and_rate(X, w)
-    M = P0.min(axis=0)
+    frames = np.array(st.frames).T
+    w = 1.0 / np.array(st.e2, dtype=float)[frames][:, :, None]
+    X = D[frames]                              # (factor, frame, node)
+    P, rate, tmp = np.empty((3,) + X.shape[1:])
+    _product_and_rate(X, w, P, rate, tmp)
+    M = P.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tF = (P0 - M) / rate0
-        X -= tF[:, None, :] * w[:, :, None]
-        Pt, dg = _product_and_rate(np.maximum(X, 0.0, out=X), w)
+        tF = (P - M) / rate
+        X -= tF * w
+        # P and rate now take the values at t_F
+        Pt, dg = _product_and_rate(np.maximum(X, 0.0, out=X), w, P, rate, tmp)
         if p != 1.0:
             dg *= p * Pt ** (p - 1.0)
         sigma = 2.0 * np.minimum(M ** p / tF, dg).max(axis=0)
@@ -551,14 +544,12 @@ def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
 # reduced (axisymmetric) operator
 # ---------------------------------------------------------------------------
 
-def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
-                    with_slope: bool) -> tuple:
+def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig) -> tuple:
     """The reduced variant's multipliers (R, R_f, c) over the span of
     :func:`_core_values`: R = max(0, u_r/r)^(n_full-2), with u_r/r by
-    central differences and its u_rr limit on the axis; with slopes, R_f is
-    R from the ratio floored at h^2 for p < 1, and c = 2 (n_full-2)
-    ratio_f^(n_full-3) is the centre's weight in R through u_rr on the axis
-    (zero off it)."""
+    central differences and its u_rr limit on the axis; R_f, R from the
+    ratio floored at h^2 for p < 1; and c = 2 (n_full-2) ratio_f^(n_full-3),
+    the centre's weight in R through u_rr on the axis (zero off it)."""
     dom = u.domain
     h, nf = dom.h_grid, cfg.n_full
     flat, a, b = _core_values(u)
@@ -581,8 +572,6 @@ def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
     ratio[axis] = (up[axis] + um[axis] - 2.0 * flat[a:b][axis]) / (h * h)
     np.maximum(ratio, 0.0, out=ratio)
     R = np.power(ratio, nf - 2, out=_work(u, "radial", size))
-    if not with_slope:
-        return R, None, None
     ratio_f, R_f = ratio, R
     if cfg.p < 1.0:
         ratio_f = np.maximum(ratio, h * h, out=_work(u, "ratio_f", size))
@@ -594,7 +583,6 @@ def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
 
 
 def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
-                     with_slope: bool = False,
                      with_frames: bool = False) -> OperatorField:
     """Axisymmetric operator on a 2-D (r, x_n) lattice.
 
@@ -607,5 +595,4 @@ def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
     """
     if u.domain.n != 2:
         raise ValueError("the reduced operator works on a 2-D (r, x_n) lattice")
-    return _min_over_frames(u, cfg, with_slope, with_frames,
-                            _radial_factors(u, cfg, with_slope))
+    return _min_over_frames(u, cfg, with_frames, _radial_factors(u, cfg))

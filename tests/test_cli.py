@@ -198,6 +198,23 @@ def test_analyze_separation_over_solve_output(tmp_path, capsys):
     assert len(rows) - 1 == np.count_nonzero(inner)
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "nan"])
+def test_analyze_separation_refuses_eps_that_is_not_positive(tmp_path,
+                                                              capsys, eps):
+    # a negative eps marks every node crossed, a NaN eps none
+    cfg = write_cfg(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    snap_dir = os.path.join(out, "solve", "snapshots")
+    snaps = [os.path.join(snap_dir, f"snap_{k}.csv") for k in (0, 2)]
+    capsys.readouterr()
+    assert main(["analyze", "separation", *snaps, "--eps", eps,
+                 "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert "eps must be a positive finite number" in captured.err
+    assert captured.out == ""
+
+
 def test_analyze_rejects_unordered_snapshots(tmp_path, capsys):
     a = make_snapshot(tmp_path, "a.csv", t=0.1)
     b = make_snapshot(tmp_path, "b.csv", t=0.0)
@@ -377,6 +394,15 @@ def test_experiment_run_validates_names(tmp_path, capsys):
     assert "names or --all" in capsys.readouterr().err
     assert main(["experiment", "run", "nope", "--out", str(tmp_path)]) == 2
     assert "unknown experiments" in capsys.readouterr().err
+
+
+def test_experiment_run_refuses_names_with_all(tmp_path, capsys):
+    # --all would run every entry and drop the names unchecked
+    for names in (["nosuch"], ["noop"]):
+        assert main(["experiment", "run", *names, "--all",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "names or --all, not both" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_experiment_run_passes_and_writes_tree(tmp_path, capsys):

@@ -43,23 +43,24 @@ def test_stable_dt_value():
     dom = ball(r=1.0, h=0.1)
     sol = quadratic_solution(np.eye(2), p=1.0)
     state = make_state(dom, sol, OperatorConfig(p=1.0))
-    assert stable_dt(state) == pytest.approx(0.1 * 0.1 ** 2, rel=1e-12)
+    assert stable_dt(ma_field(state.u, state.cfg)) == pytest.approx(
+        0.1 * 0.1 ** 2, rel=1e-12)
 
 
 def test_stable_dt_rejects_a_non_finite_slope_and_names_its_node():
     dom = ball(r=1.0, h=0.1)
     sol = quadratic_solution(np.eye(2), p=1.0)
     state = make_state(dom, sol, OperatorConfig(p=1.0))
-    fld = ma_field(state.u, state.cfg, with_slope=True)
+    fld = ma_field(state.u, state.cfg)
     k = len(fld.interior_slope) // 3
     where = tuple(map(float, dom.interior_positions[k]))
     fld.interior_slope[k] = np.nan
     with pytest.raises(ValueError, match=re.escape(f"node {where}")):
-        stable_dt(state, fld)
+        stable_dt(fld)
     # every slope NaN: no step at all, rather than an infinite step
     fld.interior_slope[:] = np.nan
     with pytest.raises(ValueError, match="non-finite slope bound"):
-        stable_dt(state, fld)
+        stable_dt(fld)
 
 
 def test_stable_dt_is_infinite_when_no_node_moves():
@@ -67,7 +68,7 @@ def test_stable_dt_is_infinite_when_no_node_moves():
     dom = ball(r=1.0, h=0.1)
     state = make_state(dom, lambda pts, t: np.ones(len(pts)),
                        OperatorConfig(p=1.0))
-    assert stable_dt(state) == math.inf
+    assert stable_dt(ma_field(state.u, state.cfg)) == math.inf
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -322,6 +323,29 @@ def test_scaling_factor_example():
     # A = 2 Id, h = 4, n = 2, p = 1: m = (det A)^2 / h = 16/4 = 4
     sm = ScalingMap(A=2.0 * np.eye(2), h=4.0, p=1.0)
     assert sm.m(2) == pytest.approx(4.0, rel=1e-14)
+
+
+def test_rescaled_exact_solution_moves_at_the_rescaled_rate():
+    # u = x^T M x / 2 + (det M)^p t sampled at t = 0 and t1 and pulled back
+    # through v(x, s) = u(A x, m s) / h: v is the exact solution with
+    # Hessian A^T M A / h, so its increment between the rescaled timestamps
+    # is (det(A^T M A / h))^p times their difference.  Multilinear
+    # interpolation carries the constant shift exactly, so only rounding
+    # separates the two sides; a wrong exponent in m moves the timestamps
+    p, h, t1 = 2.0, 1.7, 0.6
+    A = np.array([[1.3, 0.4], [-0.2, 0.9]])
+    M = np.array([[1.2, 0.3], [0.3, 0.8]])
+    sm = ScalingMap(A=A, h=h, p=p)
+    sol = quadratic_solution(M, p=p)
+    dom, target = ball(r=1.3, h=0.05), ball(r=0.6, h=0.05)
+    v0, v1 = (rescale(sample(dom, sol, t=t), sm, target) for t in (0.0, t1))
+    assert v0.t == 0.0 and v1.t == t1 / sm.m(2)
+    rate = np.linalg.det(A.T @ M @ A / h) ** p
+    mask = target.active_mask()
+    increment = v1.values[mask] - v0.values[mask]
+    scale = np.abs(v1.values[mask]).max()
+    np.testing.assert_allclose(increment, rate * (v1.t - v0.t), rtol=0.0,
+                               atol=8 * np.finfo(float).eps * scale)
 
 
 

@@ -1,5 +1,5 @@
-"""Every name a module exports through ``__all__`` exists in it, and every
-name it imports is used."""
+"""Every name a module exports through ``__all__`` exists in it, every
+name it imports is used, and every private helper is called from somewhere."""
 
 import ast
 import importlib
@@ -68,3 +68,67 @@ def test_unused_import_check_counts_all_and_string_annotations():
     src = ('import os\nfrom math import inf, sqrt\nfrom .grid import Domain\n'
            '__all__ = ["inf"]\ndef f(d: "Domain") -> None:\n    os.sep\n')
     assert _unused_imports(src) == ["sqrt (line 2)"]
+
+
+def _named(node: ast.AST) -> set[str]:
+    """Every name that code under ``node`` reads, as a bare name, as an
+    attribute or through an import."""
+    names = set()
+    for c in ast.walk(node):
+        if isinstance(c, ast.Name):
+            names.add(c.id)
+        elif isinstance(c, ast.Attribute):
+            names.add(c.attr)
+        elif isinstance(c, ast.alias):
+            names.add(c.asname or c.name)
+    return names
+
+
+def _registered(node: ast.AST) -> bool:
+    """True for a definition under one of the package's own (private)
+    decorators, such as ``@_probe(name)``: its registry reaches it."""
+    for deco in node.decorator_list:
+        head = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(head, ast.Name) and head.id.startswith("_"):
+            return True
+    return False
+
+
+def _dead_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes of ``sources`` (module
+    name -> source) that no statement names outside their own definition
+    and no private decorator registers."""
+    defs, statements = [], []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.FunctionDef | ast.AsyncFunctionDef
+                          | ast.ClassDef) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__") \
+                    and not _registered(stmt):
+                defs.append((module, stmt))
+            statements.append(stmt)
+    return [f"{module}.{d.name} (line {d.lineno})" for module, d in defs
+            if not any(d.name in _named(s) for s in statements if s is not d)]
+
+
+def test_every_private_helper_is_called():
+    sources = {p.stem: p.read_text()
+               for p in Path(pma_lab.__file__).parent.glob("*.py")}
+    dead = _dead_helpers(sources)
+    assert not dead, f"private helpers nothing in pma_lab names: {dead}"
+
+
+def test_dead_helper_check_counts_other_modules_and_skips_self_calls():
+    a = ("def _called():\n    pass\n"
+         "def _recursive(n):\n    return _recursive(n - 1)\n"
+         "class _Plan:\n    pass\n"
+         "def _by_attribute():\n    pass\n"
+         "def _imported():\n    pass\n"
+         "def __getattr__(name):\n    pass\n"
+         "@_register('x')\ndef _reached_by_registry():\n    pass\n"
+         "@lru_cache\ndef _cached():\n    pass\n"
+         "def public():\n    return _called()\n")
+    b = "from .a import _imported\nfrom . import a\nx = a._by_attribute\n"
+    assert _dead_helpers({"a": a, "b": b}) == ["a._recursive (line 3)",
+                                              "a._Plan (line 5)",
+                                              "a._cached (line 17)"]

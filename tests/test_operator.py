@@ -201,7 +201,7 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
     u.values += 0.01 * rng.standard_normal(u.values.shape)
     cfg = OperatorConfig(p=p, variant=variant,
                          n_full=4 if variant == "reduced" else None)
-    fld = ma_field(u, cfg, with_slope=True, with_frames=True)
+    fld = ma_field(u, cfg, with_frames=True)
     inner = dom.interior_mask()
     assert np.isnan(fld.values[~inner]).all()
     assert np.isnan(fld.slope[~inner]).all()
@@ -238,11 +238,10 @@ _VARYING_B = CoefficientField(
 
 @given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
        p=st.sampled_from([0.4, 1.0, 2.0]), variant=st.sampled_from(VARIANTS),
-       varying_b=st.booleans(), with_slope=st.booleans(),
-       members=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+       varying_b=st.booleans(), members=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 16))
 def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
-                                                  varying_b, with_slope,
-                                                  members, seed):
+                                                  varying_b, members, seed):
     reduced = variant == "reduced"
     if reduced:
         n = 2
@@ -258,19 +257,16 @@ def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
         u.values += 1e-3 * rng.standard_normal(u.values.shape)
         us.append(u)
     stack = GridStack(dom, np.stack([u.values for u in us]), t=0.25)
-    got = ma_field(stack, cfg, with_slope=with_slope, with_frames=True)
+    got = ma_field(stack, cfg, with_frames=True)
     inner = dom.interior_mask()
     for k, u in enumerate(us):
-        want = ma_field(u, cfg, with_slope=with_slope, with_frames=True)
+        want = ma_field(u, cfg, with_frames=True)
         for name in ("values", "slope", "argmin_frame"):
-            a, w = getattr(got, name), getattr(want, name)
-            assert (a is None) == (w is None), name
-            if w is not None:
-                assert a[k].tobytes() == w.tobytes(), name
+            assert getattr(got, name)[k].tobytes() == \
+                getattr(want, name).tobytes(), name
         assert np.isnan(want.values[~inner]).all()
         assert np.isfinite(want.values[inner]).all()
-        if with_slope:
-            assert np.isnan(want.slope[~inner]).all()
+        assert np.isnan(want.slope[~inner]).all()
         assert (want.argmin_frame[~inner] == 255).all()
 
 
@@ -314,7 +310,7 @@ def test_work_arrays_hold_a_few_rows(n, p):
                        stencil_radius=2)
     A = np.random.default_rng(n).standard_normal((n, n))
     ma_field(sample(dom, quad(A @ A.T + 0.3 * np.eye(n))),
-             OperatorConfig(p=p), with_slope=True)
+             OperatorConfig(p=p))
     sten = _stencil(dom.shape, 2, dom.stencil_radius)
     assert len(sten.shared) == (3 if n == 3 else 0)
     assert len(sten.offsets) == (21 if n == 3 else 8)
@@ -334,22 +330,18 @@ def test_work_arrays_carry_nothing_between_calls():
     shared = build_domain(desc, h_grid=0.1, stencil_radius=2)
     values = sample(shared, quad([[1.3, 0.0], [0.0, 0.7]])).values
     values += 1e-3 * np.random.default_rng(3).standard_normal(values.shape)
-    calls = [(OperatorConfig(p=p, variant=variant,
-                             n_full=4 if variant == "reduced" else None),
-              with_slope)
-             for variant in VARIANTS for p in (0.4, 1.0, 2.0)
-             for with_slope in (False, True)]
-    for cfg, with_slope in calls + calls[::-1]:
+    calls = [OperatorConfig(p=p, variant=variant,
+                            n_full=4 if variant == "reduced" else None)
+             for variant in VARIANTS for p in (0.4, 1.0, 2.0)]
+    for cfg in calls + calls[::-1]:
         fresh = build_domain(desc, h_grid=0.1, stencil_radius=2)
         got = ma_field(GridFunction(shared, values.copy()), cfg,
-                       with_slope=with_slope, with_frames=True)
+                       with_frames=True)
         want = ma_field(GridFunction(fresh, values.copy()), cfg,
-                        with_slope=with_slope, with_frames=True)
+                        with_frames=True)
         for name in ("values", "slope", "argmin_frame"):
-            a, w = getattr(got, name), getattr(want, name)
-            assert (a is None) == (w is None), name
-            if w is not None:
-                assert a.tobytes() == w.tobytes(), (cfg, with_slope, name)
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes(), (cfg, name)
 
 
 @given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
@@ -412,11 +404,11 @@ def test_slope_field_on_identity_quadratic():
     # sum_i 2/|e_i|^2 * prod_{j!=i} D_j = 4
     dom = box(h=0.25)
     u = sample(dom, quad([[1, 0], [0, 1]]))
-    fld = ma_field(u, OperatorConfig(p=1.0), with_slope=True)
+    fld = ma_field(u, OperatorConfig(p=1.0))
     inner = dom.interior_mask()
     assert np.allclose(fld.slope[inner], 4.0, atol=1e-12)
     # p = 2 doubles it through the outer power (prod = 1)
-    fld2 = ma_field(u, OperatorConfig(p=2.0), with_slope=True)
+    fld2 = ma_field(u, OperatorConfig(p=2.0))
     assert np.allclose(fld2.slope[inner], 8.0, atol=1e-12)
 
 

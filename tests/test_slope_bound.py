@@ -136,7 +136,7 @@ def test_update_never_falls_when_the_centre_rises(n, width, p, varying_b,
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
     cfg = OperatorConfig(p=p, width=width, b=b)
     u = _creased(dom, seed, axis_crease)
-    dt = stable_dt(EvolutionState(u=u, cfg=cfg))
+    dt = stable_dt(ma_field(u, cfg))
     assert _ladder_worst(u, cfg, dt) >= 0.0
 
 
@@ -149,7 +149,7 @@ def test_chord_slope_between_active_and_all_frame_slopes(width, p, varying_b,
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
     cfg = OperatorConfig(p=p, width=width, b=b)
     u = _creased(dom, seed, axis_crease)
-    got = ma_field(u, cfg, with_slope=True).interior_slope
+    got = ma_field(u, cfg).interior_slope
     all_frame, active = _all_and_active(u, cfg)
     assert np.all(got <= all_frame * (1.0 + 1e-12))
     assert got.max() >= active.max() * (1.0 - 1e-12)
@@ -166,7 +166,7 @@ def test_pair_stays_ordered_in_3d(p, axis_crease, seed):
     active = dom.active_mask()
     hi.values[active] += 1e-3 * rng.random(int(active.sum()))
     sa, sb = EvolutionState(u=lo, cfg=cfg), EvolutionState(u=hi, cfg=cfg)
-    dt = min(stable_dt(sa), stable_dt(sb))
+    dt = min(stable_dt(ma_field(s.u, s.cfg)) for s in (sa, sb))
     ua, ub = evolve_pair(sa, sb, t_end=8.0 * dt)
     assert sa.steps >= 2
     rep = comparison_check(ua, ub, tol=0.0)
@@ -186,7 +186,7 @@ def test_update_never_falls_at_p_below_one():
     c = 0.02 * h * h
     u = sample(dom, lambda pts, t: 0.5 * (c * pts[:, 0] ** 2 + pts[:, 1] ** 2))
     cfg = OperatorConfig(p=0.4)
-    dt = stable_dt(EvolutionState(u=u, cfg=cfg))
+    dt = stable_dt(ma_field(u, cfg))
     assert _ladder_worst(u, cfg, dt) >= 0.0
 
 
@@ -196,7 +196,7 @@ def test_chord_slope_pinned_on_the_crease_data():
     # 2 (40 + 40 + 1) = 162; the frame rotated in the (x1, x3) plane,
     # (20.5, 20.5, 1), has the all-frame slope 2 (20.5 + 20.5^2) = 881.5
     state = config.make_state(REGISTRY["edge-moves-n3p1"].config)
-    got = ma_field(state.u, state.cfg, with_slope=True).interior_slope
+    got = ma_field(state.u, state.cfg).interior_slope
     assert abs(got.max() - 162.0) <= 1e-9
     all_frame, active = _all_and_active(state.u, state.cfg)
     assert abs(all_frame.max() - 881.5) <= 1e-9
@@ -210,7 +210,7 @@ def test_chord_slope_equals_all_frame_slope_when_frames_tie():
                         "upper": [1.0] * 3}, h_grid=0.25, stencil_radius=2)
     u = sample(dom, lambda pts, t: 0.5 * np.einsum("...i,...i->...", pts, pts))
     cfg = OperatorConfig(p=1.0)
-    got = ma_field(u, cfg, with_slope=True).interior_slope
+    got = ma_field(u, cfg).interior_slope
     all_frame, _ = _all_and_active(u, cfg)
     np.testing.assert_allclose(all_frame, 6.0, rtol=1e-12)
     np.testing.assert_allclose(got, 6.0, rtol=1e-12)
