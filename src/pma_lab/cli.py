@@ -124,6 +124,7 @@ def _load_snapshots(paths):
 
 def _report(out_dir, lines) -> int:
     """Print the summary lines and write them to ``<out_dir>/summary.txt``."""
+    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.txt"), "w") as f:
         f.write("\n".join(lines) + "\n")
     print("\n".join(lines))

@@ -175,6 +175,11 @@ def claim_quote(claim_id: int) -> str:
 # probe context and dispatch
 # ---------------------------------------------------------------------------
 
+def _made(path: str) -> str:
+    os.makedirs(path, exist_ok=True)
+    return path
+
+
 @dataclass
 class RunContext:
     """What a probe reads, and where it writes its tables and plots.
@@ -188,18 +193,24 @@ class RunContext:
     state: EvolutionState | None
     frames: list
     rng: np.random.Generator
-    probes_dir: str
-    plots_dir: str
+    out_dir: str
 
     @classmethod
     def create(cls, out_dir, cfg=None, params=None, frames=(),
                seed: int = 0) -> "RunContext":
-        """A context writing to ``<out_dir>/{probes,plots}``."""
-        dirs = [os.path.join(str(out_dir), d) for d in ("probes", "plots")]
-        for d in dirs:
-            os.makedirs(d, exist_ok=True)
+        """A context writing to ``<out_dir>/{probes,plots}``, each directory
+        made on its first write, so a probe that refuses its input leaves
+        nothing behind."""
         return cls(cfg or {}, params or {}, None, list(frames),
-                   np.random.default_rng(seed), *dirs)
+                   np.random.default_rng(seed), str(out_dir))
+
+    @property
+    def probes_dir(self) -> str:
+        return _made(os.path.join(self.out_dir, "probes"))
+
+    @property
+    def plots_dir(self) -> str:
+        return _made(os.path.join(self.out_dir, "plots"))
 
     def param(self, key, default=None):
         if key not in _PARAM_KEYS:
@@ -415,6 +426,7 @@ def _probe_separation(ctx: RunContext) -> dict:
     """
     snaps = ctx.snapshots()
     dom = snaps[0].domain
+    idx = dom.index_of(ctx.param("point", [0.0] * dom.n), INTERIOR)
     eps = ctx.param("eps")
     lam_upper = float(ctx.cfg.get("op.Lambda", 1.0))
     rep = separation_probe(snaps, eps=eps, lam_upper=lam_upper)
@@ -422,8 +434,6 @@ def _probe_separation(ctx: RunContext) -> dict:
     ctx.write_plot("separation", "first crossing times", "x_1", "first_time",
                    using=(1, dom.n + 1))
 
-    point = ctx.param("point", [0.0] * dom.n)
-    idx = dom.index_of(point, INTERIOR)
     trace = [(float(s.t), float(s.values[idx] - snaps[0].values[idx]))
              for s in snaps]
     ctx.write_table("center_trace", "t,rise", trace)
@@ -617,7 +627,8 @@ def run_experiment(spec: ExperimentSpec, out_root, seed: int = 0
     """
     out_dir = os.path.join(str(out_root), spec.name)
     snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
+    for sub in ("snapshots", "probes", "plots"):
+        os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
     ctx = RunContext.create(out_dir, cfg=spec.config, params=spec.params,
                             seed=seed)
 

@@ -176,9 +176,10 @@ class Domain:
     @cached_property
     def work(self) -> dict:
         """Work arrays that operator kernels reuse between calls on this
-        lattice, by name: span rows such as the operator's shared and
-        scratch second differences, frame products and slope pieces.
-        Calls sharing a domain must not run concurrently."""
+        lattice, by name: block rows of at most 2^15 columns, such as the
+        operator's shared and scratch second differences, frame products
+        and slope pieces.  Calls sharing a domain must not run
+        concurrently."""
         return {}
 
     @cached_property

@@ -43,17 +43,23 @@ array operations of one grid function, and each member's output is bit for
 bit that of its own call.  Both variants run one frame loop,
 :func:`_min_over_frames` (running minimum of the products, running maximum
 of the slope factors, argmin frame); the reduced variant's radial factor
-is computed once per call and multiplies each frame's product and slope
-pieces.  One recurrence, :func:`_product_and_rate`, builds a frame's
-product and its rate of fall, in the frame loop and in the chord bound
-alike.  Second differences
-live where they are read: a direction that several frames read (the axes
-in 3-D and up) is differenced once per call into a span row, and every
-other direction is differenced into one of at most n scratch rows just
-before the one frame that reads it, so the work arrays hold a few rows
-rather than one per direction (21 at width 2 in 3-D).  The chord bound
-recomputes the differences it needs at its candidate nodes from the
-values (:func:`_differences_at`).  An
+multiplies each frame's product and slope pieces.  One recurrence,
+:func:`_product_and_rate`, builds a frame's product and its rate of fall,
+in the frame loop and in the chord bound alike.  The loop runs over the
+span in equal blocks of at most ``_BLOCK`` = 2^15 columns, one block at a
+time, so its ten to fifteen work rows (differences, products, rates,
+radial factors) are block rows that stay near one core's L2 cache, where
+span-length rows of a 45^3 lattice (83k columns, 0.66 MB each) stream from
+memory on every pass.  Every stage is elementwise on a node, so the blocks
+change no bit; and a span within one block (every 2-D lattice of the
+registry) runs the loop once.  Only the running minimum, maximum and
+argmin are span-length.  Second differences live where they are read: a
+direction that several frames read (the axes in 3-D and up) is differenced
+once per block into a block row, and every other direction is differenced
+into one of at most n scratch rows just before the one frame that reads
+it, so the work arrays hold a few rows rather than one per direction (21
+at width 2 in 3-D).  The chord bound recomputes the differences it needs
+at its candidate nodes from the values (:func:`_differences_at`).  An
 :class:`OperatorField` stores interior arrays (behind the batch axis for a
 stack) and builds the lattice-shaped fields only when they are first read.
 b(x, t) is evaluated and bound-checked once per call; a constant b is one
@@ -70,6 +76,11 @@ import numpy as np
 from .grid import CoefficientField, Domain, GridFunction, GridStack
 
 VARIANTS = ("plain", "reduced")
+
+# The frame loop runs over equal blocks of at most this many span columns,
+# so that its work rows stay near one core's L2 cache (module docstring);
+# every 2-D lattice of the registry (at most 17,153 columns) is one block.
+_BLOCK = 2 ** 15
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +270,7 @@ def _core_values(u: GridFunction | GridStack) -> tuple[np.ndarray, int, int]:
     return flat, dom.core.start, dom.core.stop + flat.size - dom.classes.size
 
 
-def _span_cached(u: GridFunction | GridStack, name: str, build):
+def _span_cached(u: GridFunction | GridStack, name, build):
     """``build(members)`` for this lattice and stack size, built on the
     first call and kept on the domain (``members`` is None for a grid
     function)."""
@@ -287,10 +298,12 @@ def _interior_offsets(u: GridFunction | GridStack) -> np.ndarray:
 
 
 def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
-    """A float work array kept on the domain and reused by later calls.
+    """A float work array kept on the domain and reused by later calls and
+    blocks: a block row of the frame loop (at most ``_BLOCK`` columns) or a
+    stack of such rows.
 
     Reuse keeps the time-stepping loop from allocating (and page-faulting)
-    dozens of lattice-sized temporaries per step.
+    dozens of temporaries per step.
     """
     work = u.domain.work
     a = work.get(name)
@@ -299,16 +312,19 @@ def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
     return a
 
 
-def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil):
-    """Clamped second differences per unit |e|^2 h^2 over the span of
-    :func:`_core_values`: one row per shared direction, and the function
-    ``difference(d, out)`` that fills a span row with direction d.
+def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
+                                lo: int, hi: int):
+    """Clamped second differences per unit |e|^2 h^2 over the block of span
+    columns ``lo:hi`` (the span of :func:`_core_values`): one block row per
+    shared direction, and the function ``difference(d, out)`` that fills a
+    block row with direction d.
 
     A row is read from the flattened values at the shifts +-offset; entries
     off the cores are computed from wrapped-around neighbours and never
     used.
     """
-    flat, a, b = _core_values(u)
+    flat, a, _ = _core_values(u)
+    a, b = a + lo, a + hi
     h = u.domain.h_grid
     twice = np.multiply(2.0, flat[a:b], out=_work(u, "twice", (b - a,)))
 
@@ -373,14 +389,15 @@ def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
 
 
 def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
-                     with_frames: bool,
-                     radial: tuple | None = None) -> OperatorField:
+                     with_frames: bool) -> OperatorField:
     """The frame loop of every variant: the running minimum of the frame
     products, the running maximum of their slope factors and the index of
     the first minimising frame, then ``b * minimum^p`` and ``b * slope`` at
     the interior nodes.
 
-    Each frame first differences its own directions into the scratch rows
+    The loop runs over equal blocks of at most ``_BLOCK`` span columns, one
+    block at a time.  Within a block, each frame first differences its own
+    directions into the scratch rows
     (:func:`_clamped_second_differences`).  The slope factor of frame F is
     |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i (2/|e_i|^2) prod_{j != i} F_j;
     one :func:`_product_and_rate` call gives P_F and the leave-one-out sum.
@@ -390,8 +407,9 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     truncation scale is indistinguishable from degenerate, and the raw
     p - 1 power diverges exactly there.  Where the product is 0 the node
     does not move and the factor is taken as zero.  With the reduced
-    variant's ``radial`` = (R, R_f, c) the product, the floored product and
-    the leave-one-out sum become R P, R_f P_f and R_f loo + c P_f.
+    variant's block factors (R, R_f, c) of :func:`_radial_factors` the
+    product, the floored product and the leave-one-out sum become R P,
+    R_f P_f and R_f loo + c P_f.
 
     For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
     slope field is then lowered to the chord bound of :func:`_chord_slope`
@@ -404,57 +422,66 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     """
     dom = u.domain
     p = cfg.p
+    reduced = cfg.variant == "reduced"
     st = _stencil(dom.shape, cfg.width, dom.stencil_radius)
-    Ds, difference = _clamped_second_differences(u, st)
-    L = Ds.shape[1]
-    scratch = _work(u, "scratch", (st.scratch, L))
-    rows = [*Ds, *scratch]
+    _, start, stop = _core_values(u)
+    L = stop - start
+    blocks = max(1, -(-L // _BLOCK))
+    size = -(-L // blocks)
+    scratch = _work(u, "scratch", (st.scratch, size))
     floored = p < 1.0
-    Fs = rows
-    if floored:
-        hh = dom.h_grid * dom.h_grid
-        Fs = [*np.maximum(Ds, hh, out=_work(u, "floored", Ds.shape)),
-              *scratch]
-    prod = _work(u, "prod", (L,))
-    prod_f = _work(u, "prod_f", (L,)) if floored else prod
-    rate, term = _work(u, "rate", (L,)), _work(u, "term", (L,))
-    power = rate if p == 1.0 else _work(u, "power", (L,))
+    hh = dom.h_grid * dom.h_grid
+    prod = _work(u, "prod", (size,))
+    prod_f = _work(u, "prod_f", (size,)) if floored else prod
+    rate, term = _work(u, "rate", (size,)), _work(u, "term", (size,))
+    power = rate if p == 1.0 else _work(u, "power", (size,))
     w2 = [2.0 / e for e in st.e2]
     # seeded so that frame 0's minimum and maximum copy it bit for bit
-    best = _work(u, "best", (L,))
+    best, best_slope = np.empty(L), np.empty(L)
     best.fill(np.inf)
-    best_slope = _work(u, "best_slope", (L,))
     best_slope.fill(-np.inf)
     arg = np.zeros(L, dtype=np.uint8) if with_frames else None
-    for k, frame in enumerate(st.rows):
-        fills = st.fills[k]
-        for r, d in fills:
-            difference(d, rows[r])
-        w = [w2[d] for d in st.frames[k]]
+    for block in range(blocks):
+        # equal blocks: the last ends at the span's end and recomputes the
+        # few columns it shares with the one before, to the same bits
+        lo = min(block * size, L - size)
+        hi = lo + size
+        Ds, difference = _clamped_second_differences(u, st, lo, hi)
+        rows = Fs = [*Ds, *scratch]
         if floored:
-            _product_and_rate([rows[i] for i in frame], w, prod, None)
-            if fills:
-                fresh = scratch[:len(fills)]
-                np.maximum(fresh, hh, out=fresh)
-        _product_and_rate([Fs[i] for i in frame], w, prod_f, rate, term)
-        if radial is not None:
-            R, R_f, c = radial
-            rate *= R_f
-            rate += np.multiply(c, prod_f, out=term)
+            Fs = [*np.maximum(Ds, hh, out=_work(u, "floored", Ds.shape)),
+                  *scratch]
+        if reduced:
+            R, R_f, c = _radial_factors(u, cfg, lo, hi)
+        low, top = best[lo:hi], best_slope[lo:hi]
+        for k, frame in enumerate(st.rows):
+            fills = st.fills[k]
+            for r, d in fills:
+                difference(d, rows[r])
+            w = [w2[d] for d in st.frames[k]]
             if floored:
-                prod_f *= R_f
-            prod *= R
-        if with_frames:
-            arg[prod < best] = k
-        if p != 1.0:
-            np.power(prod_f, p - 1.0, out=power)
-            np.multiply(p, power, out=power)
-            power *= rate
-            np.copyto(power, 0.0, where=~(prod > 0))
-        # monotone steps need the slope bound over every frame, not just
-        # the active one: a frame can take over mid-step
-        np.maximum(best_slope, power, out=best_slope)
-        np.minimum(best, prod, out=best)
+                _product_and_rate([rows[i] for i in frame], w, prod, None)
+                if fills:
+                    fresh = scratch[:len(fills)]
+                    np.maximum(fresh, hh, out=fresh)
+            _product_and_rate([Fs[i] for i in frame], w, prod_f, rate, term)
+            if reduced:
+                rate *= R_f
+                rate += np.multiply(c, prod_f, out=term)
+                if floored:
+                    prod_f *= R_f
+                prod *= R
+            if with_frames:
+                arg[lo:hi][prod < low] = k
+            if p != 1.0:
+                np.power(prod_f, p - 1.0, out=power)
+                np.multiply(p, power, out=power)
+                power *= rate
+                np.copyto(power, 0.0, where=~(prod > 0))
+            # monotone steps need the slope bound over every frame, not
+            # just the active one: a frame can take over mid-step
+            np.maximum(top, power, out=top)
+            np.minimum(low, prod, out=low)
     b = cfg.b.constant_value
     if b is None:
         b = cfg.b(dom.interior_positions, u.t)
@@ -464,7 +491,7 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     values *= b
     slope = np.take(best_slope, inner)
     slope *= b
-    if radial is None and p >= 1.0 and dom.n >= 3:
+    if not reduced and p >= 1.0 and dom.n >= 3:
         _lower_to_chord_bound(u, cfg, st, best, b, slope)
     if with_frames:
         arg = np.take(arg, inner)
@@ -544,28 +571,31 @@ def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
 # reduced (axisymmetric) operator
 # ---------------------------------------------------------------------------
 
-def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig) -> tuple:
-    """The reduced variant's multipliers (R, R_f, c) over the span of
-    :func:`_core_values`: R = max(0, u_r/r)^(n_full-2), with u_r/r by
-    central differences and its u_rr limit on the axis; R_f, R from the
-    ratio floored at h^2 for p < 1; and c = 2 (n_full-2) ratio_f^(n_full-3),
-    the centre's weight in R through u_rr on the axis (zero off it)."""
+def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
+                    lo: int, hi: int) -> tuple:
+    """The reduced variant's multipliers (R, R_f, c) over the block of span
+    columns ``lo:hi`` (see :func:`_clamped_second_differences`):
+    R = max(0, u_r/r)^(n_full-2), with u_r/r by central differences and
+    its u_rr limit on the axis; R_f, R from the ratio floored at h^2 for
+    p < 1; and c = 2 (n_full-2) ratio_f^(n_full-3), the centre's weight in
+    R through u_rr on the axis (zero off it)."""
     dom = u.domain
     h, nf = dom.h_grid, cfg.n_full
-    flat, a, b = _core_values(u)
+    flat, a, _ = _core_values(u)
+    a, b = a + lo, a + hi
     size = (b - a,)
     k = dom.shape[1]                  # flat offset of the first axis
-    up = flat[a + k:b + k]
-    um = flat[a - k:b - k]
 
     def build(members):
-        # 2hr over the span, and the span entries on the axis r = 0
+        # 2hr over the block, and the block entries on the axis r = 0
         r = np.tile(np.repeat(dom.axes()[0], k), members or 1)[a:b]
         two_hr = 2.0 * h * r
         two_hr.flags.writeable = False
         return two_hr, np.flatnonzero(np.abs(r) < 0.5 * h)
 
-    two_hr, axis = _span_cached(u, "radius", build)
+    two_hr, axis = _span_cached(u, ("radius", lo, hi), build)
+    up = flat[a + k:b + k]
+    um = flat[a - k:b - k]
     ratio = np.subtract(up, um, out=_work(u, "ratio", size))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio /= two_hr
@@ -595,4 +625,4 @@ def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
     """
     if u.domain.n != 2:
         raise ValueError("the reduced operator works on a 2-D (r, x_n) lattice")
-    return _min_over_frames(u, cfg, with_frames, _radial_factors(u, cfg))
+    return _min_over_frames(u, cfg, with_frames)

@@ -336,6 +336,20 @@ def test_analyze_at_a_band_node_exits_2(tmp_path, capsys, probe, point):
     assert (f"point ({x}, 0.0) is not an interior lattice node: it is in the "
             "band") in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("flag", [["--eps", "-1"], ["--point", "1.0,0"]],
+                         ids=["eps", "band-point"])
+def test_refused_analyze_leaves_no_output_tree(tmp_path, capsys, flag):
+    # the probe refuses before it writes anything, so nothing is created
+    times = [0.0] + list(np.geomspace(1e-4, 0.1, 7))
+    snaps = quadratic_snapshots(tmp_path, times, p=1.0)
+    out = tmp_path / "out"
+    assert main(["analyze", "separation", snaps[0], snaps[-1], *flag,
+                 "--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (out / "analyze").exists()
+
+
 def test_analyze_dual_residual_between_first_and_last(tmp_path, capsys):
     snaps = quadratic_snapshots(tmp_path, [0.1, 0.105, 0.11], p=2.0, h=0.05)
     u1, u2 = load_csv(snaps[0]), load_csv(snaps[-1])

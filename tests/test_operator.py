@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
-from pma_lab.monge_ampere import (VARIANTS, OperatorConfig,
+from pma_lab.monge_ampere import (_BLOCK, VARIANTS, OperatorConfig,
                                   _clamped_second_differences,
-                                  _differences_at, _interior_offsets,
-                                  _stencil, ma_field, orthogonal_frames,
-                                  reduced_ma_field)
+                                  _core_values, _differences_at,
+                                  _interior_offsets, _stencil, ma_field,
+                                  orthogonal_frames, reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -270,12 +270,56 @@ def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
         assert (want.argmin_frame[~inner] == 255).all()
 
 
+def _span_length(u) -> int:
+    _, a, b = _core_values(u)
+    return b - a
+
+
+@pytest.mark.parametrize("varying_b", [False, True])
+@pytest.mark.parametrize("p", [0.4, 1.0, 2.0])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_multi_block_stack_matches_member_calls_byte_for_byte(variant, p,
+                                                              varying_b):
+    # a stack whose span is longer than one block runs the frame loop block
+    # by block, with members cut across block bounds; the span is odd, so
+    # the second of its two equal blocks overlaps the first by a column.
+    # Each member's output is still bit for bit its own one-block call
+    # (3-D at p >= 1 also goes through the chord bound)
+    reduced = variant == "reduced"
+    n = 2 if reduced else 3
+    dom = _lattice(n, 2, reduced)
+    b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
+    cfg = OperatorConfig(p=p, variant=variant, b=b,
+                         n_full=4 if reduced else None)
+    rng = np.random.default_rng(int(10 * p))
+    us = []
+    for _ in range(_BLOCK // dom.classes.size + 5):
+        A = rng.standard_normal((n, n))
+        M = A @ A.T + 0.3 * np.eye(n)
+        if reduced:
+            M[0, 1] = M[1, 0] = 0.0
+        u = sample(dom, quad(M), t=0.25)
+        u.values += 1e-3 * rng.standard_normal(u.values.shape)
+        us.append(u)
+    stack = GridStack(dom, np.stack([u.values for u in us]), t=0.25)
+    span = _span_length(stack)
+    assert _BLOCK < span < 2 * _BLOCK and span % 2 == 1
+    assert _span_length(us[0]) <= _BLOCK
+    got = ma_field(stack, cfg, with_frames=True)
+    for k, u in enumerate(us):
+        want = ma_field(u, cfg, with_frames=True)
+        for name in ("values", "slope", "argmin_frame"):
+            assert getattr(got, name)[k].tobytes() == \
+                getattr(want, name).tobytes(), (k, name)
+
+
 @pytest.mark.parametrize("members", [None, 3])
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3])
 def test_differences_at_columns_equal_the_span_rows(n, width, members):
     # the chord bound's differences, recomputed at a few columns, are bit
-    # for bit the entries of the span rows the frame loop reads
+    # for bit the entries of the block rows the frame loop reads, in every
+    # block of the span
     dom = _lattice(n, width, False)
     rng = np.random.default_rng(10 * n + width)
     us = []
@@ -287,30 +331,39 @@ def test_differences_at_columns_equal_the_span_rows(n, width, members):
     u = us[0] if members is None else GridStack(
         dom, np.stack([v.values for v in us]), t=0.25)
     sten = _stencil(dom.shape, width, dom.stencil_radius)
-    Ds, difference = _clamped_second_differences(u, sten)
     inner = _interior_offsets(u).reshape(-1)
-    cols = rng.choice(inner, size=min(40, inner.size), replace=False)
-    got = _differences_at(u, sten, cols)
-    assert got.shape == (len(sten.offsets), cols.size)
-    row = np.empty(Ds.shape[1])
-    for d in range(len(sten.offsets)):
-        assert got[d].tobytes() == difference(d, row)[cols].tobytes(), d
-    for r, d in enumerate(sten.shared):
-        assert got[d].tobytes() == Ds[r, cols].tobytes(), d
+    bounds = np.linspace(0, _span_length(u), 4).astype(int)
+    blocks = 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        Ds, difference = _clamped_second_differences(u, sten, lo, hi)
+        assert Ds.shape == (len(sten.shared), hi - lo)
+        here = inner[(inner >= lo) & (inner < hi)]
+        cols = rng.choice(here, size=min(15, here.size), replace=False)
+        blocks += cols.size > 0
+        got = _differences_at(u, sten, cols)
+        assert got.shape == (len(sten.offsets), cols.size)
+        row = np.empty(hi - lo)
+        for d in range(len(sten.offsets)):
+            assert got[d].tobytes() == \
+                difference(d, row)[cols - lo].tobytes(), d
+        for r, d in enumerate(sten.shared):
+            assert got[d].tobytes() == Ds[r, cols - lo].tobytes(), d
+    assert blocks >= 2
 
 
 @pytest.mark.parametrize("n,p", [(3, 0.4), (3, 1.0), (3, 2.0), (2, 0.4),
                                  (2, 1.0)])
 def test_work_arrays_hold_a_few_rows(n, p):
     # only the directions several frames read (the axes in 3-D, none in
-    # 2-D) keep a span row; the others share at most n scratch rows, and
-    # the floored product and the power exist only where they are written
+    # 2-D) keep a block row; the others share at most n scratch rows, and
+    # the floored product and the power exist only where they are written;
+    # on a span of several blocks no work array is longer than one block
     dom = build_domain({"kind": "ball", "center": [0.03] * n,
                         "radius": 1.0}, h_grid=0.1 if n == 2 else 0.25,
                        stencil_radius=2)
     A = np.random.default_rng(n).standard_normal((n, n))
-    ma_field(sample(dom, quad(A @ A.T + 0.3 * np.eye(n))),
-             OperatorConfig(p=p))
+    u = sample(dom, quad(A @ A.T + 0.3 * np.eye(n)))
+    ma_field(u, OperatorConfig(p=p))
     sten = _stencil(dom.shape, 2, dom.stencil_radius)
     assert len(sten.shared) == (3 if n == 3 else 0)
     assert len(sten.offsets) == (21 if n == 3 else 8)
@@ -319,6 +372,13 @@ def test_work_arrays_hold_a_few_rows(n, p):
         assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
     assert ("prod_f" in dom.work) == (p < 1.0)
     assert ("power" in dom.work) == (p != 1.0)
+    stack = GridStack(dom, np.stack([u.values] * (_BLOCK // dom.classes.size
+                                                  + 2)))
+    assert _span_length(stack) > _BLOCK
+    ma_field(stack, OperatorConfig(p=p))
+    for name, a in dom.work.items():
+        assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
+        assert a.shape[-1] <= _BLOCK, name
 
 
 def test_work_arrays_carry_nothing_between_calls():
