@@ -259,20 +259,11 @@ class SelfSimilarProfile:
             g[core] = sa[core] * xistar - gstar
             gp[core] = xistar * sgn[core]
             if derivatives:
-                gspp = self._gstar_second()
+                gspp = np.gradient(tab.gstar_prime, tab.xi[1] - tab.xi[0])
                 gpp[core] = 1.0 / np.interp(xistar, tab.xi, gspp)
         if derivatives:
             return g, gp, gpp
         return g
-
-    def _gstar_second(self) -> np.ndarray:
-        tab = self.table
-        dxi = tab.xi[1] - tab.xi[0]
-        gspp = np.empty_like(tab.gstar)
-        gspp[1:-1] = (tab.gstar_prime[2:] - tab.gstar_prime[:-2]) / (2.0 * dxi)
-        gspp[0] = (tab.gstar_prime[1] - tab.gstar_prime[0]) / dxi
-        gspp[-1] = (tab.gstar_prime[-1] - tab.gstar_prime[-2]) / dxi
-        return gspp
 
     # -- profile v ----------------------------------------------------------
 

@@ -664,8 +664,6 @@ def run_experiment(spec: ExperimentSpec, out_root, seed: int = 0
         stage = "summary"
         with open(os.path.join(out_dir, "summary.txt"), "w") as f:
             f.write("\n".join(lines) + "\n")
-    except ExperimentError:
-        raise
     except Exception as exc:
         raise ExperimentError(f"stage {stage!r} failed: {exc}") from exc
     return ExperimentReport(name=spec.name, passed=passed, measured=measured,

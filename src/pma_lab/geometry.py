@@ -26,14 +26,15 @@ Wolfe-Atwood / Todd-Yildirim iteration (Todd & Yildirim, Discrete Appl. Math.
 155, 2007): toward steps move weight onto the most violated facet, away
 steps take it off the least loaded facet in the support, and a weight whose
 away step reaches zero is dropped exactly.  The iteration stops only when
-both sides of the optimality condition hold to ``tol = 1e-10`` (no facet
-loaded above ``n (1 + tol)``, none in the support below ``n (1 - tol)``); a
-final exact rescale restores feasibility, so the returned ellipsoid is
-always inscribed and its ``log det`` is within ``n log(1 + tol)`` of the
-optimum.  ``tol`` stays at 1e-10 because rounding in the facet loads puts a
-floor near 1e-11 under the two-sided test on some hulls.  The ellipsoid
-records the iteration count and that gap; a solve that reaches the
-iteration cap raises ``RuntimeError`` instead of returning a shape.
+both sides of the optimality condition hold to ``tol = JOHN_TOL = 1e-10``
+(no facet loaded above ``n (1 + tol)``, none in the support below
+``n (1 - tol)``); a final exact rescale restores feasibility, so the
+returned ellipsoid is always inscribed and its ``log det`` is within
+``n log(1 + tol)`` of the optimum.  ``tol`` stays at 1e-10 because rounding
+in the facet loads puts a floor near 1e-11 under the two-sided test on some
+hulls.  The ellipsoid records the iteration count and that gap; a solve
+that reaches the iteration cap ``JOHN_MAX_ITER`` raises ``RuntimeError``
+instead of returning a shape.
 
 ``balancedness`` normalises a node set by the inscribed ellipsoid centered at
 a base point: the witnessing map ``A = M^{-1/2}`` sends the set between the
@@ -252,8 +253,13 @@ def _hull_facets(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hull.equations[:, :-1], -hull.equations[:, -1]
 
 
-def _max_volume_shape(normals: np.ndarray, slack: np.ndarray, n: int,
-                      tol: float = 1e-10, max_iter: int = 100000
+# The John solver's two-sided optimality tolerance and iteration cap
+# (module docstring).
+JOHN_TOL = 1e-10
+JOHN_MAX_ITER = 100000
+
+
+def _max_volume_shape(normals: np.ndarray, slack: np.ndarray, n: int
                       ) -> tuple[np.ndarray, int, float]:
     """Maximise ``log det M`` subject to ``a_i' M a_i <= d_i^2``.
 
@@ -284,16 +290,16 @@ def _max_volume_shape(normals: np.ndarray, slack: np.ndarray, n: int,
     makes the largest ``z_i' M z_i`` equal to 1, so ``M`` is feasible, and
     weak duality (``tr(M X) <= 1``) bounds its shortfall from the optimal
     ``log det`` by ``gap = n log(max g / n) <= n log(1 + tol)``.  ``tol``
-    is not tighter because rounding in ``g`` leaves a floor near 1e-11 under
-    one side or the other on some hulls: at 1e-12 about 1 % of random 2-D
-    and 3-D hulls never meet the test.  Raises ``RuntimeError`` naming the
-    iteration count and both gaps after ``max_iter`` iterations without
-    convergence.
+    (``JOHN_TOL``) is not tighter because rounding in ``g`` leaves a floor
+    near 1e-11 under one side or the other on some hulls: at 1e-12 about 1 %
+    of random 2-D and 3-D hulls never meet the test.  Raises
+    ``RuntimeError`` naming the iteration count and both gaps after
+    ``JOHN_MAX_ITER`` iterations without convergence.
     """
     z = normals / slack[:, None]
     w = np.full(len(z), 1.0 / len(z))
     gap = down = np.inf
-    for it in range(max_iter):
+    for it in range(JOHN_MAX_ITER):
         xinv = np.linalg.inv((z * w[:, None]).T @ z)
         g = np.einsum("ij,jk,ik->i", z, xinv, z)
         j = int(np.argmax(g))
@@ -301,7 +307,7 @@ def _max_volume_shape(normals: np.ndarray, slack: np.ndarray, n: int,
         k = int(support[np.argmin(g[support])])
         up, down = g[j] / n - 1.0, 1.0 - g[k] / n
         gap = n * float(np.log1p(up))
-        if up <= tol and down <= tol:
+        if up <= JOHN_TOL and down <= JOHN_TOL:
             m = xinv / n
             scale = float(np.max(np.einsum("ij,jk,ik->i", z, m, z)))
             return m / scale, it, gap
@@ -316,8 +322,9 @@ def _max_volume_shape(normals: np.ndarray, slack: np.ndarray, n: int,
             w *= 1.0 + a
             w[k] = 0.0 if a == cap else w[k] - a
     raise RuntimeError(
-        f"John ellipsoid solver did not converge in {max_iter} iterations: "
-        f"log-det gap {gap:.3e}, support gap {down:.3e} (tol {tol:.0e})")
+        f"John ellipsoid solver did not converge in {JOHN_MAX_ITER} "
+        f"iterations: log-det gap {gap:.3e}, support gap {down:.3e} "
+        f"(tol {JOHN_TOL:.0e})")
 
 
 def john_ellipsoid(node_set, center) -> Ellipsoid:
@@ -512,23 +519,6 @@ class FlatSet:
         return self.domain.coordinates(self.indices)
 
 
-def _prune_collinear(pts: np.ndarray, angle_tol: float = 1e-6) -> np.ndarray:
-    """Drop hull vertices whose turn angle is numerically zero (2-D rings)."""
-    k = len(pts)
-    if k < 3:
-        return pts
-    keep = []
-    for i in range(k):
-        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % k]
-        v1 = b - a
-        v2 = c - b
-        cross = v1[0] * v2[1] - v1[1] * v2[0]
-        if abs(cross) > angle_tol * max(np.linalg.norm(v1) * np.linalg.norm(v2),
-                                        1e-30):
-            keep.append(i)
-    return pts[keep] if keep else pts[:1]
-
-
 def _extreme_points(pts: np.ndarray) -> np.ndarray:
     """Vertices of the convex hull of a finite point set, any rank."""
     if len(pts) <= 2:
@@ -548,16 +538,7 @@ def _extreme_points(pts: np.ndarray) -> np.ndarray:
     except QhullError:
         ids = [int(np.argmin(proj[:, 0])), int(np.argmax(proj[:, 0]))]
         return pts[ids]
-    verts = hull.vertices
-    if rank == 2:
-        ring = _prune_collinear(proj[verts])
-        # map pruned ring back to original rows by nearest projection match
-        keep = []
-        for q in ring:
-            keep.append(int(verts[np.argmin(
-                np.linalg.norm(proj[verts] - q, axis=1))]))
-        return pts[keep]
-    return pts[verts]
+    return pts[hull.vertices]
 
 
 def flat_set(u: GridFunction, slope=None, offset: float = 0.0,

@@ -42,24 +42,23 @@ laid end to end and differenced on one contiguous span: a stack costs the
 array operations of one grid function, and each member's output is bit for
 bit that of its own call.  Both variants run one frame loop,
 :func:`_min_over_frames` (running minimum of the products, running maximum
-of the slope factors, argmin frame); the reduced variant's radial factor
-multiplies each frame's product and slope pieces.  One recurrence,
-:func:`_product_and_rate`, builds a frame's product and its rate of fall,
-in the frame loop and in the chord bound alike.  The loop runs over the
-span in equal blocks of at most ``_BLOCK`` = 2^15 columns, one block at a
-time, so its ten to fifteen work rows (differences, products, rates,
-radial factors) are block rows that stay near one core's L2 cache, where
-span-length rows of a 45^3 lattice (83k columns, 0.66 MB each) stream from
-memory on every pass.  Every stage is elementwise on a node, so the blocks
-change no bit; and a span within one block (every 2-D lattice of the
-registry) runs the loop once.  Only the running minimum, maximum and
-argmin are span-length.  Second differences live where they are read: a
-direction that several frames read (the axes in 3-D and up) is differenced
-once per block into a block row, and every other direction is differenced
-into one of at most n scratch rows just before the one frame that reads
-it, so the work arrays hold a few rows rather than one per direction (21
-at width 2 in 3-D).  The chord bound recomputes the differences it needs
-at its candidate nodes from the values (:func:`_differences_at`).  An
+of the slope factors, argmin frame); the reduced variant's radial factor is
+one more factor of every frame.  One recurrence, :func:`_product_and_rate`,
+builds a frame's product and its rate of fall, in the frame loop and in the
+chord bound alike.  The loop runs over the span in equal blocks of at most
+``_BLOCK`` = 2^15 columns, one block at a time, so its ten to fifteen work
+rows (differences, products, rates, radial factors) are block rows that
+stay near one core's L2 cache, where span-length rows of a 45^3 lattice
+(83k columns, 0.66 MB each) stream from memory on every pass.  Every stage
+is elementwise on a node, so the blocks change no bit; and a span within
+one block (every 2-D lattice of the registry) runs the loop once.  Only
+the running minimum, maximum and argmin are span-length.  Each direction
+is differenced at the first frame that reads it: a direction that several
+frames read (the axes in 3-D and up) into a block row of its own, every
+other one into one of at most n scratch rows that the next frame reuses,
+so the work arrays hold a few rows rather than one per direction (21 at
+width 2 in 3-D).  The chord bound recomputes the differences it needs at
+its candidate nodes from the values (:func:`_differences_at`).  An
 :class:`OperatorField` stores interior arrays (behind the batch axis for a
 stack) and builds the lattice-shaped fields only when they are first read.
 b(x, t) is evaluated and bound-checked once per call; a constant b is one
@@ -214,19 +213,20 @@ class _Stencil:
     """The frames of one operator as indices into their distinct directions.
 
     Each direction (taken up to sign) carries its offset in the flattened
-    lattice and |e|^2; ``frames[k]`` lists the direction indices of frame k.
-    The directions that more than one frame reads (``shared``: the axes in
-    3-D and up, none in 2-D) are differenced once per call into span rows;
-    each other direction is differenced into one of ``scratch`` rows just
-    before the one frame that reads it.  The per-frame plan, built once per
-    stencil, indexes the shared rows followed by the scratch rows: frame k
-    fills rows ``fills[k]`` = ((row, direction), ...), the scratch rows from
-    the first, and reads its factors from rows ``rows[k]``.
+    lattice and |e|^2; ``frames[k]`` lists the direction indices of frame k
+    and ``weights[k]`` their rate weights 2/|e|^2.  Frame k differences
+    every direction it is the first to read into a block row, ``fills[k]``
+    = ((row, direction), ...), and reads its factors from rows ``rows[k]``.
+    A direction that more than one frame reads (``shared``: the axes in 3-D
+    and up, none in 2-D) keeps row ``shared.index(d)`` for the whole block;
+    each other direction takes one of ``scratch`` rows after them, from
+    the first, which the next frame refills.
     """
 
     frames: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
     e2: tuple[int, ...]
+    weights: tuple[tuple[float, ...], ...]
     shared: tuple[int, ...]
     scratch: int
     fills: tuple[tuple[tuple[int, int], ...], ...]
@@ -248,17 +248,19 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
                    for frame in frames)
     readers = [sum(d in f for f in frames) for d in range(len(dirs))]
     shared = tuple(d for d in range(len(dirs)) if readers[d] > 1)
-    fills, rows = [], []
+    fills, rows, filled = [], [], set()
     for f in frames:
         single = [d for d in f if readers[d] == 1]
-        fills.append(tuple((len(shared) + s, d) for s, d in enumerate(single)))
         rows.append(tuple(shared.index(d) if d in shared
                           else len(shared) + single.index(d) for d in f))
+        fills.append(tuple((r, d) for r, d in zip(rows[-1], f)
+                           if d not in filled))
+        filled.update(f)
     return _Stencil(
         frames=frames,
         offsets=tuple(sum(c * s for c, s in zip(e, strides)) for e in dirs),
-        e2=e2,
-        shared=shared, scratch=max(len(f) for f in fills),
+        e2=e2, weights=tuple(tuple(2.0 / e2[d] for d in f) for f in frames),
+        shared=shared, scratch=max(map(max, rows)) + 1 - len(shared),
         fills=tuple(fills), rows=tuple(rows))
 
 
@@ -314,10 +316,10 @@ def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
 
 def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
                                 lo: int, hi: int):
-    """Clamped second differences per unit |e|^2 h^2 over the block of span
-    columns ``lo:hi`` (the span of :func:`_core_values`): one block row per
-    shared direction, and the function ``difference(d, out)`` that fills a
-    block row with direction d.
+    """The function ``difference(d, out)`` that fills the block row ``out``
+    with the clamped second differences per unit |e|^2 h^2 of direction d
+    over the block of span columns ``lo:hi`` (the span of
+    :func:`_core_values`).
 
     A row is read from the flattened values at the shifts +-offset; entries
     off the cores are computed from wrapped-around neighbours and never
@@ -335,10 +337,7 @@ def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
         out /= st.e2[d] * h * h
         return np.maximum(out, 0.0, out=out)
 
-    Ds = _work(u, "diff", (len(st.shared), b - a))
-    for D, d in zip(Ds, st.shared):
-        difference(d, D)
-    return Ds, difference
+    return difference
 
 
 def _differences_at(u: GridFunction | GridStack, st: _Stencil,
@@ -396,20 +395,19 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     the interior nodes.
 
     The loop runs over equal blocks of at most ``_BLOCK`` span columns, one
-    block at a time.  Within a block, each frame first differences its own
-    directions into the scratch rows
-    (:func:`_clamped_second_differences`).  The slope factor of frame F is
-    |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i (2/|e_i|^2) prod_{j != i} F_j;
-    one :func:`_product_and_rate` call gives P_F and the leave-one-out sum.
+    block at a time.  Within a block, each frame first fills the rows that
+    the fill plan of :func:`_stencil` gives it.  The slope factor of frame F
+    is |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i w_i prod_{j != i} F_j; one
+    :func:`_product_and_rate` call gives P_F and the leave-one-out sum.
     For p < 1 its pieces (but never the product itself) are computed from
-    differences floored at the curvature scale h^2, and the raw product
-    takes a call of its own: a second difference below the scheme's own
-    truncation scale is indistinguishable from degenerate, and the raw
-    p - 1 power diverges exactly there.  Where the product is 0 the node
-    does not move and the factor is taken as zero.  With the reduced
-    variant's block factors (R, R_f, c) of :func:`_radial_factors` the
-    product, the floored product and the leave-one-out sum become R P,
-    R_f P_f and R_f loo + c P_f.
+    differences floored at the curvature scale h^2: a second difference
+    below the scheme's own truncation scale is indistinguishable from
+    degenerate, and the raw p - 1 power diverges exactly there.  So after
+    the raw product each row the frame filled is floored once, a shared row
+    into a copy (later frames still read it raw) and any other in place.
+    Where the product is 0 the node does not move and the factor is taken
+    as zero.  The reduced variant's radial factor (:func:`_radial_factors`)
+    is one more factor of every frame.
 
     For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
     slope field is then lowered to the chord bound of :func:`_chord_slope`
@@ -428,14 +426,18 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     L = stop - start
     blocks = max(1, -(-L // _BLOCK))
     size = -(-L // blocks)
-    scratch = _work(u, "scratch", (st.scratch, size))
     floored = p < 1.0
     hh = dom.h_grid * dom.h_grid
+    shared = len(st.shared)
+    rows = rows_f = [*_work(u, "diff", (shared, size)),
+                     *_work(u, "scratch", (st.scratch, size))]
+    if floored:
+        rows_f = [*_work(u, "floored", (shared, size)), *rows[shared:]]
     prod = _work(u, "prod", (size,))
     prod_f = _work(u, "prod_f", (size,)) if floored else prod
     rate, term = _work(u, "rate", (size,)), _work(u, "term", (size,))
     power = rate if p == 1.0 else _work(u, "power", (size,))
-    w2 = [2.0 / e for e in st.e2]
+    radial, radial_f, weight = [], [], ()
     # seeded so that frame 0's minimum and maximum copy it bit for bit
     best, best_slope = np.empty(L), np.empty(L)
     best.fill(np.inf)
@@ -446,31 +448,22 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
         # few columns it shares with the one before, to the same bits
         lo = min(block * size, L - size)
         hi = lo + size
-        Ds, difference = _clamped_second_differences(u, st, lo, hi)
-        rows = Fs = [*Ds, *scratch]
-        if floored:
-            Fs = [*np.maximum(Ds, hh, out=_work(u, "floored", Ds.shape)),
-                  *scratch]
+        difference = _clamped_second_differences(u, st, lo, hi)
         if reduced:
-            R, R_f, c = _radial_factors(u, cfg, lo, hi)
+            radial, radial_f, weight = _radial_factors(u, cfg, lo, hi)
         low, top = best[lo:hi], best_slope[lo:hi]
         for k, frame in enumerate(st.rows):
             fills = st.fills[k]
             for r, d in fills:
                 difference(d, rows[r])
-            w = [w2[d] for d in st.frames[k]]
+            w = st.weights[k] + weight
             if floored:
-                _product_and_rate([rows[i] for i in frame], w, prod, None)
-                if fills:
-                    fresh = scratch[:len(fills)]
-                    np.maximum(fresh, hh, out=fresh)
-            _product_and_rate([Fs[i] for i in frame], w, prod_f, rate, term)
-            if reduced:
-                rate *= R_f
-                rate += np.multiply(c, prod_f, out=term)
-                if floored:
-                    prod_f *= R_f
-                prod *= R
+                _product_and_rate([rows[i] for i in frame] + radial, w, prod,
+                                  None)
+                for r, _ in fills:
+                    np.maximum(rows[r], hh, out=rows_f[r])
+            _product_and_rate([rows_f[i] for i in frame] + radial_f, w,
+                              prod_f, rate, term)
             if with_frames:
                 arg[lo:hi][prod < low] = k
             if p != 1.0:
@@ -573,12 +566,13 @@ def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
 
 def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
                     lo: int, hi: int) -> tuple:
-    """The reduced variant's multipliers (R, R_f, c) over the block of span
-    columns ``lo:hi`` (see :func:`_clamped_second_differences`):
-    R = max(0, u_r/r)^(n_full-2), with u_r/r by central differences and
-    its u_rr limit on the axis; R_f, R from the ratio floored at h^2 for
-    p < 1; and c = 2 (n_full-2) ratio_f^(n_full-3), the centre's weight in
-    R through u_rr on the axis (zero off it)."""
+    """The reduced variant's radial factor over the block of span columns
+    ``lo:hi`` (see :func:`_clamped_second_differences`) as one more factor
+    of every frame, ``[R], [R_f], (c,)``: R = max(0, u_r/r)^(n_full-2),
+    with u_r/r by central differences and its u_rr limit on the axis; R_f,
+    R from the ratio floored at h^2 for p < 1; and its rate weight
+    c = 2 (n_full-2) ratio_f^(n_full-3), the centre's weight in R through
+    u_rr on the axis (zero off it)."""
     dom = u.domain
     h, nf = dom.h_grid, cfg.n_full
     flat, a, _ = _core_values(u)
@@ -609,7 +603,7 @@ def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
     c = _work(u, "axis_coef", size)
     c.fill(0.0)
     c[axis] = 2.0 * (nf - 2) * np.power(ratio_f[axis], nf - 3)
-    return R, R_f, c
+    return [R], [R_f], (c,)
 
 
 def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,

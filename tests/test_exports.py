@@ -1,8 +1,10 @@
 """Every name a module exports through ``__all__`` exists in it, every
-name it imports is used, and every private helper is called from somewhere."""
+name it imports is used, every private helper is called from somewhere,
+and every keyword default of a private function is overridden somewhere."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -132,3 +134,63 @@ def test_dead_helper_check_counts_other_modules_and_skips_self_calls():
     assert _dead_helpers({"a": a, "b": b}) == ["a._recursive (line 3)",
                                               "a._Plan (line 5)",
                                               "a._cached (line 17)"]
+
+
+def _unused_defaults(sources: dict[str, str]) -> list[str]:
+    """Keyword defaults of the module-level private functions of
+    ``sources`` (module name -> source) that no call in ``sources``
+    overrides, by position or by name; a call that unpacks ``*args`` or
+    ``**kwargs`` counts as overriding every parameter it could reach."""
+    defs, passed = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef | ast.AsyncFunctionDef) \
+                    and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__") \
+                    and not _registered(stmt):
+                defs.append((module, stmt))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            given = passed.setdefault(name, [])
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            given.append((math.inf if star else len(node.args),
+                          {k.arg for k in node.keywords}))
+    unused = []
+    for module, d in defs:
+        a = d.args
+        positional = a.posonlyargs + a.args
+        params = [(i, arg.arg) for i, arg in enumerate(positional)
+                  if i >= len(positional) - len(a.defaults)]
+        params += [(math.inf, arg.arg) for arg, default
+                   in zip(a.kwonlyargs, a.kw_defaults) if default is not None]
+        for i, param in params:
+            if not any(i < count or param in keys or None in keys
+                       for count, keys in passed.get(d.name, [])):
+                unused.append(f"{module}.{d.name}({param}) (line {d.lineno})")
+    return unused
+
+
+def test_every_private_default_is_overridden():
+    # a keyword default that no call overrides is a constant in disguise
+    sources = {p.stem: p.read_text()
+               for p in Path(pma_lab.__file__).parent.glob("*.py")}
+    unused = _unused_defaults(sources)
+    assert not unused, f"private defaults no call in pma_lab overrides: " \
+        f"{unused}"
+
+
+def test_unused_default_check_counts_positions_names_and_unpacking():
+    a = ("def _f(x, tol=1e-9, cap=3, *, deep=False, wide=1):\n    pass\n"
+         "def _g(y=0):\n    pass\n"
+         "def _h(z=1):\n    pass\n"
+         "def _k(v=1):\n    pass\n"
+         "@_register('x')\ndef _reached_by_registry(w=2):\n    pass\n"
+         "def public(v=2):\n    pass\n"
+         "def run():\n    _f(1, 2e-9)\n    _f(1, deep=True)\n"
+         "    _h(**{'z': 2})\n    _k(*[3])\n")
+    b = "from . import a\na._g(5)\n"
+    assert _unused_defaults({"a": a, "b": b}) == ["a._f(cap) (line 1)",
+                                                 "a._f(wide) (line 1)"]

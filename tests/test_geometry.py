@@ -278,13 +278,14 @@ def test_john_satisfies_kkt_on_seeded_hulls():
             assert ell.gap <= n * np.log1p(1e-10)
 
 
-def test_john_solver_reports_when_it_stops_short():
+def test_john_solver_reports_when_it_stops_short(monkeypatch):
     pts = np.random.default_rng(3).normal(size=(30, 2))
     normals, offsets = _hull_facets(pts)
     slack = offsets - normals @ pts.mean(axis=0)
     assert _max_volume_shape(normals, slack, 2)[1] > 3
+    monkeypatch.setattr(geometry, "JOHN_MAX_ITER", 3)
     with pytest.raises(RuntimeError, match=r"3 iterations: log-det gap \d"):
-        _max_volume_shape(normals, slack, 2, max_iter=3)
+        _max_volume_shape(normals, slack, 2)
 
 
 def test_john_degenerate_and_exterior_center():
@@ -672,6 +673,25 @@ def test_flat_set_of_crease_is_a_slab():
     # extremal points are the two ends of the diameter segment
     assert len(fs.extremal_points) == 2
     assert np.max(np.abs(fs.extremal_points[:, 0])) >= 1.3 - dom.h_grid
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_flat_set_of_a_lattice_rectangle_reports_its_four_corners(rotated):
+    # zero exactly on a lattice rectangle, whose edges carry collinear
+    # lattice nodes: only the four corners are hull vertices, axis-aligned
+    # or turned by 45 degrees
+    dom = box_domain(1.0, 0.1)
+    a, b = (1.0, 1.0) if rotated else (1.0, 0.0)
+    u = sample(dom, lambda x, t: (
+        np.maximum(0.0, np.abs(a * x[:, 0] + b * x[:, 1]) - 0.4)
+        + np.maximum(0.0, np.abs(b * x[:, 0] - a * x[:, 1]) - 0.2)))
+    fs = flat_set(u)
+    assert len(fs) == (23 if rotated else 45)
+    corners = ([(0.3, 0.1), (0.1, 0.3), (-0.3, -0.1), (-0.1, -0.3)]
+               if rotated else
+               [(-0.4, -0.2), (-0.4, 0.2), (0.4, -0.2), (0.4, 0.2)])
+    assert sorted(map(tuple, np.round(fs.extremal_points, 9).tolist())) \
+        == sorted(corners)
 
 
 def test_flat_set_rejects_cutting_plane():

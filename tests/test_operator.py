@@ -335,8 +335,7 @@ def test_differences_at_columns_equal_the_span_rows(n, width, members):
     bounds = np.linspace(0, _span_length(u), 4).astype(int)
     blocks = 0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        Ds, difference = _clamped_second_differences(u, sten, lo, hi)
-        assert Ds.shape == (len(sten.shared), hi - lo)
+        difference = _clamped_second_differences(u, sten, lo, hi)
         here = inner[(inner >= lo) & (inner < hi)]
         cols = rng.choice(here, size=min(15, here.size), replace=False)
         blocks += cols.size > 0
@@ -346,9 +345,38 @@ def test_differences_at_columns_equal_the_span_rows(n, width, members):
         for d in range(len(sten.offsets)):
             assert got[d].tobytes() == \
                 difference(d, row)[cols - lo].tobytes(), d
-        for r, d in enumerate(sten.shared):
-            assert got[d].tobytes() == Ds[r, cols - lo].tobytes(), d
     assert blocks >= 2
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
+    # every direction is differenced once, at or before each frame that
+    # reads it, and its row is not refilled until the last of those frames
+    # has read it; the directions several frames read keep the first rows,
+    # the others share at most n scratch rows after them
+    sten = _stencil((9,) * n, width, width)
+    readers = [sum(d in f for f in sten.frames)
+               for d in range(len(sten.offsets))]
+    assert sten.shared == tuple(d for d, k in enumerate(readers) if k > 1)
+    assert sten.scratch == max(sum(readers[d] == 1 for d in f)
+                               for f in sten.frames) <= n
+    held = {}
+    last = {d: max(k for k, f in enumerate(sten.frames) if d in f)
+            for d in range(len(sten.offsets))}
+    filled = []
+    for k, (frame, rows) in enumerate(zip(sten.frames, sten.rows)):
+        for r, d in sten.fills[k]:
+            assert r < len(sten.shared) + sten.scratch
+            if r in held:
+                assert last[held[r]] < k, (k, r)
+            held[r] = d
+            filled.append(d)
+        for r, d in zip(rows, frame):
+            assert held[r] == d, (k, r, d)
+            assert (r < len(sten.shared)) == (d in sten.shared)
+        assert sten.weights[k] == tuple(2.0 / sten.e2[d] for d in frame)
+    assert sorted(filled) == list(range(len(sten.offsets)))
 
 
 @pytest.mark.parametrize("n,p", [(3, 0.4), (3, 1.0), (3, 2.0), (2, 0.4),
