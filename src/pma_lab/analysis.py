@@ -53,6 +53,8 @@ __all__ = [
     "c1alpha_exponent",
     "c1alpha_from_line",
     "dual_flow_residual",
+    "dual_flow_terms",
+    "dual_residual_from_terms",
     "fit_exponent",
     "flat_dichotomy_probe",
     "gamma_p",
@@ -495,7 +497,31 @@ def interface_exponent(u: GridFunction, flat: FlatSet,
 
 def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float
                        ) -> tuple[float, GridFunction, LegendreTransform]:
-    """Residual of the conjugated flow ``u*_t = -(det D^2 u*)^{-p}``.
+    """Residual of the conjugated flow ``u*_t = -(det D^2 u*)^{-p}``
+    between two time levels (see :func:`dual_flow_terms`)."""
+    return dual_residual_from_terms(dual_flow_terms(u1, u2), p)
+
+
+def dual_residual_from_terms(terms: tuple, p: float
+                             ) -> tuple[float, GridFunction,
+                                        LegendreTransform]:
+    """The residual at the power ``p`` from the terms of
+    :func:`dual_flow_terms`, so that one pair of transforms serves every
+    power: its largest magnitude, its field and the first level's
+    transform."""
+    dstar, det, ok, lt1, t = terms
+    res = np.full(lt1.domain.shape, np.nan)
+    res[ok] = dstar[ok] + det[ok] ** (-p)
+    worst = float(np.nanmax(np.abs(res[ok])))
+    return worst, GridFunction(lt1.domain, res, t=t), lt1
+
+
+def dual_flow_terms(u1: GridFunction, u2: GridFunction) -> tuple:
+    """The terms of the conjugated flow ``u*_t = -(det D^2 u*)^{-p}`` on
+    the dual lattice, for every p: ``(dstar, det, ok, lt1, t)``, the dual
+    time difference, the determinant of the average conjugate, the strictly
+    convex interior dual nodes, the first level's transform and the middle
+    time.
 
     Conjugating two time levels of a solution of the positive-power flow
     (with unit coefficient) must produce a solution of the negative-power
@@ -538,12 +564,7 @@ def dual_flow_residual(u1: GridFunction, u2: GridFunction, p: float
     mid = lt1.dual.copy(values=0.5 * (lt1.dual.values + lt2.dual.values),
                         t=0.5 * (u1.t + u2.t))
     det = ma_field(mid, OperatorConfig(p=1.0)).values
-    inner = lt1.domain.interior_mask()
-    res = np.full(lt1.domain.shape, np.nan)
-    ok = inner & (det > 0)
-    res[ok] = dstar[ok] + det[ok] ** (-p)
+    ok = lt1.domain.interior_mask() & (det > 0)
     if not ok.any():
         raise ValueError("dual grid has no strictly convex interior nodes")
-    worst = float(np.nanmax(np.abs(res[ok])))
-    field = GridFunction(lt1.domain, res, t=mid.t)
-    return worst, field, lt1
+    return dstar, det, ok, lt1, mid.t

@@ -41,10 +41,11 @@ decrease along the flow.
 One shared-dt loop serves both: :func:`evolve` runs it on one state and
 :func:`evolve_pair` on two.  Each step evaluates the operator once, on
 the stack of all states, so a paired step is one operator pass; it takes
-its dt from the slope maximum of the whole stack and updates the interior
-values straight from the operator's interior arrays.  The loop owns every
-check of a run, so a pair gets each check a single run gets, the
-nondecreasing check at every stop included.
+its dt from the slope maximum of the whole stack and adds the operator's
+span, which holds -0.0 off the interior nodes, to the flat values of the
+whole stack in one call.  The loop owns every check of a run, so a pair
+gets each check a single run gets, the nondecreasing check at every stop
+included.
 """
 from __future__ import annotations
 
@@ -89,16 +90,16 @@ def stable_dt(fld: OperatorField) -> float:
     """KAPPA_CFL h^2 / max slope, the largest monotonicity-preserving step
     for the operator field ``fld`` (its lattice gives h).
 
-    For the field of a stack the maximum runs over every member, which
-    gives the step that a shared-dt loop takes.  With no moving node (max
-    slope 0) the step is ``math.inf``.  A non-finite slope raises a
-    ValueError naming its node.
+    The maximum runs over the span, which holds slope 0 off the interior,
+    and for the field of a stack over every member, which gives the step
+    that a shared-dt loop takes.  With no moving node (max slope 0) the
+    step is ``math.inf``.  A non-finite slope raises a ValueError naming
+    its node.
     """
-    slope = fld.interior_slope
-    sig = float(slope.max()) if slope.size else 0.0
+    slope = fld.span_slope
+    sig = float(slope.max())
     if not math.isfinite(sig):
-        k = np.flatnonzero(~np.isfinite(slope))[0] % slope.shape[-1]
-        where = tuple(map(float, fld.domain.interior_positions[k]))
+        where = fld.node_at(np.flatnonzero(~np.isfinite(slope))[0])
         raise ValueError(f"non-finite slope bound at node {where}")
     if sig <= 0.0:
         return math.inf
@@ -132,7 +133,9 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     different configs, and a first stop that is not ahead of their time.
     A step is one operator pass over the stack of all N members; dt is the
     stack's one stable step, :func:`stable_dt` over the slope maximum of
-    every member, so every member's update stays monotone.  Each state
+    every member, so every member's update stays monotone.  The values on
+    the operator's span are scaled by dt in place and added to the stack in
+    one call; the band is then refreshed member by member.  Each state
     re-binds to a private copy of its values (a view into the stack).  On
     landing at each stop it checks that no member's interior value fell
     since the last stop, then yields.
@@ -153,6 +156,8 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     pts = dom.positions(band) \
         if any(s.boundary is not None for s in states) else None
     flat = stack.values.reshape(len(states), -1)
+    # the flat values from the first span column on
+    span = stack.values.reshape(-1)[dom.core.start:]
     prev = flat.take(dom.interior_index, axis=1)
     for stop in stops:
         while stack.t < stop:
@@ -163,15 +168,15 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
                 dt, t_new = rem, stop
             else:
                 t_new = stack.t + dt
-            rate = fld.interior_values
-            finite = np.isfinite(rate)
-            if not finite.all():
-                where = dom.interior_positions[np.argwhere(~finite)[0][-1]]
-                raise ValueError(f"non-finite operator value at node "
-                                 f"{tuple(map(float, where))}")
+            rate = fld.span_values
+            if not np.isfinite(rate).all():
+                where = fld.node_at(np.flatnonzero(~np.isfinite(rate))[0])
+                raise ValueError(f"non-finite operator value at node {where}")
             rate *= dt
-            for s, r in zip(states, rate):
-                s.u.values.reshape(-1)[dom.interior_index] += r
+            np.add(span, rate[:span.size], out=span)
+            # free the span arrays before the next call allocates its own
+            del fld, rate
+            for s in states:
                 if s.boundary is not None:
                     bvals = np.asarray(s.boundary(pts, t_new), dtype=float)
                     if not np.all(np.isfinite(bvals)):

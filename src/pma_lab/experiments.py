@@ -35,7 +35,8 @@ from math import inf, isfinite
 import numpy as np
 
 from .analysis import (c1alpha_exponent, c1alpha_from_line,
-                       dual_flow_residual, flat_dichotomy_probe,
+                       dual_flow_residual, dual_flow_terms,
+                       dual_residual_from_terms, flat_dichotomy_probe,
                        holder_time_fit, interface_exponent, separation_probe)
 from .config import (format_config, make_domain, make_initial, make_profile,
                      make_state, run_settings)
@@ -585,11 +586,16 @@ def _probe_angle(ctx: RunContext) -> dict:
 @_probe("dual_residual")
 def _probe_dual_residual(ctx: RunContext) -> dict:
     """Conjugated-flow residual between the first and the last snapshot,
-    at the power ``op.p`` (default 1)."""
+    at the power ``op.p`` (default 1); at any other power also at p = 1,
+    from the same conjugates, so a reading that cannot tell the two powers
+    apart shows as such."""
     snaps = ctx.snapshots()
-    worst, _field, _lt = dual_flow_residual(snaps[0], snaps[-1],
-                                            float(ctx.cfg.get("op.p", 1.0)))
-    return {"dual_residual": float(worst)}
+    terms = dual_flow_terms(snaps[0], snaps[-1])
+    p = float(ctx.cfg.get("op.p", 1.0))
+    out = {"dual_residual": dual_residual_from_terms(terms, p)[0]}
+    if p != 1.0:
+        out["dual_residual_p1"] = dual_residual_from_terms(terms, 1.0)[0]
+    return out
 
 
 # every params key some probe reads

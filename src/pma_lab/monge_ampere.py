@@ -58,11 +58,14 @@ frames read (the axes in 3-D and up) into a block row of its own, every
 other one into one of at most n scratch rows that the next frame reuses,
 so the work arrays hold a few rows rather than one per direction (21 at
 width 2 in 3-D).  The chord bound recomputes the differences it needs at
-its candidate nodes from the values (:func:`_differences_at`).  An
-:class:`OperatorField` stores interior arrays (behind the batch axis for a
-stack) and builds the lattice-shaped fields only when they are first read.
-b(x, t) is evaluated and bound-checked once per call; a constant b is one
-scalar.
+its candidate nodes from the values (:func:`_differences_at`).  The output
+stays on the span: an :class:`OperatorField` holds the span-length values
+and slopes, computed in place in the running minimum and maximum, with a
+no-op (value -0.0, slope 0.0) on every column that is not an interior node,
+so a time step adds the whole span to the flat values in one call; the
+interior and lattice-shaped fields are built only when they are first read.
+b(x, t) is evaluated and bound-checked once per call, at the interior
+nodes; a constant b is one scalar, and b = 1 costs no pass.
 """
 from __future__ import annotations
 
@@ -167,41 +170,79 @@ class OperatorConfig:
 
 @dataclass
 class OperatorField:
-    """Operator values and slope bounds (and optional argmin frames) at the
-    interior nodes.
+    """Operator values and slope bounds (and optional argmin frames) on the
+    span of the frame loop.
 
-    ``interior_values``, ``interior_slope`` and ``interior_frames`` hold one
-    entry per interior node, in the order of ``domain.interior_positions``,
-    behind a leading batch axis when the operator ran on a
-    :class:`GridStack`.  ``values``, ``slope`` and ``argmin_frame`` are the
-    same numbers on the lattice, NaN (frame index 255) off the interior,
-    built on first access.  The slope is in curvature units (divide by h^2
-    for 1/time).
+    ``span_values``, ``span_slope`` and ``span_frames`` hold one entry per
+    column of the span of :func:`_core_values`, padded to whole members:
+    member m's core starts at column m S, S = ``domain.classes.size``.
+    Every column that is not an interior node holds a no-op, value -0.0
+    and slope 0.0 (x + (-0.0) is x for every double), so a time step adds
+    the whole span to the flat values.  ``columns`` are the interior
+    nodes' columns, in the order of ``domain.interior_positions``, behind
+    a leading batch axis for a :class:`GridStack`.  ``interior_values``,
+    ``interior_slope`` and ``interior_frames`` (read-only) are the entries
+    there; ``values``, ``slope`` and ``argmin_frame`` the same numbers on
+    the lattice, NaN (frame index 255) off the interior.  Each is built on
+    first read.  The slope is in curvature units (divide by h^2 for
+    1/time).
     """
 
     domain: Domain
-    interior_values: np.ndarray
-    interior_slope: np.ndarray
-    interior_frames: np.ndarray | None = None
+    span_values: np.ndarray
+    span_slope: np.ndarray
+    columns: np.ndarray
+    span_frames: np.ndarray | None = None
+
+    @cached_property
+    def interior_values(self) -> np.ndarray:
+        return self._interior(self.span_values)
+
+    @cached_property
+    def interior_slope(self) -> np.ndarray:
+        return self._interior(self.span_slope)
+
+    @cached_property
+    def interior_frames(self) -> np.ndarray | None:
+        return self._interior(self.span_frames)
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self._on_lattice(self.interior_values, np.nan)
+        return self._on_lattice(self.span_values, np.nan)
 
     @cached_property
     def slope(self) -> np.ndarray:
-        return self._on_lattice(self.interior_slope, np.nan)
+        return self._on_lattice(self.span_slope, np.nan)
 
     @cached_property
     def argmin_frame(self) -> np.ndarray | None:
-        return self._on_lattice(self.interior_frames, 255)
+        return self._on_lattice(self.span_frames, 255)
 
-    def _on_lattice(self, a: np.ndarray | None, fill) -> np.ndarray | None:
+    def node_at(self, col: int) -> tuple[float, ...]:
+        """The position of the interior node at span column ``col``."""
+        dom = self.domain
+        k = np.searchsorted(dom.interior_index,
+                            dom.core.start + col % dom.classes.size)
+        return tuple(map(float, dom.interior_positions[k]))
+
+    def _interior(self, a: np.ndarray | None) -> np.ndarray | None:
         if a is None:
             return None
-        out = np.full(a.shape[:-1] + self.domain.shape, fill, dtype=a.dtype)
-        out[..., self.domain.interior_mask()] = a
-        return out
+        a = np.take(a, self.columns)
+        a.flags.writeable = False
+        return a
+
+    def _on_lattice(self, a: np.ndarray | None, fill) -> np.ndarray | None:
+        # member m's row of the span starts at its lattice offset core.start
+        if a is None:
+            return None
+        dom = self.domain
+        S, r = dom.classes.size, dom.core.start
+        rows = a.reshape(-1, S)
+        out = np.empty_like(rows)
+        out[:, r:] = rows[:, :S - r]
+        np.copyto(out, fill, where=~dom.interior_mask().reshape(-1))
+        return out.reshape(self.columns.shape[:-1] + dom.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +340,22 @@ def _interior_offsets(u: GridFunction | GridStack) -> np.ndarray:
     return _span_cached(u, "interior_offsets", build)
 
 
+def _off_interior(u: GridFunction | GridStack) -> np.ndarray:
+    """True on the columns of the span, padded to whole members, that are
+    not interior nodes: the band and exterior nodes, the rims between
+    members and the padding after the last core."""
+    dom = u.domain
+
+    def build(members):
+        off = np.ones((members or 1, dom.classes.size), dtype=bool)
+        off[:, dom.interior_index - dom.core.start] = False
+        off = off.reshape(-1)
+        off.flags.writeable = False
+        return off
+
+    return _span_cached(u, "off_interior", build)
+
+
 def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
     """A float work array kept on the domain and reused by later calls and
     blocks: a block row of the frame loop (at most ``_BLOCK`` columns) or a
@@ -391,8 +448,9 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
                      with_frames: bool) -> OperatorField:
     """The frame loop of every variant: the running minimum of the frame
     products, the running maximum of their slope factors and the index of
-    the first minimising frame, then ``b * minimum^p`` and ``b * slope`` at
-    the interior nodes.
+    the first minimising frame, each seeded by frame 0, then ``b *
+    minimum^p`` and ``b * slope`` in place on the span, with the no-op of
+    :class:`OperatorField` off the interior.
 
     The loop runs over equal blocks of at most ``_BLOCK`` span columns, one
     block at a time.  Within a block, each frame first fills the rows that
@@ -438,11 +496,11 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     rate, term = _work(u, "rate", (size,)), _work(u, "term", (size,))
     power = rate if p == 1.0 else _work(u, "power", (size,))
     radial, radial_f, weight = [], [], ()
-    # seeded so that frame 0's minimum and maximum copy it bit for bit
-    best, best_slope = np.empty(L), np.empty(L)
-    best.fill(np.inf)
-    best_slope.fill(-np.inf)
-    arg = np.zeros(L, dtype=np.uint8) if with_frames else None
+    # the span padded to whole members (a (member, S) view), frame 0 seeds
+    # the running minimum and maximum, and the padding holds zeros
+    best, best_slope = np.empty(u.values.size), np.empty(u.values.size)
+    best[L:] = best_slope[L:] = 0.0
+    arg = np.zeros(u.values.size, dtype=np.uint8) if with_frames else None
     for block in range(blocks):
         # equal blocks: the last ends at the span's end and recomputes the
         # few columns it shares with the one before, to the same bits
@@ -464,62 +522,80 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
                     np.maximum(rows[r], hh, out=rows_f[r])
             _product_and_rate([rows_f[i] for i in frame] + radial_f, w,
                               prod_f, rate, term)
-            if with_frames:
-                arg[lo:hi][prod < low] = k
             if p != 1.0:
                 np.power(prod_f, p - 1.0, out=power)
                 np.multiply(p, power, out=power)
                 power *= rate
                 np.copyto(power, 0.0, where=~(prod > 0))
+            if k == 0:
+                low[:] = prod
+                top[:] = power
+                continue
+            if with_frames:
+                arg[lo:hi][prod < low] = k
             # monotone steps need the slope bound over every frame, not
             # just the active one: a frame can take over mid-step
             np.maximum(top, power, out=top)
             np.minimum(low, prod, out=low)
+    inner, off = _interior_offsets(u), _off_interior(u)
     b = cfg.b.constant_value
     if b is None:
         b = cfg.b(dom.interior_positions, u.t)
         cfg.b.check_bounds(b, f"at t={u.t}")
-    inner = _interior_offsets(u)
-    values = np.power(np.take(best, inner), p)
-    values *= b
-    slope = np.take(best_slope, inner)
-    slope *= b
+    _scale(best_slope, b, inner)
+    np.copyto(best_slope, 0.0, where=off)
     if not reduced and p >= 1.0 and dom.n >= 3:
-        _lower_to_chord_bound(u, cfg, st, best, b, slope)
-    if with_frames:
-        arg = np.take(arg, inner)
-    return OperatorField(dom, values, slope, arg)
+        _lower_to_chord_bound(u, cfg, st, best, b, best_slope)
+    if p != 1.0:
+        np.power(best, p, out=best)
+    _scale(best, b, inner)
+    np.copyto(best, -0.0, where=off)
+    return OperatorField(dom, best, best_slope, inner, arg)
+
+
+def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
+    """Multiply the span array ``a`` by the coefficient ``b`` in place: a
+    scalar on every column (no pass at all for 1.0), a field of interior
+    values on the interior columns ``inner``."""
+    if np.ndim(b):
+        a[inner] *= b
+    elif b != 1.0:
+        a *= b
 
 
 def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
                           st: _Stencil, best: np.ndarray, b,
                           slope: np.ndarray) -> None:
-    """Lower the interior slope field (in place, ``b`` times the all-frame
-    value on entry) to ``b`` times the chord bound wherever it could set
-    its member's maximum.
+    """Lower the slope field on the span (in place, ``b`` times the
+    all-frame value on entry and 0 off the interior) to ``b`` times the
+    chord bound wherever it could set its member's maximum.
 
     Per member, take the chord bound sigma* at the node of largest
-    all-frame value among the nodes whose minimum product is positive
-    (the others do not move, and their chord bound is 0).  Every node whose
-    all-frame value exceeds sigma* is lowered to its chord bound; the rest
-    keep their all-frame value, which is at most sigma*.  Since the chord
-    bound never exceeds the all-frame value, the lowered field's maximum is
-    exactly the largest chord bound over all nodes, and it is at least the
-    largest active-frame slope: at a node that moves the chord bound is at
-    least the active frame's slope.
+    all-frame value among the nodes whose minimum product ``best`` is
+    positive (the others do not move, and their chord bound is 0; with no
+    such node, at the first interior node).  Every node whose all-frame
+    value exceeds sigma* is lowered to its chord bound; the rest keep their
+    all-frame value, which is at most sigma*.  Since the chord bound never
+    exceeds the all-frame value, the lowered field's maximum is exactly the
+    largest chord bound over all nodes, and it is at least the largest
+    active-frame slope: at a node that moves the chord bound is at least
+    the active frame's slope.
     """
-    inner = _interior_offsets(u)
-    moving = np.take(best, inner) > 0.0
-    top = np.where(moving, slope, 0.0).argmax(axis=-1)[..., None]
-    cols = np.take_along_axis(inner, top, axis=-1).reshape(-1)
-    bound = _chord_slope(_differences_at(u, st, cols), st,
-                         cfg.p).reshape(top.shape)
-    bound *= b if np.ndim(b) == 0 else b[top]
-    hit = np.nonzero(slope > bound)
+    S = u.domain.classes.size
+    slope = slope.reshape(-1, S)
+    first = np.atleast_2d(_interior_offsets(u))[0]
+    peak = np.where(best.reshape(-1, S) > 0.0, slope, 0.0)
+    top = peak.argmax(axis=-1)
+    rows = np.arange(len(top))
+    top[peak[rows, top] == 0.0] = first[0]
+    bound = _chord_slope(_differences_at(u, st, rows * S + top), st, cfg.p)
+    bound *= b if np.ndim(b) == 0 else b[np.searchsorted(first, top)]
+    hit = np.nonzero(slope > bound[:, None])
     if not hit[0].size:
         return
-    sigma = _chord_slope(_differences_at(u, st, inner[hit]), st, cfg.p)
-    sigma *= b if np.ndim(b) == 0 else b[hit[-1]]
+    sigma = _chord_slope(_differences_at(u, st, hit[0] * S + hit[1]), st,
+                         cfg.p)
+    sigma *= b if np.ndim(b) == 0 else b[np.searchsorted(first, hit[1])]
     slope[hit] = np.minimum(slope[hit], sigma)
 
 

@@ -354,13 +354,34 @@ def test_analyze_dual_residual_between_first_and_last(tmp_path, capsys):
     snaps = quadratic_snapshots(tmp_path, [0.1, 0.105, 0.11], p=2.0, h=0.05)
     u1, u2 = load_csv(snaps[0]), load_csv(snaps[-1])
     out = str(tmp_path / "out")
-    for p in (2.0, 1.0):
-        assert main(["analyze", "dual-residual", *snaps, "--p", str(p),
-                     "--out", out]) == 0
-        worst = dual_flow_residual(u1, u2, p)[0]
-        assert capsys.readouterr().out == f"dual_residual = {fmt17(worst)}\n"
+    at_1 = f"dual_residual = {fmt17(dual_flow_residual(u1, u2, 1.0)[0])}\n"
+    assert main(["analyze", "dual-residual", *snaps, "--p", "2.0",
+                 "--out", out]) == 0
+    worst = dual_flow_residual(u1, u2, 2.0)[0]
+    assert capsys.readouterr().out == \
+        f"dual_residual = {fmt17(worst)}\n" + at_1.replace(" =", "_p1 =")
+    assert main(["analyze", "dual-residual", *snaps, "--p", "1.0",
+                 "--out", out]) == 0
+    assert capsys.readouterr().out == at_1
     assert main(["analyze", "dual-residual", snaps[0], "--out", out]) == 2
     assert "increasing time levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h,apart", [(0.05, False), (0.025, True)])
+def test_analyze_dual_residual_shows_when_it_cannot_tell_p(tmp_path, capsys,
+                                                           h, apart):
+    # true p = 2: at h = 0.05 the readings at p = 2 and p = 1 tie (0.0790
+    # against 0.0787), at h = 0.025 they separate (0.0411 against 0.0542)
+    snaps = quadratic_snapshots(tmp_path, [0.1, 0.11], p=2.0, h=h)
+    assert main(["analyze", "dual-residual", *snaps, "--p", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    read = dict(line.split(" = ")
+                for line in capsys.readouterr().out.splitlines())
+    at_p, at_1 = float(read["dual_residual"]), float(read["dual_residual_p1"])
+    if apart:
+        assert at_1 > 1.2 * at_p
+    else:
+        assert abs(at_p - at_1) < 0.01 * at_1
 
 
 @pytest.mark.parametrize("name,probe", [

@@ -7,10 +7,11 @@ import pytest
 from pma_lab import evolution
 from pma_lab.evolution import (EvolutionState, ScalingMap, comparison_check,
                                evolve, evolve_pair, rescale, stable_dt)
+from pma_lab.config import make_state as state_from_config
 from pma_lab.exact import quadratic_solution, cone_data
-from pma_lab.grid import (CoefficientField, build_domain, load_csv, sample,
-                          save_csv)
-from pma_lab.monge_ampere import OperatorConfig, ma_field
+from pma_lab.grid import (CoefficientField, GridStack, build_domain, load_csv,
+                          sample, save_csv)
+from pma_lab.monge_ampere import _BLOCK, OperatorConfig, ma_field
 
 
 def ball(r=1.0, h=0.1, n=2):
@@ -54,11 +55,11 @@ def test_stable_dt_rejects_a_non_finite_slope_and_names_its_node():
     fld = ma_field(state.u, state.cfg)
     k = len(fld.interior_slope) // 3
     where = tuple(map(float, dom.interior_positions[k]))
-    fld.interior_slope[k] = np.nan
+    fld.span_slope[fld.columns[k]] = np.nan
     with pytest.raises(ValueError, match=re.escape(f"node {where}")):
         stable_dt(fld)
     # every slope NaN: no step at all, rather than an infinite step
-    fld.interior_slope[:] = np.nan
+    fld.span_slope[fld.columns] = np.nan
     with pytest.raises(ValueError, match="non-finite slope bound"):
         stable_dt(fld)
 
@@ -143,8 +144,8 @@ def test_a_planted_drop_names_its_node(monkeypatch):
 
     def dropping(u, cfg, **kw):
         fld = ma_field(u, cfg, **kw)
-        fld.interior_values[..., k] = -1.0
-        fld.interior_values[..., k + 1] = -0.5
+        fld.span_values[fld.columns[..., k]] = -1.0
+        fld.span_values[fld.columns[..., k + 1]] = -0.5
         return fld
 
     monkeypatch.setattr(evolution, "ma_field", dropping)
@@ -166,7 +167,7 @@ def test_evolve_pair_refuses_a_drop_as_evolve_does(monkeypatch):
 
     def dropping(u, cfg, **kw):
         fld = ma_field(u, cfg, **kw)
-        fld.interior_values[-1, k] = -1.0
+        fld.span_values[fld.columns[-1, k]] = -1.0
         return fld
 
     monkeypatch.setattr(evolution, "ma_field", dropping)
@@ -186,7 +187,7 @@ def test_loop_refuses_a_non_finite_operator_value_and_names_its_node(
 
     def poisoned(u, cfg, **kw):
         fld = ma_field(u, cfg, **kw)
-        fld.interior_values[..., k] = np.nan
+        fld.span_values[fld.columns[..., k]] = np.nan
         return fld
 
     monkeypatch.setattr(evolution, "ma_field", poisoned)
@@ -202,6 +203,95 @@ def test_loop_refuses_non_finite_boundary_data():
                            boundary=lambda pts, t: np.full(len(pts), np.nan))
     with pytest.raises(ValueError, match="non-finite boundary data at t = "):
         evolve(state, t_end=0.01)
+
+
+def _interior_steps(states, stops):
+    """Snapshots of the stack at each stop, stepped as the operator's
+    interior arrays are added through ``interior_index`` member by member:
+    the reference for the loop's one add of the whole span per step."""
+    dom, cfg = states[0].u.domain, states[0].cfg
+    stack = GridStack(dom, np.stack([s.u.values for s in states]),
+                      states[0].t)
+    band = dom.band_mask()
+    pts = dom.positions(band)
+    snaps = []
+    for stop in stops:
+        while stack.t < stop:
+            fld = ma_field(stack, cfg)
+            sig = float(fld.interior_slope.max())
+            dt = math.inf if sig <= 0.0 \
+                else evolution.KAPPA_CFL * dom.h_grid ** 2 / sig
+            rem = stop - stack.t
+            if dt >= rem * (1.0 - 1e-12):
+                dt, t_new = rem, stop
+            else:
+                t_new = stack.t + dt
+            rate = fld.interior_values * dt
+            for s, v, r in zip(states, stack.values, rate):
+                v.reshape(-1)[dom.interior_index] += r
+                if s.boundary is not None:
+                    v[band] = np.asarray(s.boundary(pts, t_new), dtype=float)
+            stack.t = t_new
+        snaps.append(stack.values.copy())
+    return snaps
+
+
+_BALL = {"domain.center": [0.03, 0.0], "domain.radius": 1.0, "grid.h": 0.1}
+_BOX = {"domain.kind": "box", "domain.lower": [-1.0, -1.0],
+        "domain.upper": [1.0, 1.0], "grid.h": 0.1}
+
+
+@pytest.mark.parametrize("configs,t_end", [
+    # a pair on a ball (exterior NaN nodes), frozen band with one -0.0
+    ([{**_BALL, "op.p": 1.0, "data.kind": "cone"},
+      {**_BALL, "op.p": 1.0, "data.kind": "crease", "data.axis": 0}], 0.01),
+    ([{**_BOX, "op.p": 0.4, "data.kind": "quadratic",
+       "data.matrix": [[1.2, 0.1], [0.1, 0.8]]}], 0.05),
+    # 3-D crease, a span of two blocks, through the chord bound
+    ([{"domain.kind": "box", "domain.lower": [-1.0] * 3,
+       "domain.upper": [1.0] * 3, "grid.h": 0.0625, "op.p": 1.0,
+       "data.kind": "crease"}], 5e-4),
+    ([{**_BOX, "op.p": 1.0, "op.variant": "reduced", "op.n_full": 4,
+       "data.kind": "crease", "data.axis": -1}], 0.001),
+    ([{**_BALL, "op.p": 1.0, "data.kind": "quadratic",
+       "data.matrix": [[1.0, 0.2], [0.2, 1.5]],
+       "op.b_expression": "1 + 0.3 * sin(2 * x1 + 300 * t)",
+       "op.lambda": 0.7, "op.Lambda": 1.3}], 0.015),
+    ([{**_BALL, "op.p": 2.0, "data.kind": kind} for kind in
+      ("cone", "crease", "flat_disk")], 0.002),
+], ids=["ball-pair", "box-p04", "crease-3d", "reduced-n4", "b-of-t",
+        "stack-of-3"])
+def test_span_step_matches_the_interior_step_bit_for_bit(configs, t_end):
+    # the loop adds the operator's whole span, -0.0 off the interior, in
+    # one call per step; every snapshot equals the member-by-member add of
+    # the interior values, and no band or exterior bit moves that the
+    # boundary data does not set
+    configs = [{"data.radius": 0.3, **c} if c["data.kind"] == "flat_disk"
+               else c for c in configs]
+    states = [state_from_config(c) for c in configs]
+    dom = states[0].u.domain
+    frozen = states[0].boundary is None
+    if dom.n == 3:
+        assert dom.core.stop - dom.core.start > _BLOCK
+    if frozen:
+        # a band node between interior rows, inside the span
+        band = np.flatnonzero(dom.band_mask())
+        states[0].u.values.reshape(-1)[band[len(band) // 2]] = -0.0
+    before = np.stack([s.u.values for s in states])
+    reference = [EvolutionState(s.u.copy(), s.cfg, s.boundary)
+                 for s in states]
+    stops = [t_end / 3, 2 * t_end / 3, t_end]
+    got = [np.stack([s.u.values for s in states])
+           for _ in evolution._shared_steps(states, stops)]
+    want = _interior_steps(reference, stops)
+    assert states[0].steps >= 20
+    for g, w in zip(got, want):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    outside = ~dom.interior_mask() if frozen else ~dom.active_mask()
+    assert np.array_equal(got[-1][:, outside].view(np.int64),
+                          before[:, outside].view(np.int64))
+    if frozen:
+        assert (got[-1][0].view(np.int64) == np.int64(-2 ** 63)).any()
 
 
 def test_loop_refuses_a_pair_at_two_times_or_a_stop_behind_it():

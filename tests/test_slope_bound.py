@@ -17,7 +17,8 @@ from pma_lab import config
 from pma_lab.evolution import (EvolutionState, comparison_check, evolve_pair,
                                stable_dt)
 from pma_lab.experiments import REGISTRY
-from pma_lab.grid import CoefficientField, GridStack, build_domain, sample
+from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
+                          GridFunction, GridStack, build_domain, sample)
 from pma_lab.monge_ampere import OperatorConfig, ma_field, orthogonal_frames
 
 _VARYING_B = CoefficientField(
@@ -214,3 +215,23 @@ def test_chord_slope_equals_all_frame_slope_when_frames_tie():
     all_frame, _ = _all_and_active(u, cfg)
     np.testing.assert_allclose(all_frame, 6.0, rtol=1e-12)
     np.testing.assert_allclose(got, 6.0, rtol=1e-12)
+
+
+def test_chord_bound_with_no_moving_node_is_read_at_an_interior_node():
+    # every interior node is flat along the third axis, so none moves and
+    # each one's chord bound is 0, though other frames give a positive
+    # all-frame slope; the band node at the first span column is strictly
+    # convex, and a bound read there would keep those slopes
+    shape, r = (10, 10, 10), 1
+    classes = np.full(shape, BAND, dtype=np.uint8)
+    classes[4:9, 4:9, 4:9] = INTERIOR
+    dom = Domain(h_grid=0.1, classes=classes, stencil_radius=r,
+                 axis_coords=tuple(0.1 * np.arange(s) for s in shape))
+    i, j, k = np.indices(shape, dtype=float)
+    u = GridFunction(dom, (i - 6) ** 2 + (j - 6) ** 2
+                     + np.maximum(0.0, 2.5 - k) ** 2)
+    assert dom.core.start == np.ravel_multi_index((r,) * 3, shape)
+    fld = ma_field(u, OperatorConfig(p=1.0, width=1))
+    assert (fld.interior_values == 0.0).all()
+    assert (fld.interior_slope == 0.0).all()
+    assert stable_dt(fld) == math.inf
