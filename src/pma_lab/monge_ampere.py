@@ -36,24 +36,31 @@ keep the all-frame value, so the field is an upper bound everywhere and
 its maximum is the chord bound's.  For p < 1 the slope pieces use
 differences floored at h^2 (see :func:`_min_over_frames`).
 
+Units.  The work rows hold raw differences D'_e = max(0, Delta^2_e u) and
+each frame is scaled once: its product by c_F = prod_{e in F} 1/(|e|^2 h^2),
+its rate by 2h^2 c_F (each weight 2/|e|^2 times |e|^2 h^2 is 2h^2), so no
+difference is divided and no factor weighted.  A raw product underflows
+before the scaled one only for curvatures below about 1e-100 (3-D, h=0.05).
+
 Evaluation.  :func:`ma_field` takes one grid function or a
 :class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
 laid end to end and differenced on one contiguous span: a stack costs the
 array operations of one grid function, and each member's output is bit for
 bit that of its own call.  Both variants run one frame loop,
 :func:`_min_over_frames` (running minimum of the products, running maximum
-of the slope factors, argmin frame); the reduced variant's radial factor is
-one more factor of every frame.  One recurrence, :func:`_product_and_rate`,
-builds a frame's product and its rate of fall, in the frame loop and in the
-chord bound alike.  The loop runs over the span in equal blocks of at most
-``_BLOCK`` = 2^15 columns, one block at a time, so its ten to fifteen work
-rows (differences, products, rates, radial factors) are block rows that
-stay near one core's L2 cache, where span-length rows of a 45^3 lattice
-(83k columns, 0.66 MB each) stream from memory on every pass.  Every stage
-is elementwise on a node, so the blocks change no bit; and a span within
-one block (every 2-D lattice of the registry) runs the loop once.  Only
-the running minimum, maximum and argmin are span-length.  Each direction
-is differenced at the first frame that reads it: a direction that several
+of the slope factors, argmin frame); the reduced variant's radial factor
+is one more factor of every frame.  One recurrence,
+:func:`_product_and_sum`, builds a frame's raw product and its
+leave-one-out sum, in the frame loop and in the chord bound alike.  The
+loop runs over the span in equal blocks of at most ``_BLOCK`` = 2^15
+columns, one block at a time, so its ten to fifteen work rows
+(differences, products, rates, radial factors) are block rows that stay
+near one core's L2 cache, where span-length rows of a 45^3 lattice (83k
+columns, 0.66 MB each) stream from memory on every pass.  Every stage is
+elementwise on a node, so the blocks change no bit; and a span within one
+block (every 2-D lattice of the registry) runs the loop once.  Only the
+running minimum, maximum and argmin are span-length.  Each direction is
+differenced at the first frame that reads it: a direction that several
 frames read (the axes in 3-D and up) into a block row of its own, every
 other one into one of at most n scratch rows that the next frame reuses,
 so the work arrays hold a few rows rather than one per direction (21 at
@@ -61,11 +68,13 @@ width 2 in 3-D).  The chord bound recomputes the differences it needs at
 its candidate nodes from the values (:func:`_differences_at`).  The output
 stays on the span: an :class:`OperatorField` holds the span-length values
 and slopes, computed in place in the running minimum and maximum, with a
-no-op (value -0.0, slope 0.0) on every column that is not an interior node,
-so a time step adds the whole span to the flat values in one call; the
-interior and lattice-shaped fields are built only when they are first read.
-b(x, t) is evaluated and bound-checked once per call, at the interior
-nodes; a constant b is one scalar, and b = 1 costs no pass.
+no-op (value -0.0, slope 0.0) on every column that is not an interior
+node, so a time step adds the whole span to the flat values in one call;
+the interior and lattice-shaped fields are built only when they are first
+read.  b(x, t) is evaluated and bound-checked at the interior nodes: once
+per call, or once per lattice for a field that does not read t
+(:func:`_interior_coefficient`); a constant b is one scalar, and b = 1
+costs no pass.
 """
 from __future__ import annotations
 
@@ -255,7 +264,7 @@ class _Stencil:
 
     Each direction (taken up to sign) carries its offset in the flattened
     lattice and |e|^2; ``frames[k]`` lists the direction indices of frame k
-    and ``weights[k]`` their rate weights 2/|e|^2.  Frame k differences
+    and ``e2_product[k]`` the product of their |e|^2.  Frame k differences
     every direction it is the first to read into a block row, ``fills[k]``
     = ((row, direction), ...), and reads its factors from rows ``rows[k]``.
     A direction that more than one frame reads (``shared``: the axes in 3-D
@@ -267,7 +276,7 @@ class _Stencil:
     frames: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
     e2: tuple[int, ...]
-    weights: tuple[tuple[float, ...], ...]
+    e2_product: tuple[int, ...]
     shared: tuple[int, ...]
     scratch: int
     fills: tuple[tuple[tuple[int, int], ...], ...]
@@ -300,7 +309,7 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
     return _Stencil(
         frames=frames,
         offsets=tuple(sum(c * s for c, s in zip(e, strides)) for e in dirs),
-        e2=e2, weights=tuple(tuple(2.0 / e2[d] for d in f) for f in frames),
+        e2=e2, e2_product=tuple(math.prod(e2[d] for d in f) for f in frames),
         shared=shared, scratch=max(map(max, rows)) + 1 - len(shared),
         fills=tuple(fills), rows=tuple(rows))
 
@@ -374,9 +383,8 @@ def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
 def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
                                 lo: int, hi: int):
     """The function ``difference(d, out)`` that fills the block row ``out``
-    with the clamped second differences per unit |e|^2 h^2 of direction d
-    over the block of span columns ``lo:hi`` (the span of
-    :func:`_core_values`).
+    with the raw clamped second differences max(0, Delta^2_e u) of direction
+    d over the block of span columns ``lo:hi`` (see :func:`_core_values`).
 
     A row is read from the flattened values at the shifts +-offset; entries
     off the cores are computed from wrapped-around neighbours and never
@@ -384,14 +392,12 @@ def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
     """
     flat, a, _ = _core_values(u)
     a, b = a + lo, a + hi
-    h = u.domain.h_grid
     twice = np.multiply(2.0, flat[a:b], out=_work(u, "twice", (b - a,)))
 
     def difference(d: int, out: np.ndarray) -> np.ndarray:
         k = st.offsets[d]
         np.add(flat[a + k:b + k], flat[a - k:b - k], out=out)
         out -= twice
-        out /= st.e2[d] * h * h
         return np.maximum(out, 0.0, out=out)
 
     return difference
@@ -399,39 +405,37 @@ def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
 
 def _differences_at(u: GridFunction | GridStack, st: _Stencil,
                     cols: np.ndarray) -> np.ndarray:
-    """The clamped second differences of every direction at the span
+    """The raw clamped second differences of every direction at the span
     columns ``cols``, one row per direction: bit for bit the entries a span
     row of :func:`_clamped_second_differences` holds there."""
     flat, a, _ = _core_values(u)
-    h = u.domain.h_grid
     at = a + cols
     k = np.array(st.offsets)[:, None]
     D = flat[at + k] + flat[at - k]
     D -= np.multiply(2.0, flat[at])
-    D /= np.array(st.e2)[:, None] * h * h
     return np.maximum(D, 0.0, out=D)
 
 
-def _product_and_rate(factors, w, P: np.ndarray, rate: np.ndarray | None,
-                      tmp: np.ndarray | None = None):
-    """The product P = prod_i F_i of ``factors`` and, unless ``rate`` is
-    None, its rate of fall sum_i w_i prod_{j != i} F_j when factor i falls
-    at rate w_i, both written in place (``tmp``: a work array for the rate).
+def _product_and_sum(factors, P: np.ndarray, s: np.ndarray | None = None,
+                     weight=None, tmp=None):
+    """The product P = prod_i F_i of ``factors`` and, unless ``s`` is None,
+    the sum s = sum_i w_i prod_{j != i} F_j, both in place: w_i = 1 but for
+    a last factor given a ``weight`` (``tmp``: a work array for its term).
 
-    The recurrence starts from P = F_0 F_1, rate = w_0 F_1 + w_1 F_0 and
-    takes each further factor as rate = rate F_i + w_i P, then P = P F_i.
+    The recurrence starts from s = F_0 + F_1, P = F_0 F_1 and takes each
+    further factor F as s = s F + w P, then P = P F.
     """
-    F0, F1 = factors[0], factors[1]
-    if rate is not None:
-        np.multiply(w[0], F1, out=rate)
-        rate += np.multiply(w[1], F0, out=tmp)
+    F0, F1, *rest = factors
+    if s is not None:
+        np.add(F0, F1, out=s)
     np.multiply(F0, F1, out=P)
-    for F, w_i in zip(factors[2:], w[2:]):
-        if rate is not None:
-            rate *= F
-            rate += np.multiply(w_i, P, out=tmp)
+    for i, F in enumerate(rest, 3):
+        if s is not None:
+            s *= F
+            s += (P if weight is None or i < len(factors)
+                  else np.multiply(weight, P, out=tmp))
         P *= F
-    return P, rate
+    return P, s
 
 
 def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
@@ -453,19 +457,20 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     :class:`OperatorField` off the interior.
 
     The loop runs over equal blocks of at most ``_BLOCK`` span columns, one
-    block at a time.  Within a block, each frame first fills the rows that
-    the fill plan of :func:`_stencil` gives it.  The slope factor of frame F
-    is |d(P_F^p)/du(x)| = p P_F^(p-1) sum_i w_i prod_{j != i} F_j; one
-    :func:`_product_and_rate` call gives P_F and the leave-one-out sum.
-    For p < 1 its pieces (but never the product itself) are computed from
-    differences floored at the curvature scale h^2: a second difference
-    below the scheme's own truncation scale is indistinguishable from
-    degenerate, and the raw p - 1 power diverges exactly there.  So after
-    the raw product each row the frame filled is floored once, a shared row
-    into a copy (later frames still read it raw) and any other in place.
-    Where the product is 0 the node does not move and the factor is taken
-    as zero.  The reduced variant's radial factor (:func:`_radial_factors`)
-    is one more factor of every frame.
+    block at a time.  Within a block, each frame fills the rows the fill plan
+    of :func:`_stencil` gives it with raw differences; their product P' and
+    sum s' (:func:`_product_and_sum`) are scaled once (module docstring):
+    P_F = c_F P', and the slope factor |d(P_F^p)/du(x)| = K_F P'^(p-1) s'
+    with K_F = p c_F^(p-1) 2h^2 c_F.  For p < 1 its pieces (but never the
+    product itself) are computed from differences floored at the curvature
+    scale h^2 (D'_e >= |e|^2 h^4): a second difference below the scheme's
+    own truncation scale is indistinguishable from degenerate, and the raw
+    p - 1 power diverges exactly there.  So after the raw product each row
+    the frame filled is floored once, a shared row into a copy (later
+    frames still read it raw) and any other in place.  Where the product is
+    0 the node does not move and the factor is taken as zero.  The reduced
+    variant's radial factor (:func:`_radial_factors`) is one more factor of
+    every frame.
 
     For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
     slope field is then lowered to the chord bound of :func:`_chord_slope`
@@ -486,6 +491,8 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     size = -(-L // blocks)
     floored = p < 1.0
     hh = dom.h_grid * dom.h_grid
+    scale = [1.0 / (e2 * hh ** dom.n) for e2 in st.e2_product]     # c_F
+    gain = [p * c ** (p - 1.0) * 2.0 * hh * c for c in scale]       # K_F
     shared = len(st.shared)
     rows = rows_f = [*_work(u, "diff", (shared, size)),
                      *_work(u, "scratch", (st.scratch, size))]
@@ -493,9 +500,9 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
         rows_f = [*_work(u, "floored", (shared, size)), *rows[shared:]]
     prod = _work(u, "prod", (size,))
     prod_f = _work(u, "prod_f", (size,)) if floored else prod
-    rate, term = _work(u, "rate", (size,)), _work(u, "term", (size,))
+    rate = _work(u, "rate", (size,))
     power = rate if p == 1.0 else _work(u, "power", (size,))
-    radial, radial_f, weight = [], [], ()
+    radial, radial_f, weight, term = [], [], None, None
     # the span padded to whole members (a (member, S) view), frame 0 seeds
     # the running minimum and maximum, and the padding holds zeros
     best, best_slope = np.empty(u.values.size), np.empty(u.values.size)
@@ -509,24 +516,24 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
         difference = _clamped_second_differences(u, st, lo, hi)
         if reduced:
             radial, radial_f, weight = _radial_factors(u, cfg, lo, hi)
+            term = _work(u, "term", (size,))
         low, top = best[lo:hi], best_slope[lo:hi]
         for k, frame in enumerate(st.rows):
             fills = st.fills[k]
             for r, d in fills:
                 difference(d, rows[r])
-            w = st.weights[k] + weight
             if floored:
-                _product_and_rate([rows[i] for i in frame] + radial, w, prod,
-                                  None)
-                for r, _ in fills:
-                    np.maximum(rows[r], hh, out=rows_f[r])
-            _product_and_rate([rows_f[i] for i in frame] + radial_f, w,
-                              prod_f, rate, term)
+                _product_and_sum([rows[i] for i in frame] + radial, prod)
+                for r, d in fills:
+                    np.maximum(rows[r], st.e2[d] * hh * hh, out=rows_f[r])
+            _product_and_sum([rows_f[i] for i in frame] + radial_f, prod_f,
+                             rate, weight, term)
+            rate *= gain[k]
             if p != 1.0:
                 np.power(prod_f, p - 1.0, out=power)
-                np.multiply(p, power, out=power)
                 power *= rate
                 np.copyto(power, 0.0, where=~(prod > 0))
+            prod *= scale[k]
             if k == 0:
                 low[:] = prod
                 top[:] = power
@@ -540,8 +547,7 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     inner, off = _interior_offsets(u), _off_interior(u)
     b = cfg.b.constant_value
     if b is None:
-        b = cfg.b(dom.interior_positions, u.t)
-        cfg.b.check_bounds(b, f"at t={u.t}")
+        b = _interior_coefficient(u, cfg.b)
     _scale(best_slope, b, inner)
     np.copyto(best_slope, 0.0, where=off)
     if not reduced and p >= 1.0 and dom.n >= 3:
@@ -551,6 +557,27 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     _scale(best, b, inner)
     np.copyto(best, -0.0, where=off)
     return OperatorField(dom, best, best_slope, inner, arg)
+
+
+def _interior_coefficient(u: GridFunction | GridStack,
+                          b: CoefficientField) -> np.ndarray:
+    """``b`` at the interior nodes at time ``u.t``, bound-checked.
+
+    A field that does not read t is evaluated and checked once per
+    lattice: its values are kept read-only in ``span_cache`` under the
+    field's id, next to the field itself, so that no other field can take
+    that id while the entry lives.  Any other field is evaluated and
+    checked on every call."""
+    dom = u.domain
+    key = ("b", id(b))
+    if not b.reads_t and key in dom.span_cache:
+        return dom.span_cache[key][1]
+    vals = b(dom.interior_positions, u.t)
+    b.check_bounds(vals, f"at t={u.t}")
+    if not b.reads_t:
+        vals.flags.writeable = False
+        dom.span_cache[key] = (b, vals)
+    return vals
 
 
 def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
@@ -588,49 +615,48 @@ def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
     top = peak.argmax(axis=-1)
     rows = np.arange(len(top))
     top[peak[rows, top] == 0.0] = first[0]
-    bound = _chord_slope(_differences_at(u, st, rows * S + top), st, cfg.p)
+    bound = _chord_slope(u, st, rows * S + top, cfg.p)
     bound *= b if np.ndim(b) == 0 else b[np.searchsorted(first, top)]
     hit = np.nonzero(slope > bound[:, None])
     if not hit[0].size:
         return
-    sigma = _chord_slope(_differences_at(u, st, hit[0] * S + hit[1]), st,
-                         cfg.p)
+    sigma = _chord_slope(u, st, hit[0] * S + hit[1], cfg.p)
     sigma *= b if np.ndim(b) == 0 else b[np.searchsorted(first, hit[1])]
     slope[hit] = np.minimum(slope[hit], sigma)
 
 
-def _chord_slope(D: np.ndarray, st: _Stencil, p: float) -> np.ndarray:
-    """The chord slope factor at the nodes of the columns of ``D`` (clamped
-    differences, one row per stencil direction), for p >= 1.
+def _chord_slope(u: GridFunction | GridStack, st: _Stencil, cols: np.ndarray,
+                 p: float) -> np.ndarray:
+    """The chord slope factor at the span columns ``cols``, for p >= 1.
 
-    Raise the centre by delta = t h^2 / 2 with the neighbours fixed: every
-    difference D_e falls by t/|e|^2, and frame F's product becomes
-    P_F(t) = prod_{e in F} max(0, D_e - t/|e|^2).  Each factor is convex,
-    nonincreasing and >= 0; so is a product of such functions, and so is
-    its p-th power for p >= 1: P_F and g_F = P_F^p are too.  With
-    M = min_F P_F(0) and m = M^p, the explicit update
-    u + dt b min_F g_F is nondecreasing along every raise when
-    dt b sigma <= h^2, sigma = 2 max_F sup_{t>0} (m - g_F(t)) / t.  Per
-    frame, let t_F = (P_F(0) - M) / |P_F'(0)|.  On [0, t_F] the tangent
-    line keeps P_F >= M, so g_F >= m; past t_F, g_F >= 0 and convexity
-    (g_F(t_F) >= m) bound the quotient by min(m / t_F, |g_F'(t_F)|).  The
-    active frame (t_F = 0) gives |g_F'(0)|, the slope the all-frame rule
-    takes for it; every frame's bound is at most its |g_F'(0)|, so sigma
-    never exceeds the all-frame value.  M = 0 gives sigma = 0: g_F >= 0.
+    Raise the centre by delta = t h^2 / 2 with the neighbours fixed: every raw
+    difference (:func:`_differences_at`) falls by t h^2, and frame F's product
+    becomes P_F(t) = c_F prod_{e in F} max(0, D'_e - t h^2).  Each factor is
+    convex, nonincreasing and >= 0; so is a product of such functions, and so
+    is its p-th power for p >= 1: P_F and g_F = P_F^p are too.  With M = min_F
+    P_F(0) and m = M^p, the explicit update u + dt b min_F g_F is nondecreasing
+    along every raise when dt b sigma <= h^2, sigma = 2 max_F sup_{t>0} (m -
+    g_F(t)) / t.  Per frame, let t_F = (P_F(0) - M) / |P_F'(0)|.  On [0, t_F]
+    the tangent line keeps P_F >= M, so g_F >= m; past t_F, g_F >= 0 and
+    convexity (g_F(t_F) >= m) bound the quotient by min(m / t_F, |g_F'(t_F)|).
+    The active frame (t_F = 0) gives |g_F'(0)|, the slope the all-frame rule
+    takes for it; every frame's bound is at most its |g_F'(0)|, so sigma never
+    exceeds the all-frame value.  M = 0 gives sigma = 0: g_F >= 0.
     """
-    frames = np.array(st.frames).T
-    w = 1.0 / np.array(st.e2, dtype=float)[frames][:, :, None]
-    X = D[frames]                              # (factor, frame, node)
-    P, rate, tmp = np.empty((3,) + X.shape[1:])
-    _product_and_rate(X, w, P, rate, tmp)
-    M = P.min(axis=0)
+    hh = u.domain.h_grid * u.domain.h_grid
+    c = 1.0 / (np.array(st.e2_product)[:, None] * hh ** u.domain.n)
+    X = _differences_at(u, st, cols)[np.array(st.frames).T]
+    P, s = _product_and_sum(X, *np.empty((2,) + X.shape[1:]))  # (frame, node)
+    P0 = c * P
+    M = P0.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tF = (P - M) / rate
-        X -= tF * w
-        # P and rate now take the values at t_F
-        Pt, dg = _product_and_rate(np.maximum(X, 0.0, out=X), w, P, rate, tmp)
+        tF = (P0 - M) / (c * hh * s)
+        X -= tF * hh
+        # P and s now take the values at t_F
+        _product_and_sum(np.maximum(X, 0.0, out=X), P, s)
+        dg = c * hh * s
         if p != 1.0:
-            dg *= p * Pt ** (p - 1.0)
+            dg *= p * (c * P) ** (p - 1.0)
         sigma = 2.0 * np.minimum(M ** p / tF, dg).max(axis=0)
     sigma[~(M > 0.0)] = 0.0
     return sigma
@@ -644,11 +670,11 @@ def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
                     lo: int, hi: int) -> tuple:
     """The reduced variant's radial factor over the block of span columns
     ``lo:hi`` (see :func:`_clamped_second_differences`) as one more factor
-    of every frame, ``[R], [R_f], (c,)``: R = max(0, u_r/r)^(n_full-2),
-    with u_r/r by central differences and its u_rr limit on the axis; R_f,
-    R from the ratio floored at h^2 for p < 1; and its rate weight
-    c = 2 (n_full-2) ratio_f^(n_full-3), the centre's weight in R through
-    u_rr on the axis (zero off it)."""
+    of every frame, ``[R], [R_f], w``: R = max(0, u_r/r)^(n_full-2), with
+    u_r/r by central differences and its u_rr limit on the axis; R_f, R
+    from the ratio floored at h^2 for p < 1; and its rate weight next to
+    the raw differences' 1, w = (n_full-2) ratio_f^(n_full-3) / h^2 (the
+    centre's weight in R through u_rr, over 2h^2) on the axis, 0 off it."""
     dom = u.domain
     h, nf = dom.h_grid, cfg.n_full
     flat, a, _ = _core_values(u)
@@ -678,8 +704,8 @@ def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
         R_f = np.power(ratio_f, nf - 2, out=_work(u, "radial_f", size))
     c = _work(u, "axis_coef", size)
     c.fill(0.0)
-    c[axis] = 2.0 * (nf - 2) * np.power(ratio_f[axis], nf - 3)
-    return [R], [R_f], (c,)
+    c[axis] = (nf - 2) * np.power(ratio_f[axis], nf - 3) / (h * h)
+    return [R], [R_f], c
 
 
 def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,

@@ -30,6 +30,27 @@ def ma_at(u, point, cfg):
     return float(ma_field(u, cfg).values[idx])
 
 
+def _second_difference(u, idx, e):
+    """Delta^2_e u / (|e|^2 h^2) at lattice index ``idx``."""
+    h, V = u.domain.h_grid, u.values
+    e2 = sum(c * c for c in e)
+    ip = tuple(i + c for i, c in zip(idx, e))
+    im = tuple(i - c for i, c in zip(idx, e))
+    return (V[ip] + V[im] - 2.0 * V[idx]) / (e2 * h * h)
+
+
+def _radial_ratio(u, idx):
+    """The reduced variant's u_r/r: the central difference, and on the
+    axis its limit the second difference u_rr; and whether idx is on the
+    axis."""
+    dom, V = u.domain, u.values
+    h, r = dom.h_grid, dom.coordinates(idx)[0]
+    ip, im = (idx[0] + 1, idx[1]), (idx[0] - 1, idx[1])
+    on_axis = abs(r) < 0.5 * h
+    return (_second_difference(u, idx, (1, 0)) if on_axis
+            else (V[ip] - V[im]) / (2.0 * h * r)), on_axis
+
+
 def pointwise_value(u, idx, cfg):
     """The operator at one node and its first minimising frame, frame by
     frame in scalar arithmetic: the reference the array kernel is checked
@@ -37,32 +58,56 @@ def pointwise_value(u, idx, cfg):
     radial factor max(0, u_r/r)^(n_full-2), with u_r/r the central
     difference and, on the axis, its limit the second difference u_rr."""
     dom = u.domain
-    h = dom.h_grid
-    V = u.values
-
-    def second_difference(e):
-        e2 = sum(c * c for c in e)
-        ip = tuple(i + c for i, c in zip(idx, e))
-        im = tuple(i - c for i, c in zip(idx, e))
-        return (V[ip] + V[im] - 2.0 * V[idx]) / (e2 * h * h)
-
     radial = 1.0
     if cfg.variant == "reduced":
-        r = dom.coordinates(idx)[0]
-        ip, im = (idx[0] + 1, idx[1]), (idx[0] - 1, idx[1])
-        ratio = (second_difference((1, 0)) if abs(r) < 0.5 * h
-                 else (V[ip] - V[im]) / (2.0 * h * r))
-        radial = max(ratio, 0.0) ** (cfg.n_full - 2)
+        radial = max(_radial_ratio(u, idx)[0], 0.0) ** (cfg.n_full - 2)
     best, arg = math.inf, None
     for k, frame in enumerate(orthogonal_frames(dom.n, cfg.width)):
         prod = 1.0
         for e in frame:
-            prod *= max(second_difference(e), 0.0)
+            prod *= max(_second_difference(u, idx, e), 0.0)
         prod *= radial
         if prod < best:
             best, arg = prod, k
     x = dom.coordinates(idx)[None, :]
     return float(cfg.b(x, u.t)[0]) * best ** cfg.p, arg
+
+
+def pointwise_slope(u, idx, cfg):
+    """The all-frame slope at one node in curvature units, frame by frame
+    in scalar arithmetic: b times 2 max_F p P_F^(p-1) sum_i w_i prod_{j !=
+    i} F_j, with w_i = 1/|e_i|^2 for a second difference and, for the
+    reduced radial factor R = max(0, u_r/r)^(n_full-2), the centre's weight
+    (n_full-2) (u_r/r)^(n_full-3) on the axis (through u_rr) and 0 off it.
+    For p < 1 the pieces use the differences and u_r/r floored at h^2; for
+    p != 1 a frame whose product is 0 gives 0."""
+    dom = u.domain
+    hh = dom.h_grid ** 2
+    floor = hh if cfg.p < 1.0 else 0.0
+    radial = []
+    if cfg.variant == "reduced":
+        ratio, on_axis = _radial_ratio(u, idx)
+        ratio, nf = max(ratio, 0.0), cfg.n_full
+        ratio_f = max(ratio, floor)
+        w = (nf - 2) * ratio_f ** (nf - 3) if on_axis else 0.0
+        radial = [(ratio ** (nf - 2), ratio_f ** (nf - 2), w)]
+    best = 0.0
+    for frame in orthogonal_frames(dom.n, cfg.width):
+        factors = []
+        for e in frame:
+            D = max(_second_difference(u, idx, e), 0.0)
+            factors.append((D, max(D, floor), 1.0 / sum(c * c for c in e)))
+        factors += radial
+        prod = math.prod(F for F, _, _ in factors)
+        if cfg.p != 1.0 and not prod > 0.0:
+            continue
+        prod_f = math.prod(F for _, F, _ in factors)
+        rate = sum(w * math.prod(G for j, (_, G, _) in enumerate(factors)
+                                 if j != i)
+                   for i, (_, _, w) in enumerate(factors))
+        best = max(best, 2.0 * cfg.p * prod_f ** (cfg.p - 1.0) * rate)
+    x = dom.coordinates(idx)[None, :]
+    return float(cfg.b(x, u.t)[0]) * best
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +259,36 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
     np.testing.assert_allclose(fld.values[inner], values, rtol=1e-13,
                                atol=0.0)
     assert fld.argmin_frame[inner].tolist() == list(frames)
+
+
+@pytest.mark.parametrize("case", [
+    *[("plain", p, width) for p in (0.4, 1.0, 2.0) for width in (1, 2, 3)],
+    ("reduced", 0.7, 2), ("reduced", 1.0, 2)],
+    ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}")
+def test_slope_matches_pointwise_slope_at_every_interior_node(case):
+    # the frame loop scales each frame's raw product and leave-one-out sum
+    # once; node by node, the slope must equal the all-frame slope summed
+    # in curvature units with its 2/|e|^2 weights
+    variant, p, width = case
+    reduced = variant == "reduced"
+    dom = _lattice(2, width, reduced)
+    rng = np.random.default_rng(int(10 * p) + width)
+    A = rng.standard_normal((2, 2))
+    M = A @ A.T + 0.3 * np.eye(2)
+    if reduced:
+        M[0, 1] = M[1, 0] = 0.0
+    u = sample(dom, quad(M), t=0.25)
+    u.values += 0.01 * rng.standard_normal(u.values.shape)
+    if reduced:
+        u.values = 0.5 * (u.values + u.values[::-1])
+    cfg = OperatorConfig(p=p, width=width, variant=variant, b=_VARYING_B,
+                         n_full=4 if reduced else None)
+    fld = ma_field(u, cfg)
+    inner = np.argwhere(dom.interior_mask())
+    want = [pointwise_slope(u, tuple(i), cfg) for i in inner]
+    got = fld.slope[tuple(inner.T)]
+    assert (got > 0).mean() > 0.5
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 _LATTICES: dict = {}
@@ -375,7 +450,6 @@ def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
         for r, d in zip(rows, frame):
             assert held[r] == d, (k, r, d)
             assert (r < len(sten.shared)) == (d in sten.shared)
-        assert sten.weights[k] == tuple(2.0 / sten.e2[d] for d in frame)
     assert sorted(filled) == list(range(len(sten.offsets)))
 
 
