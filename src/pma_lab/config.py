@@ -180,8 +180,7 @@ _EXPR_FUNCS = {
 
 
 def _compile_expression(expr: str):
-    """Restricted vectorized evaluator in ``x1..xn``, ``r`` and ``t``; its
-    ``reads_t`` attribute says whether the expression names t."""
+    """Restricted vectorized evaluator in ``x1..xn``, ``r`` and ``t``."""
     try:
         code = compile(expr, "<config expression>", "eval")
     except SyntaxError as exc:
@@ -202,7 +201,6 @@ def _compile_expression(expr: str):
         return np.broadcast_to(np.asarray(out, dtype=float),
                                (pts.shape[0],)).copy()
 
-    evaluator.reads_t = "t" in code.co_names
     return evaluator
 
 

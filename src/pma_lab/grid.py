@@ -185,8 +185,7 @@ class Domain:
     @cached_property
     def span_cache(self) -> dict:
         """Read-only arrays that operator kernels derive from the lattice
-        and the number of stacked members alone, or from the lattice and a
-        coefficient field that does not read t, kept between calls."""
+        and the number of stacked members alone, kept between calls."""
         return {}
 
     def interior_mask(self) -> np.ndarray:
@@ -437,13 +436,6 @@ class CoefficientField:
         slack = 1e-12 * max(1.0, self.Lam)
         if np.any(vals < self.lam - slack) or np.any(vals > self.Lam + slack):
             raise ValueError(f"coefficient leaves [lam, Lam] {where}".rstrip())
-
-    @property
-    def reads_t(self) -> bool:
-        """False for a field whose evaluator is known not to read t (a
-        compiled expression that names no t); True for any other, a plain
-        callable included."""
-        return getattr(self.evaluator, "reads_t", True)
 
     @property
     def constant_value(self) -> float | None:

@@ -36,11 +36,10 @@ keep the all-frame value, so the field is an upper bound everywhere and
 its maximum is the chord bound's.  For p < 1 the slope pieces use
 differences floored at h^2 (see :func:`_min_over_frames`).
 
-Units.  The work rows hold raw differences D'_e = max(0, Delta^2_e u) and
-each frame is scaled once: its product by c_F = prod_{e in F} 1/(|e|^2 h^2),
-its rate by 2h^2 c_F (each weight 2/|e|^2 times |e|^2 h^2 is 2h^2), so no
-difference is divided and no factor weighted.  A raw product underflows
-before the scaled one only for curvatures below about 1e-100 (3-D, h=0.05).
+Units.  The work rows hold raw differences D'_e = max(0, Delta^2_e u); a
+frame's product is scaled once by c_F = prod_{e in F} 1/(|e|^2 h^2), its
+rate by 2h^2 c_F.  A raw product loses range only for curvatures below
+about 1e-100 (3-D, h = 0.05); the p < 1 floor is |e|^2 h^4 on a raw one.
 
 Evaluation.  :func:`ma_field` takes one grid function or a
 :class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
@@ -48,19 +47,18 @@ laid end to end and differenced on one contiguous span: a stack costs the
 array operations of one grid function, and each member's output is bit for
 bit that of its own call.  Both variants run one frame loop,
 :func:`_min_over_frames` (running minimum of the products, running maximum
-of the slope factors, argmin frame); the reduced variant's radial factor
-is one more factor of every frame.  One recurrence,
-:func:`_product_and_sum`, builds a frame's raw product and its
-leave-one-out sum, in the frame loop and in the chord bound alike.  The
-loop runs over the span in equal blocks of at most ``_BLOCK`` = 2^15
-columns, one block at a time, so its ten to fifteen work rows
-(differences, products, rates, radial factors) are block rows that stay
-near one core's L2 cache, where span-length rows of a 45^3 lattice (83k
-columns, 0.66 MB each) stream from memory on every pass.  Every stage is
-elementwise on a node, so the blocks change no bit; and a span within one
-block (every 2-D lattice of the registry) runs the loop once.  Only the
-running minimum, maximum and argmin are span-length.  Each direction is
-differenced at the first frame that reads it: a direction that several
+of the slope factors, argmin frame); the reduced variant's radial factor is
+one more factor of every frame.  One recurrence, :func:`_product_and_sum`,
+builds a frame's product and its rate of fall, in the frame loop and in the
+chord bound alike.  The loop runs over the span in equal blocks of at most
+``_BLOCK`` = 2^15 columns, one block at a time, so its ten to fifteen work
+rows (differences, products, rates, radial factors) are block rows that
+stay near one core's L2 cache, where span-length rows of a 45^3 lattice
+(83k columns, 0.66 MB each) stream from memory on every pass.  Every stage
+is elementwise on a node, so the blocks change no bit; and a span within
+one block (every 2-D lattice of the registry) runs the loop once.  Only
+the running minimum, maximum and argmin are span-length.  Each direction
+is differenced at the first frame that reads it: a direction that several
 frames read (the axes in 3-D and up) into a block row of its own, every
 other one into one of at most n scratch rows that the next frame reuses,
 so the work arrays hold a few rows rather than one per direction (21 at
@@ -68,13 +66,11 @@ width 2 in 3-D).  The chord bound recomputes the differences it needs at
 its candidate nodes from the values (:func:`_differences_at`).  The output
 stays on the span: an :class:`OperatorField` holds the span-length values
 and slopes, computed in place in the running minimum and maximum, with a
-no-op (value -0.0, slope 0.0) on every column that is not an interior
-node, so a time step adds the whole span to the flat values in one call;
-the interior and lattice-shaped fields are built only when they are first
-read.  b(x, t) is evaluated and bound-checked at the interior nodes: once
-per call, or once per lattice for a field that does not read t
-(:func:`_interior_coefficient`); a constant b is one scalar, and b = 1
-costs no pass.
+no-op (value -0.0, slope 0.0) on every column that is not an interior node,
+so a time step adds the whole span to the flat values in one call; the
+interior and lattice-shaped fields are built only when they are first read.
+b(x, t) is evaluated and bound-checked once per call, at the interior
+nodes; a constant b is one scalar, and b = 1 costs no pass.
 """
 from __future__ import annotations
 
@@ -457,20 +453,19 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     :class:`OperatorField` off the interior.
 
     The loop runs over equal blocks of at most ``_BLOCK`` span columns, one
-    block at a time.  Within a block, each frame fills the rows the fill plan
-    of :func:`_stencil` gives it with raw differences; their product P' and
-    sum s' (:func:`_product_and_sum`) are scaled once (module docstring):
-    P_F = c_F P', and the slope factor |d(P_F^p)/du(x)| = K_F P'^(p-1) s'
-    with K_F = p c_F^(p-1) 2h^2 c_F.  For p < 1 its pieces (but never the
-    product itself) are computed from differences floored at the curvature
-    scale h^2 (D'_e >= |e|^2 h^4): a second difference below the scheme's
-    own truncation scale is indistinguishable from degenerate, and the raw
-    p - 1 power diverges exactly there.  So after the raw product each row
-    the frame filled is floored once, a shared row into a copy (later
-    frames still read it raw) and any other in place.  Where the product is
-    0 the node does not move and the factor is taken as zero.  The reduced
-    variant's radial factor (:func:`_radial_factors`) is one more factor of
-    every frame.
+    block at a time.  Within a block, each frame first fills the rows that
+    the fill plan of :func:`_stencil` gives it.  The slope factor of frame F
+    is |d(P_F^p)/du(x)| = p P_F^(p-1) 2h^2 c_F s' (module docstring); one
+    :func:`_product_and_sum` call gives the raw P' = P_F / c_F and s'.
+    For p < 1 its pieces (but never the product itself) are computed from
+    differences floored at the curvature scale h^2: a second difference
+    below the scheme's own truncation scale is indistinguishable from
+    degenerate, and the raw p - 1 power diverges exactly there.  So after
+    the raw product each row the frame filled is floored once, a shared row
+    into a copy (later frames still read it raw) and any other in place.
+    Where the product is 0 the node does not move and the factor is taken
+    as zero.  The reduced variant's radial factor (:func:`_radial_factors`)
+    is one more factor of every frame.
 
     For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
     slope field is then lowered to the chord bound of :func:`_chord_slope`
@@ -492,7 +487,7 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     floored = p < 1.0
     hh = dom.h_grid * dom.h_grid
     scale = [1.0 / (e2 * hh ** dom.n) for e2 in st.e2_product]     # c_F
-    gain = [p * c ** (p - 1.0) * 2.0 * hh * c for c in scale]       # K_F
+    gain = [2.0 * p * hh * c for c in scale]
     shared = len(st.shared)
     rows = rows_f = [*_work(u, "diff", (shared, size)),
                      *_work(u, "scratch", (st.scratch, size))]
@@ -530,7 +525,8 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
                              rate, weight, term)
             rate *= gain[k]
             if p != 1.0:
-                np.power(prod_f, p - 1.0, out=power)
+                np.multiply(prod_f, scale[k], out=power)
+                np.power(power, p - 1.0, out=power)
                 power *= rate
                 np.copyto(power, 0.0, where=~(prod > 0))
             prod *= scale[k]
@@ -547,7 +543,8 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     inner, off = _interior_offsets(u), _off_interior(u)
     b = cfg.b.constant_value
     if b is None:
-        b = _interior_coefficient(u, cfg.b)
+        b = cfg.b(dom.interior_positions, u.t)
+        cfg.b.check_bounds(b, f"at t={u.t}")
     _scale(best_slope, b, inner)
     np.copyto(best_slope, 0.0, where=off)
     if not reduced and p >= 1.0 and dom.n >= 3:
@@ -557,27 +554,6 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     _scale(best, b, inner)
     np.copyto(best, -0.0, where=off)
     return OperatorField(dom, best, best_slope, inner, arg)
-
-
-def _interior_coefficient(u: GridFunction | GridStack,
-                          b: CoefficientField) -> np.ndarray:
-    """``b`` at the interior nodes at time ``u.t``, bound-checked.
-
-    A field that does not read t is evaluated and checked once per
-    lattice: its values are kept read-only in ``span_cache`` under the
-    field's id, next to the field itself, so that no other field can take
-    that id while the entry lives.  Any other field is evaluated and
-    checked on every call."""
-    dom = u.domain
-    key = ("b", id(b))
-    if not b.reads_t and key in dom.span_cache:
-        return dom.span_cache[key][1]
-    vals = b(dom.interior_positions, u.t)
-    b.check_bounds(vals, f"at t={u.t}")
-    if not b.reads_t:
-        vals.flags.writeable = False
-        dom.span_cache[key] = (b, vals)
-    return vals
 
 
 def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
@@ -629,19 +605,20 @@ def _chord_slope(u: GridFunction | GridStack, st: _Stencil, cols: np.ndarray,
                  p: float) -> np.ndarray:
     """The chord slope factor at the span columns ``cols``, for p >= 1.
 
-    Raise the centre by delta = t h^2 / 2 with the neighbours fixed: every raw
-    difference (:func:`_differences_at`) falls by t h^2, and frame F's product
-    becomes P_F(t) = c_F prod_{e in F} max(0, D'_e - t h^2).  Each factor is
-    convex, nonincreasing and >= 0; so is a product of such functions, and so
-    is its p-th power for p >= 1: P_F and g_F = P_F^p are too.  With M = min_F
-    P_F(0) and m = M^p, the explicit update u + dt b min_F g_F is nondecreasing
-    along every raise when dt b sigma <= h^2, sigma = 2 max_F sup_{t>0} (m -
-    g_F(t)) / t.  Per frame, let t_F = (P_F(0) - M) / |P_F'(0)|.  On [0, t_F]
-    the tangent line keeps P_F >= M, so g_F >= m; past t_F, g_F >= 0 and
-    convexity (g_F(t_F) >= m) bound the quotient by min(m / t_F, |g_F'(t_F)|).
-    The active frame (t_F = 0) gives |g_F'(0)|, the slope the all-frame rule
-    takes for it; every frame's bound is at most its |g_F'(0)|, so sigma never
-    exceeds the all-frame value.  M = 0 gives sigma = 0: g_F >= 0.
+    Raise the centre by delta = t h^2 / 2 with the neighbours fixed: every
+    raw difference D'_e falls by t h^2, and frame F's product becomes
+    P_F(t) = c_F prod_{e in F} max(0, D'_e - t h^2).  Each factor is convex,
+    nonincreasing and >= 0; so is a product of such functions, and so is
+    its p-th power for p >= 1: P_F and g_F = P_F^p are too.  With
+    M = min_F P_F(0) and m = M^p, the explicit update
+    u + dt b min_F g_F is nondecreasing along every raise when
+    dt b sigma <= h^2, sigma = 2 max_F sup_{t>0} (m - g_F(t)) / t.  Per
+    frame, let t_F = (P_F(0) - M) / |P_F'(0)|.  On [0, t_F] the tangent
+    line keeps P_F >= M, so g_F >= m; past t_F, g_F >= 0 and convexity
+    (g_F(t_F) >= m) bound the quotient by min(m / t_F, |g_F'(t_F)|).  The
+    active frame (t_F = 0) gives |g_F'(0)|, the slope the all-frame rule
+    takes for it; every frame's bound is at most its |g_F'(0)|, so sigma
+    never exceeds the all-frame value.  M = 0 gives sigma = 0: g_F >= 0.
     """
     hh = u.domain.h_grid * u.domain.h_grid
     c = 1.0 / (np.array(st.e2_product)[:, None] * hh ** u.domain.n)
@@ -653,8 +630,7 @@ def _chord_slope(u: GridFunction | GridStack, st: _Stencil, cols: np.ndarray,
         tF = (P0 - M) / (c * hh * s)
         X -= tF * hh
         # P and s now take the values at t_F
-        _product_and_sum(np.maximum(X, 0.0, out=X), P, s)
-        dg = c * hh * s
+        dg = c * hh * _product_and_sum(np.maximum(X, 0.0, out=X), P, s)[1]
         if p != 1.0:
             dg *= p * (c * P) ** (p - 1.0)
         sigma = 2.0 * np.minimum(M ** p / tF, dg).max(axis=0)
@@ -670,11 +646,11 @@ def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
                     lo: int, hi: int) -> tuple:
     """The reduced variant's radial factor over the block of span columns
     ``lo:hi`` (see :func:`_clamped_second_differences`) as one more factor
-    of every frame, ``[R], [R_f], w``: R = max(0, u_r/r)^(n_full-2), with
-    u_r/r by central differences and its u_rr limit on the axis; R_f, R
-    from the ratio floored at h^2 for p < 1; and its rate weight next to
-    the raw differences' 1, w = (n_full-2) ratio_f^(n_full-3) / h^2 (the
-    centre's weight in R through u_rr, over 2h^2) on the axis, 0 off it."""
+    of every frame, ``[R], [R_f], c``: R = max(0, u_r/r)^(n_full-2),
+    with u_r/r by central differences and its u_rr limit on the axis; R_f,
+    R from the ratio floored at h^2 for p < 1; and its rate weight next to
+    the raw differences' 1, c = (n_full-2) ratio_f^(n_full-3) / h^2: the
+    centre's weight in R through u_rr on the axis, over 2h^2 (0 off it)."""
     dom = u.domain
     h, nf = dom.h_grid, cfg.n_full
     flat, a, _ = _core_values(u)

@@ -7,7 +7,6 @@ import pytest
 from pma_lab import evolution
 from pma_lab.evolution import (EvolutionState, ScalingMap, comparison_check,
                                evolve, evolve_pair, rescale, stable_dt)
-from pma_lab.config import expression_field
 from pma_lab.config import make_state as state_from_config
 from pma_lab.exact import quadratic_solution, cone_data
 from pma_lab.grid import (CoefficientField, GridStack, build_domain, load_csv,
@@ -404,42 +403,6 @@ def test_constant_coefficient_steps_like_an_evaluated_one():
                            t_end=0.02)
         runs.append([u.values.tobytes() for u in res.snapshots + list(pair)])
     assert runs[0] == runs[1]
-
-
-def test_coefficient_without_t_is_evaluated_once_per_lattice():
-    # a compiled b that names no t is evaluated and bound-checked on the
-    # first operator call on a lattice and kept there; 20 steps and a pair
-    # run give the bytes of the same b evaluated on every call
-    field = expression_field("where(sin(20*x1)*sin(20*x2) > 0, 2.0, 0.5)",
-                             lam=0.5, Lam=2.0)
-    assert not field.reads_t
-    assert expression_field("1 + 0.1 * t", lam=0.5, Lam=2.0).reads_t
-    calls = []
-
-    def counted(pts, t):
-        calls.append(t)
-        return field.evaluator(pts, t)
-
-    counted.reads_t = False
-    every_call = CoefficientField(lambda pts, t: field.evaluator(pts, t),
-                                  lam=0.5, Lam=2.0)
-    assert every_call.reads_t
-    M = np.array([[1.4, 0.3], [0.3, 0.9]])
-    lo = quadratic_solution(M, p=1.0)
-    hi = quadratic_solution(M, p=1.0, const=0.1)
-    runs = []
-    for b in (CoefficientField(counted, lam=0.5, Lam=2.0), every_call):
-        dom = ball(r=1.0, h=0.1)
-        cfg = OperatorConfig(p=1.0, b=b)
-        state = make_state(dom, lo, cfg)
-        dt = stable_dt(ma_field(state.u, cfg))
-        res = evolve(state, t_end=30.0 * dt, snapshot_times=[10.0 * dt])
-        assert state.steps >= 20
-        pair = evolve_pair(make_state(dom, lo, cfg), make_state(dom, hi, cfg),
-                           t_end=5.0 * dt)
-        runs.append([u.values.tobytes() for u in res.snapshots + list(pair)])
-    assert runs[0] == runs[1]
-    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
