@@ -26,10 +26,10 @@ from .geometry import (BalancednessCertificate, Ellipsoid, FlatSet,
                        unit_ball_volume)
 from .analysis import (AngleCertificate, C1AlphaReport, DichotomyReport,
                        ExponentFit, InterfaceReport, SeparationReport,
-                       angle_opening, beta_time, c1alpha_exponent,
-                       c1alpha_from_line, dual_flow_residual, fit_exponent,
-                       flat_dichotomy_probe, gamma_p, holder_time_fit,
-                       interface_exponent, line_restriction, separation_probe)
+                       angle_opening, beta_time, c1alpha_from_line,
+                       dual_flow_residual, fit_exponent, flat_dichotomy_probe,
+                       gamma_p, holder_time_fit, interface_exponent,
+                       separation_probe)
 from .config import (ConfigError, expression_field, format_config, make_domain,
                      make_initial, make_operator, make_state, parse_config,
                      read_config, run_settings)

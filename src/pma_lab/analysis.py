@@ -7,8 +7,8 @@ the package reasons about:
   sample when the vertex is dropped a height ``h`` below the base value.  The
   extremal slopes are one-sided infima/suprema of difference quotients, so
   the certificate plane is a genuine minorant of the samples.
-* ``c1alpha_exponent`` — a log-log fit of the angle opening against the drop
-  height.  For ``u - q.x ~ a |x|^{1+alpha}`` the opening scales like
+* ``c1alpha_from_line`` — a log-log fit of the angle opening against the
+  drop height.  For ``u - q.x ~ a |x|^{1+alpha}`` the opening scales like
   ``h^{alpha/(alpha+1)}``, so the fitted slope ``m`` inverts to
   ``alpha = m/(1-m)``.  A corner (one-sided slope gap that does not vanish)
   is detected by comparing the measured opening at the smallest height with
@@ -50,7 +50,6 @@ __all__ = [
     "SeparationReport",
     "angle_opening",
     "beta_time",
-    "c1alpha_exponent",
     "c1alpha_from_line",
     "dual_flow_residual",
     "dual_flow_terms",
@@ -60,7 +59,6 @@ __all__ = [
     "gamma_p",
     "holder_time_fit",
     "interface_exponent",
-    "line_restriction",
     "separation_probe",
 ]
 
@@ -169,40 +167,6 @@ def angle_opening(offsets, values, height: float) -> AngleCertificate:
                             q_right=q_right, q_left=q_left)
 
 
-def line_restriction(u: GridFunction, base_point, direction
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of ``u`` along a lattice line through a node.
-
-    ``direction`` is an integer lattice vector; offsets are signed physical
-    distances along it.  The walk stops at the first non-active node on each
-    side.
-    """
-    dom = u.domain
-    e = np.asarray(direction, dtype=int)
-    if e.shape != (dom.n,) or not e.any():
-        raise ValueError("direction must be a nonzero integer lattice vector")
-    idx0 = np.array(dom.index_of(base_point), dtype=int)
-    step = float(np.linalg.norm(e)) * dom.h_grid
-    shape = np.array(dom.shape)
-
-    def walk(sign):
-        out = []
-        k = 1
-        while True:
-            idx = idx0 + sign * k * e
-            if np.any(idx < 0) or np.any(idx >= shape):
-                break
-            if dom.classes[tuple(idx)] == 0:
-                break
-            out.append((sign * k * step, float(u.values[tuple(idx)])))
-            k += 1
-        return out
-
-    pts = walk(-1)[::-1] + [(0.0, float(u.values[tuple(idx0)]))] + walk(+1)
-    arr = np.array(pts)
-    return arr[:, 0], arr[:, 1]
-
-
 @dataclass(frozen=True)
 class C1AlphaReport:
     """Angle decay across heights and the implied gradient-Holder exponent."""
@@ -247,29 +211,6 @@ def c1alpha_from_line(offsets, values, h_list) -> C1AlphaReport:
     return C1AlphaReport(heights=hs, alphas=alphas, fit=fit,
                          alpha_hat=float(m / (1.0 - m)), corner=False,
                          slope_gap0=gap0)
-
-
-def c1alpha_exponent(u: GridFunction, base_point, direction,
-                     h_list=None) -> C1AlphaReport:
-    """Gradient-Holder exponent of a grid sample along a lattice line; the
-    default ``h_list`` is six heights over 1.5 decades from ``10 Lip h``.
-
-    Refuses a ladder whose top height exceeds the line's smaller one-sided
-    rise above its base value: the openings there measure where the line
-    ends, not how the sample bends.
-    """
-    s, v = line_restriction(u, base_point, direction)
-    if h_list is None:
-        lip = max(float(np.max(np.abs(np.diff(v) / np.diff(s)))), 1e-12)
-        lo = 10.0 * lip * float(np.min(np.diff(s)))
-        h_list = np.geomspace(lo, 32.0 * lo, 6)
-    top = float(np.max(h_list))
-    rise = float(min(v[0], v[-1]) - v[np.argmin(np.abs(s))])
-    if top > rise:
-        raise ValueError(
-            f"top height {top:g} exceeds the line's smaller one-sided rise "
-            f"{rise:g} above its base value; the angle fit is out of range")
-    return c1alpha_from_line(s, v, h_list)
 
 
 # ---------------------------------------------------------------------------

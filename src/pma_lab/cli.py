@@ -14,11 +14,10 @@ Subcommands
 Each subcommand takes only the flags it reads: ``--out DIR`` on every
 command that writes (all but ``experiment list``), ``--config PATH`` on
 ``solve``, and ``--workers N`` (at least 1) and ``--seed N`` on ``experiment
-run``; ``analyze`` takes ``--point``, ``--direction``, ``--eps`` and
-``--r-max`` only for a probe that reads that params key, and ``--p`` only
-for ``dual-residual``.  The seed feeds only randomized property probes,
-never the solver, so solver outputs are bit-identical across seeds and
-worker counts.
+run``; ``analyze`` takes ``--point``, ``--eps`` and ``--r-max`` only for a
+probe that reads that params key, and ``--p`` only for ``dual-residual``.
+The seed feeds only randomized property probes, never the solver, so solver
+outputs are bit-identical across seeds and worker counts.
 
 Exit codes: 0 when everything passed, 1 when any expected outcome failed,
 2 for configuration or runtime errors.
@@ -80,12 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="run one analysis probe over snapshot CSVs")
     an.add_argument("probe", choices=["separation", "holder-time",
                                       "interface", "dichotomy",
-                                      "dual-residual", "angle"])
+                                      "dual-residual"])
     an.add_argument("snapshots", nargs="+", help="snapshot CSVs (time order)")
     an.add_argument("--point", default=None,
                     help="probe node, comma-separated (default: origin)")
-    an.add_argument("--direction", default=None,
-                    help="lattice direction for the angle probe")
     an.add_argument("--eps", type=float, default=None)
     an.add_argument("--r-max", type=float, default=None)
     an.add_argument("--p", type=float, default=None,
@@ -107,8 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _vector(text, kind=float):
-    return None if text is None else [kind(c) for c in text.split(",")]
+def _vector(text):
+    return None if text is None else [float(c) for c in text.split(",")]
 
 
 def _load_snapshots(paths):
@@ -197,9 +194,8 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_analyze(args) -> int:
     probe = args.probe.replace("-", "_")
-    params = {"point": _vector(args.point),
-              "direction": _vector(args.direction, int),
-              "eps": args.eps, "r_max": args.r_max}
+    params = {"point": _vector(args.point), "eps": args.eps,
+              "r_max": args.r_max}
     params = {k: v for k, v in params.items() if v is not None}
     unread = [k for k in params if k not in _PROBE_PARAMS[probe]]
     if args.p is not None and probe != "dual_residual":

@@ -34,8 +34,9 @@ Recognized keys:
 Unknown keys are configuration errors, and so are the keys of a region or
 data kind other than the one named, a value of the wrong type, and one
 that does not fit the lattice (a non-finite region value, a ``data.*``
-vector, matrix or axis of another dimension): a typo that silently
-changed nothing would be worse than a refusal to run.
+vector, matrix or axis of another dimension, an expression in an axis the
+lattice lacks): a typo that silently changed nothing would be worse than a
+refusal to run.
 """
 
 from __future__ import annotations
@@ -311,6 +312,13 @@ def make_state(cfg: dict) -> EvolutionState:
     if not -dom.n <= _get(cfg, "data.axis", 0, cast=int) < dom.n:
         raise ConfigError(f"data.axis = {cfg['data.axis']!r} does not fit the "
                           f"{dom.n}-D lattice: it is not one of its axes")
+    for key in ("data.expression", "op.b_expression"):
+        expr = _get(cfg, key, "1", cast=str)
+        lacks = sorted({f"x{i}" for i in range(dom.n + 1, 10)}.intersection(
+            compile(expr, "<config expression>", "eval").co_names))
+        if lacks:
+            raise ConfigError(f"{key} = {expr!r} does not fit the {dom.n}-D "
+                              f"lattice: it reads {lacks}")
     u = sample(dom, sol, t=0.0)
     mode = _get(cfg, "run.boundary",
                 "exact" if _get(cfg, "data.kind") in _EXACT_KINDS

@@ -34,8 +34,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .analysis import (c1alpha_exponent, c1alpha_from_line,
-                       dual_flow_residual, dual_flow_terms,
+from .analysis import (c1alpha_from_line, dual_flow_residual, dual_flow_terms,
                        dual_residual_from_terms, flat_dichotomy_probe,
                        holder_time_fit, interface_exponent, separation_probe)
 from .config import (format_config, make_domain, make_initial, make_profile,
@@ -569,18 +568,6 @@ def _probe_dichotomy(ctx: RunContext) -> dict:
     return {"dichotomy_violations":
             float(len(rep.offenders)
                   if rep.classification == "violation" else 0)}
-
-
-@_probe("angle", params=("point", "direction"))
-def _probe_angle(ctx: RunContext) -> dict:
-    """Gradient-Holder exponent along a lattice line of the final snapshot,
-    through ``point`` (default: the origin) along ``direction`` (default:
-    the first axis)."""
-    last = ctx.snapshots()[-1]
-    n = last.domain.n
-    rep = c1alpha_exponent(last, ctx.param("point", [0.0] * n),
-                           ctx.param("direction", [1] + [0] * (n - 1)))
-    return {"corner": float(rep.corner), "alpha_hat": float(rep.alpha_hat)}
 
 
 @_probe("dual_residual")

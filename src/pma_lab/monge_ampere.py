@@ -68,7 +68,7 @@ stays on the span: an :class:`OperatorField` holds the span-length values
 and slopes, computed in place in the running minimum and maximum, with a
 no-op (value -0.0, slope 0.0) on every column that is not an interior node,
 so a time step adds the whole span to the flat values in one call; the
-interior and lattice-shaped fields are built only when they are first read.
+lattice-shaped fields are built only when they are first read.
 b(x, t) is evaluated and bound-checked once per call, at the interior
 nodes; a constant b is one scalar, and b = 1 costs no pass.
 """
@@ -185,12 +185,10 @@ class OperatorField:
     and slope 0.0 (x + (-0.0) is x for every double), so a time step adds
     the whole span to the flat values.  ``columns`` are the interior
     nodes' columns, in the order of ``domain.interior_positions``, behind
-    a leading batch axis for a :class:`GridStack`.  ``interior_values``,
-    ``interior_slope`` and ``interior_frames`` (read-only) are the entries
-    there; ``values``, ``slope`` and ``argmin_frame`` the same numbers on
-    the lattice, NaN (frame index 255) off the interior.  Each is built on
-    first read.  The slope is in curvature units (divide by h^2 for
-    1/time).
+    a leading batch axis for a :class:`GridStack`.  ``values``, ``slope``
+    and ``argmin_frame`` are the same numbers on the lattice, NaN (frame
+    index 255) off the interior, each built on first read.  The slope is
+    in curvature units (divide by h^2 for 1/time).
     """
 
     domain: Domain
@@ -198,18 +196,6 @@ class OperatorField:
     span_slope: np.ndarray
     columns: np.ndarray
     span_frames: np.ndarray | None = None
-
-    @cached_property
-    def interior_values(self) -> np.ndarray:
-        return self._interior(self.span_values)
-
-    @cached_property
-    def interior_slope(self) -> np.ndarray:
-        return self._interior(self.span_slope)
-
-    @cached_property
-    def interior_frames(self) -> np.ndarray | None:
-        return self._interior(self.span_frames)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -229,13 +215,6 @@ class OperatorField:
         k = np.searchsorted(dom.interior_index,
                             dom.core.start + col % dom.classes.size)
         return tuple(map(float, dom.interior_positions[k]))
-
-    def _interior(self, a: np.ndarray | None) -> np.ndarray | None:
-        if a is None:
-            return None
-        a = np.take(a, self.columns)
-        a.flags.writeable = False
-        return a
 
     def _on_lattice(self, a: np.ndarray | None, fill) -> np.ndarray | None:
         # member m's row of the span starts at its lattice offset core.start

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from pma_lab.analysis import (angle_opening, beta_time, c1alpha_exponent,
-                              c1alpha_from_line, dual_flow_residual,
-                              fit_exponent, flat_dichotomy_probe, gamma_p,
-                              holder_time_fit, interface_exponent,
-                              line_restriction, separation_probe)
-from pma_lab.exact import cone_data, quadratic_solution
+from pma_lab.analysis import (angle_opening, beta_time, c1alpha_from_line,
+                              dual_flow_residual, fit_exponent,
+                              flat_dichotomy_probe, gamma_p, holder_time_fit,
+                              interface_exponent, separation_probe)
+from pma_lab.exact import quadratic_solution
 from pma_lab.experiments import RunContext
 from pma_lab.geometry import flat_set
 from pma_lab.grid import build_domain, load_csv, sample, save_csv
@@ -189,51 +188,6 @@ def test_resolvability_precondition():
         c1alpha_from_line(s, np.abs(s), np.geomspace(0.01, 0.3, 6))
     with pytest.raises(ValueError, match="at least 5 heights"):
         c1alpha_from_line(s, s ** 2, [0.1, 0.2, 0.3])
-
-
-def test_c1alpha_on_grid_line():
-    dom = build_domain({"kind": "box", "lower": [-1.0], "upper": [1.0]},
-                       h_grid=2e-4)
-    u = sample(dom, lambda pts, t: np.abs(pts[:, 0]) ** 1.5, t=0.0)
-    rep = c1alpha_exponent(u, [0.0], [1], np.geomspace(0.005, 0.16, 6))
-    assert rep.alpha_hat == pytest.approx(0.5, abs=0.02)
-
-
-def test_c1alpha_default_ladder_answers_inside_the_line():
-    # 10 Lip h = 0.003, so the default ladder tops out at 0.096, below the
-    # unit rise of |s|^1.5 on each side
-    dom = build_domain({"kind": "box", "lower": [-1.0], "upper": [1.0]},
-                       h_grid=2e-4)
-    u = sample(dom, lambda pts, t: np.abs(pts[:, 0]) ** 1.5, t=0.0)
-    rep = c1alpha_exponent(u, [0.0], [1])
-    assert rep.heights[-1] < 0.1
-    assert rep.alpha_hat == pytest.approx(0.5, abs=0.02)
-
-
-def test_c1alpha_refuses_a_ladder_above_the_line():
-    # |x| on the box at h = 0.05: the default ladder climbs from
-    # 10 Lip h = 0.5 to 16, while the line rises only 1.05 (band included)
-    u = sample(box(-1.0, 1.0, 0.05), cone_data(1.0), t=0.0)
-    with pytest.raises(ValueError, match=r"top height 16 exceeds the line's "
-                       r"smaller one-sided rise 1\.05"):
-        c1alpha_exponent(u, [0.0, 0.0], [1, 0])
-    # an explicit ladder is held to the same range
-    with pytest.raises(ValueError, match="out of range"):
-        c1alpha_exponent(u, [0.0, 0.0], [1, 0], np.geomspace(0.5, 1.5, 6))
-
-
-def test_line_restriction_axis_and_diagonal():
-    dom = box(-1.5, 1.5, 0.25)
-    u = sample(dom, lambda pts, t: 0.5 * np.sum(pts ** 2, axis=1), t=0.0)
-    s, v = line_restriction(u, [0.0, 0.0], [1, 0])
-    assert np.any(np.isclose(s, 0.0))
-    assert np.allclose(np.diff(s), 0.25)
-    assert np.allclose(v, 0.5 * s ** 2)
-    sd, vd = line_restriction(u, [0.0, 0.0], [1, 1])
-    assert np.allclose(np.diff(sd), 0.25 * np.sqrt(2.0))
-    assert np.allclose(vd, 0.5 * sd ** 2)
-    with pytest.raises(ValueError, match="nonzero integer"):
-        line_restriction(u, [0.0, 0.0], [0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,14 @@ _QUAD = "data.kind = quadratic\ndata.matrix = [[1.0, 0.0], [0.0, 1.0]]"
     ("data.kind = power\ndata.gamma = 0.5\ndata.direction = [1.0, 0.0, 0.0]",
      "data.direction"),
     ("data.kind = crease\ndata.axis = 5", "data.axis"),
+    ('data.kind = expression\ndata.expression = "x3**2"', "data.expression"),
+    (_QUAD + '\nop.b_expression = "1 + x3"\nop.Lambda = 3.0',
+     "op.b_expression"),
 ])
 def test_data_value_that_does_not_fit_the_lattice_exits_2(tmp_path, capsys,
                                                           new, key):
-    # refused by key before the initial data is sampled, not as a NumPy
-    # broadcast error from inside the sampler
+    # refused by key before the initial data is sampled or the operator
+    # runs, not as a NumPy broadcast error or a NameError from inside
     cfg = write_cfg(tmp_path, SOLVE_CFG.replace(_QUAD, new))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -250,25 +253,25 @@ def test_analyze_dichotomy_on_snapshot_files(tmp_path, capsys):
         assert f.read().splitlines()[1].startswith("stationary,")
 
 
-def test_analyze_angle_on_snapshot(tmp_path, capsys):
-    # the flat-disk line at h = 0.1 rises 0.7 on each side, below the
-    # default ladder's lowest height 10 Lip h = 1: no exponent, exit 2
-    snap = make_snapshot(tmp_path)
-    out = str(tmp_path / "out")
-    assert main(["analyze", "angle", snap, "--direction", "1,0",
-                 "--out", out]) == 2
-    captured = capsys.readouterr()
-    assert "alpha_hat = " not in captured.out
-    assert "error: top height 32 exceeds the line's smaller one-sided " \
-        "rise 0.7 above its base value" in captured.err
-
-
 # the analyze flags, a value for each, and the flags each probe reads
-_FLAGS = {"--point": "0,0", "--direction": "1,0", "--eps": "0.1",
-          "--r-max": "0.3", "--p": "2"}
+_FLAGS = {"--point": "0,0", "--eps": "0.1", "--r-max": "0.3", "--p": "2"}
 _READS = {"separation": {"--point", "--eps"}, "holder-time": {"--point"},
           "interface": {"--r-max"}, "dichotomy": set(),
-          "dual-residual": {"--p"}, "angle": {"--point", "--direction"}}
+          "dual-residual": {"--p"}}
+
+
+@pytest.mark.parametrize("argv", [["angle"]] + [
+    [probe, "--direction", "1,0"] for probe in _READS],
+    ids=lambda argv: "-".join(argv[:2]))
+def test_analyze_has_no_angle_probe_and_no_direction_flag(tmp_path, capsys,
+                                                          argv):
+    snap = make_snapshot(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", argv[0], snap, *argv[1:], "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("probe,flag", [
@@ -508,7 +511,7 @@ def test_flags_are_taken_only_where_they_are_read(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     for argv in (["selfsimilar", "--workers", "3"],
                  ["geometry", snap, "--height", "0.2", "--config", cfg],
-                 ["analyze", "angle", snap, "--seed", "3"],
+                 ["analyze", "separation", snap, "--seed", "3"],
                  ["experiment", "--out", str(out), "run", "noop"],
                  ["experiment", "list", "--out", str(out)]):
         capsys.readouterr()

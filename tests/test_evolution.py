@@ -53,7 +53,7 @@ def test_stable_dt_rejects_a_non_finite_slope_and_names_its_node():
     sol = quadratic_solution(np.eye(2), p=1.0)
     state = make_state(dom, sol, OperatorConfig(p=1.0))
     fld = ma_field(state.u, state.cfg)
-    k = len(fld.interior_slope) // 3
+    k = len(fld.columns) // 3
     where = tuple(map(float, dom.interior_positions[k]))
     fld.span_slope[fld.columns[k]] = np.nan
     with pytest.raises(ValueError, match=re.escape(f"node {where}")):
@@ -218,7 +218,7 @@ def _interior_steps(states, stops):
     for stop in stops:
         while stack.t < stop:
             fld = ma_field(stack, cfg)
-            sig = float(fld.interior_slope.max())
+            sig = float(np.take(fld.span_slope, fld.columns).max())
             dt = math.inf if sig <= 0.0 \
                 else evolution.KAPPA_CFL * dom.h_grid ** 2 / sig
             rem = stop - stack.t
@@ -226,7 +226,7 @@ def _interior_steps(states, stops):
                 dt, t_new = rem, stop
             else:
                 t_new = stack.t + dt
-            rate = fld.interior_values * dt
+            rate = np.take(fld.span_values, fld.columns) * dt
             for s, v, r in zip(states, stack.values, rate):
                 v.reshape(-1)[dom.interior_index] += r
                 if s.boundary is not None:

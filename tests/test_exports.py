@@ -1,7 +1,9 @@
 """Every name a module exports through ``__all__`` exists in it, every
 name it imports is used, every private helper is called from somewhere,
-and every keyword default of a private function is overridden somewhere."""
+every keyword default of a private function is overridden somewhere, and
+every registered probe is run by a registry entry or ``pma-lab analyze``."""
 
+import argparse
 import ast
 import importlib
 import math
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import pma_lab
+from pma_lab.cli import _build_parser
+from pma_lab.experiments import _PROBES, REGISTRY
 
 _MODULES = sorted(p for p in Path(pma_lab.__file__).parent.glob("*.py")
                   if p.name != "__init__.py")    # the package re-exports
@@ -194,3 +198,22 @@ def test_unused_default_check_counts_positions_names_and_unpacking():
     b = "from . import a\na._g(5)\n"
     assert _unused_defaults({"a": a, "b": b}) == ["a._f(cap) (line 1)",
                                                  "a._f(wide) (line 1)"]
+
+
+def _analyze_probes() -> set[str]:
+    """The probes ``pma-lab analyze`` offers, ``-`` read as ``_``."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    probe = next(a for a in sub.choices["analyze"]._actions
+                 if a.dest == "probe")
+    return {choice.replace("-", "_") for choice in probe.choices}
+
+
+def test_every_probe_is_reachable():
+    # a probe that no entry names and the CLI does not offer runs nowhere
+    analyze = _analyze_probes()
+    named = {probe for spec in REGISTRY.values() for probe in spec.probes}
+    assert analyze <= set(_PROBES), \
+        f"analyze offers unregistered probes: {sorted(analyze - set(_PROBES))}"
+    unreached = set(_PROBES) - named - analyze
+    assert not unreached, f"probes nothing runs: {sorted(unreached)}"

@@ -108,7 +108,8 @@ def _ladder_worst(u, cfg, dt):
     """
     dom = u.domain
     w = cfg.width
-    base = ma_field(u, cfg).interior_values
+    fld = ma_field(u, cfg)
+    base = np.take(fld.span_values, fld.columns)
     pos = np.argwhere(dom.interior_mask())
     classes = [np.all(pos % (w + 1) == off, axis=1)
                for off in np.ndindex(*(w + 1,) * dom.n)]
@@ -118,7 +119,8 @@ def _ladder_worst(u, cfg, dt):
         vals = np.repeat(u.values[None], len(classes), axis=0)
         for k, sel in enumerate(classes):
             vals[k].reshape(-1)[flat[sel]] += delta
-        raised = ma_field(GridStack(dom, vals, u.t), cfg).interior_values
+        fld = ma_field(GridStack(dom, vals, u.t), cfg)
+        raised = np.take(fld.span_values, fld.columns)
         for k, sel in enumerate(classes):
             change = delta + dt * (raised[k][sel] - base[sel])
             worst = min(worst, float(change.min()) / delta)
@@ -150,7 +152,8 @@ def test_chord_slope_between_active_and_all_frame_slopes(width, p, varying_b,
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
     cfg = OperatorConfig(p=p, width=width, b=b)
     u = _creased(dom, seed, axis_crease)
-    got = ma_field(u, cfg).interior_slope
+    fld = ma_field(u, cfg)
+    got = np.take(fld.span_slope, fld.columns)
     all_frame, active = _all_and_active(u, cfg)
     assert np.all(got <= all_frame * (1.0 + 1e-12))
     assert got.max() >= active.max() * (1.0 - 1e-12)
@@ -197,7 +200,8 @@ def test_chord_slope_pinned_on_the_crease_data():
     # 2 (40 + 40 + 1) = 162; the frame rotated in the (x1, x3) plane,
     # (20.5, 20.5, 1), has the all-frame slope 2 (20.5 + 20.5^2) = 881.5
     state = config.make_state(REGISTRY["edge-moves-n3p1"].config)
-    got = ma_field(state.u, state.cfg).interior_slope
+    fld = ma_field(state.u, state.cfg)
+    got = np.take(fld.span_slope, fld.columns)
     assert abs(got.max() - 162.0) <= 1e-9
     all_frame, active = _all_and_active(state.u, state.cfg)
     assert abs(all_frame.max() - 881.5) <= 1e-9
@@ -211,7 +215,8 @@ def test_chord_slope_equals_all_frame_slope_when_frames_tie():
                         "upper": [1.0] * 3}, h_grid=0.25, stencil_radius=2)
     u = sample(dom, lambda pts, t: 0.5 * np.einsum("...i,...i->...", pts, pts))
     cfg = OperatorConfig(p=1.0)
-    got = ma_field(u, cfg).interior_slope
+    fld = ma_field(u, cfg)
+    got = np.take(fld.span_slope, fld.columns)
     all_frame, _ = _all_and_active(u, cfg)
     np.testing.assert_allclose(all_frame, 6.0, rtol=1e-12)
     np.testing.assert_allclose(got, 6.0, rtol=1e-12)
@@ -232,6 +237,6 @@ def test_chord_bound_with_no_moving_node_is_read_at_an_interior_node():
                      + np.maximum(0.0, 2.5 - k) ** 2)
     assert dom.core.start == np.ravel_multi_index((r,) * 3, shape)
     fld = ma_field(u, OperatorConfig(p=1.0, width=1))
-    assert (fld.interior_values == 0.0).all()
-    assert (fld.interior_slope == 0.0).all()
+    assert (np.take(fld.span_values, fld.columns) == 0.0).all()
+    assert (np.take(fld.span_slope, fld.columns) == 0.0).all()
     assert stable_dt(fld) == math.inf
