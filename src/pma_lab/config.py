@@ -336,8 +336,8 @@ def make_state(cfg: dict) -> EvolutionState:
 def run_settings(cfg: dict) -> dict:
     """Final time and snapshot schedule for a solve."""
     t_end = _get(cfg, "run.t_end", required=True, cast=float)
-    if t_end <= 0:
-        raise ConfigError(f"run.t_end must be positive, got {t_end}")
+    if not (t_end > 0 and np.isfinite(t_end)):
+        raise ConfigError(f"run.t_end must be positive and finite: {t_end}")
     snaps = _get(cfg, "run.snapshots", 4)
     if isinstance(snaps, int):
         if snaps < 1:

@@ -196,13 +196,15 @@ def evolve(state: EvolutionState, t_end: float,
            snapshot_times=()) -> EvolutionResult:
     """Advance to t_end, recording copies at the requested times.
 
-    Snapshot times must lie in (t, t_end]; t_end itself is always recorded
-    as the final snapshot.  The state re-binds to a private working copy, so
-    the grid function passed in survives as the clean pre-flow sample.
+    Snapshot times must lie in (t, t_end], a time up to 1e-12 above t_end
+    counting as t_end; t_end itself is always the final snapshot.  The
+    state re-binds to a private working copy, so the grid function passed
+    in survives as the clean pre-flow sample.
     """
-    stops = sorted(set(float(s) for s in snapshot_times) | {float(t_end)})
-    if stops[-1] > t_end + 1e-12:
+    t_end = float(t_end)
+    if any(float(s) > t_end + 1e-12 for s in snapshot_times):
         raise ValueError("snapshot times must lie in (t, t_end]")
+    stops = sorted({min(float(s), t_end) for s in snapshot_times} | {t_end})
     snaps = [state.u.copy() for _ in _shared_steps([state], stops)]
     return EvolutionResult(snapshots=snaps, state=state)
 

@@ -184,8 +184,9 @@ class Domain:
 
     @cached_property
     def span_cache(self) -> dict:
-        """Read-only arrays that operator kernels derive from the lattice
-        and the number of stacked members alone, kept between calls."""
+        """What operator kernels derive from the lattice, their config and
+        the number of stacked members alone, kept between calls: the frame
+        loop's plans, which also keep views on the last values they read."""
         return {}
 
     def interior_mask(self) -> np.ndarray:

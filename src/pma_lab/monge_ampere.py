@@ -47,28 +47,33 @@ laid end to end and differenced on one contiguous span: a stack costs the
 array operations of one grid function, and each member's output is bit for
 bit that of its own call.  Both variants run one frame loop,
 :func:`_min_over_frames` (running minimum of the products, running maximum
-of the slope factors, argmin frame); the reduced variant's radial factor is
-one more factor of every frame.  One recurrence, :func:`_product_and_sum`,
-builds a frame's product and its rate of fall, in the frame loop and in the
-chord bound alike.  The loop runs over the span in equal blocks of at most
-``_BLOCK`` = 2^15 columns, one block at a time, so its ten to fifteen work
-rows (differences, products, rates, radial factors) are block rows that
-stay near one core's L2 cache, where span-length rows of a 45^3 lattice
-(83k columns, 0.66 MB each) stream from memory on every pass.  Every stage
-is elementwise on a node, so the blocks change no bit; and a span within
-one block (every 2-D lattice of the registry) runs the loop once.  Only
-the running minimum, maximum and argmin are span-length.  Each direction
-is differenced at the first frame that reads it: a direction that several
-frames read (the axes in 3-D and up) into a block row of its own, every
-other one into one of at most n scratch rows that the next frame reuses,
-so the work arrays hold a few rows rather than one per direction (21 at
-width 2 in 3-D).  The chord bound recomputes the differences it needs at
-its candidate nodes from the values (:func:`_differences_at`).  The output
-stays on the span: an :class:`OperatorField` holds the span-length values
-and slopes, computed in place in the running minimum and maximum, with a
-no-op (value -0.0, slope 0.0) on every column that is not an interior node,
-so a time step adds the whole span to the flat values in one call; the
-lattice-shaped fields are built only when they are first read.
+of the slope factors, argmin frame, into which frame 0 writes directly);
+the reduced variant's radial factor is one more factor of every frame.
+One recurrence, :func:`_product_and_sum`, builds a frame's product and its
+rate of fall, in the frame loop and in the chord bound alike.  What the
+loop needs besides the values is planned once per lattice, config and
+stack size (:class:`_Plan`), so a call runs its array operations and
+little else.  The loop runs over the span in equal blocks of at most
+``_BLOCK`` = 2^15 columns, so its ten to fifteen work rows stay near one
+core's L2 cache, where span-length rows of a 45^3 lattice (83k columns,
+0.66 MB each) stream from memory on every pass; the blocks change no bit,
+and every 2-D lattice of the registry is one block.  Each direction is
+differenced at the first frame that reads it, into a block row of its own
+if several frames read it (the axes in 3-D and up), else into one of at
+most n scratch rows that the next frame reuses; two directions in
+consecutive rows (every frame in 2-D, every planar frame in 3-D) form one
+(2, columns) block, read through views whose row stride is their offset
+step.  The plan keeps those views with the last input array, and keeps
+that array alive, until a call passes another one; a time-stepping loop
+passes one array, updated in place, on every step.  An input that must be
+copied gets new views on every call.  The chord bound recomputes the
+differences it needs at its candidate nodes from the values
+(:func:`_differences_at`).  The output stays on the span: an
+:class:`OperatorField` holds the span-length values and slopes, computed in
+place in the running minimum and maximum, with a no-op (value -0.0, slope
+0.0) on every column that is not an interior node, so a time step adds the
+whole span to the flat values in one call; the lattice-shaped fields are
+built only when they are first read.
 b(x, t) is evaluated and bound-checked once per call, at the interior
 nodes; a constant b is one scalar, and b = 1 costs no pass.
 """
@@ -160,8 +165,9 @@ class OperatorConfig:
     n_full: int | None = None     # embedding dimension for the reduced variant
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"exponent p must be positive, got {self.p}")
+        if not (self.p > 0 and math.isfinite(self.p)):
+            raise ValueError(f"exponent p must be positive and finite: "
+                             f"{self.p}")
         if self.width not in (1, 2, 3):
             raise ValueError(f"stencil width must be 1, 2 or 3, got {self.width}")
         if self.variant not in VARIANTS:
@@ -240,12 +246,15 @@ class _Stencil:
     Each direction (taken up to sign) carries its offset in the flattened
     lattice and |e|^2; ``frames[k]`` lists the direction indices of frame k
     and ``e2_product[k]`` the product of their |e|^2.  Frame k differences
-    every direction it is the first to read into a block row, ``fills[k]``
-    = ((row, direction), ...), and reads its factors from rows ``rows[k]``.
-    A direction that more than one frame reads (``shared``: the axes in 3-D
-    and up, none in 2-D) keeps row ``shared.index(d)`` for the whole block;
-    each other direction takes one of ``scratch`` rows after them, from
-    the first, which the next frame refills.
+    every direction it is the first to read into a block row and reads its
+    factors from rows ``rows[k]``.  A direction that more than one frame
+    reads (``shared``: the axes in 3-D and up, none in 2-D) keeps row
+    ``shared.index(d)`` for the whole block; each other direction takes one
+    of ``scratch`` rows after them, from the first, which the next frame
+    refills.  ``fills[k]`` = ((row, directions), ...) pairs up what frame k
+    fills: two directions in consecutive rows of one work array are
+    differenced as one (2, columns) block (every frame in 2-D and every
+    planar frame in 3-D), any other alone.
     """
 
     frames: tuple[tuple[int, ...], ...]
@@ -254,7 +263,7 @@ class _Stencil:
     e2_product: tuple[int, ...]
     shared: tuple[int, ...]
     scratch: int
-    fills: tuple[tuple[tuple[int, int], ...], ...]
+    fills: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     rows: tuple[tuple[int, ...], ...]
 
 
@@ -268,6 +277,7 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
     for frame in frames:
         for e in frame:
             dirs.setdefault(max(e, tuple(-c for c in e)), len(dirs))
+    offsets = tuple(sum(c * s for c, s in zip(e, strides)) for e in dirs)
     e2 = tuple(sum(c * c for c in e) for e in dirs)
     frames = tuple(tuple(dirs[max(e, tuple(-c for c in e))] for e in frame)
                    for frame in frames)
@@ -278,22 +288,30 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
         single = [d for d in f if readers[d] == 1]
         rows.append(tuple(shared.index(d) if d in shared
                           else len(shared) + single.index(d) for d in f))
-        fills.append(tuple((r, d) for r, d in zip(rows[-1], f)
-                           if d not in filled))
-        filled.update(f)
+        groups: list = []
+        for r, d in zip(rows[-1], f):
+            if d not in filled:
+                filled.add(d)
+                r0, ds = groups[-1] if groups else (-1, ())
+                if len(ds) == 1 and r == r0 + 1 and \
+                        (r < len(shared)) == (r0 < len(shared)):
+                    groups[-1] = (r0, ds + (d,))
+                else:
+                    groups.append((r, (d,)))
+        fills.append(tuple(groups))
     return _Stencil(
-        frames=frames,
-        offsets=tuple(sum(c * s for c, s in zip(e, strides)) for e in dirs),
+        frames=frames, offsets=offsets,
         e2=e2, e2_product=tuple(math.prod(e2[d] for d in f) for f in frames),
         shared=shared, scratch=max(map(max, rows)) + 1 - len(shared),
         fills=tuple(fills), rows=tuple(rows))
 
 
 def _core_values(u: GridFunction | GridStack) -> tuple[np.ndarray, int, int]:
-    """The values of every member in one flat array, and the bounds of the
-    one span that covers the core of each member (and the rims between)."""
+    """The values of every member in one flat float array, and the bounds of
+    the one span that covers the core of each member (and the rims
+    between)."""
     dom = u.domain
-    flat = np.ascontiguousarray(u.values).reshape(-1)
+    flat = np.ascontiguousarray(u.values, dtype=float).reshape(-1)
     return flat, dom.core.start, dom.core.stop + flat.size - dom.classes.size
 
 
@@ -309,73 +327,130 @@ def _span_cached(u: GridFunction | GridStack, name, build):
     return cache[key]
 
 
-def _interior_offsets(u: GridFunction | GridStack) -> np.ndarray:
-    """Offsets into the span of the interior nodes, shape (node,) for a
-    grid function and (member, node) for a stack."""
-    dom = u.domain
-
-    def build(members):
-        inner = dom.interior_index - dom.core.start
-        if members is not None:
-            inner = inner + dom.classes.size * np.arange(members)[:, None]
-        inner.flags.writeable = False
-        return inner
-
-    return _span_cached(u, "interior_offsets", build)
-
-
-def _off_interior(u: GridFunction | GridStack) -> np.ndarray:
-    """True on the columns of the span, padded to whole members, that are
-    not interior nodes: the band and exterior nodes, the rims between
-    members and the padding after the last core."""
-    dom = u.domain
-
-    def build(members):
-        off = np.ones((members or 1, dom.classes.size), dtype=bool)
-        off[:, dom.interior_index - dom.core.start] = False
-        off = off.reshape(-1)
-        off.flags.writeable = False
-        return off
-
-    return _span_cached(u, "off_interior", build)
-
-
-def _work(u: GridFunction | GridStack, name: str, shape) -> np.ndarray:
-    """A float work array kept on the domain and reused by later calls and
-    blocks: a block row of the frame loop (at most ``_BLOCK`` columns) or a
-    stack of such rows.
-
-    Reuse keeps the time-stepping loop from allocating (and page-faulting)
-    dozens of temporaries per step.
-    """
-    work = u.domain.work
+def _work(dom: Domain, name: str, shape) -> np.ndarray:
+    """A float work array kept on the domain for the plans of its lattice
+    (:class:`_Plan`): a block row of the frame loop or a stack of such rows,
+    so that steps do not allocate (and page-fault) dozens of temporaries."""
+    work = dom.work
     a = work.get(name)
     if a is None or a.shape != shape:
         a = work[name] = np.empty(shape)
     return a
 
 
-def _clamped_second_differences(u: GridFunction | GridStack, st: _Stencil,
-                                lo: int, hi: int):
-    """The function ``difference(d, out)`` that fills the block row ``out``
-    with the raw clamped second differences max(0, Delta^2_e u) of direction
-    d over the block of span columns ``lo:hi`` (see :func:`_core_values`).
-
-    A row is read from the flattened values at the shifts +-offset; entries
-    off the cores are computed from wrapped-around neighbours and never
-    used.
+class _Plan:
+    """What the frame loop of one operator config needs besides the values,
+    built once per lattice and stack size and kept in ``Domain.span_cache``:
+    the (lo, hi) bounds of the span's ``blocks``; per frame (groups,
+    factors, factors_f, c_F, 2p h^2 c_F), each fill group of :func:`_stencil`
+    as its (g, columns) block of work rows, floored target, floors |e|^2 h^4
+    (for p < 1), first offset and offset step, then the rows the product
+    reads raw and floored; ``inner`` and ``off`` of :class:`OperatorField`;
+    and for the reduced variant, per block, the row 2hr (1 on the axis r =
+    0), the axis entries and the radial rate weight (0 off the axis).
     """
-    flat, a, _ = _core_values(u)
-    a, b = a + lo, a + hi
-    twice = np.multiply(2.0, flat[a:b], out=_work(u, "twice", (b - a,)))
 
-    def difference(d: int, out: np.ndarray) -> np.ndarray:
-        k = st.offsets[d]
-        np.add(flat[a + k:b + k], flat[a - k:b - k], out=out)
+    def __init__(self, dom: Domain, cfg: OperatorConfig, members: int | None):
+        st = _stencil(dom.shape, cfg.width, dom.stencil_radius)
+        S, start = dom.classes.size, dom.core.start
+        self.start, self.padded = start, (members or 1) * S
+        L = self.L = dom.core.stop - start + self.padded - S
+        blocks = max(1, -(-L // _BLOCK))
+        size = -(-L // blocks)
+        # equal blocks: the last ends at the span's end and recomputes the
+        # few columns it shares with the one before, to the same bits
+        self.blocks = [(lo, lo + size) for lo in
+                       (min(b * size, L - size) for b in range(blocks))]
+        inner = dom.interior_index - start
+        if members is not None:
+            inner = inner + S * np.arange(members)[:, None]
+        inner.flags.writeable = False
+        self.inner, self.off = inner, np.ones(self.padded, dtype=bool)
+        self.off[inner.reshape(-1)] = False
+        p, hh, ns = cfg.p, dom.h_grid * dom.h_grid, len(st.shared)
+        self.st, self.hh, self.floored = st, hh, p < 1.0
+        diff = _work(dom, "diff", (ns, size))
+        scratch = _work(dom, "scratch", (st.scratch, size))
+        low = _work(dom, "floored", (ns, size)) if self.floored else diff
+        rows, rows_f = [*diff, *scratch], [*low, *scratch]
+
+        def block(r, g, a=diff):
+            # rows r, ..., r + g - 1, all shared or all scratch (see _stencil)
+            return a[r:r + g] if r < ns else scratch[r - ns:r - ns + g]
+
+        self.twice, self.prod, self.rate = (
+            _work(dom, name, (size,)) for name in ("twice", "prod", "rate"))
+        self.prod_f = (_work(dom, "prod_f", (size,)) if self.floored
+                       else self.prod)
+        self.power = self.rate if p == 1.0 else _work(dom, "power", (size,))
+        self.radius, self.term, radial, radial_f = [None] * blocks, None, [], []
+        if cfg.variant == "reduced":
+            h, self.kr = dom.h_grid, dom.shape[1]   # offset of the first axis
+            f = "_f" if self.floored else ""
+            self.radial = [_work(dom, name, (size,)) for name in
+                           ("ratio", "radial", "ratio" + f, "radial" + f)]
+            radial, radial_f = self.radial[1:2], self.radial[3:]
+            self.term = _work(dom, "term", (size,))
+            r_all = np.tile(np.repeat(dom.axes()[0], self.kr), members or 1)
+            self.radius = []
+            for lo, hi in self.blocks:
+                r = r_all[start + lo:start + hi]
+                two_hr, axis = 2.0 * h * r, np.flatnonzero(np.abs(r) < 0.5 * h)
+                two_hr[axis] = 1.0
+                self.radius.append((two_hr, axis, np.zeros(size)))
+        self.frames, o = [], st.offsets
+        for k, (fills, frame) in enumerate(zip(st.fills, st.rows)):
+            c = 1.0 / (st.e2_product[k] * hh ** dom.n)
+            groups = [(block(r, len(ds)), block(r, len(ds), low),
+                       np.array([[st.e2[d] * hh * hh] for d in ds]),
+                       o[ds[0]], o[ds[-1]] - o[ds[0]]) for r, ds in fills]
+            self.frames.append((groups, [rows[i] for i in frame] + radial,
+                                [rows_f[i] for i in frame] + radial_f,
+                                c, 2.0 * p * hh * c))
+        self.source = None
+
+    def views(self, u: GridFunction | GridStack) -> list:
+        """Per block, (lo, hi, centre, fills, radial): its span columns, the
+        centre values, per frame each fill group's (plus, minus, out), plus
+        and minus its (g, columns) values at the offsets +-k_i through
+        ``np.ndarray`` views (``as_strided`` costs 5x as much), and for the
+        reduced variant (u(x + h e_1), u(x - h e_1), *radius).  They are kept
+        with ``u.values``, which the plan holds alive until the next rebuild,
+        and reused while calls pass that same array object; an input that
+        :func:`_core_values` copies gets new ones on every call, since the
+        copy would not see a later change to it."""
+        if u.values is self.source:
+            return self.read
+        flat = _core_values(u)[0]
+        self.source = u.values if np.may_share_memory(flat, u.values) else None
+        item, self.read = flat.itemsize, []
+
+        def at(col, step, out):
+            # out's shape of values from column col on, step columns per row
+            return np.ndarray(out.shape, float, flat, col * item,
+                              (step * item, item))
+
+        for (lo, hi), radius in zip(self.blocks, self.radius):
+            a, b = self.start + lo, self.start + hi
+            fills = [[(at(a + k, m, out), at(a - k, -m, out), out)
+                      for out, _, _, k, m in groups]
+                     for groups, *_ in self.frames]
+            radial = radius and (flat[a + self.kr:b + self.kr],
+                                 flat[a - self.kr:b - self.kr], *radius)
+            self.read.append((lo, hi, flat[a:b], fills, radial))
+        return self.read
+
+
+def _clamped_second_differences(fills, twice: np.ndarray) -> None:
+    """Fill the work rows ``out`` of each group of ``fills`` = ((plus, minus,
+    out), ...) with the raw clamped second differences max(0, Delta^2_e u)
+    = max(0, plus + minus - ``twice``) of its g directions, twice = 2u(x):
+    one (g, columns) block per group.  Entries off the cores are computed
+    from wrapped-around neighbours and never used."""
+    for plus, minus, out in fills:
+        np.add(plus, minus, out=out)
         out -= twice
-        return np.maximum(out, 0.0, out=out)
-
-    return difference
+        np.maximum(out, 0.0, out=out)
 
 
 def _differences_at(u: GridFunction | GridStack, st: _Stencil,
@@ -427,13 +502,13 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
                      with_frames: bool) -> OperatorField:
     """The frame loop of every variant: the running minimum of the frame
     products, the running maximum of their slope factors and the index of
-    the first minimising frame, each seeded by frame 0, then ``b *
-    minimum^p`` and ``b * slope`` in place on the span, with the no-op of
-    :class:`OperatorField` off the interior.
+    the first minimising frame, into which frame 0 writes directly, then
+    ``b * minimum^p`` and ``b * slope`` in place on the span, with the no-op
+    of :class:`OperatorField` off the interior.
 
-    The loop runs over equal blocks of at most ``_BLOCK`` span columns, one
-    block at a time.  Within a block, each frame first fills the rows that
-    the fill plan of :func:`_stencil` gives it.  The slope factor of frame F
+    The loop runs over the blocks of the span that its :class:`_Plan` sets,
+    one at a time.  Within a block, each frame first fills its groups of
+    rows (:func:`_clamped_second_differences`).  The slope factor of frame F
     is |d(P_F^p)/du(x)| = p P_F^(p-1) 2h^2 c_F s' (module docstring); one
     :func:`_product_and_sum` call gives the raw P' = P_F / c_F and s'.
     For p < 1 its pieces (but never the product itself) are computed from
@@ -456,83 +531,62 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     variant's radial factor is not a product of frame differences.
     """
     dom = u.domain
-    p = cfg.p
-    reduced = cfg.variant == "reduced"
-    st = _stencil(dom.shape, cfg.width, dom.stencil_radius)
-    _, start, stop = _core_values(u)
-    L = stop - start
-    blocks = max(1, -(-L // _BLOCK))
-    size = -(-L // blocks)
-    floored = p < 1.0
-    hh = dom.h_grid * dom.h_grid
-    scale = [1.0 / (e2 * hh ** dom.n) for e2 in st.e2_product]     # c_F
-    gain = [2.0 * p * hh * c for c in scale]
-    shared = len(st.shared)
-    rows = rows_f = [*_work(u, "diff", (shared, size)),
-                     *_work(u, "scratch", (st.scratch, size))]
-    if floored:
-        rows_f = [*_work(u, "floored", (shared, size)), *rows[shared:]]
-    prod = _work(u, "prod", (size,))
-    prod_f = _work(u, "prod_f", (size,)) if floored else prod
-    rate = _work(u, "rate", (size,))
-    power = rate if p == 1.0 else _work(u, "power", (size,))
-    radial, radial_f, weight, term = [], [], None, None
-    # the span padded to whole members (a (member, S) view), frame 0 seeds
-    # the running minimum and maximum, and the padding holds zeros
-    best, best_slope = np.empty(u.values.size), np.empty(u.values.size)
-    best[L:] = best_slope[L:] = 0.0
-    arg = np.zeros(u.values.size, dtype=np.uint8) if with_frames else None
-    for block in range(blocks):
-        # equal blocks: the last ends at the span's end and recomputes the
-        # few columns it shares with the one before, to the same bits
-        lo = min(block * size, L - size)
-        hi = lo + size
-        difference = _clamped_second_differences(u, st, lo, hi)
-        if reduced:
-            radial, radial_f, weight = _radial_factors(u, cfg, lo, hi)
-            term = _work(u, "term", (size,))
+    plan = _span_cached(u, ("plan", cfg.width, cfg.p, cfg.variant, cfg.n_full),
+                        lambda members: _Plan(dom, cfg, members))
+    p, twice = cfg.p, plan.twice
+    # the span padded to whole members (a (member, S) view); the padding
+    # holds zeros
+    best, best_slope = np.empty(plan.padded), np.empty(plan.padded)
+    best[plan.L:] = best_slope[plan.L:] = 0.0
+    arg = np.zeros(plan.padded, dtype=np.uint8) if with_frames else None
+    weight = None
+    for lo, hi, centre, fills, radial in plan.views(u):
+        np.multiply(2.0, centre, out=twice)
+        if radial:
+            weight = _radial_factors(plan, cfg.n_full, twice, *radial)
         low, top = best[lo:hi], best_slope[lo:hi]
-        for k, frame in enumerate(st.rows):
-            fills = st.fills[k]
-            for r, d in fills:
-                difference(d, rows[r])
-            if floored:
-                _product_and_sum([rows[i] for i in frame] + radial, prod)
-                for r, d in fills:
-                    np.maximum(rows[r], st.e2[d] * hh * hh, out=rows_f[r])
-            _product_and_sum([rows_f[i] for i in frame] + radial_f, prod_f,
-                             rate, weight, term)
-            rate *= gain[k]
+        for k, ((groups, factors, factors_f, c, gain), reads) in \
+                enumerate(zip(plan.frames, fills)):
+            _clamped_second_differences(reads, twice)
+            # frame 0 writes its product and slope factor straight into the
+            # running minimum and maximum (its rate too, at p = 1)
+            P = plan.prod if k else low
+            P_f = plan.prod_f if plan.floored else P
+            R = top if not k and p == 1.0 else plan.rate
+            W = plan.power if k else top
+            if plan.floored:
+                _product_and_sum(factors, P)
+                for out, out_f, floor, _, _ in groups:
+                    np.maximum(out, floor, out=out_f)
+            _product_and_sum(factors_f, P_f, R, weight, plan.term)
+            R *= gain
             if p != 1.0:
-                np.multiply(prod_f, scale[k], out=power)
-                np.power(power, p - 1.0, out=power)
-                power *= rate
-                np.copyto(power, 0.0, where=~(prod > 0))
-            prod *= scale[k]
-            if k == 0:
-                low[:] = prod
-                top[:] = power
+                np.multiply(P_f, c, out=W)
+                np.power(W, p - 1.0, out=W)
+                W *= R
+                np.copyto(W, 0.0, where=~(P > 0))
+            P *= c
+            if not k:
                 continue
             if with_frames:
-                arg[lo:hi][prod < low] = k
+                arg[lo:hi][P < low] = k
             # monotone steps need the slope bound over every frame, not
             # just the active one: a frame can take over mid-step
-            np.maximum(top, power, out=top)
-            np.minimum(low, prod, out=low)
-    inner, off = _interior_offsets(u), _off_interior(u)
+            np.maximum(top, W, out=top)
+            np.minimum(low, P, out=low)
     b = cfg.b.constant_value
     if b is None:
         b = cfg.b(dom.interior_positions, u.t)
         cfg.b.check_bounds(b, f"at t={u.t}")
-    _scale(best_slope, b, inner)
-    np.copyto(best_slope, 0.0, where=off)
-    if not reduced and p >= 1.0 and dom.n >= 3:
-        _lower_to_chord_bound(u, cfg, st, best, b, best_slope)
+    _scale(best_slope, b, plan.inner)
+    np.copyto(best_slope, 0.0, where=plan.off)
+    if cfg.variant == "plain" and p >= 1.0 and dom.n >= 3:
+        _lower_to_chord_bound(u, p, plan, best, b, best_slope)
     if p != 1.0:
         np.power(best, p, out=best)
-    _scale(best, b, inner)
-    np.copyto(best, -0.0, where=off)
-    return OperatorField(dom, best, best_slope, inner, arg)
+    _scale(best, b, plan.inner)
+    np.copyto(best, -0.0, where=plan.off)
+    return OperatorField(dom, best, best_slope, plan.inner, arg)
 
 
 def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
@@ -545,9 +599,8 @@ def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
         a *= b
 
 
-def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
-                          st: _Stencil, best: np.ndarray, b,
-                          slope: np.ndarray) -> None:
+def _lower_to_chord_bound(u: GridFunction | GridStack, p: float, plan: _Plan,
+                          best: np.ndarray, b, slope: np.ndarray) -> None:
     """Lower the slope field on the span (in place, ``b`` times the
     all-frame value on entry and 0 off the interior) to ``b`` times the
     chord bound wherever it could set its member's maximum.
@@ -565,17 +618,17 @@ def _lower_to_chord_bound(u: GridFunction | GridStack, cfg: OperatorConfig,
     """
     S = u.domain.classes.size
     slope = slope.reshape(-1, S)
-    first = np.atleast_2d(_interior_offsets(u))[0]
+    first = np.atleast_2d(plan.inner)[0]
     peak = np.where(best.reshape(-1, S) > 0.0, slope, 0.0)
     top = peak.argmax(axis=-1)
     rows = np.arange(len(top))
     top[peak[rows, top] == 0.0] = first[0]
-    bound = _chord_slope(u, st, rows * S + top, cfg.p)
+    bound = _chord_slope(u, plan.st, rows * S + top, p)
     bound *= b if np.ndim(b) == 0 else b[np.searchsorted(first, top)]
     hit = np.nonzero(slope > bound[:, None])
     if not hit[0].size:
         return
-    sigma = _chord_slope(u, st, hit[0] * S + hit[1], cfg.p)
+    sigma = _chord_slope(u, plan.st, hit[0] * S + hit[1], p)
     sigma *= b if np.ndim(b) == 0 else b[np.searchsorted(first, hit[1])]
     slope[hit] = np.minimum(slope[hit], sigma)
 
@@ -621,46 +674,28 @@ def _chord_slope(u: GridFunction | GridStack, st: _Stencil, cols: np.ndarray,
 # reduced (axisymmetric) operator
 # ---------------------------------------------------------------------------
 
-def _radial_factors(u: GridFunction | GridStack, cfg: OperatorConfig,
-                    lo: int, hi: int) -> tuple:
-    """The reduced variant's radial factor over the block of span columns
-    ``lo:hi`` (see :func:`_clamped_second_differences`) as one more factor
-    of every frame, ``[R], [R_f], c``: R = max(0, u_r/r)^(n_full-2),
-    with u_r/r by central differences and its u_rr limit on the axis; R_f,
-    R from the ratio floored at h^2 for p < 1; and its rate weight next to
-    the raw differences' 1, c = (n_full-2) ratio_f^(n_full-3) / h^2: the
+def _radial_factors(plan: _Plan, nf: int, twice: np.ndarray, up: np.ndarray,
+                    um: np.ndarray, two_hr: np.ndarray, axis: np.ndarray,
+                    weight: np.ndarray) -> np.ndarray:
+    """The reduced variant's radial factor over one block, one more factor
+    of every frame, into the rows R and R_f of ``plan.radial``: R =
+    max(0, u_r/r)^(n_full-2), with u_r/r = (``up`` - ``um``) / 2hr and its
+    u_rr limit on the ``axis`` entries (where 2hr holds 1); R_f, R from the
+    ratio floored at h^2 for p < 1.  Returns its rate weight next to the raw
+    differences' 1, ``weight`` = (n_full-2) ratio_f^(n_full-3) / h^2: the
     centre's weight in R through u_rr on the axis, over 2h^2 (0 off it)."""
-    dom = u.domain
-    h, nf = dom.h_grid, cfg.n_full
-    flat, a, _ = _core_values(u)
-    a, b = a + lo, a + hi
-    size = (b - a,)
-    k = dom.shape[1]                  # flat offset of the first axis
-
-    def build(members):
-        # 2hr over the block, and the block entries on the axis r = 0
-        r = np.tile(np.repeat(dom.axes()[0], k), members or 1)[a:b]
-        two_hr = 2.0 * h * r
-        two_hr.flags.writeable = False
-        return two_hr, np.flatnonzero(np.abs(r) < 0.5 * h)
-
-    two_hr, axis = _span_cached(u, ("radius", lo, hi), build)
-    up = flat[a + k:b + k]
-    um = flat[a - k:b - k]
-    ratio = np.subtract(up, um, out=_work(u, "ratio", size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio /= two_hr
-    ratio[axis] = (up[axis] + um[axis] - 2.0 * flat[a:b][axis]) / (h * h)
+    ratio, R, ratio_f, R_f = plan.radial
+    hh = plan.hh
+    np.subtract(up, um, out=ratio)
+    ratio /= two_hr
+    ratio[axis] = (up[axis] + um[axis] - twice[axis]) / hh
     np.maximum(ratio, 0.0, out=ratio)
-    R = np.power(ratio, nf - 2, out=_work(u, "radial", size))
-    ratio_f, R_f = ratio, R
-    if cfg.p < 1.0:
-        ratio_f = np.maximum(ratio, h * h, out=_work(u, "ratio_f", size))
-        R_f = np.power(ratio_f, nf - 2, out=_work(u, "radial_f", size))
-    c = _work(u, "axis_coef", size)
-    c.fill(0.0)
-    c[axis] = (nf - 2) * np.power(ratio_f[axis], nf - 3) / (h * h)
-    return [R], [R_f], c
+    np.power(ratio, nf - 2, out=R)
+    if ratio_f is not ratio:
+        np.maximum(ratio, hh, out=ratio_f)
+        np.power(ratio_f, nf - 2, out=R_f)
+    weight[axis] = (nf - 2) * np.power(ratio_f[axis], nf - 3) / hh
+    return weight
 
 
 def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,

@@ -114,13 +114,25 @@ def test_data_value_that_does_not_fit_the_lattice_exits_2(tmp_path, capsys,
     assert "does not fit the 2-D lattice" in err
 
 
-def test_non_finite_region_value_exits_2_without_a_warning(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, SOLVE_CFG.replace("domain.radius = 1.0",
-                                                "domain.radius = None"))
+@pytest.mark.parametrize("line,new,message", [
+    ("domain.radius = 1.0", "domain.radius = None",
+     "radius None is not finite"),
+    # the literal 1e999 reads as inf
+    ("run.t_end = 0.01\nrun.snapshots = 2",
+     "run.t_end = 1e999\nrun.snapshots = [0.1]",
+     "run.t_end must be positive and finite: inf"),
+    ("op.p = 1.0", "op.p = 1e999",
+     "exponent p must be positive and finite: inf"),
+], ids=["radius", "t_end", "p"])
+def test_non_finite_region_value_exits_2_without_a_warning(tmp_path, capsys,
+                                                           line, new, message):
+    # a value that is not finite is refused where it is read, with exit 2
+    # and the key's name, before anything steps
+    cfg = write_cfg(tmp_path, SOLVE_CFG.replace(line, new))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "radius None is not finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 def test_solve_reruns_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path)

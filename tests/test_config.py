@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -247,6 +248,10 @@ def test_run_settings_validation():
         run_settings({})
     with pytest.raises(ConfigError, match="positive"):
         run_settings({"run.t_end": 0.0})
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="run.t_end must be positive "
+                                              "and finite"):
+            run_settings({"run.t_end": t_end, "run.snapshots": [0.1]})
     with pytest.raises(ConfigError, match="at least one"):
         run_settings({"run.t_end": 0.1, "run.snapshots": 0})
     with pytest.raises(ConfigError, match=r"\(0, t_end\]"):

@@ -87,13 +87,17 @@ def test_moving_band_data_reaches_a_flat_interior():
 
 
 def test_snapshots_land_exactly():
+    # a snapshot time within the 1e-12 tolerance above t_end is t_end: the
+    # flow never steps past t_end, its final snapshot
     dom = ball(r=0.8, h=0.1)
     sol = quadratic_solution(np.eye(2), p=1.0)
-    state = make_state(dom, sol, OperatorConfig(p=1.0))
-    times = [0.0123, 0.02, 0.031]
-    res = evolve(state, t_end=0.031, snapshot_times=times)
-    assert [s.t for s in res.snapshots] == times
-    assert res.state.t == 0.031
+    for t_end, times, want in [
+            (0.031, [0.0123, 0.02, 0.031], [0.0123, 0.02, 0.031]),
+            (0.01, [0.005, 0.01 + 5e-13], [0.005, 0.01])]:
+        state = make_state(dom, sol, OperatorConfig(p=1.0))
+        res = evolve(state, t_end=t_end, snapshot_times=times)
+        assert [s.t for s in res.snapshots] == want
+        assert res.state.t == t_end
 
 
 def test_restart_is_bit_exact(tmp_path):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pma_lab import monge_ampere
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
-from pma_lab.monge_ampere import (_BLOCK, VARIANTS, OperatorConfig,
+from pma_lab.monge_ampere import (_BLOCK, VARIANTS, OperatorConfig, _Plan,
                                   _clamped_second_differences,
-                                  _core_values, _differences_at,
-                                  _interior_offsets, _stencil, ma_field,
-                                  orthogonal_frames, reduced_ma_field)
+                                  _core_values, _differences_at, _stencil,
+                                  ma_field, orthogonal_frames,
+                                  reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -295,10 +296,12 @@ def test_slope_matches_pointwise_slope_at_every_interior_node(case):
 _LATTICES: dict = {}
 
 
-def _lattice(n: int, width: int, axisymmetric: bool) -> Domain:
+def _lattice(n: int, width: int, axisymmetric: bool,
+             twin: bool = False) -> Domain:
     """Built once per shape: a ball in n dimensions, or the (r, x_n) box
-    of the reduced operator."""
-    key = (n, width, axisymmetric)
+    of the reduced operator; a ``twin`` is a second build of the same
+    lattice, with caches of its own."""
+    key = (n, width, axisymmetric, twin)
     if key not in _LATTICES:
         desc = ({"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
                 if axisymmetric else
@@ -360,7 +363,9 @@ def test_multi_block_stack_matches_member_calls_byte_for_byte(variant, p,
     # by block, with members cut across block bounds; the span is odd, so
     # the second of its two equal blocks overlaps the first by a column.
     # Each member's output is still bit for bit its own one-block call
-    # (3-D at p >= 1 also goes through the chord bound)
+    # (3-D at p >= 1 also goes through the chord bound), and so it is on a
+    # second call, after the stack changed in place, through the views
+    # the first call left
     reduced = variant == "reduced"
     n = 2 if reduced else 3
     dom = _lattice(n, 2, reduced)
@@ -381,21 +386,115 @@ def test_multi_block_stack_matches_member_calls_byte_for_byte(variant, p,
     span = _span_length(stack)
     assert _BLOCK < span < 2 * _BLOCK and span % 2 == 1
     assert _span_length(us[0]) <= _BLOCK
-    got = ma_field(stack, cfg, with_frames=True)
-    for k, u in enumerate(us):
-        want = ma_field(u, cfg, with_frames=True)
-        for name in ("values", "slope", "argmin_frame"):
-            assert getattr(got, name)[k].tobytes() == \
-                getattr(want, name).tobytes(), (k, name)
+    for _ in range(2):
+        got = ma_field(stack, cfg, with_frames=True)
+        for k, u in enumerate(us):
+            want = ma_field(u, cfg, with_frames=True)
+            for name in ("values", "slope", "argmin_frame"):
+                assert getattr(got, name)[k].tobytes() == \
+                    getattr(want, name).tobytes(), (k, name)
+        stack.values += 1e-3 * rng.standard_normal(stack.values.shape)
+        stack.t += 0.05
+        us = [GridFunction(dom, v.copy(), stack.t) for v in stack.values]
+
+
+def _same_fields(got, want) -> None:
+    """Values, slopes and argmin frames byte for byte, on the span and on
+    the lattice (NaN and frame 255 off the interior)."""
+    for name in ("values", "slope", "argmin_frame", "span_values",
+                 "span_slope", "span_frames", "columns"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        assert a is None or a.tobytes() == b.tobytes(), name
+
+
+def _random_values(dom, rng, members, reduced):
+    """Perturbed random convex quadratics (with no r x_n term on a reduced
+    lattice): one member's values, or a stack of them."""
+    n, out = dom.n, []
+    for _ in range(members or 1):
+        A = rng.standard_normal((n, n))
+        M = A @ A.T + 0.3 * np.eye(n)
+        if reduced:
+            M[0, 1] = M[1, 0] = 0.0
+        v = sample(dom, quad(M), t=0.25).values
+        out.append(v + 1e-3 * rng.standard_normal(v.shape))
+    return out[0] if members is None else np.stack(out)
+
+
+def _on(dom, values, t):
+    return (GridFunction if values.ndim == dom.n else GridStack)(
+        dom, values, t)
+
+
+@given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
+       p=st.sampled_from([0.4, 1.0, 2.0]), variant=st.sampled_from(VARIANTS),
+       varying_b=st.booleans(), members=st.sampled_from([None, 1, 2, 3]),
+       with_frames=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_cached_views_follow_in_place_changes(n, width, p, variant,
+                                              varying_b, members,
+                                              with_frames, seed):
+    # a call on the array the call before read reuses that call's views:
+    # after the values change in place (interior and band) and t advances,
+    # each call still equals, byte for byte, the call on a fresh copy of
+    # the array on a second build of the lattice
+    reduced = variant == "reduced"
+    if reduced:
+        n = 2
+    b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
+    cfg = OperatorConfig(p=p, width=width, variant=variant, b=b,
+                         n_full=4 if reduced else None)
+    dom, twin = (_lattice(n, width, reduced, twin) for twin in (False, True))
+    rng = np.random.default_rng(seed)
+    u = _on(dom, _random_values(dom, rng, members, reduced), 0.25)
+    plan = views = None
+    for _ in range(3):
+        got = ma_field(u, cfg, with_frames=with_frames)
+        if plan is None:
+            key = (("plan", width, p, variant, cfg.n_full), members)
+            plan = dom.span_cache[key]
+            views = plan.read
+        assert plan.read is views
+        _same_fields(got, ma_field(_on(twin, u.values.copy(), u.t), cfg,
+                                   with_frames=with_frames))
+        u.values += 1e-3 * rng.standard_normal(u.values.shape)
+        u.t += 0.05
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("members", [None, 2])
+def test_views_are_rebuilt_for_a_new_or_copied_input(members, variant):
+    # replacing u.values with a new array, and changing a non-contiguous
+    # input (which the operator copies) between two calls: each call
+    # equals the call on a fresh copy, so views built on a copy are never
+    # reused, even for the same input object
+    reduced = variant == "reduced"
+    n = 2 if reduced else 3
+    cfg = OperatorConfig(p=1.0, variant=variant, n_full=4 if reduced else None)
+    dom, twin = (_lattice(n, 2, reduced, twin) for twin in (False, True))
+    rng = np.random.default_rng(7)
+    u = _on(dom, _random_values(dom, rng, members, reduced), 0.25)
+    ma_field(u, cfg)
+    u.values = 1.01 * u.values
+    _same_fields(ma_field(u, cfg),
+                 ma_field(_on(twin, u.values.copy(), u.t), cfg))
+    wide = np.repeat(u.values, 2, axis=-1)
+    u.values = wide[..., ::2]
+    assert not u.values.flags.c_contiguous
+    for _ in range(2):
+        _same_fields(ma_field(u, cfg),
+                     ma_field(_on(twin, u.values.copy(), u.t), cfg))
+        wide += 1e-3 * rng.standard_normal(wide.shape)
 
 
 @pytest.mark.parametrize("members", [None, 3])
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3])
-def test_differences_at_columns_equal_the_span_rows(n, width, members):
+def test_differences_at_columns_equal_the_span_rows(n, width, members,
+                                                    monkeypatch):
     # the chord bound's differences, recomputed at a few columns, are bit
-    # for bit the entries of the block rows the frame loop reads, in every
-    # block of the span
+    # for bit the entries of the block rows each frame of the loop fills
+    # and reads, in every block of a span planned in three blocks
     dom = _lattice(n, width, False)
     rng = np.random.default_rng(10 * n + width)
     us = []
@@ -406,22 +505,22 @@ def test_differences_at_columns_equal_the_span_rows(n, width, members):
         us.append(u)
     u = us[0] if members is None else GridStack(
         dom, np.stack([v.values for v in us]), t=0.25)
+    monkeypatch.setattr(monge_ampere, "_BLOCK", _span_length(u) // 3 + 1)
+    plan = _Plan(dom, OperatorConfig(p=1.0, width=width), members)
     sten = _stencil(dom.shape, width, dom.stencil_radius)
-    inner = _interior_offsets(u).reshape(-1)
-    bounds = np.linspace(0, _span_length(u), 4).astype(int)
+    inner = plan.inner.reshape(-1)
     blocks = 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        difference = _clamped_second_differences(u, sten, lo, hi)
+    for lo, hi, centre, fills, _ in plan.views(u):
         here = inner[(inner >= lo) & (inner < hi)]
         cols = rng.choice(here, size=min(15, here.size), replace=False)
         blocks += cols.size > 0
         got = _differences_at(u, sten, cols)
         assert got.shape == (len(sten.offsets), cols.size)
-        row = np.empty(hi - lo)
-        for d in range(len(sten.offsets)):
-            assert got[d].tobytes() == \
-                difference(d, row)[cols - lo].tobytes(), d
-    assert blocks >= 2
+        for k, frame in enumerate(sten.frames):
+            _clamped_second_differences(fills[k], 2.0 * centre)
+            for d, row in zip(frame, plan.frames[k][1]):
+                assert got[d].tobytes() == row[cols - lo].tobytes(), (k, d)
+    assert len(plan.blocks) == 3 and blocks >= 2
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -430,7 +529,9 @@ def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
     # every direction is differenced once, at or before each frame that
     # reads it, and its row is not refilled until the last of those frames
     # has read it; the directions several frames read keep the first rows,
-    # the others share at most n scratch rows after them
+    # the others share at most n scratch rows after them.  A frame fills
+    # pairs of consecutive rows of one work array as one block: every frame
+    # in 2-D and every planar frame in 3-D and up fills one pair
     sten = _stencil((9,) * n, width, width)
     readers = [sum(d in f for f in sten.frames)
                for d in range(len(sten.offsets))]
@@ -442,12 +543,17 @@ def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
             for d in range(len(sten.offsets))}
     filled = []
     for k, (frame, rows) in enumerate(zip(sten.frames, sten.rows)):
-        for r, d in sten.fills[k]:
-            assert r < len(sten.shared) + sten.scratch
-            if r in held:
-                assert last[held[r]] < k, (k, r)
-            held[r] = d
-            filled.append(d)
+        if n == 2 or k > 0:
+            assert [len(ds) for _, ds in sten.fills[k]] == [2]
+        for r0, ds in sten.fills[k]:
+            ns = len(sten.shared)
+            assert len(ds) <= 2 and (r0 < ns) == (r0 + len(ds) - 1 < ns)
+            for r, d in enumerate(ds, r0):
+                assert r < ns + sten.scratch
+                if r in held:
+                    assert last[held[r]] < k, (k, r)
+                held[r] = d
+                filled.append(d)
         for r, d in zip(rows, frame):
             assert held[r] == d, (k, r, d)
             assert (r < len(sten.shared)) == (d in sten.shared)
@@ -551,6 +657,8 @@ def test_field_rejects_interior_on_the_lattice_edge():
     ({"p": 0.0}, "exponent p must be positive"),
     ({"p": -0.5}, "exponent p must be positive"),
     ({"p": 1.0, "width": 4}, "stencil width must be 1, 2 or 3"),
+    ({"p": math.inf}, "exponent p must be positive and finite"),
+    ({"p": math.nan}, "exponent p must be positive and finite"),
 ])
 def test_operator_config_refuses_bad_values(kw, message):
     with pytest.raises(ValueError, match=message):
