@@ -22,13 +22,14 @@ with 2 (F(0) - F(t)) / t <= sigma(x) for every t > 0 at every node, and
     dt = kappa h^2 / max_x sigma(x),        kappa = 0.4,
 
 so the chord condition holds with the factor kappa to spare.  For p >= 1
-every frame's b P_F^p is convex in t, so twice the largest |d(b P_F^p)/dt|
-at t = 0 over all frames bounds every chord (the all-frame slope); in
-3-D ``monge_ampere`` lowers it to the exact chord bound where that sets
-the maximum.  (For p < 1 the slope is floored at the curvature scale
-h^2 and is not such a bound where 0 < D < h^2.)  dt is truncated to land
-exactly on requested snapshot times (the landing assigns t = t_snap, so a
-restarted run reproduces the original step sequence bit for bit).
+every frame's b P_F^p is convex, nonincreasing and >= 0 in t, so it stays
+above its tangent line cut at 0, and ``monge_ampere``'s tangent bound
+sigma = 2p h^2 F max_F sum_{e in F} 1/D'_e bounds every chord, in every
+dimension and for both variants.  (For p < 1 the slope is the all-frame
+one, floored at the curvature scale h^2, and is not such a bound where
+0 < D < h^2.)  dt is truncated to land exactly on requested snapshot
+times (the landing assigns t = t_snap, so a restarted run reproduces the
+original step sequence bit for bit).
 
 Monotone steps propagate ordering.  For u <= v stepped with one shared dt,
 raise u's centre to v(x) first (allowed by u's own chord condition) and

@@ -25,21 +25,26 @@ Variants:
 Every call returns, alongside the value, a slope field in curvature
 units (multiply by 1/h^2) that bounds how fast F(x) can fall when u(x)
 rises: the time step ``kappa h^2 / max slope`` keeps the explicit update
-monotone (see ``evolution``).  Its value at a node is the all-frame slope,
-twice the largest |d(b P_F^p)/dt| at t = 0 over every frame F, where the
-centre rises by t h^2 / 2.  For the plain variant with p >= 1 in 3-D and
-up, the nodes that could set the maximum instead carry the chord bound of
-:func:`_chord_slope`, which takes a frame only from where it can become
-active: on the crease data of ``edge-moves-n3p1`` that is 162 against an
-all-frame 881.5, so 5x fewer steps.  Nodes that cannot set the maximum
-keep the all-frame value, so the field is an upper bound everywhere and
-its maximum is the chord bound's.  For p < 1 the slope pieces use
-differences floored at h^2 (see :func:`_min_over_frames`).
+monotone (see ``evolution``).  Raise the centre by t h^2 / 2: every raw
+difference D'_e (below) falls by t h^2.  For p >= 1 each frame's g_F =
+b (c_F prod_{e in F} D'_e)^p, times the reduced radial factor, is convex,
+nonincreasing and >= 0 in t, so g_F(t) >= g_F(0) max(0, 1 - k_F t) with
+k_F = p h^2 sum_{e in F} 1/D'_e (the radial factor adds its own term,
+see :func:`_radial_factors`), and with the value m = min_F g_F(0)
+every chord (m - g_F(t)) / t is at most m k_F.  So the slope at a node
+is the tangent bound 2 p h^2 m max_F sum_{e in F} 1/D'_e, in every
+dimension and for both variants, and 0 where m = 0 (m never falls below
+0).  It is at most the all-frame slope, twice the largest |dg_F/dt| at
+t = 0 over every frame, and at least the active frame's.  For p < 1 the
+powers are not convex, and the slope is the all-frame one from
+differences floored at h^2 (see :func:`_min_over_frames`); it is not a
+bound where 0 < D < h^2.
 
 Units.  The work rows hold raw differences D'_e = max(0, Delta^2_e u); a
 frame's product is scaled once by c_F = prod_{e in F} 1/(|e|^2 h^2), its
-rate by 2h^2 c_F.  A raw product loses range only for curvatures below
-about 1e-100 (3-D, h = 0.05); the p < 1 floor is |e|^2 h^4 on a raw one.
+rate (p < 1) by 2h^2 c_F.  A raw product loses range only for curvatures
+below about 1e-100 (3-D, h = 0.05); the p < 1 floor is |e|^2 h^4 on a raw
+one.
 
 Evaluation.  :func:`ma_field` takes one grid function or a
 :class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
@@ -50,25 +55,23 @@ bit that of its own call.  Both variants run one frame loop,
 of the slope factors, argmin frame, into which frame 0 writes directly);
 the reduced variant's radial factor is one more factor of every frame.
 One recurrence, :func:`_product_and_sum`, builds a frame's product and its
-rate of fall, in the frame loop and in the chord bound alike.  What the
-loop needs besides the values is planned once per lattice, config and
-stack size (:class:`_Plan`), so a call runs its array operations and
-little else.  The loop runs over the span in equal blocks of at most
-``_BLOCK`` = 2^15 columns, so its ten to fifteen work rows stay near one
-core's L2 cache, where span-length rows of a 45^3 lattice (83k columns,
-0.66 MB each) stream from memory on every pass; the blocks change no bit,
-and every 2-D lattice of the registry is one block.  Each direction is
-differenced at the first frame that reads it, into a block row of its own
-if several frames read it (the axes in 3-D and up), else into one of at
-most n scratch rows that the next frame reuses; two directions in
+leave-one-out sum.  What the loop needs besides the values is planned
+once per lattice, config and stack size (:class:`_Plan`), so a call
+runs its array operations and little else.  The loop runs over the span
+in equal blocks of at most ``_BLOCK`` = 2^15 columns, so its ten to
+fifteen work rows stay near one core's L2 cache, where span-length rows
+of a 45^3 lattice (83k columns, 0.66 MB each) stream from memory on
+every pass; the blocks change no bit, and every 2-D lattice of the
+registry is one block.  Each direction is differenced at the first frame
+that reads it, into a block row of its own if several frames read it
+(the axes in 3-D and up), else into one of at most n scratch rows that
+the next frame reuses; two directions in
 consecutive rows (every frame in 2-D, every planar frame in 3-D) form one
 (2, columns) block, read through views whose row stride is their offset
 step.  The plan keeps those views with the last input array, and keeps
 that array alive, until a call passes another one; a time-stepping loop
 passes one array, updated in place, on every step.  An input that must be
-copied gets new views on every call.  The chord bound recomputes the
-differences it needs at its candidate nodes from the values
-(:func:`_differences_at`).  The output stays on the span: an
+copied gets new views on every call.  The output stays on the span: an
 :class:`OperatorField` holds the span-length values and slopes, computed in
 place in the running minimum and maximum, with a no-op (value -0.0, slope
 0.0) on every column that is not an interior node, so a time step adds the
@@ -342,12 +345,13 @@ class _Plan:
     """What the frame loop of one operator config needs besides the values,
     built once per lattice and stack size and kept in ``Domain.span_cache``:
     the (lo, hi) bounds of the span's ``blocks``; per frame (groups,
-    factors, factors_f, c_F, 2p h^2 c_F), each fill group of :func:`_stencil`
-    as its (g, columns) block of work rows, floored target, floors |e|^2 h^4
-    (for p < 1), first offset and offset step, then the rows the product
-    reads raw and floored; ``inner`` and ``off`` of :class:`OperatorField`;
-    and for the reduced variant, per block, the row 2hr (1 on the axis r =
-    0), the axis entries and the radial rate weight (0 off the axis).
+    factors, factors_f, c_F, 2p h^2 c_F for p < 1), each fill group of
+    :func:`_stencil` as its (g, columns) block of work rows, floored
+    target, floors |e|^2 h^4 (for p < 1), first offset and offset step,
+    then the rows the product reads raw and floored; ``inner`` and ``off``
+    of :class:`OperatorField`; and for the reduced variant, per block, the
+    row 2hr (1 on the axis r = 0), the axis entries and the radial rate
+    weight (0 off the axis).
     """
 
     def __init__(self, dom: Domain, cfg: OperatorConfig, members: int | None):
@@ -368,7 +372,7 @@ class _Plan:
         self.inner, self.off = inner, np.ones(self.padded, dtype=bool)
         self.off[inner.reshape(-1)] = False
         p, hh, ns = cfg.p, dom.h_grid * dom.h_grid, len(st.shared)
-        self.st, self.hh, self.floored = st, hh, p < 1.0
+        self.hh, self.floored = hh, p < 1.0
         diff = _work(dom, "diff", (ns, size))
         scratch = _work(dom, "scratch", (st.scratch, size))
         low = _work(dom, "floored", (ns, size)) if self.floored else diff
@@ -380,9 +384,10 @@ class _Plan:
 
         self.twice, self.prod, self.rate = (
             _work(dom, name, (size,)) for name in ("twice", "prod", "rate"))
-        self.prod_f = (_work(dom, "prod_f", (size,)) if self.floored
-                       else self.prod)
-        self.power = self.rate if p == 1.0 else _work(dom, "power", (size,))
+        # p >= 1 divides each frame's rate in place
+        self.prod_f, self.power = (
+            [_work(dom, name, (size,)) for name in ("prod_f", "power")]
+            if self.floored else (None, self.rate))
         self.radius, self.term, radial, radial_f = [None] * blocks, None, [], []
         if cfg.variant == "reduced":
             h, self.kr = dom.h_grid, dom.shape[1]   # offset of the first axis
@@ -453,19 +458,6 @@ def _clamped_second_differences(fills, twice: np.ndarray) -> None:
         np.maximum(out, 0.0, out=out)
 
 
-def _differences_at(u: GridFunction | GridStack, st: _Stencil,
-                    cols: np.ndarray) -> np.ndarray:
-    """The raw clamped second differences of every direction at the span
-    columns ``cols``, one row per direction: bit for bit the entries a span
-    row of :func:`_clamped_second_differences` holds there."""
-    flat, a, _ = _core_values(u)
-    at = a + cols
-    k = np.array(st.offsets)[:, None]
-    D = flat[at + k] + flat[at - k]
-    D -= np.multiply(2.0, flat[at])
-    return np.maximum(D, 0.0, out=D)
-
-
 def _product_and_sum(factors, P: np.ndarray, s: np.ndarray | None = None,
                      weight=None, tmp=None):
     """The product P = prod_i F_i of ``factors`` and, unless ``s`` is None,
@@ -503,89 +495,96 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     """The frame loop of every variant: the running minimum of the frame
     products, the running maximum of their slope factors and the index of
     the first minimising frame, into which frame 0 writes directly, then
-    ``b * minimum^p`` and ``b * slope`` in place on the span, with the no-op
-    of :class:`OperatorField` off the interior.
+    the value ``b * minimum^p`` and the slope in place on the span, with
+    the no-op of :class:`OperatorField` off the interior.
 
     The loop runs over the blocks of the span that its :class:`_Plan` sets,
     one at a time.  Within a block, each frame first fills its groups of
-    rows (:func:`_clamped_second_differences`).  The slope factor of frame F
-    is |d(P_F^p)/du(x)| = p P_F^(p-1) 2h^2 c_F s' (module docstring); one
-    :func:`_product_and_sum` call gives the raw P' = P_F / c_F and s'.
-    For p < 1 its pieces (but never the product itself) are computed from
-    differences floored at the curvature scale h^2: a second difference
-    below the scheme's own truncation scale is indistinguishable from
-    degenerate, and the raw p - 1 power diverges exactly there.  So after
-    the raw product each row the frame filled is floored once, a shared row
-    into a copy (later frames still read it raw) and any other in place.
-    Where the product is 0 the node does not move and the factor is taken
-    as zero.  The reduced variant's radial factor (:func:`_radial_factors`)
-    is one more factor of every frame.
+    rows (:func:`_clamped_second_differences`); one :func:`_product_and_sum`
+    call gives its raw product P' = P_F / c_F and leave-one-out sum s'.
+    The reduced variant's radial factor (:func:`_radial_factors`) is one
+    more factor of every frame.
 
-    For the plain variant with p >= 1 on a lattice of dimension n >= 3 the
-    slope field is then lowered to the chord bound of :func:`_chord_slope`
-    wherever it could set a member's maximum (:func:`_lower_to_chord_bound`).
-    The rule is fixed by variant, p and n.  In 2-D (2 to 8 frames) the
-    all-frame value is within 1.1-1.7x of the chord bound, and the
-    refinement costs more per step than it saves in steps; for p < 1 the
-    frame powers are not convex and the bound does not hold; the reduced
-    variant's radial factor is not a product of frame differences.
+    For p >= 1 the slope factor of frame F is s'/P' = sum_{e in F} 1/D'_e,
+    and the slope is the tangent bound of the module docstring,
+    2p h^2 F(x) times their maximum, with 0 where F(x) <= 0: there no
+    frame can fall (F never falls below 0), and the 0/0 and inf of a
+    degenerate frame go with it.  The bound holds because each frame's
+    power is convex, nonincreasing and >= 0 along a raise of the centre,
+    so it stays above its tangent line from its own value, cut at 0.
+
+    For p < 1 the powers are not convex, and frame F's slope factor is
+    |d(P_F^p)/du(x)| = p P_F^(p-1) 2h^2 c_F s', with its pieces (but never
+    the product itself) computed from differences floored at the curvature
+    scale h^2: a second difference below the scheme's own truncation scale
+    is indistinguishable from degenerate, and the raw p - 1 power diverges
+    exactly there.  So after the raw product each row the frame filled is
+    floored once, a shared row into a copy (later frames still read it raw)
+    and any other in place.  Where the product is 0 the node does not move
+    and the factor is taken as zero.  The slope is b times the largest
+    factor, which is not a bound where 0 < D < h^2.
     """
     dom = u.domain
     plan = _span_cached(u, ("plan", cfg.width, cfg.p, cfg.variant, cfg.n_full),
                         lambda members: _Plan(dom, cfg, members))
     p, twice = cfg.p, plan.twice
+    b = cfg.b.constant_value
+    if b is None:
+        b = cfg.b(dom.interior_positions, u.t)
+        cfg.b.check_bounds(b, f"at t={u.t}")
     # the span padded to whole members (a (member, S) view); the padding
     # holds zeros
     best, best_slope = np.empty(plan.padded), np.empty(plan.padded)
     best[plan.L:] = best_slope[plan.L:] = 0.0
     arg = np.zeros(plan.padded, dtype=np.uint8) if with_frames else None
     weight = None
-    for lo, hi, centre, fills, radial in plan.views(u):
-        np.multiply(2.0, centre, out=twice)
-        if radial:
-            weight = _radial_factors(plan, cfg.n_full, twice, *radial)
-        low, top = best[lo:hi], best_slope[lo:hi]
-        for k, ((groups, factors, factors_f, c, gain), reads) in \
-                enumerate(zip(plan.frames, fills)):
-            _clamped_second_differences(reads, twice)
-            # frame 0 writes its product and slope factor straight into the
-            # running minimum and maximum (its rate too, at p = 1)
-            P = plan.prod if k else low
-            P_f = plan.prod_f if plan.floored else P
-            R = top if not k and p == 1.0 else plan.rate
-            W = plan.power if k else top
-            if plan.floored:
-                _product_and_sum(factors, P)
-                for out, out_f, floor, _, _ in groups:
-                    np.maximum(out, floor, out=out_f)
-            _product_and_sum(factors_f, P_f, R, weight, plan.term)
-            R *= gain
-            if p != 1.0:
-                np.multiply(P_f, c, out=W)
-                np.power(W, p - 1.0, out=W)
-                W *= R
-                np.copyto(W, 0.0, where=~(P > 0))
-            P *= c
-            if not k:
-                continue
-            if with_frames:
-                arg[lo:hi][P < low] = k
-            # monotone steps need the slope bound over every frame, not
-            # just the active one: a frame can take over mid-step
-            np.maximum(top, W, out=top)
-            np.minimum(low, P, out=low)
-    b = cfg.b.constant_value
-    if b is None:
-        b = cfg.b(dom.interior_positions, u.t)
-        cfg.b.check_bounds(b, f"at t={u.t}")
-    _scale(best_slope, b, plan.inner)
-    np.copyto(best_slope, 0.0, where=plan.off)
-    if cfg.variant == "plain" and p >= 1.0 and dom.n >= 3:
-        _lower_to_chord_bound(u, p, plan, best, b, best_slope)
-    if p != 1.0:
-        np.power(best, p, out=best)
-    _scale(best, b, plan.inner)
-    np.copyto(best, -0.0, where=plan.off)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo, hi, centre, fills, radial in plan.views(u):
+            np.multiply(2.0, centre, out=twice)
+            if radial:
+                weight = _radial_factors(plan, cfg.n_full, twice, *radial)
+            low, top = best[lo:hi], best_slope[lo:hi]
+            for k, ((groups, factors, factors_f, c, gain), reads) in \
+                    enumerate(zip(plan.frames, fills)):
+                _clamped_second_differences(reads, twice)
+                # frame 0 writes its product and slope factor straight into
+                # the running minimum and maximum
+                P = plan.prod if k else low
+                W = plan.power if k else top
+                if plan.floored:
+                    _product_and_sum(factors, P)
+                    for out, out_f, floor, _, _ in groups:
+                        np.maximum(out, floor, out=out_f)
+                    _product_and_sum(factors_f, plan.prod_f, plan.rate,
+                                     weight, plan.term)
+                    plan.rate *= gain
+                    np.multiply(plan.prod_f, c, out=W)
+                    np.power(W, p - 1.0, out=W)
+                    W *= plan.rate
+                    np.copyto(W, 0.0, where=~(P > 0))
+                else:
+                    _product_and_sum(factors, P, plan.rate, weight, plan.term)
+                    np.divide(plan.rate, P, out=W)
+                P *= c
+                if not k:
+                    continue
+                if with_frames:
+                    arg[lo:hi][P < low] = k
+                # monotone steps need the slope bound over every frame, not
+                # just the active one: a frame can take over mid-step
+                np.maximum(top, W, out=top)
+                np.minimum(low, P, out=low)
+        if p != 1.0:
+            np.power(best, p, out=best)
+        _scale(best, b, plan.inner)
+        np.copyto(best, -0.0, where=plan.off)
+        if plan.floored:
+            _scale(best_slope, b, plan.inner)
+            np.copyto(best_slope, 0.0, where=plan.off)
+        else:
+            best_slope *= best
+            best_slope *= 2.0 * p * plan.hh
+            np.copyto(best_slope, 0.0, where=best <= 0.0)
     return OperatorField(dom, best, best_slope, plan.inner, arg)
 
 
@@ -597,77 +596,6 @@ def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
         a[inner] *= b
     elif b != 1.0:
         a *= b
-
-
-def _lower_to_chord_bound(u: GridFunction | GridStack, p: float, plan: _Plan,
-                          best: np.ndarray, b, slope: np.ndarray) -> None:
-    """Lower the slope field on the span (in place, ``b`` times the
-    all-frame value on entry and 0 off the interior) to ``b`` times the
-    chord bound wherever it could set its member's maximum.
-
-    Per member, take the chord bound sigma* at the node of largest
-    all-frame value among the nodes whose minimum product ``best`` is
-    positive (the others do not move, and their chord bound is 0; with no
-    such node, at the first interior node).  Every node whose all-frame
-    value exceeds sigma* is lowered to its chord bound; the rest keep their
-    all-frame value, which is at most sigma*.  Since the chord bound never
-    exceeds the all-frame value, the lowered field's maximum is exactly the
-    largest chord bound over all nodes, and it is at least the largest
-    active-frame slope: at a node that moves the chord bound is at least
-    the active frame's slope.
-    """
-    S = u.domain.classes.size
-    slope = slope.reshape(-1, S)
-    first = np.atleast_2d(plan.inner)[0]
-    peak = np.where(best.reshape(-1, S) > 0.0, slope, 0.0)
-    top = peak.argmax(axis=-1)
-    rows = np.arange(len(top))
-    top[peak[rows, top] == 0.0] = first[0]
-    bound = _chord_slope(u, plan.st, rows * S + top, p)
-    bound *= b if np.ndim(b) == 0 else b[np.searchsorted(first, top)]
-    hit = np.nonzero(slope > bound[:, None])
-    if not hit[0].size:
-        return
-    sigma = _chord_slope(u, plan.st, hit[0] * S + hit[1], p)
-    sigma *= b if np.ndim(b) == 0 else b[np.searchsorted(first, hit[1])]
-    slope[hit] = np.minimum(slope[hit], sigma)
-
-
-def _chord_slope(u: GridFunction | GridStack, st: _Stencil, cols: np.ndarray,
-                 p: float) -> np.ndarray:
-    """The chord slope factor at the span columns ``cols``, for p >= 1.
-
-    Raise the centre by delta = t h^2 / 2 with the neighbours fixed: every
-    raw difference D'_e falls by t h^2, and frame F's product becomes
-    P_F(t) = c_F prod_{e in F} max(0, D'_e - t h^2).  Each factor is convex,
-    nonincreasing and >= 0; so is a product of such functions, and so is
-    its p-th power for p >= 1: P_F and g_F = P_F^p are too.  With
-    M = min_F P_F(0) and m = M^p, the explicit update
-    u + dt b min_F g_F is nondecreasing along every raise when
-    dt b sigma <= h^2, sigma = 2 max_F sup_{t>0} (m - g_F(t)) / t.  Per
-    frame, let t_F = (P_F(0) - M) / |P_F'(0)|.  On [0, t_F] the tangent
-    line keeps P_F >= M, so g_F >= m; past t_F, g_F >= 0 and convexity
-    (g_F(t_F) >= m) bound the quotient by min(m / t_F, |g_F'(t_F)|).  The
-    active frame (t_F = 0) gives |g_F'(0)|, the slope the all-frame rule
-    takes for it; every frame's bound is at most its |g_F'(0)|, so sigma
-    never exceeds the all-frame value.  M = 0 gives sigma = 0: g_F >= 0.
-    """
-    hh = u.domain.h_grid * u.domain.h_grid
-    c = 1.0 / (np.array(st.e2_product)[:, None] * hh ** u.domain.n)
-    X = _differences_at(u, st, cols)[np.array(st.frames).T]
-    P, s = _product_and_sum(X, *np.empty((2,) + X.shape[1:]))  # (frame, node)
-    P0 = c * P
-    M = P0.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tF = (P0 - M) / (c * hh * s)
-        X -= tF * hh
-        # P and s now take the values at t_F
-        dg = c * hh * _product_and_sum(np.maximum(X, 0.0, out=X), P, s)[1]
-        if p != 1.0:
-            dg *= p * (c * P) ** (p - 1.0)
-        sigma = 2.0 * np.minimum(M ** p / tF, dg).max(axis=0)
-    sigma[~(M > 0.0)] = 0.0
-    return sigma
 
 
 # ---------------------------------------------------------------------------

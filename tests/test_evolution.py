@@ -251,7 +251,7 @@ _BOX = {"domain.kind": "box", "domain.lower": [-1.0, -1.0],
       {**_BALL, "op.p": 1.0, "data.kind": "crease", "data.axis": 0}], 0.01),
     ([{**_BOX, "op.p": 0.4, "data.kind": "quadratic",
        "data.matrix": [[1.2, 0.1], [0.1, 0.8]]}], 0.05),
-    # 3-D crease, a span of two blocks, through the chord bound
+    # 3-D crease, a span of two blocks
     ([{"domain.kind": "box", "domain.lower": [-1.0] * 3,
        "domain.upper": [1.0] * 3, "grid.h": 0.0625, "op.p": 1.0,
        "data.kind": "crease"}], 5e-4),

@@ -1,7 +1,8 @@
 """Every name a module exports through ``__all__`` exists in it, every
 name it imports is used, every private helper is called from somewhere,
 every keyword default of a private function is overridden somewhere, and
-every registered probe is run by a registry entry or ``pma-lab analyze``."""
+every registered probe is run by a registry entry or ``pma-lab analyze``,
+and every claim of the claims document is cited by a registry entry."""
 
 import argparse
 import ast
@@ -13,7 +14,7 @@ import pytest
 
 import pma_lab
 from pma_lab.cli import _build_parser
-from pma_lab.experiments import _PROBES, REGISTRY
+from pma_lab.experiments import _PROBES, REGISTRY, claims_text
 
 _MODULES = sorted(p for p in Path(pma_lab.__file__).parent.glob("*.py")
                   if p.name != "__init__.py")    # the package re-exports
@@ -217,3 +218,17 @@ def test_every_probe_is_reachable():
         f"analyze offers unregistered probes: {sorted(analyze - set(_PROBES))}"
     unreached = set(_PROBES) - named - analyze
     assert not unreached, f"probes nothing runs: {sorted(unreached)}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "claims 6, 7, 9 and 16 are cited by no registry entry (ROADMAP item 4's "
+    "claim coverage)"))
+def test_every_claim_is_cited_by_an_entry():
+    # a claim that no entry cites is checked by nothing the registry runs
+    claims = {int(head) for head, sep, _ in
+              (line.partition("|") for line in claims_text().splitlines())
+              if sep and head.strip().isdigit()}
+    cited = {spec.claim_id for spec in REGISTRY.values()}
+    assert cited <= claims
+    assert not claims - cited, \
+        f"claims no entry cites: {sorted(claims - cited)}"

@@ -9,9 +9,8 @@ from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
 from pma_lab.monge_ampere import (_BLOCK, VARIANTS, OperatorConfig, _Plan,
                                   _clamped_second_differences,
-                                  _core_values, _differences_at, _stencil,
-                                  ma_field, orthogonal_frames,
-                                  reduced_ma_field)
+                                  _core_values, _stencil, ma_field,
+                                  orthogonal_frames, reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -75,13 +74,15 @@ def pointwise_value(u, idx, cfg):
 
 
 def pointwise_slope(u, idx, cfg):
-    """The all-frame slope at one node in curvature units, frame by frame
-    in scalar arithmetic: b times 2 max_F p P_F^(p-1) sum_i w_i prod_{j !=
-    i} F_j, with w_i = 1/|e_i|^2 for a second difference and, for the
-    reduced radial factor R = max(0, u_r/r)^(n_full-2), the centre's weight
-    (n_full-2) (u_r/r)^(n_full-3) on the axis (through u_rr) and 0 off it.
-    For p < 1 the pieces use the differences and u_r/r floored at h^2; for
-    p != 1 a frame whose product is 0 gives 0."""
+    """The slope at one node in curvature units, frame by frame in scalar
+    arithmetic, with the factors F_i of each frame and their centre weights
+    w_i: 1/|e_i|^2 for a second difference and, for the reduced radial
+    factor R = max(0, u_r/r)^(n_full-2), (n_full-2) (u_r/r)^(n_full-3) on
+    the axis (through u_rr) and 0 off it.  For p >= 1 the tangent bound
+    2p F(x) max_F sum_i w_i / F_i, and 0 where F(x) = 0.  For p < 1 the
+    all-frame slope, b times 2 max_F p P_F^(p-1) sum_i w_i prod_{j != i}
+    F_j, with the pieces from the differences and u_r/r floored at h^2, and
+    0 from a frame whose product is 0."""
     dom = u.domain
     hh = dom.h_grid ** 2
     floor = hh if cfg.p < 1.0 else 0.0
@@ -92,6 +93,9 @@ def pointwise_slope(u, idx, cfg):
         ratio_f = max(ratio, floor)
         w = (nf - 2) * ratio_f ** (nf - 3) if on_axis else 0.0
         radial = [(ratio ** (nf - 2), ratio_f ** (nf - 2), w)]
+    value = pointwise_value(u, idx, cfg)[0]
+    if cfg.p >= 1.0 and not value > 0.0:
+        return 0.0
     best = 0.0
     for frame in orthogonal_frames(dom.n, cfg.width):
         factors = []
@@ -99,14 +103,19 @@ def pointwise_slope(u, idx, cfg):
             D = max(_second_difference(u, idx, e), 0.0)
             factors.append((D, max(D, floor), 1.0 / sum(c * c for c in e)))
         factors += radial
+        if cfg.p >= 1.0:
+            best = max(best, sum(w / F for F, _, w in factors))
+            continue
         prod = math.prod(F for F, _, _ in factors)
-        if cfg.p != 1.0 and not prod > 0.0:
+        if not prod > 0.0:
             continue
         prod_f = math.prod(F for _, F, _ in factors)
         rate = sum(w * math.prod(G for j, (_, G, _) in enumerate(factors)
                                  if j != i)
                    for i, (_, _, w) in enumerate(factors))
         best = max(best, 2.0 * cfg.p * prod_f ** (cfg.p - 1.0) * rate)
+    if cfg.p >= 1.0:
+        return 2.0 * cfg.p * value * best
     x = dom.coordinates(idx)[None, :]
     return float(cfg.b(x, u.t)[0]) * best
 
@@ -362,10 +371,9 @@ def test_multi_block_stack_matches_member_calls_byte_for_byte(variant, p,
     # a stack whose span is longer than one block runs the frame loop block
     # by block, with members cut across block bounds; the span is odd, so
     # the second of its two equal blocks overlaps the first by a column.
-    # Each member's output is still bit for bit its own one-block call
-    # (3-D at p >= 1 also goes through the chord bound), and so it is on a
-    # second call, after the stack changed in place, through the views
-    # the first call left
+    # Each member's output is still bit for bit its own one-block call, and
+    # so it is on a second call, after the stack changed in place, through
+    # the views the first call left
     reduced = variant == "reduced"
     n = 2 if reduced else 3
     dom = _lattice(n, 2, reduced)
@@ -487,12 +495,22 @@ def test_views_are_rebuilt_for_a_new_or_copied_input(members, variant):
         wide += 1e-3 * rng.standard_normal(wide.shape)
 
 
+def _differences_at(u, offsets, cols):
+    """The raw clamped second differences max(0, Delta^2_e u) of the
+    directions at flattened ``offsets``, at the span columns ``cols``, one
+    row per direction, in the kernel's order of operations."""
+    flat, a, _ = _core_values(u)
+    at = a + cols
+    k = np.array(offsets)[:, None]
+    return np.maximum(flat[at + k] + flat[at - k] - 2.0 * flat[at], 0.0)
+
+
 @pytest.mark.parametrize("members", [None, 3])
 @pytest.mark.parametrize("width", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 3])
 def test_differences_at_columns_equal_the_span_rows(n, width, members,
                                                     monkeypatch):
-    # the chord bound's differences, recomputed at a few columns, are bit
+    # the differences recomputed from the values at a few columns are bit
     # for bit the entries of the block rows each frame of the loop fills
     # and reads, in every block of a span planned in three blocks
     dom = _lattice(n, width, False)
@@ -514,8 +532,7 @@ def test_differences_at_columns_equal_the_span_rows(n, width, members,
         here = inner[(inner >= lo) & (inner < hi)]
         cols = rng.choice(here, size=min(15, here.size), replace=False)
         blocks += cols.size > 0
-        got = _differences_at(u, sten, cols)
-        assert got.shape == (len(sten.offsets), cols.size)
+        got = _differences_at(u, sten.offsets, cols)
         for k, frame in enumerate(sten.frames):
             _clamped_second_differences(fills[k], 2.0 * centre)
             for d, row in zip(frame, plan.frames[k][1]):
@@ -565,7 +582,8 @@ def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
 def test_work_arrays_hold_a_few_rows(n, p):
     # only the directions several frames read (the axes in 3-D, none in
     # 2-D) keep a block row; the others share at most n scratch rows, and
-    # the floored product and the power exist only where they are written;
+    # the floored product and the power exist only where they are written
+    # (p < 1: at p >= 1 each frame's rate is divided in place);
     # on a span of several blocks no work array is longer than one block
     dom = build_domain({"kind": "ball", "center": [0.03] * n,
                         "radius": 1.0}, h_grid=0.1 if n == 2 else 0.25,
@@ -580,7 +598,7 @@ def test_work_arrays_hold_a_few_rows(n, p):
     for name, a in dom.work.items():
         assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
     assert ("prod_f" in dom.work) == (p < 1.0)
-    assert ("power" in dom.work) == (p != 1.0)
+    assert ("power" in dom.work) == (p < 1.0)
     stack = GridStack(dom, np.stack([u.values] * (_BLOCK // dom.classes.size
                                                   + 2)))
     assert _span_length(stack) > _BLOCK
