@@ -169,6 +169,13 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _flag(value) -> bool:
+    # bool("false") is True: only the literals True and False are flags
+    if not isinstance(value, bool):
+        raise TypeError("expected True or False")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # coefficient expressions
 # ---------------------------------------------------------------------------
@@ -288,9 +295,10 @@ def make_initial(cfg: dict):
                 coeff=_get(cfg, "data.coeff", 1.0, cast=float),
                 direction=_get(cfg, "data.direction", cast=_floats))
         if kind == "selfsimilar":
-            return make_profile(cfg).as_initial_data(
-                T=_get(cfg, "data.T", 1.0, cast=float),
-                reduced=bool(_get(cfg, "data.reduced", False)))
+            # read before the profile build, which takes a while
+            T = _get(cfg, "data.T", 1.0, cast=float)
+            reduced = _get(cfg, "data.reduced", False, cast=_flag)
+            return make_profile(cfg).as_initial_data(T=T, reduced=reduced)
         return _compile_expression(
             _get(cfg, "data.expression", required=True, cast=str))
     except ConfigError:

@@ -174,19 +174,12 @@ class Domain:
         return _read_only(np.flatnonzero(self._interior))
 
     @cached_property
-    def work(self) -> dict:
-        """Work arrays that operator kernels reuse between calls on this
-        lattice, by name: block rows of at most 2^15 columns, such as the
-        operator's shared and scratch second differences, frame products
-        and slope pieces.  Calls sharing a domain must not run
-        concurrently."""
-        return {}
-
-    @cached_property
     def span_cache(self) -> dict:
         """What operator kernels derive from the lattice, their config and
         the number of stacked members alone, kept between calls: the frame
-        loop's plans, which also keep views on the last values they read."""
+        loop's plans, each with the work rows it reuses from call to call
+        and the views on the last values it read.  Calls that share a plan
+        must not run concurrently."""
         return {}
 
     def interior_mask(self) -> np.ndarray:
@@ -274,8 +267,8 @@ def build_domain(description: dict, h_grid: float,
     the region is too small to contain a usable interior at this
     resolution.
     """
-    if h_grid <= 0:
-        raise ValueError("h_grid must be positive")
+    if not (h_grid > 0 and math.isfinite(h_grid)):
+        raise ValueError(f"h_grid must be positive and finite: {h_grid}")
     if stencil_radius < 1:
         raise ValueError("stencil_radius must be at least 1")
     lo, hi, inside = _region(description)
@@ -435,8 +428,11 @@ class CoefficientField:
 
     def check_bounds(self, vals: np.ndarray, where: str = "") -> None:
         slack = 1e-12 * max(1.0, self.Lam)
-        if np.any(vals < self.lam - slack) or np.any(vals > self.Lam + slack):
-            raise ValueError(f"coefficient leaves [lam, Lam] {where}".rstrip())
+        # NaN fails both comparisons, so only values inside pass
+        if not np.all((vals >= self.lam - slack) & (vals <= self.Lam + slack)):
+            what = ("leaves [lam, Lam]" if np.isfinite(vals).all()
+                    else "is not finite")
+            raise ValueError(f"coefficient {what} {where}".rstrip())
 
     @property
     def constant_value(self) -> float | None:

@@ -188,8 +188,9 @@ class OperatorField:
     span of the frame loop.
 
     ``span_values``, ``span_slope`` and ``span_frames`` hold one entry per
-    column of the span of :func:`_core_values`, padded to whole members:
-    member m's core starts at column m S, S = ``domain.classes.size``.
+    column of the span that covers every member's ``domain.core`` (and the
+    rims between), padded to whole members: member m's core starts at
+    column m S, S = ``domain.classes.size``.
     Every column that is not an interior node holds a no-op, value -0.0
     and slope 0.0 (x + (-0.0) is x for every double), so a time step adds
     the whole span to the flat values.  ``columns`` are the interior
@@ -309,15 +310,6 @@ def _stencil(shape: tuple[int, ...], width: int, radius: int) -> _Stencil:
         fills=tuple(fills), rows=tuple(rows))
 
 
-def _core_values(u: GridFunction | GridStack) -> tuple[np.ndarray, int, int]:
-    """The values of every member in one flat float array, and the bounds of
-    the one span that covers the core of each member (and the rims
-    between)."""
-    dom = u.domain
-    flat = np.ascontiguousarray(u.values, dtype=float).reshape(-1)
-    return flat, dom.core.start, dom.core.stop + flat.size - dom.classes.size
-
-
 def _span_cached(u: GridFunction | GridStack, name, build):
     """``build(members)`` for this lattice and stack size, built on the
     first call and kept on the domain (``members`` is None for a grid
@@ -328,17 +320,6 @@ def _span_cached(u: GridFunction | GridStack, name, build):
     if key not in cache:
         cache[key] = build(members)
     return cache[key]
-
-
-def _work(dom: Domain, name: str, shape) -> np.ndarray:
-    """A float work array kept on the domain for the plans of its lattice
-    (:class:`_Plan`): a block row of the frame loop or a stack of such rows,
-    so that steps do not allocate (and page-fault) dozens of temporaries."""
-    work = dom.work
-    a = work.get(name)
-    if a is None or a.shape != shape:
-        a = work[name] = np.empty(shape)
-    return a
 
 
 class _Plan:
@@ -352,6 +333,12 @@ class _Plan:
     of :class:`OperatorField`; and for the reduced variant, per block, the
     row 2hr (1 on the axis r = 0), the axis entries and the radial rate
     weight (0 off the axis).
+
+    It allocates every block row the loop writes and shares none with
+    another plan.  At p >= 1 nothing is floored, so the floored rows are
+    the raw ones (the floored differences are ``diff``, ``ratio_f`` and
+    ``R_f`` of ``radial`` are ``ratio`` and ``R``), ``power`` is ``rate``,
+    and ``prod_f`` is None.
     """
 
     def __init__(self, dom: Domain, cfg: OperatorConfig, members: int | None):
@@ -373,29 +360,26 @@ class _Plan:
         self.off[inner.reshape(-1)] = False
         p, hh, ns = cfg.p, dom.h_grid * dom.h_grid, len(st.shared)
         self.hh, self.floored = hh, p < 1.0
-        diff = _work(dom, "diff", (ns, size))
-        scratch = _work(dom, "scratch", (st.scratch, size))
-        low = _work(dom, "floored", (ns, size)) if self.floored else diff
+        diff, scratch = np.empty((ns, size)), np.empty((st.scratch, size))
+        low = np.empty((ns, size)) if self.floored else diff
         rows, rows_f = [*diff, *scratch], [*low, *scratch]
 
         def block(r, g, a=diff):
             # rows r, ..., r + g - 1, all shared or all scratch (see _stencil)
             return a[r:r + g] if r < ns else scratch[r - ns:r - ns + g]
 
-        self.twice, self.prod, self.rate = (
-            _work(dom, name, (size,)) for name in ("twice", "prod", "rate"))
+        self.twice, self.prod, self.rate = (np.empty(size) for _ in range(3))
         # p >= 1 divides each frame's rate in place
-        self.prod_f, self.power = (
-            [_work(dom, name, (size,)) for name in ("prod_f", "power")]
-            if self.floored else (None, self.rate))
+        self.prod_f, self.power = ((np.empty(size), np.empty(size))
+                                   if self.floored else (None, self.rate))
         self.radius, self.term, radial, radial_f = [None] * blocks, None, [], []
         if cfg.variant == "reduced":
             h, self.kr = dom.h_grid, dom.shape[1]   # offset of the first axis
-            f = "_f" if self.floored else ""
-            self.radial = [_work(dom, name, (size,)) for name in
-                           ("ratio", "radial", "ratio" + f, "radial" + f)]
+            ratio, R = np.empty(size), np.empty(size)
+            self.radial = [ratio, R, *((np.empty(size), np.empty(size))
+                                       if self.floored else (ratio, R))]
             radial, radial_f = self.radial[1:2], self.radial[3:]
-            self.term = _work(dom, "term", (size,))
+            self.term = np.empty(size)
             r_all = np.tile(np.repeat(dom.axes()[0], self.kr), members or 1)
             self.radius = []
             for lo, hi in self.blocks:
@@ -422,11 +406,12 @@ class _Plan:
         reduced variant (u(x + h e_1), u(x - h e_1), *radius).  They are kept
         with ``u.values``, which the plan holds alive until the next rebuild,
         and reused while calls pass that same array object; an input that
-        :func:`_core_values` copies gets new ones on every call, since the
-        copy would not see a later change to it."""
+        must be copied (not C-contiguous or not float) gets new ones on every
+        call, since the copy would not see a later change to it."""
         if u.values is self.source:
             return self.read
-        flat = _core_values(u)[0]
+        # every member end to end, as one flat float array
+        flat = np.ascontiguousarray(u.values, dtype=float).reshape(-1)
         self.source = u.values if np.may_share_memory(flat, u.values) else None
         item, self.read = flat.itemsize, []
 

@@ -123,7 +123,10 @@ def test_data_value_that_does_not_fit_the_lattice_exits_2(tmp_path, capsys,
      "run.t_end must be positive and finite: inf"),
     ("op.p = 1.0", "op.p = 1e999",
      "exponent p must be positive and finite: inf"),
-], ids=["radius", "t_end", "p"])
+    ("grid.h = 0.1", "grid.h = nan", "h_grid must be positive and finite: nan"),
+    ("grid.h = 0.1", "grid.h = 1e999",
+     "h_grid must be positive and finite: inf"),
+], ids=["radius", "t_end", "p", "h-nan", "h-inf"])
 def test_non_finite_region_value_exits_2_without_a_warning(tmp_path, capsys,
                                                            line, new, message):
     # a value that is not finite is refused where it is read, with exit 2

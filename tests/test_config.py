@@ -204,6 +204,15 @@ def test_a_value_of_the_wrong_type_names_its_key(cfg, key):
         make_state(cfg)
 
 
+@pytest.mark.parametrize("value", ["false", "0", "[]"])
+def test_data_reduced_takes_only_a_bool(value):
+    # a bare false parses as the string 'false', which bool() reads as True
+    cfg = parse_config("data.kind = selfsimilar\ndata.n = 4\ndata.p = 1.0\n"
+                       f"data.reduced = {value}\n")
+    with pytest.raises(ConfigError, match="for 'data.reduced'"):
+        make_initial(cfg)
+
+
 def test_make_initial_expression():
     sol = make_initial({"data.kind": "expression",
                         "data.expression": "0.5*r**2 + t"})

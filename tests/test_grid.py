@@ -9,6 +9,7 @@ from scipy.ndimage import binary_dilation
 from pma_lab.grid import (BAND, EXTERIOR, INTERIOR, CoefficientField, Domain,
                           build_domain, fmt17, load_csv, sample, save_csv,
                           write_table, _chebyshev_dilate)
+from pma_lab.monge_ampere import OperatorConfig, ma_field
 
 
 def box2(h=0.5, w=2):
@@ -253,6 +254,27 @@ def test_coefficient_field_bounds():
     b.check_bounds(vals)
     with pytest.raises(ValueError, match="coefficient leaves"):
         b.check_bounds(np.array([1.6]))
+
+
+def test_a_nan_coefficient_fails_the_bounds_check():
+    # NaN compares false with both bounds, so a check for values outside
+    # them would let it pass; only values inside do
+    b = CoefficientField(
+        lambda p, t: np.where(p[:, 0] < -0.5, np.nan, 1.0), lam=0.1, Lam=2.0)
+    dom = ball2(h=0.1)
+    with pytest.raises(ValueError, match="coefficient is not finite"):
+        b.check_bounds(b(dom.interior_positions, 0.0))
+    u = sample(dom, lambda pts, t: 0.5 * (pts ** 2).sum(axis=1))
+    with pytest.raises(ValueError, match=r"coefficient is not finite at t=0"):
+        ma_field(u, OperatorConfig(p=1.0, b=b))
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, 0.0, -0.1])
+def test_build_domain_refuses_a_spacing_not_positive_and_finite(h):
+    with pytest.raises(ValueError, match=re.escape(
+            f"h_grid must be positive and finite: {h}")):
+        build_domain({"kind": "ball", "center": [0, 0], "radius": 1.0},
+                     h_grid=h)
 
 
 def test_gridfunction_validate_rejects_nan():

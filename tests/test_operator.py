@@ -8,9 +8,9 @@ from pma_lab import monge_ampere
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
 from pma_lab.monge_ampere import (_BLOCK, VARIANTS, OperatorConfig, _Plan,
-                                  _clamped_second_differences,
-                                  _core_values, _stencil, ma_field,
-                                  orthogonal_frames, reduced_ma_field)
+                                  _clamped_second_differences, _stencil,
+                                  ma_field, orthogonal_frames,
+                                  reduced_ma_field)
 
 
 def box(n=2, half=1.5, h=0.25, w=2):
@@ -272,15 +272,20 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
 
 
 @pytest.mark.parametrize("case", [
-    *[("plain", p, width) for p in (0.4, 1.0, 2.0) for width in (1, 2, 3)],
-    ("plain", 80.0, 1), ("reduced", 0.7, 2), ("reduced", 1.0, 2)],
-    ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}")
+    *[("plain", p, width, None) for p in (0.4, 1.0, 2.0)
+      for width in (1, 2, 3)],
+    ("plain", 80.0, 1, None), ("reduced", 0.7, 2, None),
+    ("reduced", 1.0, 2, None), ("reduced", 1.0, 2, 0.2)],
+    ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}" + (f"-urr{c[3]}h2" if c[3]
+                                               else ""))
 def test_slope_matches_pointwise_slope_at_every_interior_node(case):
     # the frame loop scales each frame's raw product and leave-one-out sum
     # once; node by node, the slope must equal the all-frame slope summed
     # in curvature units with its 2/|e|^2 weights (at p = 80 the constant
-    # c_F^(p-1) alone, 1e4^79, would overflow)
-    variant, p, width = case
+    # c_F^(p-1) alone, 1e4^79, would overflow).  The last case is a radial
+    # curvature u_rr in (0, h^2), which only p < 1 floors: at p >= 1 the
+    # axis rate weight must come from the raw ratio
+    variant, p, width, urr = case
     reduced = variant == "reduced"
     dom = _lattice(2, width, reduced)
     rng = np.random.default_rng(int(10 * p) + width)
@@ -288,8 +293,11 @@ def test_slope_matches_pointwise_slope_at_every_interior_node(case):
     M = A @ A.T + 0.3 * np.eye(2)
     if reduced:
         M[0, 1] = M[1, 0] = 0.0
+    if urr:
+        M[0, 0] = urr * dom.h_grid ** 2
     u = sample(dom, quad(M), t=0.25)
-    u.values += 0.01 * rng.standard_normal(u.values.shape)
+    if not urr:
+        u.values += 0.01 * rng.standard_normal(u.values.shape)
     if reduced:
         u.values = 0.5 * (u.values + u.values[::-1])
     cfg = OperatorConfig(p=p, width=width, variant=variant, b=_VARYING_B,
@@ -359,8 +367,9 @@ def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
 
 
 def _span_length(u) -> int:
-    _, a, b = _core_values(u)
-    return b - a
+    # the span covers every member's core and the rims between
+    dom = u.domain
+    return dom.core.stop - dom.core.start + u.values.size - dom.classes.size
 
 
 @pytest.mark.parametrize("varying_b", [False, True])
@@ -499,8 +508,8 @@ def _differences_at(u, offsets, cols):
     """The raw clamped second differences max(0, Delta^2_e u) of the
     directions at flattened ``offsets``, at the span columns ``cols``, one
     row per direction, in the kernel's order of operations."""
-    flat, a, _ = _core_values(u)
-    at = a + cols
+    flat = u.values.reshape(-1)
+    at = u.domain.core.start + cols
     k = np.array(offsets)[:, None]
     return np.maximum(flat[at + k] + flat[at - k] - 2.0 * flat[at], 0.0)
 
@@ -577,6 +586,19 @@ def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
     assert sorted(filled) == list(range(len(sten.offsets)))
 
 
+def _plan_rows(dom, p, members) -> tuple:
+    """The plain width-2 plan of ``dom`` and its work rows by name, the
+    difference rows as the whole arrays its fill groups are cut from."""
+    plan = dom.span_cache[(("plan", 2, p, "plain", None), members)]
+    rows = {name: getattr(plan, name) for name in
+            ("twice", "prod", "rate", "prod_f", "power")}
+    for k, (groups, *_) in enumerate(plan.frames):
+        for g, (out, out_f, *_) in enumerate(groups):
+            rows[f"diff {k}.{g}"], rows[f"floored {k}.{g}"] = \
+                out.base, out_f.base
+    return plan, {name: a for name, a in rows.items() if a is not None}
+
+
 @pytest.mark.parametrize("n,p", [(3, 0.4), (3, 1.0), (3, 2.0), (2, 0.4),
                                  (2, 1.0)])
 def test_work_arrays_hold_a_few_rows(n, p):
@@ -595,24 +617,25 @@ def test_work_arrays_hold_a_few_rows(n, p):
     assert len(sten.shared) == (3 if n == 3 else 0)
     assert len(sten.offsets) == (21 if n == 3 else 8)
     rows = max(len(sten.shared), n)
-    for name, a in dom.work.items():
+    plan, work = _plan_rows(dom, p, None)
+    for name, a in work.items():
         assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
-    assert ("prod_f" in dom.work) == (p < 1.0)
-    assert ("power" in dom.work) == (p < 1.0)
-    stack = GridStack(dom, np.stack([u.values] * (_BLOCK // dom.classes.size
-                                                  + 2)))
+    assert (plan.prod_f is not None) == (p < 1.0)
+    assert (plan.power is not plan.rate) == (p < 1.0)
+    members = _BLOCK // dom.classes.size + 2
+    stack = GridStack(dom, np.stack([u.values] * members))
     assert _span_length(stack) > _BLOCK
     ma_field(stack, OperatorConfig(p=p))
-    for name, a in dom.work.items():
+    for name, a in _plan_rows(dom, p, members)[1].items():
         assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
         assert a.shape[-1] <= _BLOCK, name
 
 
 def test_work_arrays_carry_nothing_between_calls():
-    # one lattice's work arrays serve every later call, whatever aliases the
-    # frame loop set up before (the power is the slope at p = 1, the floored
-    # product the product at p >= 1): each call in a mixed sequence equals
-    # the same call on a lattice that has never run the operator
+    # each plan owns its work rows, aliased only within itself (at p >= 1
+    # the power is the rate and the floored rows are the raw ones): each
+    # call in a mixed sequence on one lattice equals the same call on a
+    # lattice that has never run the operator
     desc = {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
     shared = build_domain(desc, h_grid=0.1, stencil_radius=2)
     values = sample(shared, quad([[1.3, 0.0], [0.0, 0.7]])).values
