@@ -13,8 +13,8 @@ from .monge_ampere import (OperatorConfig, OperatorField, ma_field,
                            orthogonal_frames, reduced_ma_field)
 from .exact import (ConjugateTable, SelfSimilarProfile, build_profile,
                     coefficient_closed_form, cone_data, crease_data,
-                    flat_disk_data, planted_power_data, profile_residual,
-                    quadratic_solution, solve_conjugate, subsolution_barrier,
+                    flat_disk_data, profile_residual, quadratic_solution,
+                    solve_conjugate, subsolution_barrier,
                     supersolution_barrier)
 from .evolution import (KAPPA_CFL, ComparisonReport, EvolutionResult,
                         EvolutionState, ScalingMap, comparison_check, evolve,

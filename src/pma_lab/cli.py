@@ -64,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="build the separating self-similar profile")
     ss.add_argument("--n", type=int, default=4, help="ambient dimension")
     ss.add_argument("--p", type=float, default=1.0, help="power p")
-    ss.add_argument("--rk-step", type=float, default=4e-4)
-    ss.add_argument("--n-tab", type=int, default=2501)
 
     geo = sub.add_parser("geometry", parents=[writes],
                          help="section, ellipsoid and balancedness report")
@@ -153,8 +151,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_selfsimilar(args) -> int:
-    profile = build_profile(args.n, args.p, rk_step=args.rk_step,
-                            n_tab=args.n_tab)
+    profile = build_profile(args.n, args.p)
     out_dir = os.path.join(args.out, "selfsimilar")
     write_profile_curve(RunContext.create(out_dir), profile)
     res = profile_residual(profile)

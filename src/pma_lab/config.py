@@ -19,35 +19,34 @@ Recognized keys:
   ``op.Lambda`` (defaults 1, 1).
 * ``data.kind`` and the ``data.*`` keys of that kind:
 
-  - ``quadratic``: ``matrix`` (required), ``b0``, ``linear``;
-  - ``cone``: ``slope``, ``center``;
+  - ``quadratic``: ``matrix`` (required);
+  - ``cone``: ``slope``;
   - ``crease``: ``axis``, ``quad_coeff``;
   - ``flat_disk``: ``radius`` (required), ``slope``;
-  - ``power``: ``gamma`` (required), ``coeff``, ``direction``;
-  - ``selfsimilar``: ``n`` and ``p`` (required), ``T``, ``reduced``,
-    ``rk_step``, ``n_tab``;
-  - ``expression``: ``expression`` (required).
+  - ``selfsimilar``: ``n`` and ``p`` (required), ``T``, ``reduced``;
+  - ``expression``: ``expression`` (required), for any other data.
 * ``run.t_end``; ``run.snapshots`` (count or explicit time list);
   ``run.boundary`` ``exact`` | ``frozen`` (default: exact for data kinds
   that are closed-form solutions, frozen otherwise).
 
 Unknown keys are configuration errors, and so are the keys of a region or
-data kind other than the one named, a value of the wrong type, and one
-that does not fit the lattice (a non-finite region value, a ``data.*``
-vector, matrix or axis of another dimension, an expression in an axis the
-lattice lacks): a typo that silently changed nothing would be worse than a
-refusal to run.
+data kind other than the one named, a value of the wrong type (an integer
+key takes only a whole number), and one that does not fit the lattice (a
+non-finite region value, a ``data.matrix`` or ``data.axis`` of another
+dimension, an expression in an axis the lattice lacks): a typo that
+silently changed nothing would be worse than a refusal to run.
 """
 
 from __future__ import annotations
 
 import ast
+import numbers
 
 import numpy as np
 
 from .evolution import EvolutionState
 from .exact import (build_profile, cone_data, crease_data, flat_disk_data,
-                    planted_power_data, quadratic_solution)
+                    quadratic_solution)
 from .grid import _REGION_KEYS, CoefficientField, Domain, build_domain, sample
 from .monge_ampere import OperatorConfig
 
@@ -73,12 +72,11 @@ class ConfigError(ValueError):
 # the data.* keys each data kind reads besides data.kind; a key of another
 # kind is refused, as an unknown key is
 _DATA_KEYS = {
-    "quadratic": {"matrix", "b0", "linear"},
-    "cone": {"slope", "center"},
+    "quadratic": {"matrix"},
+    "cone": {"slope"},
     "crease": {"axis", "quad_coeff"},
     "flat_disk": {"radius", "slope"},
-    "power": {"gamma", "coeff", "direction"},
-    "selfsimilar": {"n", "p", "T", "reduced", "rk_step", "n_tab"},
+    "selfsimilar": {"n", "p", "T", "reduced"},
     "expression": {"expression"},
 }
 
@@ -90,11 +88,6 @@ _KNOWN_KEYS = {
     "data": {"kind"}.union(*_DATA_KEYS.values()),
     "run": {"t_end", "snapshots", "boundary"},
 }
-
-# the rank of each vector or matrix data key: make_state refuses a value
-# whose shape is not (n,) * rank on an n-D lattice
-_DATA_RANKS = {"data.center": 1, "data.linear": 1, "data.direction": 1,
-               "data.matrix": 2}
 
 # data kinds whose evaluator solves the flow in closed form, so the exact
 # values can keep refreshing the boundary band during evolution
@@ -176,6 +169,14 @@ def _flag(value) -> bool:
     return value
 
 
+def _int(value) -> int:
+    # int() reads 2.7 as 2 and True as 1: a count takes only a whole number
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or value % 1 != 0:
+        raise TypeError("expected a whole number")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # coefficient expressions
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def make_domain(cfg: dict) -> Domain:
     h = _get(cfg, "grid.h", required=True, cast=float)
     try:
         return build_domain(desc, h_grid=h,
-                            stencil_radius=_get(cfg, "op.width", 2, cast=int))
+                            stencil_radius=_get(cfg, "op.width", 2, cast=_int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -246,19 +247,17 @@ def make_operator(cfg: dict) -> OperatorConfig:
                              _get(cfg, "op.Lambda", 1.0, cast=float))
         return OperatorConfig(
             p=_get(cfg, "op.p", required=True, cast=float),
-            width=_get(cfg, "op.width", 2, cast=int),
+            width=_get(cfg, "op.width", 2, cast=_int),
             variant=_get(cfg, "op.variant", "plain", cast=str),
-            b=b, n_full=_get(cfg, "op.n_full", cast=int))
+            b=b, n_full=_get(cfg, "op.n_full", cast=_int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def make_profile(cfg: dict):
     """The self-similar profile named by the ``data.*`` keys."""
-    return build_profile(n=_get(cfg, "data.n", required=True, cast=int),
-                         p=_get(cfg, "data.p", required=True, cast=float),
-                         rk_step=_get(cfg, "data.rk_step", 4e-4, cast=float),
-                         n_tab=_get(cfg, "data.n_tab", 2501, cast=int))
+    return build_profile(n=_get(cfg, "data.n", required=True, cast=_int),
+                         p=_get(cfg, "data.p", required=True, cast=float))
 
 
 def make_initial(cfg: dict):
@@ -275,25 +274,17 @@ def make_initial(cfg: dict):
         if kind == "quadratic":
             return quadratic_solution(
                 _get(cfg, "data.matrix", required=True, cast=_floats),
-                p=_get(cfg, "op.p", required=True, cast=float),
-                b0=_get(cfg, "data.b0", 1.0, cast=float),
-                linear=_get(cfg, "data.linear", cast=_floats))
+                p=_get(cfg, "op.p", required=True, cast=float))
         if kind == "cone":
-            return cone_data(slope=_get(cfg, "data.slope", 1.0, cast=float),
-                             center=_get(cfg, "data.center", cast=_floats))
+            return cone_data(slope=_get(cfg, "data.slope", 1.0, cast=float))
         if kind == "crease":
             return crease_data(
-                axis=_get(cfg, "data.axis", -1, cast=int),
+                axis=_get(cfg, "data.axis", -1, cast=_int),
                 quad_coeff=_get(cfg, "data.quad_coeff", 0.5, cast=float))
         if kind == "flat_disk":
             return flat_disk_data(
                 radius=_get(cfg, "data.radius", required=True, cast=float),
                 slope=_get(cfg, "data.slope", 1.0, cast=float))
-        if kind == "power":
-            return planted_power_data(
-                gamma=_get(cfg, "data.gamma", required=True, cast=float),
-                coeff=_get(cfg, "data.coeff", 1.0, cast=float),
-                direction=_get(cfg, "data.direction", cast=_floats))
         if kind == "selfsimilar":
             # read before the profile build, which takes a while
             T = _get(cfg, "data.T", 1.0, cast=float)
@@ -301,8 +292,6 @@ def make_initial(cfg: dict):
             return make_profile(cfg).as_initial_data(T=T, reduced=reduced)
         return _compile_expression(
             _get(cfg, "data.expression", required=True, cast=str))
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -312,12 +301,11 @@ def make_state(cfg: dict) -> EvolutionState:
     dom = make_domain(cfg)
     op = make_operator(cfg)
     sol = make_initial(cfg)
-    for key, rank in _DATA_RANKS.items():
-        want = (dom.n,) * rank
-        if key in cfg and np.shape(_get(cfg, key, cast=_floats)) != want:
-            raise ConfigError(f"{key} = {cfg[key]!r} does not fit the "
-                              f"{dom.n}-D lattice: it needs shape {want}")
-    if not -dom.n <= _get(cfg, "data.axis", 0, cast=int) < dom.n:
+    want = (dom.n, dom.n)
+    if "data.matrix" in cfg and np.shape(cfg["data.matrix"]) != want:
+        raise ConfigError(f"data.matrix = {cfg['data.matrix']!r} does not "
+                          f"fit the {dom.n}-D lattice: it needs shape {want}")
+    if not -dom.n <= _get(cfg, "data.axis", 0, cast=_int) < dom.n:
         raise ConfigError(f"data.axis = {cfg['data.axis']!r} does not fit the "
                           f"{dom.n}-D lattice: it is not one of its axes")
     for key in ("data.expression", "op.b_expression"):
@@ -347,7 +335,8 @@ def run_settings(cfg: dict) -> dict:
     if not (t_end > 0 and np.isfinite(t_end)):
         raise ConfigError(f"run.t_end must be positive and finite: {t_end}")
     snaps = _get(cfg, "run.snapshots", 4)
-    if isinstance(snaps, int):
+    if isinstance(snaps, numbers.Real):
+        snaps = _get(cfg, "run.snapshots", 4, cast=_int)
         if snaps < 1:
             raise ConfigError("run.snapshots must name at least one time")
         times = list(np.linspace(0.0, t_end, snaps + 1)[1:])

@@ -131,7 +131,7 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
     """Step N states on one lattice, under one config, with one shared dt.
 
     Refuses states on different lattices, at different times or under
-    different configs, and a first stop that is not ahead of their time.
+    different configs, and stops that are not finite or not ahead of them.
     A step is one operator pass over the stack of all N members; dt is the
     stack's one stable step, :func:`stable_dt` over the slope maximum of
     every member, so every member's update stays monotone.  The values on
@@ -148,8 +148,10 @@ def _shared_steps(states: list[EvolutionState], stops: list[float]):
         raise ValueError("shared stepping needs matching lattices and times")
     if any(s.cfg != cfg for s in states):
         raise ValueError("shared stepping needs one operator config")
-    if stops[0] <= t0:
+    if not stops[0] > t0:
         raise ValueError(f"stop {stops[0]} is not ahead of t = {t0}")
+    if not np.isfinite(stops).all():
+        raise ValueError(f"stops {stops} are not all finite")
     stack = GridStack(dom, np.stack([s.u.values for s in states]), t0)
     for s, v in zip(states, stack.values):
         s.u = GridFunction(dom, v, t0)

@@ -45,12 +45,10 @@ import numpy as np
 # function itself, called as ``fn(points, t)`` on points of shape (..., n)
 # ---------------------------------------------------------------------------
 
-def quadratic_solution(M, p: float, b0: float = 1.0, linear=None,
+def quadratic_solution(M, p: float, b0: float = 1.0,
                        const: float = 0.0) -> Callable:
-    """u = x^T M x / 2 + l.x + const + (det M)^p b0 t, exact for b == b0."""
+    """u = x^T M x / 2 + const + (det M)^p b0 t, exact for b == b0."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    n = M.shape[0]
-    lin = np.zeros(n) if linear is None else np.asarray(linear, dtype=float)
     detM = float(np.linalg.det(M))
     if detM < 0:
         raise ValueError("quadratic_solution needs a positive semidefinite M")
@@ -58,7 +56,7 @@ def quadratic_solution(M, p: float, b0: float = 1.0, linear=None,
 
     def fn(pts, t):
         quad = 0.5 * np.einsum("...i,ij,...j->...", pts, M, pts)
-        return quad + pts @ lin + const + rate * t
+        return quad + const + rate * t
 
     return fn
 
@@ -92,11 +90,10 @@ def supersolution_barrier(n: int, p: float, lam: float = 1.0) -> Callable:
     return fn
 
 
-def cone_data(slope: float = 1.0, center=None) -> Callable:
-    """u0 = slope |x - x0|: the vertex saturates the 1/(np+1) time rate."""
+def cone_data(slope: float = 1.0) -> Callable:
+    """u0 = slope |x|: the vertex saturates the 1/(np+1) time rate."""
     def fn(pts, t):
-        c = np.zeros(pts.shape[-1]) if center is None else np.asarray(center, float)
-        return slope * np.linalg.norm(pts - c, axis=-1)
+        return slope * np.linalg.norm(pts, axis=-1)
 
     return fn
 
@@ -115,21 +112,6 @@ def flat_disk_data(radius: float, slope: float = 1.0) -> Callable:
     """u0 = slope max(0, |x| - radius): flat on a disk, cone outside."""
     def fn(pts, t):
         return slope * np.maximum(np.linalg.norm(pts, axis=-1) - radius, 0.0)
-
-    return fn
-
-
-def planted_power_data(gamma: float, coeff: float = 1.0,
-                       direction=None) -> Callable:
-    """u0 = coeff max(0, x.e)^(1+gamma): a C^(1,gamma) interface."""
-    def fn(pts, t):
-        e = np.zeros(pts.shape[-1])
-        if direction is None:
-            e[0] = 1.0
-        else:
-            e[:] = np.asarray(direction, float)
-            e /= np.linalg.norm(e)
-        return coeff * np.maximum(pts @ e, 0.0) ** (1.0 + gamma)
 
     return fn
 

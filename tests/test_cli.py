@@ -94,10 +94,6 @@ _QUAD = "data.kind = quadratic\ndata.matrix = [[1.0, 0.0], [0.0, 1.0]]"
 @pytest.mark.parametrize("new,key", [
     ("data.kind = quadratic\ndata.matrix = "
      "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]", "data.matrix"),
-    (_QUAD + "\ndata.linear = [1.0]", "data.linear"),
-    ("data.kind = cone\ndata.center = [0.1, 0.2, 0.3]", "data.center"),
-    ("data.kind = power\ndata.gamma = 0.5\ndata.direction = [1.0, 0.0, 0.0]",
-     "data.direction"),
     ("data.kind = crease\ndata.axis = 5", "data.axis"),
     ('data.kind = expression\ndata.expression = "x3**2"', "data.expression"),
     (_QUAD + '\nop.b_expression = "1 + x3"\nop.Lambda = 3.0',
@@ -137,6 +133,28 @@ def test_non_finite_region_value_exits_2_without_a_warning(tmp_path, capsys,
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
 
+
+def test_solve_on_expression_data_with_a_frozen_band(tmp_path):
+    # data of no other kind is one data.expression line: here a C^(1,1/2)
+    # interface, whose band keeps its t = 0 values under run.boundary frozen
+    cfg = write_cfg(tmp_path, SOLVE_CFG.replace(_QUAD, (
+        'data.kind = expression\ndata.expression = "maximum(x1, 0)**1.5"\n'
+        "run.boundary = frozen")))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    snaps = [load_csv(str(out / "solve" / "snapshots" / f"snap_{k}.csv"))
+             for k in range(3)]
+    dom = snaps[0].domain
+    pts = dom.positions(dom.active_mask())
+    assert np.array_equal(snaps[0].values[dom.active_mask()],
+                          np.maximum(pts[:, 0], 0.0) ** 1.5)
+    band, inner = dom.band_mask(), dom.interior_mask()
+    for before, after in zip(snaps, snaps[1:]):
+        assert np.array_equal(after.values[band], snaps[0].values[band])
+        assert np.all(after.values[inner] >= before.values[inner])
+    assert snaps[-1].t == 0.01
+
+
 def test_solve_reruns_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -151,8 +169,7 @@ def test_solve_reruns_bit_identical(tmp_path):
 
 def test_selfsimilar_summary_and_tables(tmp_path, capsys):
     out = str(tmp_path / "out")
-    assert main(["selfsimilar", "--out", out,
-                 "--rk-step", "2e-3", "--n-tab", "501"]) == 0
+    assert main(["selfsimilar", "--out", out]) == 0
     base = os.path.join(out, "selfsimilar")
     assert os.path.exists(os.path.join(base, "probes", "profile_curve.csv"))
     assert os.path.exists(os.path.join(base, "plots", "profile_curve.gp"))
@@ -162,6 +179,17 @@ def test_selfsimilar_summary_and_tables(tmp_path, capsys):
     assert "C_closed_form = 0.0046296296296296294" in body
     stdout = capsys.readouterr().out
     assert "pde_residual" in stdout
+
+
+@pytest.mark.parametrize("flag", ["--rk-step", "--n-tab"])
+def test_selfsimilar_refuses_the_profile_step_flags(tmp_path, capsys, flag):
+    # --rk-step 0 never returned; --rk-step nan printed s_flat = nan
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["selfsimilar", flag, "0", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
+import ast
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pma_lab.config import (ConfigError, expression_field, format_config,
-                            make_domain, make_initial, make_operator,
-                            make_state, parse_config, read_config,
-                            run_settings)
+from pma_lab import config
+from pma_lab.config import (_KNOWN_KEYS, ConfigError, expression_field,
+                            format_config, make_domain, make_initial,
+                            make_operator, make_state, parse_config,
+                            read_config, run_settings)
+from pma_lab.grid import _REGION_KEYS
 
 BALL = {"domain.kind": "ball", "domain.center": [0.0, 0.0],
         "domain.radius": 1.0, "grid.h": 0.1}
@@ -50,6 +54,48 @@ def test_parse_rejects_unknown_and_duplicate_keys():
         parse_config("grid.h = 0.1\ngrid.h = 0.2")
     with pytest.raises(ConfigError, match="line 2: expected"):
         parse_config("grid.h = 0.1\ngrid.h: 0.2")
+
+
+@pytest.mark.parametrize("key", ["data.b0", "data.linear", "data.center",
+                                 "data.gamma", "data.coeff", "data.direction",
+                                 "data.rk_step", "data.n_tab"])
+def test_parse_refuses_the_data_keys_no_run_set(key):
+    # each such data is one data.expression line
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1")
+
+
+def _unread_keys(source: str, known: dict) -> list[str]:
+    """The keys of ``known`` (namespace -> leaves) that no call
+    ``_get(cfg, "<key>", ...)`` in ``source`` names as a string literal."""
+    read = {call.args[1].value for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_get"
+            and len(call.args) > 1 and isinstance(call.args[1], ast.Constant)}
+    return sorted(key for ns, leaves in known.items()
+                  for key in (f"{ns}.{leaf}" for leaf in leaves)
+                  if key not in read)
+
+
+def test_every_accepted_key_is_read():
+    # a key that parse_config accepts and no builder reads would be
+    # ignored without a word; make_domain hands the domain.* keys to
+    # build_domain, which reads those that its region kind takes
+    assert _KNOWN_KEYS["domain"] == {"kind"}.union(*_REGION_KEYS.values())
+    others = {ns: leaves for ns, leaves in _KNOWN_KEYS.items()
+              if ns != "domain"}
+    assert _unread_keys(Path(config.__file__).read_text(), others) == []
+
+
+def test_unread_key_check_counts_only_literal_get_calls():
+    src = ("def f(cfg, key):\n"
+           "    _get(cfg, 'a.read', 1, cast=int)\n"
+           "    _get(cfg, key)\n"
+           "    cfg.get('a.by_dict')\n"
+           "    x = 'a.in_string'\n")
+    known = {"a": {"read", "by_dict", "in_string", "absent"}}
+    assert _unread_keys(src, known) == ["a.absent", "a.by_dict",
+                                        "a.in_string"]
 
 
 def test_format_parse_round_trip(tmp_path):
@@ -166,8 +212,9 @@ def test_make_initial_kinds():
                          "data.slope": 1.0})
     assert disk(np.array([[0.2, 0.0], [1.5, 0.0]]), 0.0) == pytest.approx(
         [0.0, 1.0])
-    with pytest.raises(ConfigError, match="unknown data.kind"):
-        make_initial({"data.kind": "wavelet"})
+    for kind in ("wavelet", "power"):
+        with pytest.raises(ConfigError, match=f"unknown data.kind '{kind}'"):
+            make_initial({"data.kind": kind})
     with pytest.raises(ConfigError, match="data.matrix"):
         make_initial({"data.kind": "quadratic", "op.p": 1.0})
 
@@ -178,7 +225,8 @@ def test_make_initial_kinds():
     ("cone", {}, {"data.radius": 0.5, "data.matrix": [[1.0]], "data.T": 2.0}),
     ("crease", {}, {"data.slope": 2.0}),
     ("flat_disk", {"data.radius": 0.4}, {"data.center": [0.1, 0.0]}),
-    ("power", {"data.gamma": 0.5}, {"data.axis": 0}),
+    ("quadratic", {"op.p": 1.0, "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
+     {"data.b0": 2.0, "data.linear": [1.0, 0.0]}),
     ("selfsimilar", {"data.n": 4, "data.p": 1.0}, {"data.expression": "r"}),
     ("expression", {"data.expression": "x1"}, {"data.n": 4}),
 ])
@@ -211,6 +259,33 @@ def test_data_reduced_takes_only_a_bool(value):
                        f"data.reduced = {value}\n")
     with pytest.raises(ConfigError, match="for 'data.reduced'"):
         make_initial(cfg)
+
+
+@pytest.mark.parametrize("build,cfg,key,value", [
+    (make_domain, BALL, "op.width", 2.7),
+    (make_operator, {"op.p": 1.0}, "op.width", True),
+    (make_operator, {"op.p": 1.0, "op.variant": "reduced"}, "op.n_full", 4.5),
+    (make_initial, {"data.kind": "selfsimilar", "data.p": 1.0}, "data.n",
+     4.5),
+    (make_initial, {"data.kind": "crease"}, "data.axis", 0.5),
+    (make_state, dict(BALL, **{"op.p": 1.0, "data.kind": "crease"}),
+     "data.axis", math.nan),
+    (run_settings, {"run.t_end": 0.1}, "run.snapshots", True),
+    (run_settings, {"run.t_end": 0.1}, "run.snapshots", 2.5),
+], ids=["width-2.7", "width-True", "n_full-4.5", "n-4.5", "axis-0.5",
+        "axis-nan", "snapshots-True", "snapshots-2.5"])
+def test_an_integer_key_takes_only_a_whole_number(build, cfg, key, value):
+    # int() read 2.7 as 2 and True as 1, and ran without a word
+    with pytest.raises(ConfigError, match=re.escape(
+            f"bad value {value!r} for '{key}': expected a whole number")):
+        build(dict(cfg, **{key: value}))
+
+
+def test_an_integer_key_takes_a_whole_float():
+    op = make_operator({"op.p": 1.0, "op.width": 3.0})
+    assert op.width == 3 and type(op.width) is int
+    assert len(run_settings({"run.t_end": 0.1, "run.snapshots": 2.0})[
+        "snapshot_times"]) == 2
 
 
 def test_make_initial_expression():

@@ -312,6 +312,25 @@ def test_loop_refuses_a_pair_at_two_times_or_a_stop_behind_it():
         evolve(make_state(dom, sol, cfg), t_end=0.01, snapshot_times=[0.0])
 
 
+@pytest.mark.parametrize("t_end,message", [(math.nan, "not ahead"),
+                                           (math.inf, "not all finite")],
+                         ids=["nan", "inf"])
+def test_loop_refuses_an_end_time_that_is_not_finite(t_end, message):
+    # a NaN end compares false with every time, so it stepped nothing and
+    # returned the t = 0 sample; an infinite one never returned
+    dom = ball(r=0.8, h=0.2)
+    sol = quadratic_solution(np.eye(2), p=1.0)
+    cfg = OperatorConfig(p=1.0)
+    state = make_state(dom, sol, cfg)
+    with pytest.raises(ValueError, match=message):
+        evolve(state, t_end)
+    with pytest.raises(ValueError, match="not ahead|not all finite"):
+        evolve(state, t_end, snapshot_times=[0.01])
+    with pytest.raises(ValueError, match=message):
+        evolve_pair(state, make_state(dom, sol, cfg), t_end)
+    assert state.steps == 0 and state.t == 0.0
+
+
 def test_comparison_needs_one_lattice_not_one_shape():
     sol = quadratic_solution(np.eye(2), p=1.0)
     disk = sample(ball(r=1.0, h=0.1), sol)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from pma_lab.exact import (build_profile, coefficient_closed_form, cone_data,
-                           crease_data, flat_disk_data, planted_power_data,
-                           profile_residual, quadratic_solution,
-                           solve_conjugate, subsolution_barrier,
-                           supersolution_barrier)
+                           crease_data, flat_disk_data, profile_residual,
+                           quadratic_solution, solve_conjugate,
+                           subsolution_barrier, supersolution_barrier)
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +64,6 @@ def test_data_factories_basic_shapes():
     disk = flat_disk_data(radius=0.25, slope=2.0)(pts, 0.0)
     assert disk[0] == pytest.approx(0.5)
     assert disk[1] == 0.0
-    pw = planted_power_data(gamma=0.5, coeff=2.0)(pts, 0.0)
-    assert pw[0] == pytest.approx(2.0 * 0.5 ** 1.5)
-    assert pw[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
