@@ -4,7 +4,8 @@ Subcommands
 -----------
 
 * ``solve`` — run the configured flow and write snapshot CSVs.
-* ``selfsimilar`` — build the separating profile and write its tables.
+* ``selfsimilar`` — the registry's ``profile`` probe at ``op.n_full = --n``
+  and ``op.p = --p``, printed and written as ``analyze`` does.
 * ``geometry`` — section / ellipsoid / balancedness report for a snapshot.
 * ``analyze PROBE SNAPSHOTS...`` — run the registry probe ``PROBE`` (``-``
   read as ``_``) on snapshot CSVs in time order; print its ``measured:``
@@ -33,11 +34,9 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .config import ConfigError, format_config, make_state, read_config
-from .exact import build_profile, coefficient_closed_form, profile_residual
 from .experiments import (_PROBE_PARAMS, _PROBES, REGISTRY, ExperimentError,
                           RunContext, list_experiments, measured_lines,
-                          run_experiment, solve_to_snapshots,
-                          write_profile_curve)
+                          run_experiment, solve_to_snapshots)
 from .geometry import balancedness, save_ellipsoid, save_section, section_at
 from .grid import fmt17, load_csv
 
@@ -151,21 +150,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_selfsimilar(args) -> int:
-    profile = build_profile(args.n, args.p)
     out_dir = os.path.join(args.out, "selfsimilar")
-    write_profile_curve(RunContext.create(out_dir), profile)
-    res = profile_residual(profile)
-    lines = [
-        f"n = {profile.n}", f"p = {fmt17(profile.p)}",
-        f"beta = {fmt17(profile.beta)}",
-        f"C = {fmt17(profile.C)}",
-        f"C_closed_form = {fmt17(coefficient_closed_form(args.n, args.p))}",
-        f"s_flat = {fmt17(profile.s_flat)}",
-        f"depth = {fmt17(profile.depth)}",
-        f"energy_drift = {fmt17(float(profile.table.energy_drift))}",
-        f"pde_residual = {fmt17(float(res.max_residual))}",
-    ]
-    return _report(out_dir, lines)
+    ctx = RunContext.create(out_dir, cfg={"op.n_full": args.n, "op.p": args.p})
+    return _report(out_dir, measured_lines(_PROBES["profile"](ctx)))
 
 
 def _cmd_geometry(args) -> int:

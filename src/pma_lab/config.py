@@ -23,17 +23,17 @@ Recognized keys:
   - ``cone``: ``slope``;
   - ``crease``: ``axis``, ``quad_coeff``;
   - ``flat_disk``: ``radius`` (required), ``slope``;
-  - ``selfsimilar``: ``n`` and ``p`` (required), ``T``, ``reduced``;
+  - ``selfsimilar``: ``T``, at the flow's own n and p (``make_profile``);
   - ``expression``: ``expression`` (required), for any other data.
 * ``run.t_end``; ``run.snapshots`` (count or explicit time list);
   ``run.boundary`` ``exact`` | ``frozen`` (default: exact for data kinds
   that are closed-form solutions, frozen otherwise).
 
-Unknown keys are configuration errors, and so are the keys of a region or
-data kind other than the one named, a value of the wrong type (an integer
-key takes only a whole number), and one that does not fit the lattice (a
-non-finite region value, a ``data.matrix`` or ``data.axis`` of another
-dimension, an expression in an axis the lattice lacks): a typo that
+Unknown keys, in a file or a dict, are configuration errors, and so are the
+keys of a region or data kind other than the one named, a value of the wrong
+type (an integer key takes only a whole number), and one that does not fit
+the lattice (a non-finite region value, a ``data.matrix`` or ``data.axis`` of
+another dimension, an expression in an axis the lattice lacks): a typo that
 silently changed nothing would be worse than a refusal to run.
 """
 
@@ -76,7 +76,7 @@ _DATA_KEYS = {
     "cone": {"slope"},
     "crease": {"axis", "quad_coeff"},
     "flat_disk": {"radius", "slope"},
-    "selfsimilar": {"n", "p", "T", "reduced"},
+    "selfsimilar": {"T"},
     "expression": {"expression"},
 }
 
@@ -110,13 +110,7 @@ def parse_config(text: str) -> dict:
                               f"got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        ns, _, leaf = key.partition(".")
-        if ns not in _KNOWN_KEYS or not leaf:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if leaf not in _KNOWN_KEYS[ns]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} "
-                              f"(namespace '{ns}' takes "
-                              f"{sorted(_KNOWN_KEYS[ns])})")
+        _check_key(key, f"line {lineno}: ")
         if key in cfg:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
@@ -124,6 +118,16 @@ def parse_config(text: str) -> dict:
         except (ValueError, SyntaxError):
             cfg[key] = val            # bare string, e.g. data.kind = cone
     return cfg
+
+
+def _check_key(key, where: str = "") -> None:
+    """Refuse a key no run reads; ``where`` prefixes the message."""
+    ns, _, leaf = str(key).partition(".")
+    if ns not in _KNOWN_KEYS or not leaf:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    if leaf not in _KNOWN_KEYS[ns]:
+        raise ConfigError(f"{where}unknown key {key!r} (namespace '{ns}' "
+                          f"takes {sorted(_KNOWN_KEYS[ns])})")
 
 
 def read_config(path) -> dict:
@@ -160,13 +164,6 @@ def _get(cfg: dict, key: str, default=None, required: bool = False,
 
 def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
-
-
-def _flag(value) -> bool:
-    # bool("false") is True: only the literals True and False are flags
-    if not isinstance(value, bool):
-        raise TypeError("expected True or False")
-    return value
 
 
 def _int(value) -> int:
@@ -255,9 +252,11 @@ def make_operator(cfg: dict) -> OperatorConfig:
 
 
 def make_profile(cfg: dict):
-    """The self-similar profile named by the ``data.*`` keys."""
-    return build_profile(n=_get(cfg, "data.n", required=True, cast=_int),
-                         p=_get(cfg, "data.p", required=True, cast=float))
+    """The self-similar profile of the run's flow: power ``op.p``; dimension
+    ``op.n_full`` (only the reduced variant takes it), else the lattice's."""
+    n = _get(cfg, "op.n_full", cast=_int)
+    return build_profile(n=make_domain(cfg).n if n is None else n,
+                         p=_get(cfg, "op.p", required=True, cast=float))
 
 
 def make_initial(cfg: dict):
@@ -288,8 +287,8 @@ def make_initial(cfg: dict):
         if kind == "selfsimilar":
             # read before the profile build, which takes a while
             T = _get(cfg, "data.T", 1.0, cast=float)
-            reduced = _get(cfg, "data.reduced", False, cast=_flag)
-            return make_profile(cfg).as_initial_data(T=T, reduced=reduced)
+            profile = make_profile(cfg)
+            return lambda pts, t: profile.eval(pts, t, T)
         return _compile_expression(
             _get(cfg, "data.expression", required=True, cast=str))
     except ValueError as exc:
@@ -298,6 +297,8 @@ def make_initial(cfg: dict):
 
 def make_state(cfg: dict) -> EvolutionState:
     """Assemble domain, operator and initial data into an evolution state."""
+    for key in cfg:
+        _check_key(key)
     dom = make_domain(cfg)
     op = make_operator(cfg)
     sol = make_initial(cfg)

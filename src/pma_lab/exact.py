@@ -265,25 +265,15 @@ class SelfSimilarProfile:
         return out
 
     def eval(self, points: np.ndarray, t, T: float) -> np.ndarray:
-        """u(x, t) = f(t) v(x / f(t)) for points of shape (..., n)."""
+        """u(x, t) = f(t) v(x / f(t)) for points of shape (..., n), or (..., 2)
+        in reduced (r, x_n) coordinates: n >= 3 tells the two apart."""
         pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != self.n:
-            raise ValueError(f"points must have {self.n} components")
+        if pts.shape[-1] not in (2, self.n):
+            raise ValueError(f"points must have {self.n} or 2 components")
         f = self.f_scale(t, T)
         y = pts / f
         r = np.linalg.norm(y[..., :-1], axis=-1)
         return f * self.v(r, y[..., -1])
-
-    def eval_reduced(self, points_rz: np.ndarray, t, T: float) -> np.ndarray:
-        """Same, for reduced (r, x_n) coordinates of shape (..., 2)."""
-        pts = np.asarray(points_rz, dtype=float)
-        f = self.f_scale(t, T)
-        return f * self.v(np.abs(pts[..., 0]) / f, pts[..., 1] / f)
-
-    def as_initial_data(self, T: float, reduced: bool = False) -> Callable:
-        if reduced:
-            return lambda pts, t: self.eval_reduced(pts, t, T)
-        return lambda pts, t: self.eval(pts, t, T)
 
 
 def coefficient_closed_form(n: int, p: float) -> float:
@@ -317,6 +307,9 @@ def build_profile(n: int, p: float, rk_step: float = 4e-4,
     """
     if n < 3:
         raise ValueError("the separating profile needs n >= 3")
+    if not (p > 0.0 and math.isfinite(p)):
+        raise ValueError(f"the separating profile needs a positive, finite "
+                         f"p, got p={p}")
     denom = n - 2.0 - 1.0 / p
     if denom <= 0.0:
         raise ValueError(

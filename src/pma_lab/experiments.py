@@ -61,7 +61,6 @@ __all__ = [
     "measured_lines",
     "run_experiment",
     "solve_to_snapshots",
-    "write_profile_curve",
 ]
 
 
@@ -477,8 +476,9 @@ def _probe_interface(ctx: RunContext) -> dict:
 
 @_probe("profile")
 def _probe_profile(ctx: RunContext) -> dict:
-    """Self-similar profile checks: exponents, energy, equation residual.
-    The fine profile takes half the step and 2 n_tab - 1 table nodes."""
+    """Self-similar profile checks: exponents, coefficient, energy, equation
+    residual, and the cross-section g on [0, s_flat].  The fine profile
+    takes half the step and 2 n_tab - 1 table nodes."""
     coarse = make_profile(ctx.cfg)
     fine = build_profile(coarse.n, coarse.p,
                          rk_step=coarse.table.rk_step / 2.0,
@@ -486,26 +486,24 @@ def _probe_profile(ctx: RunContext) -> dict:
     C_exact = coefficient_closed_form(coarse.n, coarse.p)
     res_c = profile_residual(coarse)
     res_f = profile_residual(fine)
-    write_profile_curve(ctx, coarse)
+    s = np.linspace(0.0, coarse.s_flat, 401)
+    ctx.write_table("profile_curve", "s,g",
+                    zip(map(float, s), map(float, coarse.g_eval(s))))
+    ctx.write_plot("profile_curve", "cross-section profile g", "s", "g")
     measured = {
+        "C": float(coarse.C),
         "beta_value": float(coarse.beta),
         "coeff_rel_err": abs(coarse.C - C_exact) / C_exact,
+        "depth": float(coarse.depth),
         "energy_drift": float(coarse.table.energy_drift),
         "residual_coarse": float(res_c.max_residual),
         "residual_fine": float(res_f.max_residual),
         "residual_ratio": float(res_f.max_residual / res_c.max_residual),
+        "s_flat": float(coarse.s_flat),
     }
     ctx.write_table("profile_checks", "name,value",
                     sorted(measured.items()))
     return measured
-
-
-def write_profile_curve(ctx: RunContext, profile) -> None:
-    """Table and plot of the profile's cross-section g on [0, s_flat]."""
-    s = np.linspace(0.0, profile.s_flat, 401)
-    g = profile.g_eval(s)
-    ctx.write_table("profile_curve", "s,g", zip(map(float, s), map(float, g)))
-    ctx.write_plot("profile_curve", "cross-section profile g", "s", "g")
 
 
 @_probe("dual_refinement")
@@ -794,9 +792,7 @@ REGISTRY = {spec.name: spec for spec in [
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
                 "domain.upper": [1.0, 1.0], "grid.h": 0.025,
                 "op.p": 1.0, "op.variant": "reduced", "op.n_full": 4,
-                "data.kind": "selfsimilar", "data.n": 4, "data.p": 1.0,
-                "data.T": 1.0, "data.reduced": True,
-                "run.t_end": 0.3,
+                "data.kind": "selfsimilar", "data.T": 1.0, "run.t_end": 0.3,
                 "run.snapshots": [0.075, 0.15, 0.225, 0.3]},
         probes=("separation",),
         outcomes=(
@@ -827,8 +823,7 @@ REGISTRY = {spec.name: spec for spec in [
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
                 "domain.upper": [1.0, 1.0], "grid.h": 0.05, "op.p": 1.0,
                 "op.variant": "reduced", "op.n_full": 4,
-                "data.kind": "selfsimilar", "data.n": 4, "data.p": 1.0,
-                "data.T": 1.0, "data.reduced": True},
+                "data.kind": "selfsimilar", "data.T": 1.0},
         probes=("profile",),
         outcomes=(
             Outcome("beta_value", "abs", 6.0, 0.0, "quoted"),

@@ -541,9 +541,9 @@ def _extreme_points(pts: np.ndarray) -> np.ndarray:
     return pts[hull.vertices]
 
 
-def flat_set(u: GridFunction, slope=None, offset: float = 0.0,
-             tol: float | None = None) -> FlatSet:
-    """Contact set ``D = { u <= l + tol }`` of a supporting affine ``l``.
+def flat_set(u: GridFunction, slope=None, offset: float = 0.0) -> FlatSet:
+    """Contact set ``D = { u <= l + tol }`` of a supporting affine ``l``,
+    with ``tol = 1e-9 max(1, max |u|)`` over the active nodes.
 
     The affine function ``l(x) = slope . x + offset`` must support the sample
     (``u >= l - tol`` at every active node), otherwise
@@ -557,8 +557,7 @@ def flat_set(u: GridFunction, slope=None, offset: float = 0.0,
     mask = dom.active_mask()
     pos = dom.positions(mask)
     diff = u.values[mask] - (pos @ p + offset)
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(u.values[mask]))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(u.values[mask]))))
     worst = float(diff.min())
     if worst < -tol:
         at = tuple(map(float, pos[int(np.argmin(diff))]))

@@ -8,6 +8,7 @@ import pytest
 from pma_lab import cli
 from pma_lab.analysis import dual_flow_residual
 from pma_lab.cli import main
+from pma_lab.config import format_config
 from pma_lab.exact import flat_disk_data, quadratic_solution
 from pma_lab.experiments import (REGISTRY, ExperimentSpec, Outcome,
                                  run_experiment)
@@ -163,6 +164,19 @@ def test_solve_reruns_bit_identical(tmp_path):
     assert tree_bytes(out_a) == tree_bytes(out_b)
 
 
+@pytest.mark.parametrize("name", ["quadratic-exact", "holder-time-cone",
+                                  "edge-persist-n4p1"])
+def test_a_summary_config_block_reruns_the_entry(tmp_path, name):
+    # one configuration file pins down a run completely
+    spec = REGISTRY[name]
+    rep = run_experiment(spec, tmp_path / "registry")
+    cfg = write_cfg(tmp_path, format_config(spec.config))
+    out = str(tmp_path / "cli")
+    assert main(["solve", "--config", cfg, "--out", out]) == 0
+    assert tree_bytes(os.path.join(out, "solve", "snapshots")) == \
+        tree_bytes(os.path.join(rep.out_dir, "snapshots"))
+
+
 # ---------------------------------------------------------------------------
 # selfsimilar
 # ---------------------------------------------------------------------------
@@ -175,10 +189,41 @@ def test_selfsimilar_summary_and_tables(tmp_path, capsys):
     assert os.path.exists(os.path.join(base, "plots", "profile_curve.gp"))
     with open(os.path.join(base, "summary.txt")) as f:
         body = f.read()
-    assert "beta = 6" in body
-    assert "C_closed_form = 0.0046296296296296294" in body
+    assert "beta_value = 6\n" in body
+    read = dict(line.split(" = ") for line in body.splitlines())
+    assert float(read["coeff_rel_err"]) <= 1e-12
+    # the profile's constants C, depth and s_flat beside its checks
+    assert sorted(read) == ["C", "beta_value", "coeff_rel_err", "depth",
+                            "energy_drift", "residual_coarse",
+                            "residual_fine", "residual_ratio", "s_flat"]
     stdout = capsys.readouterr().out
-    assert "pde_residual" in stdout
+    assert "residual_coarse" in stdout
+
+
+def test_selfsimilar_reproduces_the_registry_probe(tmp_path, capsys):
+    rep = run_experiment(REGISTRY["selfsimilar-profile-n4p1"],
+                         tmp_path / "registry")
+    out = str(tmp_path / "cli")
+    assert main(["selfsimilar", "--n", "4", "--p", "1", "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    lines = rep.lines
+    measured = lines[lines.index("measured:") + 1:lines.index("outcomes:")]
+    assert measured and stdout.splitlines() == [ln.strip() for ln in measured]
+    base = os.path.join(out, "selfsimilar")
+    for sub in ("probes", "plots"):
+        assert tree_bytes(os.path.join(base, sub)) == \
+            tree_bytes(os.path.join(rep.out_dir, sub))
+
+
+@pytest.mark.parametrize("p", ["inf", "nan", "0", "-1"])
+def test_selfsimilar_refuses_a_p_that_is_not_positive_and_finite(
+        tmp_path, capsys, p):
+    # inf printed pde_residual = inf; nan, 0 and -1 ended in a traceback
+    out = tmp_path / "out"
+    assert main(["selfsimilar", "--p", p, "--out", str(out)]) == 2
+    assert "error: the separating profile needs a positive, finite p" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--rk-step", "--n-tab"])

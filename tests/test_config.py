@@ -11,7 +11,9 @@ from pma_lab.config import (_KNOWN_KEYS, ConfigError, expression_field,
                             format_config, make_domain, make_initial,
                             make_operator, make_state, parse_config,
                             read_config, run_settings)
-from pma_lab.grid import _REGION_KEYS
+from pma_lab.exact import build_profile
+from pma_lab.experiments import REGISTRY
+from pma_lab.grid import _REGION_KEYS, sample
 
 BALL = {"domain.kind": "ball", "domain.center": [0.0, 0.0],
         "domain.radius": 1.0, "grid.h": 0.1}
@@ -58,9 +60,11 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 
 @pytest.mark.parametrize("key", ["data.b0", "data.linear", "data.center",
                                  "data.gamma", "data.coeff", "data.direction",
-                                 "data.rk_step", "data.n_tab"])
+                                 "data.rk_step", "data.n_tab", "data.n",
+                                 "data.p", "data.reduced"])
 def test_parse_refuses_the_data_keys_no_run_set(key):
-    # each such data is one data.expression line
+    # each such data is one data.expression line; the self-similar
+    # profile's n, p and coordinates are the flow's own
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"{key} = 1")
 
@@ -227,8 +231,8 @@ def test_make_initial_kinds():
     ("flat_disk", {"data.radius": 0.4}, {"data.center": [0.1, 0.0]}),
     ("quadratic", {"op.p": 1.0, "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
      {"data.b0": 2.0, "data.linear": [1.0, 0.0]}),
-    ("selfsimilar", {"data.n": 4, "data.p": 1.0}, {"data.expression": "r"}),
-    ("expression", {"data.expression": "x1"}, {"data.n": 4}),
+    ("selfsimilar", {"data.T": 1.0}, {"data.expression": "r", "data.n": 4}),
+    ("expression", {"data.expression": "x1"}, {"data.T": 2.0}),
 ])
 def test_data_kinds_refuse_keys_they_do_not_read(kind, cfg, foreign):
     cfg = dict(cfg, **{"data.kind": kind})
@@ -252,27 +256,16 @@ def test_a_value_of_the_wrong_type_names_its_key(cfg, key):
         make_state(cfg)
 
 
-@pytest.mark.parametrize("value", ["false", "0", "[]"])
-def test_data_reduced_takes_only_a_bool(value):
-    # a bare false parses as the string 'false', which bool() reads as True
-    cfg = parse_config("data.kind = selfsimilar\ndata.n = 4\ndata.p = 1.0\n"
-                       f"data.reduced = {value}\n")
-    with pytest.raises(ConfigError, match="for 'data.reduced'"):
-        make_initial(cfg)
-
-
 @pytest.mark.parametrize("build,cfg,key,value", [
     (make_domain, BALL, "op.width", 2.7),
     (make_operator, {"op.p": 1.0}, "op.width", True),
     (make_operator, {"op.p": 1.0, "op.variant": "reduced"}, "op.n_full", 4.5),
-    (make_initial, {"data.kind": "selfsimilar", "data.p": 1.0}, "data.n",
-     4.5),
     (make_initial, {"data.kind": "crease"}, "data.axis", 0.5),
     (make_state, dict(BALL, **{"op.p": 1.0, "data.kind": "crease"}),
      "data.axis", math.nan),
     (run_settings, {"run.t_end": 0.1}, "run.snapshots", True),
     (run_settings, {"run.t_end": 0.1}, "run.snapshots", 2.5),
-], ids=["width-2.7", "width-True", "n_full-4.5", "n-4.5", "axis-0.5",
+], ids=["width-2.7", "width-True", "n_full-4.5", "axis-0.5",
         "axis-nan", "snapshots-True", "snapshots-2.5"])
 def test_an_integer_key_takes_only_a_whole_number(build, cfg, key, value):
     # int() read 2.7 as 2 and True as 1, and ran without a word
@@ -312,6 +305,38 @@ def test_make_state_samples_initial_data():
     center = tuple(idx // 2 for idx in dom.shape)
     assert state.u.values[center] == pytest.approx(0.0, abs=1e-12)
     assert state.u.t == 0.0
+
+
+@pytest.mark.parametrize("key,message", [
+    ("op.widht", r"unknown key 'op.widht' \(namespace 'op' takes"),
+    ("widht", "unknown key 'widht'"),
+])
+def test_make_state_refuses_an_unknown_dict_key(key, message):
+    # the registry, the bench and the Python API pass dicts, not files
+    cfg = dict(REGISTRY["quadratic-exact"].config, **{key: 3})
+    with pytest.raises(ConfigError, match=message):
+        make_state(cfg)
+    with pytest.raises(ConfigError, match="line 2: " + message):
+        parse_config(f"grid.h = 0.1\n{key} = 3\n")
+
+
+@pytest.mark.parametrize("cfg,n,p", [
+    ({"domain.kind": "box", "domain.lower": [-1.0, -1.0],
+      "domain.upper": [1.0, 1.0], "op.variant": "reduced", "op.n_full": 5,
+      "op.p": 0.5}, 5, 0.5),
+    ({"domain.kind": "box", "domain.lower": [-1.0, -1.0, -1.0],
+      "domain.upper": [1.0, 1.0, 1.0], "op.p": 1.5}, 3, 1.5),
+], ids=["reduced-n5-p0.5", "plain-3d-p1.5"])
+def test_selfsimilar_data_follows_the_operator(cfg, n, p):
+    # the profile's power is op.p; its dimension is op.n_full under the
+    # reduced variant, whose lattice holds (r, x_n) points, else the lattice's
+    cfg = dict(cfg, **{"grid.h": 0.25, "data.kind": "selfsimilar",
+                       "data.T": 2.0})
+    state = make_state(cfg)
+    profile = build_profile(n, p)
+    want = sample(state.u.domain, lambda pts, t: profile.eval(pts, t, 2.0))
+    active = state.u.domain.active_mask()
+    assert np.array_equal(state.u.values[active], want.values[active])
 
 
 # ---------------------------------------------------------------------------

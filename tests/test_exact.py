@@ -147,9 +147,15 @@ def test_eval_selfsimilar_scaling_identity(profile41):
     y = pts / f
     v = profile41.v(np.linalg.norm(y[:, :3], axis=1), y[:, 3])
     assert np.allclose(u, f * v, rtol=1e-13)
-    # reduced coordinates agree with the full evaluation
+    # reduced (r, x_n) coordinates agree with the full evaluation
     rz = np.stack([np.linalg.norm(pts[:, :3], axis=1), pts[:, 3]], axis=1)
-    assert np.allclose(profile41.eval_reduced(rz, t, T), u, rtol=1e-13)
+    assert np.allclose(profile41.eval(rz, t, T), u, rtol=1e-13)
+
+
+def test_eval_takes_n_or_two_columns_only(profile41):
+    # n >= 3, so the column count tells full points from (r, x_n) points
+    with pytest.raises(ValueError, match="4 or 2 components"):
+        profile41.eval(np.zeros((5, 3)), 0.0, 1.0)
 
 
 def test_build_profile_rejects_subcritical():

@@ -149,6 +149,19 @@ def test_bad_config_raises_staged_error(tmp_path):
         run_experiment(broken, tmp_path)
 
 
+def test_an_unknown_config_key_fails_at_configure(tmp_path):
+    # a dict config is checked for unknown keys as a parsed file is
+    spec = REGISTRY["quadratic-exact"]
+    typo = ExperimentSpec(
+        name="quadratic-typo", topic=spec.topic, claim_id=spec.claim_id,
+        claim=spec.claim, config=dict(spec.config, **{"op.widht": 3}),
+        probes=spec.probes, outcomes=spec.outcomes, params=spec.params)
+    with pytest.raises(ExperimentError, match="stage 'configure' failed: "
+                       "unknown key 'op.widht'"):
+        run_experiment(typo, tmp_path)
+    assert os.listdir(tmp_path / "quadratic-typo" / "snapshots") == []
+
+
 def test_missing_measured_value_raises_outcome_stage(tmp_path):
     spec = REGISTRY["noop"]
     wanting = ExperimentSpec(
