@@ -16,9 +16,9 @@ from .exact import (ConjugateTable, SelfSimilarProfile, build_profile,
                     flat_disk_data, profile_residual, quadratic_solution,
                     solve_conjugate, subsolution_barrier,
                     supersolution_barrier)
-from .evolution import (KAPPA_CFL, ComparisonReport, EvolutionResult,
-                        EvolutionState, ScalingMap, comparison_check, evolve,
-                        evolve_pair, rescale, stable_dt)
+from .evolution import (ComparisonReport, EvolutionResult, EvolutionState,
+                        ScalingMap, comparison_check, evolve, evolve_pair,
+                        kappa_cfl, rescale, stable_dt)
 from .geometry import (BalancednessCertificate, Ellipsoid, FlatSet,
                        LegendreTransform, Section, balancedness,
                        centered_section, flat_set, john_ellipsoid, legendre,

@@ -251,16 +251,18 @@ def make_operator(cfg: dict) -> OperatorConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def make_profile(cfg: dict):
+def make_profile(cfg: dict, n: int | None = None):
     """The self-similar profile of the run's flow: power ``op.p``; dimension
-    ``op.n_full`` (only the reduced variant takes it), else the lattice's."""
-    n = _get(cfg, "op.n_full", cast=_int)
+    ``op.n_full`` (only the reduced variant takes it), else the lattice's,
+    ``n`` (built from the config when the caller passes none)."""
+    n = _get(cfg, "op.n_full", n, cast=_int)
     return build_profile(n=make_domain(cfg).n if n is None else n,
                          p=_get(cfg, "op.p", required=True, cast=float))
 
 
-def make_initial(cfg: dict):
-    """The initial data named by ``data.kind``, as ``(points, t) -> values``."""
+def make_initial(cfg: dict, n: int | None = None):
+    """The initial data named by ``data.kind``, as ``(points, t) -> values``;
+    ``n``, the lattice's dimension, goes to :func:`make_profile`."""
     kind = _get(cfg, "data.kind", required=True, cast=str)
     if kind not in _DATA_KEYS:
         raise ConfigError(f"unknown data.kind {kind!r}")
@@ -287,7 +289,7 @@ def make_initial(cfg: dict):
         if kind == "selfsimilar":
             # read before the profile build, which takes a while
             T = _get(cfg, "data.T", 1.0, cast=float)
-            profile = make_profile(cfg)
+            profile = make_profile(cfg, n)
             return lambda pts, t: profile.eval(pts, t, T)
         return _compile_expression(
             _get(cfg, "data.expression", required=True, cast=str))
@@ -301,7 +303,7 @@ def make_state(cfg: dict) -> EvolutionState:
         _check_key(key)
     dom = make_domain(cfg)
     op = make_operator(cfg)
-    sol = make_initial(cfg)
+    sol = make_initial(cfg, dom.n)
     want = (dom.n, dom.n)
     if "data.matrix" in cfg and np.shape(cfg["data.matrix"]) != want:
         raise ConfigError(f"data.matrix = {cfg['data.matrix']!r} does not "

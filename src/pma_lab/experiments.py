@@ -256,9 +256,10 @@ def _probe(name, params=()):
 @_probe("exactness")
 def _probe_exactness(ctx: RunContext) -> dict:
     """Max-norm error of every snapshot against the closed-form data."""
-    sol = make_initial(ctx.cfg)
+    frames = ctx.snapshots()
+    sol = make_initial(ctx.cfg, frames[0].domain.n)
     rows, worst = [], 0.0
-    for snap in ctx.snapshots():
+    for snap in frames:
         want = sample(snap.domain, sol, t=snap.t)
         err = float(np.nanmax(np.abs(snap.values - want.values)))
         worst = max(worst, err)
@@ -302,33 +303,40 @@ def _probe_comparison_barriers(ctx: RunContext) -> dict:
 
 @_probe("comparison_random")
 def _probe_comparison_random(ctx: RunContext) -> dict:
-    """Random ordered quadratic pairs stay ordered under a shared step."""
+    """Random touching quadratic pairs stay ordered under a shared step.
+
+    The lower member is q_a, the upper max(q_a, q_b + l.x - 0.1) with a
+    random slope l: convex, and equal to q_a on a region, so a step too
+    large to stay monotone there makes the pair cross (at p = 1 and seed 0,
+    5 times the proven step does).  The band is frozen.
+    """
     state = ctx.state
     dom = state.u.domain
     p = float(ctx.cfg["op.p"])
     pairs, t_end = 10, 0.02
-    pos = dom.positions(dom.active_mask())
+    active = dom.active_mask()
     rows = []
     worst_all = -inf
     for k in range(pairs):
         Ma = _random_spd(ctx.rng, dom.n)
         Mb = _random_spd(ctx.rng, dom.n)
+        slope = ctx.rng.normal(size=dom.n)
         qa = quadratic_solution(Ma, p=p)
         qb = quadratic_solution(Mb, p=p)
         lo = sample(dom, qa, t=0.0)
-        gap = float(np.max(qa(pos, 0.0) - qb(pos, 0.0))) + 0.05
-        hi = sample(dom, lambda pts, t, _f=qb, _g=gap: _f(pts, t) + _g,
-                    t=0.0)
+        hi = sample(dom, lambda pts, t, _a=qa, _b=qb, _l=slope: np.maximum(
+            _a(pts, t), _b(pts, t) + pts @ _l - 0.1), t=0.0)
+        touching = int(np.sum(lo.values[active] == hi.values[active]))
         ua, ub = evolve_pair(
             EvolutionState(u=lo, cfg=state.cfg, boundary=None),
             EvolutionState(u=hi, cfg=state.cfg, boundary=None), t_end)
         rep = comparison_check(ua, ub)
         worst = float(rep.max_violation)
         worst_all = max(worst_all, worst)
-        rows.append((k, worst, float(np.linalg.det(Ma)),
+        rows.append((k, worst, touching, float(np.linalg.det(Ma)),
                      float(np.linalg.det(Mb))))
-    ctx.write_table("comparison_pairs", "pair,worst_gap,det_lower,det_upper",
-                    rows)
+    ctx.write_table("comparison_pairs",
+                    "pair,worst_gap,touching,det_lower,det_upper", rows)
     ctx.write_plot("comparison_pairs", "ordering of random pairs", "pair",
                    "worst gap")
     return {"pair_worst_gap": max(worst_all, 0.0)}
@@ -510,12 +518,13 @@ def _probe_profile(ctx: RunContext) -> dict:
 def _probe_dual_refinement(ctx: RunContext) -> dict:
     """Conjugated-flow residual of the config's exact quadratic at two
     resolutions: the config's lattice and the one with half its step."""
-    sol = make_initial(ctx.cfg)
     p = float(ctx.cfg["op.p"])
     h0 = float(ctx.cfg["grid.h"])
+    hs = (h0, h0 / 2.0)
+    doms = [make_domain(dict(ctx.cfg, **{"grid.h": h})) for h in hs]
+    sol = make_initial(ctx.cfg, doms[0].n)
     rows, worsts = [], []
-    for h in (h0, h0 / 2.0):
-        dom = make_domain(dict(ctx.cfg, **{"grid.h": h}))
+    for h, dom in zip(hs, doms):
         u1 = sample(dom, sol, t=0.1)
         u2 = sample(dom, sol, t=0.11)
         worst, fld, _lt = dual_flow_residual(u1, u2, p)

@@ -24,11 +24,12 @@ Variants:
 
 Every call returns, alongside the value, a slope field in curvature
 units (multiply by 1/h^2) that bounds how fast F(x) can fall when u(x)
-rises: the time step ``kappa h^2 / max slope`` keeps the explicit update
-monotone (see ``evolution``).  Raise the centre by t h^2 / 2: every raw
-difference D'_e (below) falls by t h^2.  For p >= 1 each frame's g_F =
-b (c_F prod_{e in F} D'_e)^p, times the reduced radial factor, is convex,
-nonincreasing and >= 0 in t, so g_F(t) >= g_F(0) max(0, 1 - k_F t) with
+rises: the time step ``kappa_cfl(p) h^2 / max slope`` keeps the explicit
+update monotone at p >= 1 (see ``evolution``).  Raise the centre by
+t h^2 / 2: every raw difference D'_e (below) falls by t h^2.  For p >= 1
+each frame's g_F = b (c_F prod_{e in F} D'_e)^p, times the reduced radial
+factor, is convex, nonincreasing and >= 0 in t, so g_F(t) >= g_F(0)
+max(0, 1 - k_F t) with
 k_F = p h^2 sum_{e in F} 1/D'_e (the radial factor adds its own term,
 see :func:`_radial_factors`), and with the value m = min_F g_F(0)
 every chord (m - g_F(t)) / t is at most m k_F.  So the slope at a node
@@ -190,21 +191,22 @@ class OperatorField:
     ``span_values``, ``span_slope`` and ``span_frames`` hold one entry per
     column of the span that covers every member's ``domain.core`` (and the
     rims between), padded to whole members: member m's core starts at
-    column m S, S = ``domain.classes.size``.
-    Every column that is not an interior node holds a no-op, value -0.0
-    and slope 0.0 (x + (-0.0) is x for every double), so a time step adds
-    the whole span to the flat values.  ``columns`` are the interior
-    nodes' columns, in the order of ``domain.interior_positions``, behind
-    a leading batch axis for a :class:`GridStack`.  ``values``, ``slope``
-    and ``argmin_frame`` are the same numbers on the lattice, NaN (frame
-    index 255) off the interior, each built on first read.  The slope is
-    in curvature units (divide by h^2 for 1/time).
+    column m S, S = ``domain.classes.size``.  Every column that is not an
+    interior node holds a no-op, value -0.0 and slope 0.0 (x + (-0.0) is x
+    for every double), so a time step adds the whole span to the flat
+    values.  ``columns`` are the interior nodes' columns, in the order of
+    ``domain.interior_positions``, behind a leading batch axis for a
+    :class:`GridStack`; ``p`` is the exponent.  ``values``, ``slope`` and
+    ``argmin_frame`` are the same numbers on the lattice, NaN (frame index
+    255) off the interior, each built on first read.  The slope is in
+    curvature units (divide by h^2 for 1/time).
     """
 
     domain: Domain
     span_values: np.ndarray
     span_slope: np.ndarray
     columns: np.ndarray
+    p: float
     span_frames: np.ndarray | None = None
 
     @cached_property
@@ -570,7 +572,7 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
             best_slope *= best
             best_slope *= 2.0 * p * plan.hh
             np.copyto(best_slope, 0.0, where=best <= 0.0)
-    return OperatorField(dom, best, best_slope, plan.inner, arg)
+    return OperatorField(dom, best, best_slope, plan.inner, p, arg)
 
 
 def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:

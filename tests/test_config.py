@@ -13,7 +13,7 @@ from pma_lab.config import (_KNOWN_KEYS, ConfigError, expression_field,
                             read_config, run_settings)
 from pma_lab.exact import build_profile
 from pma_lab.experiments import REGISTRY
-from pma_lab.grid import _REGION_KEYS, sample
+from pma_lab.grid import _REGION_KEYS, build_domain, sample
 
 BALL = {"domain.kind": "ball", "domain.center": [0.0, 0.0],
         "domain.radius": 1.0, "grid.h": 0.1}
@@ -48,7 +48,7 @@ def test_parse_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="unknown key 'mesh.h'"):
         parse_config("mesh.h = 0.1")
     # settings that no run varied: the stencil radius is op.width, the
-    # step is KAPPA_CFL h^2 / max slope
+    # step is kappa_cfl(p) h^2 / max slope
     for key in ("run.kappa", "run.dt_max", "grid.stencil_radius"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(f"{key} = 1")
@@ -337,6 +337,21 @@ def test_selfsimilar_data_follows_the_operator(cfg, n, p):
     want = sample(state.u.domain, lambda pts, t: profile.eval(pts, t, 2.0))
     active = state.u.domain.active_mask()
     assert np.array_equal(state.u.values[active], want.values[active])
+
+
+def test_selfsimilar_state_builds_its_lattice_once(monkeypatch):
+    # the profile takes its dimension from the lattice make_state built
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build_domain(*args, **kwargs)
+
+    monkeypatch.setattr(config, "build_domain", counting)
+    state = make_state({"domain.kind": "box", "domain.lower": [-1.0] * 3,
+                        "domain.upper": [1.0] * 3, "grid.h": 0.25,
+                        "op.p": 1.5, "data.kind": "selfsimilar"})
+    assert len(built) == 1 and state.u.domain.n == 3
 
 
 # ---------------------------------------------------------------------------

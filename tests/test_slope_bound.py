@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pma_lab import config
-from pma_lab.evolution import (KAPPA_CFL, EvolutionState, comparison_check,
-                               evolve_pair, stable_dt)
-from pma_lab.experiments import REGISTRY
+from pma_lab import config, evolution
+from pma_lab.evolution import (EvolutionState, comparison_check, evolve_pair,
+                               kappa_cfl, stable_dt)
+from pma_lab.experiments import _PROBES, REGISTRY, RunContext
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
 from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, ma_field,
@@ -228,8 +228,8 @@ def test_update_never_falls_when_the_centre_rises(n, width, p, variant,
                                                   n_full, varying_b,
                                                   axis_crease, seed):
     # the monotone-step condition itself: at the automatic dt, raising the
-    # centre by any amount never lowers the updated value there.  With
-    # kappa = 0.4 the tangent bound leaves a margin of 0.6 delta
+    # centre by any amount never lowers the updated value there.  At p >= 1
+    # kappa is 1, so the tangent bound alone keeps the change >= 0
     u, cfg = _case(n, width, p, variant, n_full, varying_b, axis_crease,
                    seed)
     dt = stable_dt(ma_field(u, cfg))
@@ -243,11 +243,11 @@ def test_step_meets_the_necessary_condition(n, width, p, variant, n_full,
     # 0, and the update at x then gains only the raise: a monotone step
     # needs dt F(x) <= min_e D'_e(x) / 2.  Every direction lies in some
     # frame, whose term in the tangent bound is at least 2p h^2 F(x) /
-    # min_e D'_e(x), so the ratio is at most kappa / p
+    # min_e D'_e(x), so the ratio is at most kappa / p, kappa the step's own
     u, cfg = _case(n, width, p, variant, n_full, varying_b, axis_crease,
                    seed)
     dt = stable_dt(ma_field(u, cfg))
-    assert _necessary_ratio(u, cfg, dt) <= KAPPA_CFL / p * (1.0 + 1e-12)
+    assert _necessary_ratio(u, cfg, dt) <= kappa_cfl(p) / p * (1.0 + 1e-12)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -292,6 +292,38 @@ def test_pair_stays_ordered_in_3d(p, axis_crease, seed):
     assert sa.steps >= 2
     rep = comparison_check(ua, ub, tol=0.0)
     assert rep.ordered, str(rep)
+
+
+def _touching_gap(p: float, seed: int, out_dir) -> float:
+    """The worst gap of the comparison-random probe's touching pairs (lower
+    q_a, upper max(q_a, q_b + l.x - 0.1)) under exponent p."""
+    cfg = dict(REGISTRY["comparison-random"].config, **{"op.p": p})
+    ctx = RunContext.create(out_dir, cfg=cfg, seed=seed)
+    ctx.state = config.make_state(cfg)
+    return _PROBES["comparison_random"](ctx)["pair_worst_gap"]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_touching_pairs_stay_ordered_exactly(p, tmp_path):
+    # the pairs agree on a region, so any non-monotone step there shows as
+    # a crossing; at p >= 1 not one pair crosses, by any amount
+    for seed in (1, 2, 3):
+        assert _touching_gap(p, seed, tmp_path / str(seed)) == 0.0
+
+
+def test_touching_pairs_cross_under_five_times_the_step(monkeypatch,
+                                                       tmp_path):
+    # the registry entry sees a step too large for the chord condition
+    monkeypatch.setattr(evolution, "kappa_cfl", lambda p: 5.0)
+    assert _touching_gap(1.0, 0, tmp_path) > 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "for p < 1 the slope is floored at h^2 and is not a chord bound, so the "
+    "step is not monotone where 0 < D < h^2 (a pair crosses by 6.2e-7); a "
+    "provably monotone p < 1 step is ROADMAP item 3"))
+def test_touching_pairs_stay_ordered_at_p_below_one(tmp_path):
+    assert _touching_gap(0.5, 1, tmp_path) == 0.0
 
 
 @pytest.mark.xfail(strict=True, reason=(
