@@ -18,7 +18,7 @@ from .exact import (ConjugateTable, SelfSimilarProfile, build_profile,
                     supersolution_barrier)
 from .evolution import (ComparisonReport, EvolutionResult, EvolutionState,
                         ScalingMap, comparison_check, evolve, evolve_pair,
-                        kappa_cfl, rescale, stable_dt)
+                        rescale, stable_dt)
 from .geometry import (BalancednessCertificate, Ellipsoid, FlatSet,
                        LegendreTransform, Section, balancedness,
                        centered_section, flat_set, john_ellipsoid, legendre,

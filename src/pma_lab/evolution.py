@@ -18,20 +18,20 @@ holds, a bound on the chord slopes of F along upward raises only.  Every
 operator call returns, with F, a slope field sigma (in curvature units),
 and :func:`stable_dt` reads the automatic step off that field:
 
-    dt = kappa h^2 / max_x sigma(x),        kappa = kappa_cfl(p).
+    dt = h^2 / max_x sigma(x).
 
 Where 2 (F(0) - F(t)) / t <= sigma(x) for every t > 0 at every node, this
-dt meets the chord condition for every kappa <= 1.  For p >= 1 every
-frame's b P_F^p is convex, nonincreasing and >= 0 in t, so it stays above
-its tangent line cut at 0, and ``monge_ampere``'s tangent bound
-sigma = 2p h^2 F max_F sum_{e in F} 1/D'_e bounds every chord, in every
-dimension and for both variants.  So kappa = 1 there: the step is the
-whole of Oberman's nonlinear CFL condition (SIAM J. Numer. Anal. 44,
-2006), and the monotone, stable and consistent scheme converges to the
-viscosity solution (Barles and Souganidis, Asymptotic Anal. 4, 1991).
-For p < 1 the slope is the all-frame one, floored at the curvature scale
-h^2, and is not such a bound where 0 < D < h^2, so kappa stays 0.4 there,
-a margin that no proof covers.  dt is truncated to land exactly on
+dt meets the chord condition.  ``monge_ampere``'s tangent bound
+sigma = 2 max(p, 1) h^2 F max_F sum_{e in F} 1/D'_e is such a bound at
+every p, in every dimension and for both variants: along the raise each
+clamped difference stays above its own tangent line cut at 0, so each
+frame product does too (Weierstrass's product inequality), and so does
+its power, by Bernoulli's inequality for p >= 1 and by the concavity of
+x^p for p < 1 (where every difference is clamped at its floor |e|^2 h^4,
+so sigma stays finite).  So the step is the whole of Oberman's nonlinear
+CFL condition (SIAM J. Numer. Anal. 44, 2006), and the monotone, stable
+and consistent scheme converges to the viscosity solution (Barles and
+Souganidis, Asymptotic Anal. 4, 1991).  dt is truncated to land exactly on
 requested snapshot times (the landing assigns t = t_snap, so a restarted
 run reproduces the original step sequence bit for bit).
 
@@ -66,11 +66,6 @@ from .monge_ampere import OperatorConfig, OperatorField, ma_field
 DT_FLOOR = 1e-14
 
 
-def kappa_cfl(p: float) -> float:
-    """The step's kappa: 1 at p >= 1, 0.4 below (see the module docstring)."""
-    return 1.0 if p >= 1.0 else 0.4
-
-
 @dataclass
 class EvolutionState:
     """A grid function advancing in time under a fixed operator config.
@@ -96,8 +91,8 @@ class EvolutionResult:
 
 
 def stable_dt(fld: OperatorField) -> float:
-    """kappa_cfl(p) h^2 / max slope, the largest monotonicity-preserving
-    step for the operator field ``fld`` (h from its lattice, kappa from p).
+    """h^2 / max slope, the largest monotonicity-preserving step for the
+    operator field ``fld`` (h from its lattice), at every p.
 
     The maximum runs over the span, which holds slope 0 off the interior,
     and for the field of a stack over every member, which gives the step
@@ -112,7 +107,7 @@ def stable_dt(fld: OperatorField) -> float:
         raise ValueError(f"non-finite slope bound at node {where}")
     if sig <= 0.0:
         return math.inf
-    dt = kappa_cfl(fld.p) * fld.domain.h_grid ** 2 / sig
+    dt = fld.domain.h_grid ** 2 / sig
     if not math.isfinite(dt) or dt < DT_FLOOR:
         raise ValueError(f"stiff state: stable step {dt:.3e} underflows "
                          f"(slope bound {sig:.3e})")

@@ -700,6 +700,9 @@ _GEOM7 = [0.0001, 0.00031622776601683794, 0.001, 0.0031622776601683794,
           0.01, 0.03162277660168379, 0.1]
 _EPS_129 = 10.0 * (2.0 / 128) ** 2          # the documented 10 h^2 default
 _EPS_RED = 10.0 * 0.025 ** 2
+_PAIRS = {"domain.kind": "ball", "domain.center": [0.0, 0.0],
+          "domain.radius": 1.0, "grid.h": 0.1, "op.p": 1.0,
+          "data.kind": "quadratic", "data.matrix": [[1.0, 0.0], [0.0, 1.0]]}
 
 REGISTRY = {spec.name: spec for spec in [
     _entry(
@@ -728,11 +731,12 @@ REGISTRY = {spec.name: spec for spec in [
             Outcome("barrier_sub_violation", "le", 0.0, 1e-10, "quoted"),
             Outcome("barrier_super_violation", "le", 0.0, 1e-10, "quoted"))),
     _entry(
-        "comparison-random", "comparison", 5,
-        config={"domain.kind": "ball", "domain.center": [0.0, 0.0],
-                "domain.radius": 1.0, "grid.h": 0.1, "op.p": 1.0,
-                "data.kind": "quadratic",
-                "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
+        "comparison-random", "comparison", 5, config=_PAIRS,
+        probes=("comparison_random",),
+        outcomes=(Outcome("pair_worst_gap", "le", 0.0, 1e-10, "quoted"),)),
+    _entry(
+        "comparison-random-p04", "comparison", 5,
+        config={**_PAIRS, "op.p": 0.4},
         probes=("comparison_random",),
         outcomes=(Outcome("pair_worst_gap", "le", 0.0, 1e-10, "quoted"),)),
     _entry(

@@ -4,48 +4,50 @@ The flow is u_t = b(x,t) (det D^2 u)^p with 0 < lam <= b <= Lam.  The
 determinant of a convex function is discretized as a minimum over
 orthogonal stencil frames:
 
-    det_h u(x) = min_F  prod_{e in F}  max(0, Delta^2_e u(x) / (|e|^2 h^2)),
+    det_h u(x) = min_F  prod_{e in F}  max(f, Delta^2_e u(x) / (|e|^2 h^2)),
 
 where a frame F is a set of n pairwise-orthogonal integer vectors of
-Chebyshev norm <= width and Delta^2_e u = u(x+he) + u(x-he) - 2u(x).
+Chebyshev norm <= width, Delta^2_e u = u(x+he) + u(x-he) - 2u(x), and the
+floor f is 0 for p >= 1 and the curvature scale h^2 for p < 1.
 For a convex quadratic each frame product is the product of second
 derivatives in an orthogonal basis, which by Hadamard's inequality is
 >= det D^2 u with equality when the frame diagonalizes the Hessian; so
-the minimum is exact whenever some frame is eigenaligned, and an upper
-bound otherwise.  Clamping at zero keeps every product monotone in the
-neighbor values, which is what the discrete comparison principle needs.
+the minimum is exact whenever some frame is eigenaligned (and every
+curvature is at least f), and an upper bound otherwise.  Clamping keeps
+every product monotone in the neighbor values, which is what the discrete
+comparison principle needs.  The floor keeps the slope (below) finite where
+a difference vanishes, and shrinks to 0 with h, so the scheme stays
+consistent; it lifts every node by at least b (h^(2n))^p per unit time.
 
 Variants:
 
 * ``plain``    -- b (det_h u)^p
 * ``reduced``  -- for profiles u(r, x_n) of an axisymmetric function in
-  dimension n_full:  b ( max(0, u_r/r)^(n_full-2) * det2_h u )^p, with
+  dimension n_full:  b ( max(f, u_r/r)^(n_full-2) * det2_h u )^p, with
   u_r/r replaced by its limit u_rr on the axis r = 0.
 
 Every call returns, alongside the value, a slope field in curvature
 units (multiply by 1/h^2) that bounds how fast F(x) can fall when u(x)
-rises: the time step ``kappa_cfl(p) h^2 / max slope`` keeps the explicit
-update monotone at p >= 1 (see ``evolution``).  Raise the centre by
-t h^2 / 2: every raw difference D'_e (below) falls by t h^2.  For p >= 1
-each frame's g_F = b (c_F prod_{e in F} D'_e)^p, times the reduced radial
-factor, is convex, nonincreasing and >= 0 in t, so g_F(t) >= g_F(0)
-max(0, 1 - k_F t) with
-k_F = p h^2 sum_{e in F} 1/D'_e (the radial factor adds its own term,
-see :func:`_radial_factors`), and with the value m = min_F g_F(0)
-every chord (m - g_F(t)) / t is at most m k_F.  So the slope at a node
-is the tangent bound 2 p h^2 m max_F sum_{e in F} 1/D'_e, in every
-dimension and for both variants, and 0 where m = 0 (m never falls below
-0).  It is at most the all-frame slope, twice the largest |dg_F/dt| at
-t = 0 over every frame, and at least the active frame's.  For p < 1 the
-powers are not convex, and the slope is the all-frame one from
-differences floored at h^2 (see :func:`_min_over_frames`); it is not a
-bound where 0 < D < h^2.
+rises: the time step ``h^2 / max slope`` keeps the explicit update
+monotone at every p (see ``evolution``).  Raise the centre by t h^2 / 2:
+every raw difference D'_e (below) falls by t h^2, so its clamped value
+stays >= D'_e(0) max(0, 1 - t h^2 / D'_e(0)), and by Weierstrass's product
+inequality each frame's product x_F stays >= x_F(0) max(0, 1 - k_F t) with
+k_F = h^2 sum_{e in F} 1/D'_e (the radial factor adds its own term, see
+:func:`_radial_factors`).  Then g_F = b (c_F x_F)^p >= g_F(0) max(0, 1 -
+max(p, 1) k_F t): by Bernoulli's inequality for p >= 1, and for p < 1
+because x^p is concave with 0^p = 0, so x(t)^p >= x(0)^p x(t) / x(0).
+With the value m = min_F g_F(0), every chord (m - min_F g_F(t)) / t is at
+most m max(p, 1) max_F k_F.  So the slope at a node is the tangent bound
+2 max(p, 1) h^2 m max_F sum_{e in F} 1/D'_e, in every dimension and for
+both variants, and 0 where m = 0 (m never falls below 0).  At p >= 1 it
+is at most the all-frame slope, twice the largest |dg_F/dt| at t = 0 over
+every frame, and at least the active frame's.
 
-Units.  The work rows hold raw differences D'_e = max(0, Delta^2_e u); a
-frame's product is scaled once by c_F = prod_{e in F} 1/(|e|^2 h^2), its
-rate (p < 1) by 2h^2 c_F.  A raw product loses range only for curvatures
-below about 1e-100 (3-D, h = 0.05); the p < 1 floor is |e|^2 h^4 on a raw
-one.
+Units.  The work rows hold raw differences D'_e = max(|e|^2 h^2 f,
+Delta^2_e u), the floor |e|^2 h^4 at p < 1; a frame's product is scaled
+once by c_F = prod_{e in F} 1/(|e|^2 h^2).  A raw product loses range only
+for curvatures below about 1e-100 (3-D, h = 0.05).
 
 Evaluation.  :func:`ma_field` takes one grid function or a
 :class:`~pma_lab.grid.GridStack` of B of them on one lattice at one time,
@@ -196,7 +198,7 @@ class OperatorField:
     for every double), so a time step adds the whole span to the flat
     values.  ``columns`` are the interior nodes' columns, in the order of
     ``domain.interior_positions``, behind a leading batch axis for a
-    :class:`GridStack`; ``p`` is the exponent.  ``values``, ``slope`` and
+    :class:`GridStack`.  ``values``, ``slope`` and
     ``argmin_frame`` are the same numbers on the lattice, NaN (frame index
     255) off the interior, each built on first read.  The slope is in
     curvature units (divide by h^2 for 1/time).
@@ -206,7 +208,6 @@ class OperatorField:
     span_values: np.ndarray
     span_slope: np.ndarray
     columns: np.ndarray
-    p: float
     span_frames: np.ndarray | None = None
 
     @cached_property
@@ -328,19 +329,16 @@ class _Plan:
     """What the frame loop of one operator config needs besides the values,
     built once per lattice and stack size and kept in ``Domain.span_cache``:
     the (lo, hi) bounds of the span's ``blocks``; per frame (groups,
-    factors, factors_f, c_F, 2p h^2 c_F for p < 1), each fill group of
-    :func:`_stencil` as its (g, columns) block of work rows, floored
-    target, floors |e|^2 h^4 (for p < 1), first offset and offset step,
-    then the rows the product reads raw and floored; ``inner`` and ``off``
-    of :class:`OperatorField`; and for the reduced variant, per block, the
-    row 2hr (1 on the axis r = 0), the axis entries and the radial rate
-    weight (0 off the axis).
+    factors, c_F), each fill group of :func:`_stencil` as its (g, columns)
+    block of work rows, its clamp (0.0 at p >= 1, the column of floors
+    |e|^2 h^4 at p < 1), first offset and offset step, then the rows the
+    product reads; ``inner`` and ``off`` of :class:`OperatorField`; and for
+    the reduced variant, the rows ``radial`` (ratio, R) and the ratio's
+    clamp (0.0 or h^2), and per block the row 2hr (1 on the axis r = 0),
+    the axis entries and the radial rate weight (0 off the axis).
 
     It allocates every block row the loop writes and shares none with
-    another plan.  At p >= 1 nothing is floored, so the floored rows are
-    the raw ones (the floored differences are ``diff``, ``ratio_f`` and
-    ``R_f`` of ``radial`` are ``ratio`` and ``R``), ``power`` is ``rate``,
-    and ``prod_f`` is None.
+    another plan.
     """
 
     def __init__(self, dom: Domain, cfg: OperatorConfig, members: int | None):
@@ -360,28 +358,22 @@ class _Plan:
         inner.flags.writeable = False
         self.inner, self.off = inner, np.ones(self.padded, dtype=bool)
         self.off[inner.reshape(-1)] = False
-        p, hh, ns = cfg.p, dom.h_grid * dom.h_grid, len(st.shared)
-        self.hh, self.floored = hh, p < 1.0
+        hh, ns = dom.h_grid * dom.h_grid, len(st.shared)
+        self.hh, below_one = hh, cfg.p < 1.0
         diff, scratch = np.empty((ns, size)), np.empty((st.scratch, size))
-        low = np.empty((ns, size)) if self.floored else diff
-        rows, rows_f = [*diff, *scratch], [*low, *scratch]
+        rows = [*diff, *scratch]
 
-        def block(r, g, a=diff):
+        def block(r, g):
             # rows r, ..., r + g - 1, all shared or all scratch (see _stencil)
-            return a[r:r + g] if r < ns else scratch[r - ns:r - ns + g]
+            return diff[r:r + g] if r < ns else scratch[r - ns:r - ns + g]
 
         self.twice, self.prod, self.rate = (np.empty(size) for _ in range(3))
-        # p >= 1 divides each frame's rate in place
-        self.prod_f, self.power = ((np.empty(size), np.empty(size))
-                                   if self.floored else (None, self.rate))
-        self.radius, self.term, radial, radial_f = [None] * blocks, None, [], []
+        self.radius, self.term, radial = [None] * blocks, None, []
         if cfg.variant == "reduced":
             h, self.kr = dom.h_grid, dom.shape[1]   # offset of the first axis
-            ratio, R = np.empty(size), np.empty(size)
-            self.radial = [ratio, R, *((np.empty(size), np.empty(size))
-                                       if self.floored else (ratio, R))]
-            radial, radial_f = self.radial[1:2], self.radial[3:]
-            self.term = np.empty(size)
+            self.radial = (np.empty(size), np.empty(size),
+                           hh if below_one else 0.0)
+            radial, self.term = [self.radial[1]], np.empty(size)
             r_all = np.tile(np.repeat(dom.axes()[0], self.kr), members or 1)
             self.radius = []
             for lo, hi in self.blocks:
@@ -391,19 +383,19 @@ class _Plan:
                 self.radius.append((two_hr, axis, np.zeros(size)))
         self.frames, o = [], st.offsets
         for k, (fills, frame) in enumerate(zip(st.fills, st.rows)):
-            c = 1.0 / (st.e2_product[k] * hh ** dom.n)
-            groups = [(block(r, len(ds)), block(r, len(ds), low),
-                       np.array([[st.e2[d] * hh * hh] for d in ds]),
+            # each group's clamp: its floors |e|^2 h^4 at p < 1, else 0
+            groups = [(block(r, len(ds)),
+                       np.array([[st.e2[d] * hh * hh] for d in ds])
+                       if below_one else 0.0,
                        o[ds[0]], o[ds[-1]] - o[ds[0]]) for r, ds in fills]
             self.frames.append((groups, [rows[i] for i in frame] + radial,
-                                [rows_f[i] for i in frame] + radial_f,
-                                c, 2.0 * p * hh * c))
+                                1.0 / (st.e2_product[k] * hh ** dom.n)))
         self.source = None
 
     def views(self, u: GridFunction | GridStack) -> list:
         """Per block, (lo, hi, centre, fills, radial): its span columns, the
-        centre values, per frame each fill group's (plus, minus, out), plus
-        and minus its (g, columns) values at the offsets +-k_i through
+        centre values, per frame each fill group's (plus, minus, out, clamp),
+        plus and minus its (g, columns) values at the offsets +-k_i through
         ``np.ndarray`` views (``as_strided`` costs 5x as much), and for the
         reduced variant (u(x + h e_1), u(x - h e_1), *radius).  They are kept
         with ``u.values``, which the plan holds alive until the next rebuild,
@@ -424,8 +416,8 @@ class _Plan:
 
         for (lo, hi), radius in zip(self.blocks, self.radius):
             a, b = self.start + lo, self.start + hi
-            fills = [[(at(a + k, m, out), at(a - k, -m, out), out)
-                      for out, _, _, k, m in groups]
+            fills = [[(at(a + k, m, out), at(a - k, -m, out), out, clamp)
+                      for out, clamp, k, m in groups]
                      for groups, *_ in self.frames]
             radial = radius and (flat[a + self.kr:b + self.kr],
                                  flat[a - self.kr:b - self.kr], *radius)
@@ -435,14 +427,15 @@ class _Plan:
 
 def _clamped_second_differences(fills, twice: np.ndarray) -> None:
     """Fill the work rows ``out`` of each group of ``fills`` = ((plus, minus,
-    out), ...) with the raw clamped second differences max(0, Delta^2_e u)
-    = max(0, plus + minus - ``twice``) of its g directions, twice = 2u(x):
-    one (g, columns) block per group.  Entries off the cores are computed
-    from wrapped-around neighbours and never used."""
-    for plus, minus, out in fills:
+    out, clamp), ...) with the raw clamped second differences
+    max(clamp, Delta^2_e u) = max(clamp, plus + minus - ``twice``) of its g
+    directions, twice = 2u(x): one (g, columns) block per group.  Entries
+    off the cores are computed from wrapped-around neighbours and never
+    used."""
+    for plus, minus, out, clamp in fills:
         np.add(plus, minus, out=out)
         out -= twice
-        np.maximum(out, 0.0, out=out)
+        np.maximum(out, clamp, out=out)
 
 
 def _product_and_sum(factors, P: np.ndarray, s: np.ndarray | None = None,
@@ -492,24 +485,12 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     The reduced variant's radial factor (:func:`_radial_factors`) is one
     more factor of every frame.
 
-    For p >= 1 the slope factor of frame F is s'/P' = sum_{e in F} 1/D'_e,
-    and the slope is the tangent bound of the module docstring,
-    2p h^2 F(x) times their maximum, with 0 where F(x) <= 0: there no
-    frame can fall (F never falls below 0), and the 0/0 and inf of a
-    degenerate frame go with it.  The bound holds because each frame's
-    power is convex, nonincreasing and >= 0 along a raise of the centre,
-    so it stays above its tangent line from its own value, cut at 0.
-
-    For p < 1 the powers are not convex, and frame F's slope factor is
-    |d(P_F^p)/du(x)| = p P_F^(p-1) 2h^2 c_F s', with its pieces (but never
-    the product itself) computed from differences floored at the curvature
-    scale h^2: a second difference below the scheme's own truncation scale
-    is indistinguishable from degenerate, and the raw p - 1 power diverges
-    exactly there.  So after the raw product each row the frame filled is
-    floored once, a shared row into a copy (later frames still read it raw)
-    and any other in place.  Where the product is 0 the node does not move
-    and the factor is taken as zero.  The slope is b times the largest
-    factor, which is not a bound where 0 < D < h^2.
+    The slope factor of frame F is s'/P' = sum_{e in F} w_e/D'_e, and the
+    slope is the tangent bound of the module docstring, 2 max(p, 1) h^2 F(x)
+    times their maximum, with 0 where F(x) <= 0: there no frame can fall
+    (F never falls below 0), and the 0/0 and inf of a degenerate frame go
+    with it.  At p < 1 every factor is clamped at its floor, so no frame is
+    degenerate and F(x) > 0 at every node.
     """
     dom = u.domain
     plan = _span_cached(u, ("plan", cfg.width, cfg.p, cfg.variant, cfg.n_full),
@@ -531,27 +512,15 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
             if radial:
                 weight = _radial_factors(plan, cfg.n_full, twice, *radial)
             low, top = best[lo:hi], best_slope[lo:hi]
-            for k, ((groups, factors, factors_f, c, gain), reads) in \
+            for k, ((_, factors, c), reads) in \
                     enumerate(zip(plan.frames, fills)):
                 _clamped_second_differences(reads, twice)
                 # frame 0 writes its product and slope factor straight into
-                # the running minimum and maximum
+                # the running minimum and maximum; later frames divide
+                # their rate in place
                 P = plan.prod if k else low
-                W = plan.power if k else top
-                if plan.floored:
-                    _product_and_sum(factors, P)
-                    for out, out_f, floor, _, _ in groups:
-                        np.maximum(out, floor, out=out_f)
-                    _product_and_sum(factors_f, plan.prod_f, plan.rate,
-                                     weight, plan.term)
-                    plan.rate *= gain
-                    np.multiply(plan.prod_f, c, out=W)
-                    np.power(W, p - 1.0, out=W)
-                    W *= plan.rate
-                    np.copyto(W, 0.0, where=~(P > 0))
-                else:
-                    _product_and_sum(factors, P, plan.rate, weight, plan.term)
-                    np.divide(plan.rate, P, out=W)
+                _product_and_sum(factors, P, plan.rate, weight, plan.term)
+                np.divide(plan.rate, P, out=plan.rate if k else top)
                 P *= c
                 if not k:
                     continue
@@ -559,20 +528,16 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
                     arg[lo:hi][P < low] = k
                 # monotone steps need the slope bound over every frame, not
                 # just the active one: a frame can take over mid-step
-                np.maximum(top, W, out=top)
+                np.maximum(top, plan.rate, out=top)
                 np.minimum(low, P, out=low)
         if p != 1.0:
             np.power(best, p, out=best)
         _scale(best, b, plan.inner)
         np.copyto(best, -0.0, where=plan.off)
-        if plan.floored:
-            _scale(best_slope, b, plan.inner)
-            np.copyto(best_slope, 0.0, where=plan.off)
-        else:
-            best_slope *= best
-            best_slope *= 2.0 * p * plan.hh
-            np.copyto(best_slope, 0.0, where=best <= 0.0)
-    return OperatorField(dom, best, best_slope, plan.inner, p, arg)
+        best_slope *= best
+        best_slope *= 2.0 * max(p, 1.0) * plan.hh
+        np.copyto(best_slope, 0.0, where=best <= 0.0)
+    return OperatorField(dom, best, best_slope, plan.inner, arg)
 
 
 def _scale(a: np.ndarray, b, inner: np.ndarray) -> None:
@@ -593,23 +558,20 @@ def _radial_factors(plan: _Plan, nf: int, twice: np.ndarray, up: np.ndarray,
                     um: np.ndarray, two_hr: np.ndarray, axis: np.ndarray,
                     weight: np.ndarray) -> np.ndarray:
     """The reduced variant's radial factor over one block, one more factor
-    of every frame, into the rows R and R_f of ``plan.radial``: R =
-    max(0, u_r/r)^(n_full-2), with u_r/r = (``up`` - ``um``) / 2hr and its
-    u_rr limit on the ``axis`` entries (where 2hr holds 1); R_f, R from the
-    ratio floored at h^2 for p < 1.  Returns its rate weight next to the raw
-    differences' 1, ``weight`` = (n_full-2) ratio_f^(n_full-3) / h^2: the
+    of every frame, into the row R of ``plan.radial``: R = ratio^(n_full-2)
+    with ratio = max(clamp, u_r/r), u_r/r = (``up`` - ``um``) / 2hr and its
+    u_rr limit on the ``axis`` entries (where 2hr holds 1), clamped at 0
+    for p >= 1 and at h^2 for p < 1.  Returns its rate weight next to the
+    raw differences' 1, ``weight`` = (n_full-2) ratio^(n_full-3) / h^2: the
     centre's weight in R through u_rr on the axis, over 2h^2 (0 off it)."""
-    ratio, R, ratio_f, R_f = plan.radial
+    ratio, R, clamp = plan.radial
     hh = plan.hh
     np.subtract(up, um, out=ratio)
     ratio /= two_hr
     ratio[axis] = (up[axis] + um[axis] - twice[axis]) / hh
-    np.maximum(ratio, 0.0, out=ratio)
+    np.maximum(ratio, clamp, out=ratio)
     np.power(ratio, nf - 2, out=R)
-    if ratio_f is not ratio:
-        np.maximum(ratio, hh, out=ratio_f)
-        np.power(ratio_f, nf - 2, out=R_f)
-    weight[axis] = (nf - 2) * np.power(ratio_f[axis], nf - 3) / hh
+    weight[axis] = (nf - 2) * np.power(ratio[axis], nf - 3) / hh
     return weight
 
 

@@ -83,6 +83,11 @@ def test_criterion_03_flat_side_persists_at_p1_clears_below_1_over_n(
     clear_spec = REGISTRY["flat-side-clears-p04"]
     clear, elapsed = _timed_run(clear_spec, tmp_path / "go")
     assert clear.measured["min_final_value"] > EPS_129
+    # the curvature floor h^2 alone lifts every node by b t (h^(2n))^p;
+    # the flat side must clear by far more than that
+    cfg = clear_spec.config
+    floor_rise = cfg["run.t_end"] * (cfg["grid.h"] ** 4) ** cfg["op.p"]
+    assert clear.measured["min_final_value"] >= 50.0 * floor_rise
     _assert_budget(clear_spec, elapsed, 120.0)
 
 

@@ -48,7 +48,7 @@ def test_parse_rejects_unknown_and_duplicate_keys():
     with pytest.raises(ConfigError, match="unknown key 'mesh.h'"):
         parse_config("mesh.h = 0.1")
     # settings that no run varied: the stencil radius is op.width, the
-    # step is kappa_cfl(p) h^2 / max slope
+    # step is h^2 / max slope
     for key in ("run.kappa", "run.dt_max", "grid.stencil_radius"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(f"{key} = 1")

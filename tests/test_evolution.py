@@ -39,15 +39,15 @@ def test_exact_on_quadratic_in_time():
     assert err <= 1e-10  # in fact exact up to accumulated roundoff
 
 
-@pytest.mark.parametrize("p,kappa", [(0.4, 0.4), (1.0, 1.0), (2.0, 1.0)])
-def test_stable_dt_value(p, kappa):
-    # identity Hessian: slope bound 4p (axis frame, F = 1), dt = kappa h^2 /
-    # 4p with the whole chord condition at p >= 1 and 0.4 of it below
+@pytest.mark.parametrize("p", [0.4, 1.0, 2.0])
+def test_stable_dt_value(p):
+    # identity Hessian: slope bound 4 max(p, 1) (axis frame, F = 1), and
+    # dt = h^2 / (4 max(p, 1)), the whole chord condition at every p
     dom = ball(r=1.0, h=0.1)
     sol = quadratic_solution(np.eye(2), p=p)
     state = make_state(dom, sol, OperatorConfig(p=p))
     assert stable_dt(ma_field(state.u, state.cfg)) == pytest.approx(
-        kappa * 0.1 ** 2 / (4.0 * p), rel=1e-12)
+        0.1 ** 2 / (4.0 * max(p, 1.0)), rel=1e-12)
 
 
 def test_stable_dt_rejects_a_non_finite_slope_and_names_its_node():
@@ -225,8 +225,7 @@ def _interior_steps(states, stops):
         while stack.t < stop:
             fld = ma_field(stack, cfg)
             sig = float(np.take(fld.span_slope, fld.columns).max())
-            dt = math.inf if sig <= 0.0 \
-                else evolution.kappa_cfl(cfg.p) * dom.h_grid ** 2 / sig
+            dt = math.inf if sig <= 0.0 else dom.h_grid ** 2 / sig
             rem = stop - stack.t
             if dt >= rem * (1.0 - 1e-12):
                 dt, t_new = rem, stop
@@ -540,9 +539,9 @@ def test_initial_samples_survive_evolve_pair():
 
 
 def test_degenerate_fringe_step_stays_bounded_for_p_below_one():
-    # flat-disk data, p < 1: at the erosion fringe one clamped curvature is
-    # tiny but positive and the raw sensitivity det^(p-1) diverges; the
-    # floored slope bound must keep dt workable instead of underflowing
+    # flat-disk data, p < 1: at the erosion fringe one curvature is tiny
+    # but positive and the raw sensitivity det^(p-1) diverges; the
+    # curvature floor h^2 must keep dt workable instead of underflowing
     from pma_lab.exact import flat_disk_data
 
     h = 0.05
@@ -553,6 +552,7 @@ def test_degenerate_fringe_step_stays_bounded_for_p_below_one():
     res = evolve(state, t_end=0.01)
     # bounded step count certifies the dt floor held well above underflow
     assert res.state.steps < 50_000
+    # the floor alone lifts every node by t (h^4)^p; the centre rises more
     ctr = dom.index_of([0.0, 0.0])
-    assert res.snapshots[-1].values[ctr] > 0.0
+    assert res.snapshots[-1].values[ctr] > 0.01 * (h ** 4) ** 0.4
 

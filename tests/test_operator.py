@@ -51,21 +51,27 @@ def _radial_ratio(u, idx):
             else (V[ip] - V[im]) / (2.0 * h * r)), on_axis
 
 
+def _floor(u, cfg):
+    """The clamp of every curvature and of u_r/r: h^2 for p < 1, else 0."""
+    return u.domain.h_grid ** 2 if cfg.p < 1.0 else 0.0
+
+
 def pointwise_value(u, idx, cfg):
     """The operator at one node and its first minimising frame, frame by
     frame in scalar arithmetic: the reference the array kernel is checked
-    against.  For the reduced variant every frame product carries the
-    radial factor max(0, u_r/r)^(n_full-2), with u_r/r the central
-    difference and, on the axis, its limit the second difference u_rr."""
-    dom = u.domain
+    against.  Every curvature is clamped at the floor f of :func:`_floor`.
+    For the reduced variant every frame product carries the radial factor
+    max(f, u_r/r)^(n_full-2), with u_r/r the central difference and, on the
+    axis, its limit the second difference u_rr."""
+    dom, f = u.domain, _floor(u, cfg)
     radial = 1.0
     if cfg.variant == "reduced":
-        radial = max(_radial_ratio(u, idx)[0], 0.0) ** (cfg.n_full - 2)
+        radial = max(_radial_ratio(u, idx)[0], f) ** (cfg.n_full - 2)
     best, arg = math.inf, None
     for k, frame in enumerate(orthogonal_frames(dom.n, cfg.width)):
         prod = 1.0
         for e in frame:
-            prod *= max(_second_difference(u, idx, e), 0.0)
+            prod *= max(_second_difference(u, idx, e), f)
         prod *= radial
         if prod < best:
             best, arg = prod, k
@@ -75,49 +81,28 @@ def pointwise_value(u, idx, cfg):
 
 def pointwise_slope(u, idx, cfg):
     """The slope at one node in curvature units, frame by frame in scalar
-    arithmetic, with the factors F_i of each frame and their centre weights
-    w_i: 1/|e_i|^2 for a second difference and, for the reduced radial
-    factor R = max(0, u_r/r)^(n_full-2), (n_full-2) (u_r/r)^(n_full-3) on
-    the axis (through u_rr) and 0 off it.  For p >= 1 the tangent bound
-    2p F(x) max_F sum_i w_i / F_i, and 0 where F(x) = 0.  For p < 1 the
-    all-frame slope, b times 2 max_F p P_F^(p-1) sum_i w_i prod_{j != i}
-    F_j, with the pieces from the differences and u_r/r floored at h^2, and
-    0 from a frame whose product is 0."""
-    dom = u.domain
-    hh = dom.h_grid ** 2
-    floor = hh if cfg.p < 1.0 else 0.0
+    arithmetic, with the factors F_i of each frame, clamped at the floor f
+    of :func:`_floor`, and their centre weights w_i: 1/|e_i|^2 for a second
+    difference and, for the reduced radial factor R = max(f,
+    u_r/r)^(n_full-2), (n_full-2) max(f, u_r/r)^(n_full-3) on the axis
+    (through u_rr) and 0 off it.  The tangent bound 2 max(p, 1) F(x)
+    max_F sum_i w_i / F_i, and 0 where F(x) = 0."""
+    dom, f = u.domain, _floor(u, cfg)
     radial = []
     if cfg.variant == "reduced":
         ratio, on_axis = _radial_ratio(u, idx)
-        ratio, nf = max(ratio, 0.0), cfg.n_full
-        ratio_f = max(ratio, floor)
-        w = (nf - 2) * ratio_f ** (nf - 3) if on_axis else 0.0
-        radial = [(ratio ** (nf - 2), ratio_f ** (nf - 2), w)]
+        ratio, nf = max(ratio, f), cfg.n_full
+        radial = [(ratio ** (nf - 2),
+                   (nf - 2) * ratio ** (nf - 3) if on_axis else 0.0)]
     value = pointwise_value(u, idx, cfg)[0]
-    if cfg.p >= 1.0 and not value > 0.0:
+    if not value > 0.0:
         return 0.0
     best = 0.0
     for frame in orthogonal_frames(dom.n, cfg.width):
-        factors = []
-        for e in frame:
-            D = max(_second_difference(u, idx, e), 0.0)
-            factors.append((D, max(D, floor), 1.0 / sum(c * c for c in e)))
-        factors += radial
-        if cfg.p >= 1.0:
-            best = max(best, sum(w / F for F, _, w in factors))
-            continue
-        prod = math.prod(F for F, _, _ in factors)
-        if not prod > 0.0:
-            continue
-        prod_f = math.prod(F for _, F, _ in factors)
-        rate = sum(w * math.prod(G for j, (_, G, _) in enumerate(factors)
-                                 if j != i)
-                   for i, (_, _, w) in enumerate(factors))
-        best = max(best, 2.0 * cfg.p * prod_f ** (cfg.p - 1.0) * rate)
-    if cfg.p >= 1.0:
-        return 2.0 * cfg.p * value * best
-    x = dom.coordinates(idx)[None, :]
-    return float(cfg.b(x, u.t)[0]) * best
+        factors = [(max(_second_difference(u, idx, e), f),
+                    1.0 / sum(c * c for c in e)) for e in frame] + radial
+        best = max(best, sum(w / F for F, w in factors))
+    return 2.0 * max(cfg.p, 1.0) * value * best
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +264,11 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
     ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}" + (f"-urr{c[3]}h2" if c[3]
                                                else ""))
 def test_slope_matches_pointwise_slope_at_every_interior_node(case):
-    # the frame loop scales each frame's raw product and leave-one-out sum
-    # once; node by node, the slope must equal the all-frame slope summed
-    # in curvature units with its 2/|e|^2 weights (at p = 80 the constant
-    # c_F^(p-1) alone, 1e4^79, would overflow).  The last case is a radial
+    # the frame loop scales each frame's raw product once and divides its
+    # leave-one-out sum by the raw product; node by node, the slope must
+    # equal the tangent bound summed in curvature units with its 1/|e|^2
+    # weights (at p = 80 the constant c_F^(p-1) alone, 1e4^79, would
+    # overflow a slope built from the power).  The last case is a radial
     # curvature u_rr in (0, h^2), which only p < 1 floors: at p >= 1 the
     # axis rate weight must come from the raw ratio
     variant, p, width, urr = case
@@ -590,13 +576,11 @@ def _plan_rows(dom, p, members) -> tuple:
     """The plain width-2 plan of ``dom`` and its work rows by name, the
     difference rows as the whole arrays its fill groups are cut from."""
     plan = dom.span_cache[(("plan", 2, p, "plain", None), members)]
-    rows = {name: getattr(plan, name) for name in
-            ("twice", "prod", "rate", "prod_f", "power")}
+    rows = {name: getattr(plan, name) for name in ("twice", "prod", "rate")}
     for k, (groups, *_) in enumerate(plan.frames):
-        for g, (out, out_f, *_) in enumerate(groups):
-            rows[f"diff {k}.{g}"], rows[f"floored {k}.{g}"] = \
-                out.base, out_f.base
-    return plan, {name: a for name, a in rows.items() if a is not None}
+        for g, (out, *_) in enumerate(groups):
+            rows[f"diff {k}.{g}"] = out.base
+    return plan, rows
 
 
 @pytest.mark.parametrize("n,p", [(3, 0.4), (3, 1.0), (3, 2.0), (2, 0.4),
@@ -604,9 +588,9 @@ def _plan_rows(dom, p, members) -> tuple:
 def test_work_arrays_hold_a_few_rows(n, p):
     # only the directions several frames read (the axes in 3-D, none in
     # 2-D) keep a block row; the others share at most n scratch rows, and
-    # the floored product and the power exist only where they are written
-    # (p < 1: at p >= 1 each frame's rate is divided in place);
-    # on a span of several blocks no work array is longer than one block
+    # each frame's rate is divided in place.  A p < 1 plan holds the same
+    # rows as a p >= 1 plan: its floors are one column per fill group.
+    # On a span of several blocks no work array is longer than one block
     dom = build_domain({"kind": "ball", "center": [0.03] * n,
                         "radius": 1.0}, h_grid=0.1 if n == 2 else 0.25,
                        stencil_radius=2)
@@ -620,8 +604,11 @@ def test_work_arrays_hold_a_few_rows(n, p):
     plan, work = _plan_rows(dom, p, None)
     for name, a in work.items():
         assert (1 if a.ndim == 1 else a.shape[0]) <= rows, name
-    assert (plan.prod_f is not None) == (p < 1.0)
-    assert (plan.power is not plan.rate) == (p < 1.0)
+    ma_field(u, OperatorConfig(p=1.0))
+    plan1, work1 = _plan_rows(dom, 1.0, None)
+    assert vars(plan).keys() == vars(plan1).keys()
+    assert {name: a.shape for name, a in work.items()} == \
+        {name: a.shape for name, a in work1.items()}
     members = _BLOCK // dom.classes.size + 2
     stack = GridStack(dom, np.stack([u.values] * members))
     assert _span_length(stack) > _BLOCK
@@ -632,8 +619,8 @@ def test_work_arrays_hold_a_few_rows(n, p):
 
 
 def test_work_arrays_carry_nothing_between_calls():
-    # each plan owns its work rows, aliased only within itself (at p >= 1
-    # the power is the rate and the floored rows are the raw ones): each
+    # each plan owns its work rows, aliased only within itself (each frame
+    # divides its rate in place): each
     # call in a mixed sequence on one lattice equals the same call on a
     # lattice that has never run the operator
     desc = {"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
