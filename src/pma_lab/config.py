@@ -13,28 +13,30 @@ Recognized keys:
 * ``grid.h`` — lattice spacing (required); the stencil radius of the
   lattice is the operator width.
 * ``op.p`` — exponent (required); ``op.width`` 1|2|3 (default 2);
-  ``op.variant`` ``plain`` | ``reduced`` (default ``plain``);
-  ``op.n_full`` for the reduced variant only; ``op.b_expression`` in
-  ``x1..xn, r, t`` (default ``"1"``) with pinch bounds ``op.lambda`` and
-  ``op.Lambda`` (defaults 1, 1).
-* ``data.kind`` and the ``data.*`` keys of that kind:
+  ``op.n_full``, which selects the reduced variant in that dimension on an
+  (r, x_n) lattice; ``op.b_expression`` in ``x1..xn, r, t`` (default
+  ``"1"``) with pinch bounds ``op.lambda`` and ``op.Lambda`` (defaults 1, 1).
+* ``data.kind`` and the keys of that kind:
 
-  - ``quadratic``: ``matrix`` (required);
-  - ``cone``: ``slope``;
-  - ``crease``: ``axis``, ``quad_coeff``;
-  - ``flat_disk``: ``radius`` (required), ``slope``;
-  - ``selfsimilar``: ``T``, at the flow's own n and p (``make_profile``);
-  - ``expression``: ``expression`` (required), for any other data.
-* ``run.t_end``; ``run.snapshots`` (count or explicit time list);
-  ``run.boundary`` ``exact`` | ``frozen`` (default: exact for data kinds
-  that are closed-form solutions, frozen otherwise).
+  - ``quadratic``: ``data.matrix`` (required);
+  - ``cone``: ``data.slope``;
+  - ``crease``: none, the data are |x_n| + |x'|^2 / 2;
+  - ``flat_disk``: ``data.radius`` (required), ``data.slope``;
+  - ``selfsimilar``: none, the profile of the flow's own n and p
+    (:func:`make_profile`) at horizon 1;
+  - ``expression``: ``data.expression`` (required), for any other data.
+* ``run.t_end``; ``run.snapshots`` (count or explicit time list).
+
+The band refreshes from the data when they read t (``quadratic``,
+``selfsimilar``, an ``expression`` in ``t``), which then solve the flow in
+closed form; any other band stays frozen.
 
 Unknown keys, in a file or a dict, are configuration errors, and so are the
 keys of a region or data kind other than the one named, a value of the wrong
 type (an integer key takes only a whole number), and one that does not fit
-the lattice (a non-finite region value, a ``data.matrix`` or ``data.axis`` of
-another dimension, an expression in an axis the lattice lacks): a typo that
-silently changed nothing would be worse than a refusal to run.
+the lattice (a non-finite region value, a ``data.matrix`` of another
+dimension, an expression in an axis the lattice lacks): a typo that silently
+changed nothing would be worse than a refusal to run.
 """
 
 from __future__ import annotations
@@ -74,24 +76,19 @@ class ConfigError(ValueError):
 _DATA_KEYS = {
     "quadratic": {"matrix"},
     "cone": {"slope"},
-    "crease": {"axis", "quad_coeff"},
+    "crease": set(),
     "flat_disk": {"radius", "slope"},
-    "selfsimilar": {"T"},
+    "selfsimilar": set(),
     "expression": {"expression"},
 }
 
 _KNOWN_KEYS = {
     "domain": {"kind"}.union(*_REGION_KEYS.values()),
     "grid": {"h"},
-    "op": {"p", "width", "variant", "n_full", "b_expression", "lambda",
-           "Lambda"},
+    "op": {"p", "width", "n_full", "b_expression", "lambda", "Lambda"},
     "data": {"kind"}.union(*_DATA_KEYS.values()),
-    "run": {"t_end", "snapshots", "boundary"},
+    "run": {"t_end", "snapshots"},
 }
-
-# data kinds whose evaluator solves the flow in closed form, so the exact
-# values can keep refreshing the boundary band during evolution
-_EXACT_KINDS = {"quadratic", "selfsimilar", "expression"}
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +209,12 @@ def _compile_expression(expr: str):
 
 def expression_field(expr: str, lam: float = 1.0,
                      Lam: float = 1.0) -> CoefficientField:
-    """Coefficient ``b(x, t)`` from a restricted expression string."""
+    """Coefficient ``b(x, t)`` from a restricted expression string; b = 1
+    is the constant field, which must lie in the given bounds."""
     if expr.strip() == "1":
+        if not float(lam) <= 1.0 <= float(Lam):
+            raise ConfigError(f"op.b_expression = '1' leaves [op.lambda, "
+                              f"op.Lambda] = [{lam}, {Lam}]")
         return CoefficientField.constant(1.0)
     return CoefficientField(evaluator=_compile_expression(expr),
                             lam=float(lam), Lam=float(Lam))
@@ -244,16 +245,15 @@ def make_operator(cfg: dict) -> OperatorConfig:
                              _get(cfg, "op.Lambda", 1.0, cast=float))
         return OperatorConfig(
             p=_get(cfg, "op.p", required=True, cast=float),
-            width=_get(cfg, "op.width", 2, cast=_int),
-            variant=_get(cfg, "op.variant", "plain", cast=str),
-            b=b, n_full=_get(cfg, "op.n_full", cast=_int))
+            width=_get(cfg, "op.width", 2, cast=_int), b=b,
+            n_full=_get(cfg, "op.n_full", cast=_int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def make_profile(cfg: dict, n: int | None = None):
     """The self-similar profile of the run's flow: power ``op.p``; dimension
-    ``op.n_full`` (only the reduced variant takes it), else the lattice's,
+    ``op.n_full`` (set for the reduced variant), else the lattice's,
     ``n`` (built from the config when the caller passes none)."""
     n = _get(cfg, "op.n_full", n, cast=_int)
     return build_profile(n=make_domain(cfg).n if n is None else n,
@@ -279,18 +279,14 @@ def make_initial(cfg: dict, n: int | None = None):
         if kind == "cone":
             return cone_data(slope=_get(cfg, "data.slope", 1.0, cast=float))
         if kind == "crease":
-            return crease_data(
-                axis=_get(cfg, "data.axis", -1, cast=_int),
-                quad_coeff=_get(cfg, "data.quad_coeff", 0.5, cast=float))
+            return crease_data()
         if kind == "flat_disk":
             return flat_disk_data(
                 radius=_get(cfg, "data.radius", required=True, cast=float),
                 slope=_get(cfg, "data.slope", 1.0, cast=float))
         if kind == "selfsimilar":
-            # read before the profile build, which takes a while
-            T = _get(cfg, "data.T", 1.0, cast=float)
             profile = make_profile(cfg, n)
-            return lambda pts, t: profile.eval(pts, t, T)
+            return lambda pts, t: profile.eval(pts, t, 1.0)
         return _compile_expression(
             _get(cfg, "data.expression", required=True, cast=str))
     except ValueError as exc:
@@ -298,7 +294,11 @@ def make_initial(cfg: dict, n: int | None = None):
 
 
 def make_state(cfg: dict) -> EvolutionState:
-    """Assemble domain, operator and initial data into an evolution state."""
+    """Assemble domain, operator and initial data into an evolution state.
+
+    The data refresh the band when they read t: they then solve the flow in
+    closed form.  Data free of t would refresh it to the same bits, so
+    their band stays frozen."""
     for key in cfg:
         _check_key(key)
     dom = make_domain(cfg)
@@ -308,28 +308,19 @@ def make_state(cfg: dict) -> EvolutionState:
     if "data.matrix" in cfg and np.shape(cfg["data.matrix"]) != want:
         raise ConfigError(f"data.matrix = {cfg['data.matrix']!r} does not "
                           f"fit the {dom.n}-D lattice: it needs shape {want}")
-    if not -dom.n <= _get(cfg, "data.axis", 0, cast=_int) < dom.n:
-        raise ConfigError(f"data.axis = {cfg['data.axis']!r} does not fit the "
-                          f"{dom.n}-D lattice: it is not one of its axes")
+    names = {}
     for key in ("data.expression", "op.b_expression"):
         expr = _get(cfg, key, "1", cast=str)
+        names[key] = compile(expr, "<config expression>", "eval").co_names
         lacks = sorted({f"x{i}" for i in range(dom.n + 1, 10)}.intersection(
-            compile(expr, "<config expression>", "eval").co_names))
+            names[key]))
         if lacks:
             raise ConfigError(f"{key} = {expr!r} does not fit the {dom.n}-D "
                               f"lattice: it reads {lacks}")
-    u = sample(dom, sol, t=0.0)
-    mode = _get(cfg, "run.boundary",
-                "exact" if _get(cfg, "data.kind") in _EXACT_KINDS
-                else "frozen")
-    if mode == "exact":
-        boundary = sol
-    elif mode == "frozen":
-        boundary = None
-    else:
-        raise ConfigError(
-            f"run.boundary must be 'exact' or 'frozen', got {mode!r}")
-    return EvolutionState(u=u, cfg=op, boundary=boundary)
+    moves = cfg["data.kind"] in ("quadratic", "selfsimilar") \
+        or "t" in names["data.expression"]
+    return EvolutionState(u=sample(dom, sol, t=0.0), cfg=op,
+                          boundary=sol if moves else None)
 
 
 def run_settings(cfg: dict) -> dict:

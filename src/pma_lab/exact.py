@@ -98,11 +98,13 @@ def cone_data(slope: float = 1.0) -> Callable:
     return fn
 
 
-def crease_data(axis: int = -1, quad_coeff: float = 0.5) -> Callable:
-    """u0 = |x_axis| + quad_coeff |x_rest|^2: an edge along a hyperplane."""
+def crease_data() -> Callable:
+    """u0 = |x_n| + |x'|^2 / 2: an edge along the hyperplane x_n = 0.  Any
+    other hyperplane and coefficient are this one under a rotation and the
+    scaling u(Ax, mt) / h of the flow."""
     def fn(pts, t):
-        rest = np.delete(pts, axis % pts.shape[-1], axis=-1)
-        return np.abs(pts[..., axis]) + quad_coeff * np.einsum(
+        rest = np.delete(pts, -1, axis=-1)
+        return np.abs(pts[..., -1]) + 0.5 * np.einsum(
             "...i,...i->...", rest, rest)
 
     return fn

@@ -804,8 +804,8 @@ REGISTRY = {spec.name: spec for spec in [
         "edge-persist-n4p1", "separation", 4,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
                 "domain.upper": [1.0, 1.0], "grid.h": 0.025,
-                "op.p": 1.0, "op.variant": "reduced", "op.n_full": 4,
-                "data.kind": "selfsimilar", "data.T": 1.0, "run.t_end": 0.3,
+                "op.p": 1.0, "op.n_full": 4,
+                "data.kind": "selfsimilar", "run.t_end": 0.3,
                 "run.snapshots": [0.075, 0.15, 0.225, 0.3]},
         probes=("separation",),
         outcomes=(
@@ -815,8 +815,7 @@ REGISTRY = {spec.name: spec for spec in [
         "edge-moves-n3p1", "separation", 15,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0, -1.0],
                 "domain.upper": [1.0, 1.0, 1.0], "grid.h": 0.05,
-                "op.p": 1.0, "data.kind": "crease", "data.axis": -1,
-                "data.quad_coeff": 0.5, "run.t_end": 0.021,
+                "op.p": 1.0, "data.kind": "crease", "run.t_end": 0.021,
                 "run.snapshots": [0.021]},
         probes=("separation",),
         outcomes=(
@@ -835,8 +834,7 @@ REGISTRY = {spec.name: spec for spec in [
         "selfsimilar-profile-n4p1", "self-similar", 10,
         config={"domain.kind": "box", "domain.lower": [-1.0, -1.0],
                 "domain.upper": [1.0, 1.0], "grid.h": 0.05, "op.p": 1.0,
-                "op.variant": "reduced", "op.n_full": 4,
-                "data.kind": "selfsimilar", "data.T": 1.0},
+                "op.n_full": 4, "data.kind": "selfsimilar"},
         probes=("profile",),
         outcomes=(
             Outcome("beta_value", "abs", 6.0, 0.0, "quoted"),

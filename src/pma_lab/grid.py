@@ -335,9 +335,10 @@ class GridFunction:
         rel = (pts - dom.origin) / dom.h_grid
         base = np.floor(rel).astype(int)
         frac = rel - base
-        # points sitting exactly on the last node of an axis still need a cell
+        # a point exactly on the last node of an axis takes the cell below;
+        # one past it leaves the lattice, as one before the first node does
         top = np.array(dom.shape) - 1
-        at_top = base >= top
+        at_top = rel == top
         base = np.where(at_top, top - 1, base)
         frac = np.where(at_top, 1.0, frac)
         out = np.zeros(len(pts))
@@ -493,13 +494,19 @@ def load_csv(path) -> GridFunction:
         if cols != [f"x_{i+1}" for i in range(n)] + ["class", "value"]:
             raise ValueError(f"unrecognized column row {cols} in {path}")
         pts, cls, vals = [], [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=4):
             parts = line.strip().split(",")
-            if not parts or parts == [""]:
+            if parts == [""]:
                 continue
-            pts.append([float(x) for x in parts[:n]])
-            cls.append(_CLASS_CODES[parts[n]])
-            vals.append(float(parts[n + 1]))
+            try:
+                if len(parts) != n + 2:
+                    raise ValueError
+                pts.append([float(x) for x in parts[:n]])
+                cls.append(_CLASS_CODES[parts[n]])
+                vals.append(float(parts[n + 1]))
+            except (KeyError, ValueError):
+                raise ValueError(f"malformed row {line.strip()!r} at line "
+                                 f"{lineno} of {path}") from None
     pts = np.asarray(pts)
     lo = pts.min(axis=0)
     idx = np.rint((pts - lo) / h).astype(int)

@@ -21,10 +21,11 @@ consistent; it lifts every node by at least b (h^(2n))^p per unit time.
 
 Variants:
 
-* ``plain``    -- b (det_h u)^p
-* ``reduced``  -- for profiles u(r, x_n) of an axisymmetric function in
-  dimension n_full:  b ( max(f, u_r/r)^(n_full-2) * det2_h u )^p, with
-  u_r/r replaced by its limit u_rr on the axis r = 0.
+* plain    -- b (det_h u)^p
+* reduced  -- with ``n_full`` set: for profiles u(r, x_n) of an
+  axisymmetric function in dimension n_full,
+  b ( max(f, u_r/r)^(n_full-2) * det2_h u )^p, with u_r/r replaced by its
+  limit u_rr on the axis r = 0.
 
 Every call returns, alongside the value, a slope field in curvature
 units (multiply by 1/h^2) that bounds how fast F(x) can fall when u(x)
@@ -93,8 +94,6 @@ import numpy as np
 
 from .grid import CoefficientField, Domain, GridFunction, GridStack
 
-VARIANTS = ("plain", "reduced")
-
 # The frame loop runs over equal blocks of at most this many span columns,
 # so that its work rows stay near one core's L2 cache (module docstring);
 # every 2-D lattice of the registry (at most 17,153 columns) is one block.
@@ -162,13 +161,14 @@ def orthogonal_frames(n: int, width: int) -> tuple[tuple[tuple[int, ...], ...], 
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Exponent, stencil width, variant and coefficient of the flow."""
+    """Exponent, stencil width and coefficient of the flow; ``n_full``, the
+    dimension of an axisymmetric flow on the (r, x_n) lattice, selects the
+    reduced variant, None the plain one."""
 
     p: float
     width: int = 2
-    variant: str = "plain"
     b: CoefficientField = field(default_factory=lambda: CoefficientField.constant(1.0))
-    n_full: int | None = None     # embedding dimension for the reduced variant
+    n_full: int | None = None
 
     def __post_init__(self):
         if not (self.p > 0 and math.isfinite(self.p)):
@@ -176,13 +176,9 @@ class OperatorConfig:
                              f"{self.p}")
         if self.width not in (1, 2, 3):
             raise ValueError(f"stencil width must be 1, 2 or 3, got {self.width}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "reduced":
-            if self.n_full is None or self.n_full < 3:
-                raise ValueError("reduced variant needs n_full >= 3")
-        elif self.n_full is not None:
-            raise ValueError("n_full applies only to the reduced variant")
+        if self.n_full is not None and self.n_full < 3:
+            raise ValueError(f"the reduced variant needs n_full >= 3, got "
+                             f"{self.n_full}")
 
 
 @dataclass
@@ -333,9 +329,10 @@ class _Plan:
     block of work rows, its clamp (0.0 at p >= 1, the column of floors
     |e|^2 h^4 at p < 1), first offset and offset step, then the rows the
     product reads; ``inner`` and ``off`` of :class:`OperatorField`; and for
-    the reduced variant, the rows ``radial`` (ratio, R) and the ratio's
-    clamp (0.0 or h^2), and per block the row 2hr (1 on the axis r = 0),
-    the axis entries and the radial rate weight (0 off the axis).
+    the reduced variant (``n_full`` set, on a 2-D lattice, else ValueError),
+    the rows ``radial`` (ratio, R) and the ratio's clamp (0.0 or h^2), and
+    per block the row 2hr (1 on the axis r = 0), the axis entries and the
+    radial rate weight (0 off the axis).
 
     It allocates every block row the loop writes and shares none with
     another plan.
@@ -369,7 +366,10 @@ class _Plan:
 
         self.twice, self.prod, self.rate = (np.empty(size) for _ in range(3))
         self.radius, self.term, radial = [None] * blocks, None, []
-        if cfg.variant == "reduced":
+        if cfg.n_full is not None:
+            if dom.n != 2:
+                raise ValueError(
+                    "the reduced operator works on a 2-D (r, x_n) lattice")
             h, self.kr = dom.h_grid, dom.shape[1]   # offset of the first axis
             self.radial = (np.empty(size), np.empty(size),
                            hh if below_one else 0.0)
@@ -465,7 +465,7 @@ def ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
     """Evaluate the configured operator and its slope bound at every
     interior node of one grid function, or of every member of a
     :class:`GridStack` in one pass."""
-    if cfg.variant == "reduced":
+    if cfg.n_full is not None:
         return reduced_ma_field(u, cfg, with_frames=with_frames)
     return _min_over_frames(u, cfg, with_frames)
 
@@ -493,7 +493,7 @@ def _min_over_frames(u: GridFunction | GridStack, cfg: OperatorConfig,
     degenerate and F(x) > 0 at every node.
     """
     dom = u.domain
-    plan = _span_cached(u, ("plan", cfg.width, cfg.p, cfg.variant, cfg.n_full),
+    plan = _span_cached(u, ("plan", cfg.width, cfg.p, cfg.n_full),
                         lambda members: _Plan(dom, cfg, members))
     p, twice = cfg.p, plan.twice
     b = cfg.b.constant_value
@@ -584,8 +584,6 @@ def reduced_ma_field(u: GridFunction | GridStack, cfg: OperatorConfig,
     with even data, so the axis column can difference across itself);
     `cfg.n_full` is the dimension of the ambient space.  The radial factor
     multiplies every frame product in the frame loop shared with
-    :func:`ma_field`.
+    :func:`ma_field`.  The plan refuses any other lattice, once per lattice.
     """
-    if u.domain.n != 2:
-        raise ValueError("the reduced operator works on a 2-D (r, x_n) lattice")
     return _min_over_frames(u, cfg, with_frames)

@@ -75,7 +75,7 @@ def test_typo_in_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("old,new,key", [
     ("op.p = 1.0", "op.p = 1,0", "op.p"),
     ("data.kind = quadratic\ndata.matrix = [[1.0, 0.0], [0.0, 1.0]]",
-     "data.kind = crease\ndata.axis = [1]", "data.axis"),
+     "data.kind = cone\ndata.slope = [1]", "data.slope"),
     ("run.t_end = 0.01", "run.t_end = [0.01]", "run.t_end"),
 ])
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, old, new,
@@ -95,7 +95,6 @@ _QUAD = "data.kind = quadratic\ndata.matrix = [[1.0, 0.0], [0.0, 1.0]]"
 @pytest.mark.parametrize("new,key", [
     ("data.kind = quadratic\ndata.matrix = "
      "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]", "data.matrix"),
-    ("data.kind = crease\ndata.axis = 5", "data.axis"),
     ('data.kind = expression\ndata.expression = "x3**2"', "data.expression"),
     (_QUAD + '\nop.b_expression = "1 + x3"\nop.Lambda = 3.0',
      "op.b_expression"),
@@ -137,10 +136,10 @@ def test_non_finite_region_value_exits_2_without_a_warning(tmp_path, capsys,
 
 def test_solve_on_expression_data_with_a_frozen_band(tmp_path):
     # data of no other kind is one data.expression line: here a C^(1,1/2)
-    # interface, whose band keeps its t = 0 values under run.boundary frozen
+    # interface; its expression does not read t, so the band keeps its
+    # t = 0 values
     cfg = write_cfg(tmp_path, SOLVE_CFG.replace(_QUAD, (
-        'data.kind = expression\ndata.expression = "maximum(x1, 0)**1.5"\n'
-        "run.boundary = frozen")))
+        'data.kind = expression\ndata.expression = "maximum(x1, 0)**1.5"')))
     out = tmp_path / "out"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     snaps = [load_csv(str(out / "solve" / "snapshots" / f"snap_{k}.csv"))
@@ -327,6 +326,25 @@ def test_analyze_rejects_snapshots_on_another_lattice(tmp_path, capsys,
         assert main(["analyze", probe, a, b, "--out", out]) == 2
         err = capsys.readouterr().err
         assert "b.csv" in err and "lattice" in err
+
+
+@pytest.mark.parametrize("fault", ["class", "short"])
+def test_analyze_refuses_a_malformed_snapshot_row(tmp_path, capsys, fault):
+    # a row with an unknown node class, or one that ends early, is a
+    # ValueError naming the file and line, so the CLI exits 2 with it
+    path = make_snapshot(tmp_path, "a.csv", t=0.0)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    row = lines[3].split(",")
+    lines[3] = ",".join(row[:-2] + [row[-2] + "x", row[-1]] if fault == "class"
+                        else row[:-2])
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    assert main(["analyze", "dichotomy", path, path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed row ")
+    assert f"at line 4 of {path}" in err
 
 
 def test_analyze_dichotomy_on_snapshot_files(tmp_path, capsys):

@@ -11,6 +11,7 @@ from pma_lab.config import (_KNOWN_KEYS, ConfigError, expression_field,
                             format_config, make_domain, make_initial,
                             make_operator, make_state, parse_config,
                             read_config, run_settings)
+from pma_lab.evolution import EvolutionState, evolve
 from pma_lab.exact import build_profile
 from pma_lab.experiments import REGISTRY
 from pma_lab.grid import _REGION_KEYS, build_domain, sample
@@ -67,6 +68,33 @@ def test_parse_refuses_the_data_keys_no_run_set(key):
     # profile's n, p and coordinates are the flow's own
     with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"{key} = 1")
+
+
+@pytest.mark.parametrize("key", ["op.variant", "run.boundary", "data.axis",
+                                 "data.quad_coeff", "data.T"])
+def test_parse_refuses_the_keys_the_run_derives(key):
+    # the reduced variant is the operator with op.n_full set; the band
+    # follows the data when they read t; the crease's hyperplane and
+    # coefficient and the self-similar horizon are fixed by the flow's
+    # scaling u(Ax, mt) / h and its coordinate permutations
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        parse_config(f"{key} = 1")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        make_state(dict(QUAD, **{key: 1}))
+
+
+def test_docstring_lists_exactly_the_known_keys():
+    # the module docstring's "Recognized keys" list, up to the next
+    # paragraph, names every key that parse_config accepts and no other
+    listed = []
+    for line in config.__doc__.split("Recognized keys:\n", 1)[1].splitlines():
+        if line and not line.startswith(("*", " ")):
+            break
+        listed.append(line)
+    named = set(re.findall(r"``([a-z]+\.[A-Za-z_]+)``", "\n".join(listed)))
+    assert named == {f"{ns}.{leaf}" for ns, leaves in _KNOWN_KEYS.items()
+                     for leaf in leaves}
+    assert len(named) == 19
 
 
 def _unread_keys(source: str, known: dict) -> list[str]:
@@ -195,16 +223,25 @@ def test_make_domain_refuses_keys_of_the_other_kind(cfg, message):
 
 def test_make_operator_defaults_and_required():
     op = make_operator({"op.p": 1.5})
-    assert (op.p, op.width, op.variant) == (1.5, 2, "plain")
+    assert (op.p, op.width, op.n_full) == (1.5, 2, None)
     assert op.b.lam == op.b.Lam == 1.0
+    assert make_operator({"op.p": 1.0, "op.n_full": 4}).n_full == 4
     with pytest.raises(ConfigError, match="missing required key 'op.p'"):
         make_operator({})
-    with pytest.raises(ConfigError):
-        make_operator({"op.p": 1.0, "op.variant": "mystery"})
-    with pytest.raises(ConfigError):
-        make_operator({"op.p": 1.0, "op.variant": "gcf"})
-    with pytest.raises(ConfigError, match="n_full"):
-        make_operator({"op.p": 1.0, "op.n_full": 4})
+    with pytest.raises(ConfigError, match="needs n_full >= 3"):
+        make_operator({"op.p": 1.0, "op.n_full": 2})
+    op = make_operator({"op.p": 1.0, "op.lambda": 0.5, "op.Lambda": 2.0})
+    assert op.b.constant_value == 1.0
+
+
+@pytest.mark.parametrize("lam,Lam", [(2.0, 3.0), (0.2, 0.5), (3.0, 2.0)])
+def test_bounds_that_leave_out_the_default_b_are_refused(lam, Lam):
+    # b = 1 is refused by name when it leaves the bounds, as the same b
+    # written "1.0" is at the first operator call
+    with pytest.raises(ConfigError, match=re.escape(
+            f"op.b_expression = '1' leaves [op.lambda, op.Lambda] = "
+            f"[{lam}, {Lam}]")):
+        make_operator({"op.p": 1.0, "op.lambda": lam, "op.Lambda": Lam})
 
 
 def test_make_initial_kinds():
@@ -226,13 +263,13 @@ def test_make_initial_kinds():
 @pytest.mark.parametrize("kind,cfg,foreign", [
     ("quadratic", {"op.p": 1.0, "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
      {"data.radius": 0.5}),
-    ("cone", {}, {"data.radius": 0.5, "data.matrix": [[1.0]], "data.T": 2.0}),
+    ("cone", {}, {"data.radius": 0.5, "data.matrix": [[1.0]]}),
     ("crease", {}, {"data.slope": 2.0}),
     ("flat_disk", {"data.radius": 0.4}, {"data.center": [0.1, 0.0]}),
     ("quadratic", {"op.p": 1.0, "data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
      {"data.b0": 2.0, "data.linear": [1.0, 0.0]}),
-    ("selfsimilar", {"data.T": 1.0}, {"data.expression": "r", "data.n": 4}),
-    ("expression", {"data.expression": "x1"}, {"data.T": 2.0}),
+    ("selfsimilar", {}, {"data.expression": "r", "data.n": 4}),
+    ("expression", {"data.expression": "x1"}, {"data.slope": 2.0}),
 ])
 def test_data_kinds_refuse_keys_they_do_not_read(kind, cfg, foreign):
     cfg = dict(cfg, **{"data.kind": kind})
@@ -245,8 +282,8 @@ def test_data_kinds_refuse_keys_they_do_not_read(kind, cfg, foreign):
 
 @pytest.mark.parametrize("cfg,key", [
     (dict(QUAD, **{"op.p": (1, 0)}), "op.p"),
-    (dict(BALL, **{"op.p": 1.0, "data.kind": "crease", "data.axis": [1]}),
-     "data.axis"),
+    (dict(BALL, **{"op.p": 1.0, "data.kind": "cone", "data.slope": [1]}),
+     "data.slope"),
     (dict(QUAD, **{"data.matrix": [[1.0, 0.0], [0.0]]}), "data.matrix"),
     (dict(QUAD, **{"grid.h": [0.1]}), "grid.h"),
     (dict(QUAD, **{"op.width": "wide"}), "op.width"),
@@ -259,14 +296,13 @@ def test_a_value_of_the_wrong_type_names_its_key(cfg, key):
 @pytest.mark.parametrize("build,cfg,key,value", [
     (make_domain, BALL, "op.width", 2.7),
     (make_operator, {"op.p": 1.0}, "op.width", True),
-    (make_operator, {"op.p": 1.0, "op.variant": "reduced"}, "op.n_full", 4.5),
-    (make_initial, {"data.kind": "crease"}, "data.axis", 0.5),
-    (make_state, dict(BALL, **{"op.p": 1.0, "data.kind": "crease"}),
-     "data.axis", math.nan),
+    (make_operator, {"op.p": 1.0}, "op.n_full", 4.5),
+    (make_state, dict(BOX, **{"op.p": 1.0, "data.kind": "crease"}),
+     "op.n_full", math.nan),
     (run_settings, {"run.t_end": 0.1}, "run.snapshots", True),
     (run_settings, {"run.t_end": 0.1}, "run.snapshots", 2.5),
-], ids=["width-2.7", "width-True", "n_full-4.5", "axis-0.5",
-        "axis-nan", "snapshots-True", "snapshots-2.5"])
+], ids=["width-2.7", "width-True", "n_full-4.5", "n_full-nan",
+        "snapshots-True", "snapshots-2.5"])
 def test_an_integer_key_takes_only_a_whole_number(build, cfg, key, value):
     # int() read 2.7 as 2 and True as 1, and ran without a word
     with pytest.raises(ConfigError, match=re.escape(
@@ -288,15 +324,48 @@ def test_make_initial_expression():
     assert out == pytest.approx([0.75])
 
 
+_KINDS = {"quadratic": {"data.matrix": [[1.0, 0.0], [0.0, 1.0]]},
+          "selfsimilar": {"op.n_full": 4}, "cone": {}, "crease": {},
+          "flat_disk": {"data.radius": 0.3}}
+
+
 def test_make_state_boundary_defaults():
-    state = make_state(QUAD)                       # closed form: exact
-    assert state.boundary is not None
-    cone_cfg = dict(BALL, **{"op.p": 1.0, "data.kind": "cone"})
-    assert make_state(cone_cfg).boundary is None   # no closed form: frozen
-    forced = make_state(dict(cone_cfg, **{"run.boundary": "exact"}))
-    assert forced.boundary is not None
-    with pytest.raises(ConfigError, match="run.boundary"):
-        make_state(dict(QUAD, **{"run.boundary": "periodic"}))
+    # the band refreshes exactly where the data read t, from the data
+    cases = [*_KINDS.items(), *(("expression", {"data.expression": e}) for e
+                                in ("x1**2 + t", "x1**2 + abs(x2)",
+                                    "maximum(r, 0.2)"))]
+    pts, refreshed = np.array([[0.3, -0.4], [0.9, 0.1]]), []
+    for kind, keys in cases:
+        cfg = dict(BALL, **{"op.p": 1.0, "data.kind": kind}, **keys)
+        state = make_state(cfg)
+        if state.boundary is not None:
+            refreshed.append(keys.get("data.expression", kind))
+            assert np.array_equal(state.boundary(pts, 0.25),
+                                  make_initial(cfg, 2)(pts, 0.25))
+    assert refreshed == ["quadratic", "selfsimilar", "x1**2 + t"]
+
+
+@pytest.mark.parametrize("kind,keys", [
+    *((k, _KINDS[k]) for k in ("cone", "crease", "flat_disk")),
+    ("expression", {"data.expression": "x1**2 + abs(x2) + 0.5 * r"})],
+    ids=["cone", "crease", "flat_disk", "expression"])
+def test_t_free_data_refresh_their_band_to_the_same_bits(kind, keys):
+    # the premise of the frozen band: data free of t refresh the band to
+    # the bits it already holds, so a run refreshed every step and a
+    # frozen run hold the same bits at every snapshot
+    cfg = dict(BALL, **{"op.p": 1.0, "data.kind": kind}, **keys)
+    frozen = make_state(cfg)
+    assert frozen.boundary is None
+    refreshed = EvolutionState(frozen.u.copy(), frozen.cfg,
+                               make_initial(cfg, 2))
+    times = [0.005, 0.01, 0.02]
+    a = evolve(frozen, 0.02, times).snapshots
+    b = evolve(refreshed, 0.02, times).snapshots
+    assert refreshed.steps == frozen.steps >= 10
+    for u, v in zip(a, b):
+        assert u.t == v.t
+        assert np.array_equal(u.values.view(np.int64),
+                              v.values.view(np.int64))
 
 
 def test_make_state_samples_initial_data():
@@ -322,19 +391,19 @@ def test_make_state_refuses_an_unknown_dict_key(key, message):
 
 @pytest.mark.parametrize("cfg,n,p", [
     ({"domain.kind": "box", "domain.lower": [-1.0, -1.0],
-      "domain.upper": [1.0, 1.0], "op.variant": "reduced", "op.n_full": 5,
+      "domain.upper": [1.0, 1.0], "op.n_full": 5,
       "op.p": 0.5}, 5, 0.5),
     ({"domain.kind": "box", "domain.lower": [-1.0, -1.0, -1.0],
       "domain.upper": [1.0, 1.0, 1.0], "op.p": 1.5}, 3, 1.5),
 ], ids=["reduced-n5-p0.5", "plain-3d-p1.5"])
 def test_selfsimilar_data_follows_the_operator(cfg, n, p):
-    # the profile's power is op.p; its dimension is op.n_full under the
-    # reduced variant, whose lattice holds (r, x_n) points, else the lattice's
-    cfg = dict(cfg, **{"grid.h": 0.25, "data.kind": "selfsimilar",
-                       "data.T": 2.0})
+    # the profile's power is op.p; its dimension is op.n_full, set for the
+    # reduced variant, whose lattice holds (r, x_n) points, else the
+    # lattice's; its horizon is 1
+    cfg = dict(cfg, **{"grid.h": 0.25, "data.kind": "selfsimilar"})
     state = make_state(cfg)
     profile = build_profile(n, p)
-    want = sample(state.u.domain, lambda pts, t: profile.eval(pts, t, 2.0))
+    want = sample(state.u.domain, lambda pts, t: profile.eval(pts, t, 1.0))
     active = state.u.domain.active_mask()
     assert np.array_equal(state.u.values[active], want.values[active])
 

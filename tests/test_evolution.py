@@ -249,15 +249,14 @@ _BOX = {"domain.kind": "box", "domain.lower": [-1.0, -1.0],
 @pytest.mark.parametrize("configs,t_end", [
     # a pair on a ball (exterior NaN nodes), frozen band with one -0.0
     ([{**_BALL, "op.p": 1.0, "data.kind": "cone"},
-      {**_BALL, "op.p": 1.0, "data.kind": "crease", "data.axis": 0}], 0.01),
+      {**_BALL, "op.p": 1.0, "data.kind": "crease"}], 0.01),
     ([{**_BOX, "op.p": 0.4, "data.kind": "quadratic",
        "data.matrix": [[1.2, 0.1], [0.1, 0.8]]}], 0.05),
     # 3-D crease, a span of two blocks
     ([{"domain.kind": "box", "domain.lower": [-1.0] * 3,
        "domain.upper": [1.0] * 3, "grid.h": 0.0625, "op.p": 1.0,
        "data.kind": "crease"}], 8e-4),
-    ([{**_BOX, "op.p": 1.0, "op.variant": "reduced", "op.n_full": 4,
-       "data.kind": "crease", "data.axis": -1}], 0.002),
+    ([{**_BOX, "op.p": 1.0, "op.n_full": 4, "data.kind": "crease"}], 0.002),
     ([{**_BALL, "op.p": 1.0, "data.kind": "quadratic",
        "data.matrix": [[1.0, 0.2], [0.2, 1.5]],
        "op.b_expression": "1 + 0.3 * sin(2 * x1 + 300 * t)",

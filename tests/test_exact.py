@@ -59,7 +59,7 @@ def test_data_factories_basic_shapes():
     pts = np.array([[0.5, 0.0], [0.0, -0.25], [0.3, 0.4]])
     assert np.allclose(cone_data(2.0)(pts, 0.0),
                        2.0 * np.linalg.norm(pts, axis=1))
-    cr = crease_data(axis=-1, quad_coeff=0.5)(pts, 0.0)
+    cr = crease_data()(pts, 0.0)
     assert cr[0] == pytest.approx(0.0 + 0.125)
     disk = flat_disk_data(radius=0.25, slope=2.0)(pts, 0.0)
     assert disk[0] == pytest.approx(0.5)

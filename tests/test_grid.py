@@ -192,6 +192,22 @@ def test_sample_and_interpolation():
     assert np.allclose(got, want, atol=1e-13)
 
 
+def test_interpolation_past_the_last_node_is_nan():
+    # the top row x = 1.25 of this box is active band: a point on it reads
+    # its value, a point past it leaves the lattice, as one before the
+    # first node does, so rescale can refuse a map that leaves the source
+    dom = build_domain({"kind": "box", "lower": [-1.0, -1.0],
+                        "upper": [0.9, 0.9]}, h_grid=0.25, stencil_radius=2)
+    u = sample(dom, lambda pts, t: pts[:, 0] + 10.0 * pts[:, 1])
+    first, last = dom.axes()[0][[0, -1]]
+    assert last == 1.25 and dom.classes[-1, 6] == BAND
+    got = u.interpolate(np.array([[last, 0.0], [1.1, 0.0], [1.35, 0.0],
+                                  [6.25, 0.0], [0.0, 1.35],
+                                  [first - 0.1, 0.0]]))
+    assert got[:2] == pytest.approx([1.25, 1.1], abs=1e-12)
+    assert np.isnan(got[2:]).all()
+
+
 def test_coordinates_read_the_axes(tmp_path):
     # every node-position query goes through Domain.coordinates; it reads
     # the axis arrays, so a restored lattice keeps its stored coordinates

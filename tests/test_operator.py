@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 from pma_lab import monge_ampere
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
-from pma_lab.monge_ampere import (_BLOCK, VARIANTS, OperatorConfig, _Plan,
+from pma_lab.monge_ampere import (_BLOCK, OperatorConfig, _Plan,
                                   _clamped_second_differences, _stencil,
                                   ma_field, orthogonal_frames,
                                   reduced_ma_field)
@@ -65,7 +66,7 @@ def pointwise_value(u, idx, cfg):
     axis, its limit the second difference u_rr."""
     dom, f = u.domain, _floor(u, cfg)
     radial = 1.0
-    if cfg.variant == "reduced":
+    if cfg.n_full is not None:
         radial = max(_radial_ratio(u, idx)[0], f) ** (cfg.n_full - 2)
     best, arg = math.inf, None
     for k, frame in enumerate(orthogonal_frames(dom.n, cfg.width)):
@@ -89,7 +90,7 @@ def pointwise_slope(u, idx, cfg):
     max_F sum_i w_i / F_i, and 0 where F(x) = 0."""
     dom, f = u.domain, _floor(u, cfg)
     radial = []
-    if cfg.variant == "reduced":
+    if cfg.n_full is not None:
         ratio, on_axis = _radial_ratio(u, idx)
         ratio, nf = max(ratio, f), cfg.n_full
         radial = [(ratio ** (nf - 2),
@@ -217,16 +218,16 @@ def test_field_matches_pointwise_and_nan_pattern():
             pointwise_value(base, idx, cfg)[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("desc,h,p,variant", [
+@pytest.mark.parametrize("desc,h,p,n_full", [
     ({"kind": "ball", "center": [0.1, -0.05], "radius": 1.0}, 0.1, 0.4,
-     "plain"),
+     None),
     ({"kind": "box", "lower": [-1.0] * 3, "upper": [1.0] * 3}, 0.25, 1.0,
-     "plain"),
+     None),
     ({"kind": "box", "lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, 0.1, 0.7,
-     "reduced"),
+     4),
 ], ids=["ball2d-p0.4", "box3d-p1", "rz-reduced-n4-p0.7"])
 def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
-                                                              variant):
+                                                              n_full):
     # the field is computed on shifted slices of the lattice; an off-by-one
     # in a slice moves a stencil to the wrong node, which the node-by-node
     # scalar evaluation exposes
@@ -235,12 +236,11 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
     rng = np.random.default_rng(17)
     A = rng.standard_normal((n, n))
     M = A @ A.T + 0.3 * np.eye(n)
-    if variant == "reduced":
+    if n_full:
         M[0, 1] = M[1, 0] = 0.0     # even in r, as the reduced data must be
     u = sample(dom, quad(M))
     u.values += 0.01 * rng.standard_normal(u.values.shape)
-    cfg = OperatorConfig(p=p, variant=variant,
-                         n_full=4 if variant == "reduced" else None)
+    cfg = OperatorConfig(p=p, n_full=n_full)
     fld = ma_field(u, cfg, with_frames=True)
     inner = dom.interior_mask()
     assert np.isnan(fld.values[~inner]).all()
@@ -257,12 +257,12 @@ def test_field_matches_pointwise_value_at_every_interior_node(desc, h, p,
 
 
 @pytest.mark.parametrize("case", [
-    *[("plain", p, width, None) for p in (0.4, 1.0, 2.0)
+    *[(None, p, width, None) for p in (0.4, 1.0, 2.0)
       for width in (1, 2, 3)],
-    ("plain", 80.0, 1, None), ("reduced", 0.7, 2, None),
-    ("reduced", 1.0, 2, None), ("reduced", 1.0, 2, 0.2)],
-    ids=lambda c: f"{c[0]}-p{c[1]}-w{c[2]}" + (f"-urr{c[3]}h2" if c[3]
-                                               else ""))
+    (None, 80.0, 1, None), (4, 0.7, 2, None),
+    (4, 1.0, 2, None), (4, 1.0, 2, 0.2)],
+    ids=lambda c: ("reduced" if c[0] else "plain") + f"-p{c[1]}-w{c[2]}"
+    + (f"-urr{c[3]}h2" if c[3] else ""))
 def test_slope_matches_pointwise_slope_at_every_interior_node(case):
     # the frame loop scales each frame's raw product once and divides its
     # leave-one-out sum by the raw product; node by node, the slope must
@@ -271,8 +271,8 @@ def test_slope_matches_pointwise_slope_at_every_interior_node(case):
     # overflow a slope built from the power).  The last case is a radial
     # curvature u_rr in (0, h^2), which only p < 1 floors: at p >= 1 the
     # axis rate weight must come from the raw ratio
-    variant, p, width, urr = case
-    reduced = variant == "reduced"
+    n_full, p, width, urr = case
+    reduced = n_full is not None
     dom = _lattice(2, width, reduced)
     rng = np.random.default_rng(int(10 * p) + width)
     A = rng.standard_normal((2, 2))
@@ -286,8 +286,7 @@ def test_slope_matches_pointwise_slope_at_every_interior_node(case):
         u.values += 0.01 * rng.standard_normal(u.values.shape)
     if reduced:
         u.values = 0.5 * (u.values + u.values[::-1])
-    cfg = OperatorConfig(p=p, width=width, variant=variant, b=_VARYING_B,
-                         n_full=4 if reduced else None)
+    cfg = OperatorConfig(p=p, width=width, b=_VARYING_B, n_full=n_full)
     fld = ma_field(u, cfg)
     inner = np.argwhere(dom.interior_mask())
     want = [pointwise_slope(u, tuple(i), cfg) for i in inner]
@@ -319,17 +318,16 @@ _VARYING_B = CoefficientField(
 
 
 @given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
-       p=st.sampled_from([0.4, 1.0, 2.0]), variant=st.sampled_from(VARIANTS),
+       p=st.sampled_from([0.4, 1.0, 2.0]), n_full=st.sampled_from([None, 4]),
        varying_b=st.booleans(), members=st.integers(1, 3),
        seed=st.integers(0, 2 ** 16))
-def test_stack_matches_member_calls_byte_for_byte(n, width, p, variant,
+def test_stack_matches_member_calls_byte_for_byte(n, width, p, n_full,
                                                   varying_b, members, seed):
-    reduced = variant == "reduced"
+    reduced = n_full is not None
     if reduced:
         n = 2
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
-    cfg = OperatorConfig(p=p, width=width, variant=variant, b=b,
-                         n_full=4 if reduced else None)
+    cfg = OperatorConfig(p=p, width=width, b=b, n_full=n_full)
     dom = _lattice(n, width, reduced)
     rng = np.random.default_rng(seed)
     us = []
@@ -360,8 +358,8 @@ def _span_length(u) -> int:
 
 @pytest.mark.parametrize("varying_b", [False, True])
 @pytest.mark.parametrize("p", [0.4, 1.0, 2.0])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_multi_block_stack_matches_member_calls_byte_for_byte(variant, p,
+@pytest.mark.parametrize("n_full", [None, 4], ids=["plain", "reduced"])
+def test_multi_block_stack_matches_member_calls_byte_for_byte(n_full, p,
                                                               varying_b):
     # a stack whose span is longer than one block runs the frame loop block
     # by block, with members cut across block bounds; the span is odd, so
@@ -369,12 +367,11 @@ def test_multi_block_stack_matches_member_calls_byte_for_byte(variant, p,
     # Each member's output is still bit for bit its own one-block call, and
     # so it is on a second call, after the stack changed in place, through
     # the views the first call left
-    reduced = variant == "reduced"
+    reduced = n_full is not None
     n = 2 if reduced else 3
     dom = _lattice(n, 2, reduced)
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
-    cfg = OperatorConfig(p=p, variant=variant, b=b,
-                         n_full=4 if reduced else None)
+    cfg = OperatorConfig(p=p, b=b, n_full=n_full)
     rng = np.random.default_rng(int(10 * p))
     us = []
     for _ in range(_BLOCK // dom.classes.size + 5):
@@ -431,22 +428,21 @@ def _on(dom, values, t):
 
 
 @given(n=st.sampled_from([2, 3]), width=st.integers(1, 3),
-       p=st.sampled_from([0.4, 1.0, 2.0]), variant=st.sampled_from(VARIANTS),
+       p=st.sampled_from([0.4, 1.0, 2.0]), n_full=st.sampled_from([None, 4]),
        varying_b=st.booleans(), members=st.sampled_from([None, 1, 2, 3]),
        with_frames=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_cached_views_follow_in_place_changes(n, width, p, variant,
+def test_cached_views_follow_in_place_changes(n, width, p, n_full,
                                               varying_b, members,
                                               with_frames, seed):
     # a call on the array the call before read reuses that call's views:
     # after the values change in place (interior and band) and t advances,
     # each call still equals, byte for byte, the call on a fresh copy of
     # the array on a second build of the lattice
-    reduced = variant == "reduced"
+    reduced = n_full is not None
     if reduced:
         n = 2
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
-    cfg = OperatorConfig(p=p, width=width, variant=variant, b=b,
-                         n_full=4 if reduced else None)
+    cfg = OperatorConfig(p=p, width=width, b=b, n_full=n_full)
     dom, twin = (_lattice(n, width, reduced, twin) for twin in (False, True))
     rng = np.random.default_rng(seed)
     u = _on(dom, _random_values(dom, rng, members, reduced), 0.25)
@@ -454,7 +450,7 @@ def test_cached_views_follow_in_place_changes(n, width, p, variant,
     for _ in range(3):
         got = ma_field(u, cfg, with_frames=with_frames)
         if plan is None:
-            key = (("plan", width, p, variant, cfg.n_full), members)
+            key = (("plan", width, p, n_full), members)
             plan = dom.span_cache[key]
             views = plan.read
         assert plan.read is views
@@ -464,16 +460,16 @@ def test_cached_views_follow_in_place_changes(n, width, p, variant,
         u.t += 0.05
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_full", [None, 4], ids=["plain", "reduced"])
 @pytest.mark.parametrize("members", [None, 2])
-def test_views_are_rebuilt_for_a_new_or_copied_input(members, variant):
+def test_views_are_rebuilt_for_a_new_or_copied_input(members, n_full):
     # replacing u.values with a new array, and changing a non-contiguous
     # input (which the operator copies) between two calls: each call
     # equals the call on a fresh copy, so views built on a copy are never
     # reused, even for the same input object
-    reduced = variant == "reduced"
+    reduced = n_full is not None
     n = 2 if reduced else 3
-    cfg = OperatorConfig(p=1.0, variant=variant, n_full=4 if reduced else None)
+    cfg = OperatorConfig(p=1.0, n_full=n_full)
     dom, twin = (_lattice(n, 2, reduced, twin) for twin in (False, True))
     rng = np.random.default_rng(7)
     u = _on(dom, _random_values(dom, rng, members, reduced), 0.25)
@@ -575,7 +571,7 @@ def test_fill_plan_fills_each_row_before_its_frames_read_it(n, width):
 def _plan_rows(dom, p, members) -> tuple:
     """The plain width-2 plan of ``dom`` and its work rows by name, the
     difference rows as the whole arrays its fill groups are cut from."""
-    plan = dom.span_cache[(("plan", 2, p, "plain", None), members)]
+    plan = dom.span_cache[(("plan", 2, p, None), members)]
     rows = {name: getattr(plan, name) for name in ("twice", "prod", "rate")}
     for k, (groups, *_) in enumerate(plan.frames):
         for g, (out, *_) in enumerate(groups):
@@ -627,9 +623,8 @@ def test_work_arrays_carry_nothing_between_calls():
     shared = build_domain(desc, h_grid=0.1, stencil_radius=2)
     values = sample(shared, quad([[1.3, 0.0], [0.0, 0.7]])).values
     values += 1e-3 * np.random.default_rng(3).standard_normal(values.shape)
-    calls = [OperatorConfig(p=p, variant=variant,
-                            n_full=4 if variant == "reduced" else None)
-             for variant in VARIANTS for p in (0.4, 1.0, 2.0)]
+    calls = [OperatorConfig(p=p, n_full=n_full)
+             for n_full in (None, 4) for p in (0.4, 1.0, 2.0)]
     for cfg in calls + calls[::-1]:
         fresh = build_domain(desc, h_grid=0.1, stencil_radius=2)
         got = ma_field(GridFunction(shared, values.copy()), cfg,
@@ -726,7 +721,7 @@ def test_reduced_on_paraboloid():
     dom = rz_domain()
     u = sample(dom, quad([[1, 0], [0, 1]]))
     for nf in (3, 4, 5):
-        cfg = OperatorConfig(p=1.0, variant="reduced", n_full=nf)
+        cfg = OperatorConfig(p=1.0, n_full=nf)
         fld = reduced_ma_field(u, cfg)
         inner = dom.interior_mask()
         assert np.allclose(fld.values[inner], 1.0, atol=1e-12)
@@ -738,7 +733,7 @@ def test_reduced_anisotropic_scaling():
     a, c = 2.0, 0.5
     dom = rz_domain(h=0.125)
     u = sample(dom, quad([[a, 0], [0, c]]))
-    cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
+    cfg = OperatorConfig(p=1.0, n_full=4)
     want = a ** 2 * (a * c)
     assert ma_at(u, [0.25, 0.25], cfg) == pytest.approx(want, rel=1e-10)
 
@@ -749,13 +744,26 @@ def test_reduced_axis_uses_second_derivative_limit():
     a, c = 3.0, 1.0
     dom = rz_domain(h=0.125)
     u = sample(dom, quad([[a, 0], [0, c]]))
-    cfg = OperatorConfig(p=1.0, variant="reduced", n_full=3)
+    cfg = OperatorConfig(p=1.0, n_full=3)
     assert ma_at(u, [0.0, 0.25], cfg) == pytest.approx(a * a * c, rel=1e-10)
 
 
 def test_reduced_requires_embedding_dimension():
-    with pytest.raises(ValueError, match="n_full"):
-        OperatorConfig(p=1.0, variant="reduced")
+    for n_full in (2, 0, -3):
+        with pytest.raises(ValueError, match="needs n_full >= 3"):
+            OperatorConfig(p=1.0, n_full=n_full)
+
+
+def test_reduced_refuses_a_lattice_that_is_not_2d():
+    # the plan refuses it, on every call (a failed build is not cached),
+    # through ma_field and reduced_ma_field alike
+    dom = _lattice(3, 2, False)
+    u = sample(dom, quad(np.eye(3)))
+    cfg = OperatorConfig(p=1.0, n_full=4)
+    for call in (ma_field, reduced_ma_field, ma_field):
+        with pytest.raises(ValueError, match=re.escape(
+                "the reduced operator works on a 2-D (r, x_n) lattice")):
+            call(u, cfg)
 
 
 def test_reduced_flat_sliver_value_is_zero():
@@ -763,7 +771,7 @@ def test_reduced_flat_sliver_value_is_zero():
     # in the flat directions once the radial factor clamps
     dom = rz_domain(h=0.1)
     u = sample(dom, lambda pts, t: np.abs(pts[:, 1]))
-    cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
+    cfg = OperatorConfig(p=1.0, n_full=4)
     fld = reduced_ma_field(u, cfg)
     # off the ridge x_n = 0 the function is locally affine: value 0
     idx = dom.index_of([0.3, 0.4])
@@ -779,7 +787,7 @@ def test_reduced_monotone_in_neighbor_values():
     # 0.050224 to 0.048779
     dom = rz_domain(h=0.1)
     u = sample(dom, lambda pts, t: pts[:, 0] ** 8 + pts[:, 1] ** 2)
-    cfg = OperatorConfig(p=1.0, variant="reduced", n_full=4)
+    cfg = OperatorConfig(p=1.0, n_full=4)
     before = ma_at(u, [0.5, 0.2], cfg)
     bumped = u.copy()
     bumped.values[dom.index_of([0.4, 0.2])] += 1e-3

@@ -23,8 +23,7 @@ from pma_lab.evolution import (EvolutionState, comparison_check, evolve,
 from pma_lab.experiments import _PROBES, REGISTRY, RunContext
 from pma_lab.grid import (BAND, INTERIOR, CoefficientField, Domain,
                           GridFunction, GridStack, build_domain, sample)
-from pma_lab.monge_ampere import (VARIANTS, OperatorConfig, ma_field,
-                                  orthogonal_frames)
+from pma_lab.monge_ampere import OperatorConfig, ma_field, orthogonal_frames
 
 _VARYING_B = CoefficientField(
     lambda pts, t: 1.0 + 0.3 * np.sin(2.0 * pts[:, 0] + t), lam=0.7, Lam=1.3)
@@ -79,14 +78,13 @@ def _creased_profile(dom, seed: int, axis_crease: bool):
                   + crease(pts[:, 0], pts[:, 1]))
 
 
-def _case(n, width, p, variant, n_full, varying_b, axis_crease, seed):
+def _case(n, width, p, n_full, varying_b, axis_crease, seed):
     """Creased data and its operator config: the plain variant on the
-    n-ball, the reduced one in dimension n_full on the (r, x_n) box."""
-    reduced = variant == "reduced"
+    n-ball (n_full None), the reduced one in dimension n_full on the
+    (r, x_n) box."""
     b = _VARYING_B if varying_b else CoefficientField.constant(1.0)
-    cfg = OperatorConfig(p=p, width=width, variant=variant, b=b,
-                         n_full=n_full if reduced else None)
-    if reduced:
+    cfg = OperatorConfig(p=p, width=width, b=b, n_full=n_full)
+    if n_full is not None:
         return _creased_profile(_lattice(2, width, True), seed,
                                 axis_crease), cfg
     return _creased(_lattice(n, width), seed, axis_crease), cfg
@@ -132,7 +130,7 @@ def _frame_slopes(u, cfg):
     factor of each): the all-frame slope is the maximum over frames, the
     active-frame slope the entry of the first minimising frame."""
     h = u.domain.h_grid
-    radial = [_radial(u, cfg.n_full)] if cfg.variant == "reduced" else []
+    radial = [_radial(u, cfg.n_full)] if cfg.n_full else []
     prods, slopes = [], []
     for raw, e2 in _differences(u, cfg.width):
         Ds = [D / (k * h * h) for D, k in zip(raw, e2)]
@@ -220,49 +218,49 @@ def _ladder_worst(u, cfg, dt):
 
 _STEP_CASES = dict(
     n=st.sampled_from([2, 3]), width=st.integers(1, 3), p=st.floats(1.0, 3.0),
-    variant=st.sampled_from(VARIANTS), n_full=st.integers(3, 5),
+    n_full=st.one_of(st.none(), st.integers(3, 5)),
     varying_b=st.booleans(), axis_crease=st.booleans(),
     seed=st.integers(0, 2 ** 16))
 
 
 @given(**dict(_STEP_CASES, p=st.floats(0.1, 3.0)))
-def test_update_never_falls_when_the_centre_rises(n, width, p, variant,
-                                                  n_full, varying_b,
-                                                  axis_crease, seed):
+def test_update_never_falls_when_the_centre_rises(n, width, p, n_full,
+                                                  varying_b, axis_crease,
+                                                  seed):
     # the monotone-step condition itself: at the automatic dt, raising the
     # centre by any amount never lowers the updated value there.  The step
     # takes the whole tangent bound at every p, so the bound alone keeps
     # the change >= 0
-    u, cfg = _case(n, width, p, variant, n_full, varying_b, axis_crease,
-                   seed)
+    u, cfg = _case(n, width, p, n_full, varying_b, axis_crease, seed)
     dt = stable_dt(ma_field(u, cfg))
     assert _ladder_worst(u, cfg, dt) >= 0.0
 
 
 @given(**_STEP_CASES)
-def test_step_meets_the_necessary_condition(n, width, p, variant, n_full,
-                                            varying_b, axis_crease, seed):
+def test_step_meets_the_necessary_condition(n, width, p, n_full, varying_b,
+                                            axis_crease, seed):
     # raising u(x) by min_e D'_e(x) / 2 takes that difference, so F(x), to
     # 0, and the update at x then gains only the raise: a monotone step
     # needs dt F(x) <= min_e D'_e(x) / 2.  Every direction lies in some
     # frame, whose term in the tangent bound is at least 2p h^2 F(x) /
     # min_e D'_e(x), so the ratio is at most 1 / p.  (At p < 1 the floor
     # keeps F(x) > 0 when a difference reaches 0, so the premise fails; the
-    # ladder checks the chord condition there directly)
-    u, cfg = _case(n, width, p, variant, n_full, varying_b, axis_crease,
-                   seed)
-    dt = stable_dt(ma_field(u, cfg))
+    # ladder checks the chord condition there directly).  dt is h^2 / max
+    # slope, the rule of stable_dt, read off the field: some drawn states
+    # move so fast (F = 1.2e12 at p = 3, n_full = 5, seed 226) that
+    # stable_dt refuses them as stiff, and the bound must hold there too
+    u, cfg = _case(n, width, p, n_full, varying_b, axis_crease, seed)
+    dt = u.domain.h_grid ** 2 / ma_field(u, cfg).span_slope.max()
     assert _necessary_ratio(u, cfg, dt) <= 1.0 / p * (1.0 + 1e-12)
 
 
 @given(**_STEP_CASES)
-def test_slope_between_active_and_all_frame_slopes(n, width, p, variant,
-                                                   n_full, varying_b,
-                                                   axis_crease, seed):
+def test_slope_between_active_and_all_frame_slopes(n, width, p, n_full,
+                                                   varying_b, axis_crease,
+                                                   seed):
     # the tangent bound of the active frame is its own slope, and every
     # frame's tangent bound is at most its slope at t = 0
-    u, cfg = _case(n, width, p, variant, n_full, varying_b, axis_crease,
-                   seed)
+    u, cfg = _case(n, width, p, n_full, varying_b, axis_crease, seed)
     fld = ma_field(u, cfg)
     got = np.take(fld.span_slope, fld.columns)
     all_frame, active = _all_and_active(u, cfg)
