@@ -22,8 +22,7 @@ from .evolution import (ComparisonReport, EvolutionResult, EvolutionState,
 from .geometry import (BalancednessCertificate, Ellipsoid, FlatSet,
                        LegendreTransform, Section, balancedness,
                        centered_section, flat_set, john_ellipsoid, legendre,
-                       save_ellipsoid, save_section, section_at,
-                       unit_ball_volume)
+                       section_at, unit_ball_volume)
 from .analysis import (AngleCertificate, C1AlphaReport, DichotomyReport,
                        ExponentFit, InterfaceReport, SeparationReport,
                        angle_opening, beta_time, c1alpha_from_line,

@@ -384,8 +384,12 @@ def interface_exponent(u: GridFunction, flat: FlatSet,
     log-midpoint instead would skew the fit wherever the in-bin distance
     distribution is lopsided).  Raises ``ValueError("under-resolved
     interface")`` when fewer than 5 populated bins (or less than one decade
-    of distance) survive.
+    of distance) survive.  ``r_max``, when given, must be a positive finite
+    number.
     """
+    if r_max is not None and not 0.0 < r_max < np.inf:
+        raise ValueError(f"r_max must be a positive finite number, "
+                         f"got {r_max}")
     dom = u.domain
     if len(flat) == 0:
         raise ValueError("under-resolved interface: empty contact set")
@@ -449,7 +453,9 @@ def dual_residual_from_terms(terms: tuple, p: float
     """The residual at the power ``p`` from the terms of
     :func:`dual_flow_terms`, so that one pair of transforms serves every
     power: its largest magnitude, its field and the first level's
-    transform."""
+    transform.  ``p`` must be a positive finite number."""
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be a positive finite number, got {p}")
     dstar, det, ok, lt1, t = terms
     res = np.full(lt1.domain.shape, np.nan)
     res[ok] = dstar[ok] + det[ok] ** (-p)

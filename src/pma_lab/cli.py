@@ -6,7 +6,6 @@ Subcommands
 * ``solve`` — run the configured flow and write snapshot CSVs.
 * ``selfsimilar`` — the registry's ``profile`` probe at ``op.n_full = --n``
   and ``op.p = --p``, printed and written as ``analyze`` does.
-* ``geometry`` — section / ellipsoid / balancedness report for a snapshot.
 * ``analyze PROBE SNAPSHOTS...`` — run the registry probe ``PROBE`` (``-``
   read as ``_``) on snapshot CSVs in time order; print its ``measured:``
   lines and write ``<out>/analyze/{probes,plots,summary.txt}``.
@@ -37,7 +36,6 @@ from .config import ConfigError, format_config, make_state, read_config
 from .experiments import (_PROBE_PARAMS, _PROBES, REGISTRY, ExperimentError,
                           RunContext, list_experiments, measured_lines,
                           run_experiment, solve_to_snapshots)
-from .geometry import balancedness, save_ellipsoid, save_section, section_at
 from .grid import fmt17, load_csv
 
 __all__ = ["main"]
@@ -63,14 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="build the separating self-similar profile")
     ss.add_argument("--n", type=int, default=4, help="ambient dimension")
     ss.add_argument("--p", type=float, default=1.0, help="power p")
-
-    geo = sub.add_parser("geometry", parents=[writes],
-                         help="section, ellipsoid and balancedness report")
-    geo.add_argument("snapshot", help="snapshot CSV")
-    geo.add_argument("--height", type=float, required=True,
-                     help="section height above the base value")
-    geo.add_argument("--point", default=None,
-                     help="base point, comma-separated (default: origin)")
 
     an = sub.add_parser("analyze", parents=[writes],
                         help="run one analysis probe over snapshot CSVs")
@@ -135,9 +125,7 @@ def _cmd_solve(args) -> int:
     cfg = read_config(args.config)
     state = make_state(cfg)
     out_dir = os.path.join(args.out, "solve")
-    snap_dir = os.path.join(out_dir, "snapshots")
-    os.makedirs(snap_dir, exist_ok=True)
-    frames = solve_to_snapshots(state, cfg, snap_dir)
+    frames = solve_to_snapshots(state, cfg, os.path.join(out_dir, "snapshots"))
     inner = frames[0].domain.interior_mask()
     lines = ["solve:"]
     lines += ["  " + ln for ln in format_config(cfg).strip().splitlines()]
@@ -153,27 +141,6 @@ def _cmd_selfsimilar(args) -> int:
     out_dir = os.path.join(args.out, "selfsimilar")
     ctx = RunContext.create(out_dir, cfg={"op.n_full": args.n, "op.p": args.p})
     return _report(out_dir, measured_lines(_PROBES["profile"](ctx)))
-
-
-def _cmd_geometry(args) -> int:
-    u = load_csv(args.snapshot)
-    point = _vector(args.point) or [0.0] * u.domain.n
-    out_dir = os.path.join(args.out, "geometry")
-    os.makedirs(out_dir, exist_ok=True)
-    sec = section_at(u, point, args.height)
-    save_section(os.path.join(out_dir, "section.csv"), sec)
-    cert = balancedness(sec.positions, point)
-    ell = cert.ellipsoid
-    save_ellipsoid(os.path.join(out_dir, "ellipsoid.csv"), ell)
-    lines = [
-        f"section nodes = {len(sec)}",
-        f"touches_boundary = {sec.touches_boundary}",
-        f"ellipsoid volume = {fmt17(ell.volume)}",
-        f"john iterations = {ell.iterations}",
-        f"john gap = {fmt17(ell.gap)}",
-        str(cert),
-    ]
-    return _report(out_dir, lines)
 
 
 def _cmd_analyze(args) -> int:
@@ -245,8 +212,6 @@ def main(argv=None) -> int:
             return _cmd_solve(args)
         if args.command == "selfsimilar":
             return _cmd_selfsimilar(args)
-        if args.command == "geometry":
-            return _cmd_geometry(args)
         if args.command == "analyze":
             return _cmd_analyze(args)
         if args.command == "experiment":

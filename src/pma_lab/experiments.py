@@ -601,9 +601,11 @@ _PARAM_KEYS = frozenset().union(*_PROBE_PARAMS.values())
 # ---------------------------------------------------------------------------
 
 def solve_to_snapshots(state: EvolutionState, cfg: dict, snap_dir):
-    """Evolve ``state`` to ``run.t_end``, write ``snap_<k>.csv`` per frame,
-    and return the frames, the t = 0 sample first."""
+    """Evolve ``state`` to ``run.t_end``, write ``snap_<k>.csv`` per frame
+    into ``snap_dir``, made once the run settings pass, and return the
+    frames, the t = 0 sample first."""
     settings = run_settings(cfg)
+    _made(str(snap_dir))
     frames = [state.u]                  # evolve re-binds state.u
     frames += evolve(state, settings["t_end"],
                      settings["snapshot_times"]).snapshots

@@ -68,7 +68,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .grid import INTERIOR, Domain, GridFunction, build_domain, \
-    gradient_field, write_table
+    gradient_field
 
 __all__ = [
     "BalancednessCertificate",
@@ -81,8 +81,6 @@ __all__ = [
     "flat_set",
     "john_ellipsoid",
     "legendre",
-    "save_ellipsoid",
-    "save_section",
     "section_at",
     "unit_ball_volume",
 ]
@@ -98,10 +96,8 @@ class Section:
 
     domain: Domain
     base_point: np.ndarray
-    height: float
     slope: np.ndarray
     indices: np.ndarray           # (k, n) lattice indices of member nodes
-    t: float
     touches_boundary: bool        # any member lies in the boundary band
 
     def __len__(self) -> int:
@@ -145,8 +141,8 @@ def section_at(u: GridFunction, base_point, height: float,
             f"empty section: height {height:g} is below the grid resolution "
             f"at base point {tuple(map(float, x0))}")
     touches = bool(np.any(member & dom.band_mask()))
-    return Section(domain=dom, base_point=x0, height=float(height), slope=p,
-                   indices=indices, t=u.t, touches_boundary=touches)
+    return Section(domain=dom, base_point=x0, slope=p, indices=indices,
+                   touches_boundary=touches)
 
 
 def centered_section(u: GridFunction, base_point, height: float,
@@ -579,28 +575,3 @@ def flat_set(u: GridFunction, slope=None, offset: float = 0.0) -> FlatSet:
     return FlatSet(domain=dom, indices=indices, slope=p, offset=float(offset),
                    tol=float(tol), extremal_points=ext,
                    contains_segment=segment, t=u.t)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_section(path, sec: Section) -> None:
-    """Write a section as CSV: scalar header, base/slope rows, index rows."""
-    n = sec.domain.n
-    write_table(path, "n,h_grid,t,height,touches_boundary", [
-        (n, float(sec.domain.h_grid), float(sec.t), float(sec.height),
-         int(sec.touches_boundary)),
-        ("base", *map(float, sec.base_point)),
-        ("slope", *map(float, sec.slope)),
-        [f"i_{d + 1}" for d in range(n)],
-        *(map(int, row) for row in sec.indices)])
-
-
-def save_ellipsoid(path, ell: Ellipsoid) -> None:
-    """Write an ellipsoid as CSV: center, shape matrix rows, volume."""
-    write_table(path, None, [
-        ("center", *map(float, ell.center)),
-        *(("shape_row", *map(float, row))
-          for row in np.atleast_2d(ell.shape_matrix)),
-        ("volume", float(ell.volume))])

@@ -12,7 +12,6 @@ from pma_lab.config import format_config
 from pma_lab.exact import flat_disk_data, quadratic_solution
 from pma_lab.experiments import (REGISTRY, ExperimentSpec, Outcome,
                                  run_experiment)
-from pma_lab.geometry import john_ellipsoid, save_ellipsoid, section_at
 from pma_lab.grid import build_domain, fmt17, load_csv, sample, save_csv
 
 SOLVE_CFG = """\
@@ -64,6 +63,19 @@ def test_solve_writes_snapshots_and_summary(tmp_path, capsys):
 def test_solve_requires_config(tmp_path, capsys):
     assert main(["solve", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("run.t_end = 0.01\n", ""),
+    ("run.snapshots = 2", "run.snapshots = [0.5]"),
+], ids=["no-t-end", "snapshot-past-t-end"])
+def test_refused_solve_leaves_no_output_tree(tmp_path, capsys, old, new):
+    # the run settings are read before the snapshot directory is made
+    cfg = write_cfg(tmp_path, SOLVE_CFG.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_typo_in_config_exits_2(tmp_path, capsys):
@@ -237,7 +249,7 @@ def test_selfsimilar_refuses_the_profile_step_flags(tmp_path, capsys, flag):
 
 
 # ---------------------------------------------------------------------------
-# geometry and analyze
+# analyze
 # ---------------------------------------------------------------------------
 
 def make_snapshot(tmp_path, name="snap.csv", t=0.0, half=1.0, h=0.1):
@@ -248,25 +260,6 @@ def make_snapshot(tmp_path, name="snap.csv", t=0.0, half=1.0, h=0.1):
     path = str(tmp_path / name)
     save_csv(u, path)
     return path
-
-
-def test_geometry_reports_section_and_ellipsoid(tmp_path, capsys):
-    snap = make_snapshot(tmp_path)
-    out = str(tmp_path / "out")
-    assert main(["geometry", snap, "--height", "0.2", "--out", out]) == 0
-    base = os.path.join(out, "geometry")
-    for name in ("section.csv", "ellipsoid.csv", "summary.txt"):
-        assert os.path.exists(os.path.join(base, name))
-    stdout = capsys.readouterr().out
-    assert "section nodes" in stdout and "ellipsoid volume" in stdout
-    assert "john iterations = " in stdout and "john gap = " in stdout
-    # the report solves the John problem once; its ellipsoid is the one a
-    # direct solve on the same section and centre gives
-    sec = section_at(load_csv(snap), [0.0, 0.0], 0.2)
-    save_ellipsoid(str(tmp_path / "direct.csv"),
-                   john_ellipsoid(sec.positions, [0.0, 0.0]))
-    with open(os.path.join(base, "ellipsoid.csv"), "rb") as f:
-        assert f.read() == (tmp_path / "direct.csv").read_bytes()
 
 
 def test_analyze_separation_over_solve_output(tmp_path, capsys):
@@ -476,6 +469,24 @@ def test_analyze_dual_residual_between_first_and_last(tmp_path, capsys):
     assert "increasing time levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("probe,flag,name", [
+    ("dual-residual", "--p", "p"), ("interface", "--r-max", "r_max")])
+def test_analyze_refuses_a_p_or_r_max_that_is_not_positive_and_finite(
+        tmp_path, capsys, probe, flag, name, value):
+    # a NaN or infinite p gives a residual that means nothing, and p <= 0
+    # a finite one that means nothing either; an r_max that is not
+    # positive and finite leaves no distance bins
+    snaps = quadratic_snapshots(tmp_path, [0.1, 0.11], p=1.0, h=0.05)
+    out = tmp_path / "out"
+    assert main(["analyze", probe, *snaps, flag, value,
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {name} must be a positive finite number" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("h,apart", [(0.05, False), (0.025, True)])
 def test_analyze_dual_residual_shows_when_it_cannot_tell_p(tmp_path, capsys,
                                                            h, apart):
@@ -614,9 +625,8 @@ def test_flags_are_taken_only_where_they_are_read(tmp_path, capsys):
                  "--workers", "1", "--seed", "3"]) == 0
     assert (out / "noop" / "summary.txt").exists()
     snap = make_snapshot(tmp_path)
-    cfg = write_cfg(tmp_path)
     for argv in (["selfsimilar", "--workers", "3"],
-                 ["geometry", snap, "--height", "0.2", "--config", cfg],
+                 ["geometry", snap, "--height", "0.2"],   # no such command
                  ["analyze", "separation", snap, "--seed", "3"],
                  ["experiment", "--out", str(out), "run", "noop"],
                  ["experiment", "list", "--out", str(out)]):
@@ -625,7 +635,7 @@ def test_flags_are_taken_only_where_they_are_read(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
-    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "snap.csv", "x"]
+    assert sorted(os.listdir(tmp_path)) == ["snap.csv", "x"]
 
 
 def test_experiment_workers_agree_bitwise(tmp_path):

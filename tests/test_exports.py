@@ -2,7 +2,8 @@
 name it imports is used, every private helper is called from somewhere,
 every keyword default of a private function is overridden somewhere, and
 every registered probe is run by a registry entry or ``pma-lab analyze``,
-and every claim of the claims document is cited by a registry entry."""
+the CLI imports from the package only what runs flows and probes, and
+every claim of the claims document is cited by a registry entry."""
 
 import argparse
 import ast
@@ -75,6 +76,29 @@ def test_unused_import_check_counts_all_and_string_annotations():
     src = ('import os\nfrom math import inf, sqrt\nfrom .grid import Domain\n'
            '__all__ = ["inf"]\ndef f(d: "Domain") -> None:\n    os.sep\n')
     assert _unused_imports(src) == ["sqrt (line 2)"]
+
+
+def _package_imports(source: str) -> set[str]:
+    """The package modules a module imports from, by relative import."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules.update([node.module.split(".")[0]] if node.module
+                           else [a.name for a in node.names])
+    return modules
+
+
+def test_cli_imports_only_config_experiments_and_grid():
+    # the CLI parses flags, runs flows and registry probes and prints what
+    # they measured: it holds no analysis code of its own
+    source = (Path(pma_lab.__file__).parent / "cli.py").read_text()
+    assert _package_imports(source) == {"config", "experiments", "grid"}
+
+
+def test_package_import_check_reads_every_relative_form():
+    src = ("import os\nfrom math import inf\nfrom .grid import fmt17\n"
+           "from . import geometry\nfrom .analysis.sub import x\n")
+    assert _package_imports(src) == {"grid", "geometry", "analysis"}
 
 
 def _named(node: ast.AST) -> set[str]:

@@ -21,8 +21,6 @@ from pma_lab.geometry import (
     flat_set,
     john_ellipsoid,
     legendre,
-    save_ellipsoid,
-    save_section,
     section_at,
     unit_ball_volume,
 )
@@ -724,30 +722,3 @@ def test_error_messages_print_positions_as_plain_floats():
     cert = balancedness(u.domain.positions(u.domain.active_mask()),
                         [0.0, 0.0])
     assert str(cert).endswith("about (0.0, 0.0)")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_section_and_ellipsoid_roundtrip_text(tmp_path):
-    dom = box_domain(1.5, 0.25)
-    u = sample(dom, paraboloid)
-    sec = section_at(u, [0.0, 0.0], 0.5)
-    p1 = tmp_path / "section.csv"
-    save_section(p1, sec)
-    lines = p1.read_text().strip().splitlines()
-    assert lines[0] == "n,h_grid,t,height,touches_boundary"
-    assert lines[1].split(",")[0] == "2"
-    assert len(lines) == 5 + len(sec)
-
-    ell = john_ellipsoid(np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]),
-                         [1.0, 1.0])
-    p2 = tmp_path / "ellipsoid.csv"
-    save_ellipsoid(p2, ell)
-    rows = [r.split(",") for r in p2.read_text().strip().splitlines()]
-    assert rows[0][0] == "center"
-    got = np.array([[float(v) for v in rows[1][1:]],
-                    [float(v) for v in rows[2][1:]]])
-    assert np.allclose(got, ell.shape_matrix, rtol=0, atol=0)
-    assert float(rows[3][1]) == pytest.approx(ell.volume, rel=1e-15)
